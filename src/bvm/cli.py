@@ -97,6 +97,8 @@ def _estimate_dict(est) -> dict:
     return {
         "p_hat": est.p_hat,
         "std_error": est.std_error,
+        "ci_lo": est.ci_lo,
+        "ci_hi": est.ci_hi,
         "n_samples": est.n_samples,
         "seed": est.seed,
         "method": est.method,

@@ -20,7 +20,7 @@ from . import distributions as dist
 from .comparison import get_comparison_fn
 from .engine import Scenario, SweepTemplate
 from .models import InputGrid, ModelFunction, damped_oscillator_model, polynomial_model
-from .rng import BAND_STREAM
+from .rng import BAND_STREAM, INSTANCE_STREAM, chunk_rng
 
 __all__ = [
     "ConfigError",
@@ -716,11 +716,9 @@ def _data_dist_from_section(doc: dict) -> dist.Distribution:
         grid = grid_from_config(gen["grid"])
         mf = model_function_from_config(gen["function"])
         truth = mf.evaluate(np.asarray(gen["params"], dtype=float), grid)
-        from .rng import chunk_rng
-
         inst = truth
         if gen["aleatoric_std"] > 0:
-            rng = chunk_rng(gen["instance_seed"], 11, 0)
+            rng = chunk_rng(gen["instance_seed"], INSTANCE_STREAM, 0)
             inst = truth + rng.normal(0.0, gen["aleatoric_std"], len(grid))
         eps_e = gen["epistemic_std"]
         if eps_e > 0:

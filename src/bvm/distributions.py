@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, assemble_chunks
+from .rng import CHUNK_SIZE, QUANTILE_STREAM, REGION_STREAM, _chunks, chunk_rng
 
 __all__ = [
     "DensityUnsupported",
@@ -54,7 +54,18 @@ class Distribution:
     def sample(self, seed: int, n: int, stream: int = 0) -> np.ndarray:
         """Draw *n* values; deterministic in ``(seed, stream)`` with the
         prefix property: the first k of n draws equal ``sample(seed, k)``."""
-        return assemble_chunks(lambda rng: self._draw(rng, CHUNK_SIZE), seed, n, stream)
+        if n < 1:
+            raise ValueError("sample count must be at least 1")
+        return np.concatenate([self.draw_chunk(seed, stream, c, m) for c, m in _chunks(n)])
+
+    def draw_chunk(self, seed: int, stream: int, c: int, m: int) -> np.ndarray:
+        """The first *m* values of chunk *c* of a stream: values
+        ``c * CHUNK_SIZE`` onwards of ``sample(seed, n, stream)``.
+
+        The chunk is drawn in full and then sliced, which is what makes
+        every prefix of a stream independent of the request size.
+        """
+        return self._draw(chunk_rng(seed, stream, c), CHUNK_SIZE)[:m]
 
     def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         raise NotImplementedError
@@ -455,7 +466,7 @@ def _scalar_quantile(dist: Distribution, q: float, seed: int, n: int) -> float:
     try:
         return dist.quantile(q)
     except _NoQuantile:
-        x = np.asarray(dist.sample(seed, max(n, 1000), stream=17), dtype=float)
+        x = np.asarray(dist.sample(seed, max(n, 1000), stream=QUANTILE_STREAM), dtype=float)
         return float(np.quantile(x, q, method="linear"))
 
 
@@ -520,7 +531,7 @@ def confidence_set(
     try:
         masses = np.diff([dist.cdf(e) for e in edges])
     except _NoQuantile:
-        x = np.asarray(dist.sample(seed, max(n, 10_000), stream=17), dtype=float)
+        x = np.asarray(dist.sample(seed, max(n, 10_000), stream=QUANTILE_STREAM), dtype=float)
         masses = np.histogram(x, bins=edges)[0] / x.shape[0]
     if masses.sum() <= 0:
         raise ValueError("no histogram mass inside the quantile window")
@@ -563,7 +574,7 @@ def probability_in_region(
     if region.labels:
         if isinstance(dist, Categorical):
             return float(sum(p for v, p in zip(dist.values, dist.probs) if v in region.labels))
-        vals = dist.sample(seed, n, stream=19)
+        vals = dist.sample(seed, n, stream=REGION_STREAM)
         return float(np.mean([v in region.labels for v in vals]))
     if isinstance(dist, Categorical):
         return float(
@@ -576,5 +587,5 @@ def probability_in_region(
     try:
         return float(sum(dist.cdf(hi) - dist.cdf(lo) for lo, hi in region.intervals))
     except _NoQuantile:
-        x = np.asarray(dist.sample(seed, n, stream=19), dtype=float)
+        x = np.asarray(dist.sample(seed, n, stream=REGION_STREAM), dtype=float)
         return float(np.mean(region.contains(x)))

@@ -12,10 +12,8 @@ large sweeps cheap.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from .agreement import AgreementRule, GammaEpsilon
 from .comparison import ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM, num_chunks
+from .rng import DATA_STREAM, MODEL_STREAM, map_chunks
 
 __all__ = [
     "EstimationError",
@@ -50,62 +48,80 @@ class EstimationError(Exception):
     """An estimator could not run on its inputs."""
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BVM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_chunk_map(fn: Callable[[int], tuple], n_chunks: int) -> list:
-    """Apply fn to each chunk index, returning results in index order.
-
-    Chunk results are pure functions of their index, so any scheduling of
-    the work reproduces the single-threaded answer bit for bit.
-    """
-    workers = _max_workers()
-    if workers == 1 or n_chunks == 1:
-        return [fn(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """The four inputs bundled: model and data value distributions, the
-    comparison embedded in the rule, and the agreement rule itself.
-
-    ``joint_sampler(seed, n)``, when given, overrides the independent
-    marginals to supply correlated (model, data) value pairs.
-    """
+    comparison embedded in the rule, and the agreement rule itself."""
 
     model_dist: Distribution
     data_dist: Distribution
     rule: AgreementRule
-    joint_sampler: Callable | None = None
 
     def draw_pairs(self, seed: int, n: int):
-        if self.joint_sampler is not None:
-            return self.joint_sampler(seed, n)
+        """All n (model, data) value pairs at once, from the streams the
+        estimators use; the estimators themselves stream chunk by chunk."""
         zhat = self.model_dist.sample(seed, n, stream=MODEL_STREAM)
         z = self.data_dist.sample(seed, n, stream=DATA_STREAM)
         return zhat, z
 
+    def draw_chunk(self, seed: int, c: int, m: int):
+        """Pairs ``c * CHUNK_SIZE`` to ``c * CHUNK_SIZE + m - 1`` of ``draw_pairs``."""
+        return (
+            self.model_dist.draw_chunk(seed, MODEL_STREAM, c, m),
+            self.data_dist.draw_chunk(seed, DATA_STREAM, c, m),
+        )
+
+
+# Two-sided 95 % normal quantile.
+_Z95 = 1.959963984540054
+
 
 @dataclass(frozen=True)
 class BvmEstimate:
-    """Estimated P(A|M,D) with its uncertainty and provenance."""
+    """Estimated P(A|M,D) with its uncertainty and provenance.
+
+    ``[ci_lo, ci_hi]`` is a 95 % interval: the Wilson score interval for
+    a hard-rule Monte Carlo estimate, which stays wide at p_hat = 0 or 1
+    where the binomial standard error reads 0; otherwise, unless given,
+    p_hat +/- 1.96 standard errors clipped to [0, 1] (a point for exact
+    results).
+    """
 
     p_hat: float
     std_error: float
     n_samples: int
     seed: int
     method: str
+    ci_lo: float = math.nan
+    ci_hi: float = math.nan
 
     def __post_init__(self):
         if not -1e-12 <= self.p_hat <= 1.0 + 1e-12:
             raise ValueError("estimate escaped [0, 1]")
-        object.__setattr__(self, "p_hat", float(min(1.0, max(0.0, self.p_hat))))
+        p = float(min(1.0, max(0.0, self.p_hat)))
+        object.__setattr__(self, "p_hat", p)
+        if math.isnan(self.ci_lo) or math.isnan(self.ci_hi):
+            half = _Z95 * self.std_error
+            object.__setattr__(self, "ci_lo", max(0.0, p - half))
+            object.__setattr__(self, "ci_hi", min(1.0, p + half))
+
+    @classmethod
+    def binomial(cls, p_hat: float, n: int, seed: int) -> "BvmEstimate":
+        """A mean of n hard 0/1 indicators: binomial standard error and the
+        95 % Wilson score interval."""
+        p = float(p_hat)
+        z2n = _Z95 * _Z95 / n
+        centre = (p + z2n / 2.0) / (1.0 + z2n)
+        half = _Z95 / (1.0 + z2n) * math.sqrt(max(0.0, p * (1.0 - p)) / n + z2n / (4.0 * n))
+        return cls(
+            p_hat=p,
+            std_error=math.sqrt(max(0.0, p * (1.0 - p)) / n),
+            n_samples=n,
+            seed=seed,
+            method="mc",
+            ci_lo=0.0 if p == 0.0 else max(0.0, centre - half),
+            ci_hi=1.0 if p == 1.0 else min(1.0, centre + half),
+        )
 
 
 @dataclass(frozen=True)
@@ -130,29 +146,36 @@ class ComparisonDensity:
 def estimate_bvm_mc(scenario: Scenario, k: int, seed: int) -> BvmEstimate:
     """Monte Carlo estimate over k independent (model, data) value pairs.
 
-    Deterministic for fixed (seed, k) regardless of BVM_THREADS: sampling
-    is chunk-keyed and per-chunk kernel sums are combined in index order.
+    Each chunk is drawn, scored and reduced to ``(m, sum w, M2)`` by the
+    worker that owns it, so no more than a chunk of pairs per worker is
+    ever held. Chunk sums are added in index order, so the result is
+    deterministic for fixed (seed, k) regardless of BVM_THREADS; the
+    soft-rule variance merges the chunks' sums of squared deviations
+    from their means (Chan, Golub & LeVeque), which does not cancel the
+    way ``E[w^2] - p^2`` does when the weights barely vary.
     """
     if k < 1:
         raise EstimationError("sample count must be at least 1")
-    zhat, z = scenario.draw_pairs(seed, k)
+    rule = scenario.rule
 
-    def chunk_sums(c: int):
-        sl = slice(c * CHUNK_SIZE, min((c + 1) * CHUNK_SIZE, k))
-        w = np.asarray(scenario.rule.kernel_many(zhat[sl], z[sl]), dtype=float)
+    def chunk_stats(c: int, m: int):
+        w = np.asarray(rule.kernel_many(*scenario.draw_chunk(seed, c, m)), dtype=float)
         if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
             raise EstimationError("kernel weight escaped [0, 1]")
-        return float(np.sum(w)), float(np.sum(w * w))
+        total = float(np.sum(w))
+        return m, total, float(np.sum(np.square(w - total / m))) if rule.is_soft else 0.0
 
-    sums = _ordered_chunk_map(chunk_sums, num_chunks(k))
-    total = sum(s for s, _ in sums)
-    total_sq = sum(s2 for _, s2 in sums)
-    p = total / k
-    if scenario.rule.is_soft:
-        var = max(0.0, total_sq / k - p * p)
-        se = float(np.sqrt(var / k))
-    else:
-        se = float(np.sqrt(max(0.0, p * (1.0 - p)) / k))
+    stats = map_chunks(chunk_stats, k)
+    p = sum(total for _, total, _ in stats) / k
+    if not rule.is_soft:
+        return BvmEstimate.binomial(p, k, seed)
+    n, mean, m2 = 0, 0.0, 0.0
+    for m_c, total, m2_c in stats:
+        delta = total / m_c - mean
+        n += m_c
+        mean += delta * m_c / n
+        m2 += m2_c + delta * delta * (n - m_c) * m_c / n
+    se = math.sqrt(m2 / k / k)
     return BvmEstimate(p_hat=p, std_error=se, n_samples=k, seed=seed, method="mc")
 
 
@@ -206,8 +229,11 @@ def comparison_density(
     if k < bins:
         raise EstimationError("need at least as many samples as bins")
     fn = fn if isinstance(fn, ComparisonFn) else get_comparison_fn(fn)
-    zhat, z = scenario.draw_pairs(seed, k)
-    f = np.asarray(fn.on_batch(zhat, z), dtype=float).ravel()
+
+    def chunk_values(c: int, m: int):
+        return np.asarray(fn.on_batch(*scenario.draw_chunk(seed, c, m)), dtype=float).ravel()
+
+    f = np.concatenate(map_chunks(chunk_values, k))
     lo, hi = float(f.min()), float(f.max())
     if not hi > lo:
         # Degenerate spread: a single bin pinned around the observed value.

@@ -266,7 +266,9 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
     breaks = _breakpoints(rule)
     if breaks is not None:
         # E = model_mean - mu is linear, so value-axis kinks map directly.
-        edges.extend(model_mean - b for b in breaks if edges[0] < model_mean - b < edges[-1])
+        # Bound the window first: extending the list moves edges[-1].
+        lo, hi = edges[0], edges[-1]
+        edges.extend(model_mean - b for b in breaks if lo < model_mean - b < hi)
     p = _adaptive_simpson(integrand, np.unique(np.asarray(edges)), tol=1e-9)
     return BvmEstimate(p_hat=min(1.0, max(0.0, p)), std_error=0.0, n_samples=0, seed=0, method="closedForm")
 
@@ -296,16 +298,15 @@ def area_metric_validation(
         p = kernel_on_value(rule, area_metric(fm, ecdf(xd)))
         return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
 
-    def draw_weights(rng):
-        idx = rng.integers(0, xd.size, (CHUNK_SIZE, xd.size))
+    def draw_weights(rng, m):
+        # The first m rows of an (m, n) index draw equal those of a full chunk's.
+        idx = rng.integers(0, xd.size, (m, xd.size))
         return np.asarray(
             [kernel_on_value(rule, area_metric(fm, ecdf(xd[row]))) for row in idx], dtype=float
         )
 
     w = assemble_chunks(draw_weights, seed, bootstrap, stream=RESAMPLE_STREAM)
-    p = float(np.mean(w))
-    se = float(np.sqrt(max(0.0, p * (1.0 - p)) / bootstrap))
-    return BvmEstimate(p_hat=p, std_error=se, n_samples=bootstrap, seed=seed, method="mc")
+    return BvmEstimate.binomial(float(np.mean(w)), bootstrap, seed)
 
 
 def binned_pdf_metric(
@@ -324,17 +325,16 @@ def binned_pdf_metric(
         raise ValueError("counts must be nonnegative")
     alpha = counts + 1.0
 
-    def draw_weights(rng):
-        draws = rng.dirichlet(alpha, CHUNK_SIZE)
+    def draw_weights(rng, m):
+        draws = rng.dirichlet(alpha, CHUNK_SIZE)[:m]
         dm = np.sum(np.abs(model_pdf.masses - draws), axis=1)
         return np.asarray([kernel_on_value(rule, v) for v in dm], dtype=float)
 
     w = assemble_chunks(draw_weights, seed, r, stream=RESAMPLE_STREAM)
     p = float(np.mean(w))
-    if rule.is_soft:
-        se = float(np.std(w) / math.sqrt(r))
-    else:
-        se = float(math.sqrt(max(0.0, p * (1.0 - p)) / r))
+    if not rule.is_soft:
+        return BvmEstimate.binomial(p, r, seed)
+    se = float(np.std(w) / math.sqrt(r))
     return BvmEstimate(p_hat=p, std_error=se, n_samples=r, seed=seed, method="mc")
 
 
@@ -358,17 +358,15 @@ def divergence_validation(
         p = kernel_on_value(rule, g)
         return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
 
-    def draw_weights(rng):
-        out = np.empty(CHUNK_SIZE)
-        for i in range(CHUNK_SIZE):
+    def draw_weights(rng, m):
+        out = np.empty(m)
+        for i in range(m):
             pm, pd = sampler(rng)
             out[i] = kernel_on_value(rule, divergence(kind, pd, pm))
         return out
 
     w = assemble_chunks(draw_weights, seed, r, stream=RESAMPLE_STREAM)
-    p = float(np.mean(w))
-    se = float(math.sqrt(max(0.0, p * (1.0 - p)) / r))
-    return BvmEstimate(p_hat=p, std_error=se, n_samples=r, seed=seed, method="mc")
+    return BvmEstimate.binomial(float(np.mean(w)), r, seed)
 
 
 # ---------------------------------------------------------------------------

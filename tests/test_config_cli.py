@@ -211,7 +211,9 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "P(agree)" in printed and "agreement:" in printed
         record = json.loads(open(out).read())
-        assert record["estimates"][0]["n_samples"] == 5000
+        est = record["estimates"][0]
+        assert est["n_samples"] == 5000
+        assert 0.0 <= est["ci_lo"] < est["p_hat"] < est["ci_hi"] <= 1.0
         assert record["version"]
 
     def test_validate_is_reproducible(self, tmp_config, tmp_path):
@@ -489,6 +491,7 @@ class TestOutputFormats:
         assert "p_hat" in header and "seed" in header
         p = float(values[header.index("p_hat")])
         assert 0.0 <= p <= 1.0
+        assert float(values[header.index("ci_lo")]) <= p <= float(values[header.index("ci_hi")])
 
     def test_ratio_csv_format(self, tmp_config, tmp_path):
         cfg = tmp_config(scenario_doc())

@@ -1,6 +1,7 @@
 """Estimator correctness: MC vs enumeration, grids, densities, sweeps, ratios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,9 @@ class TestMonteCarlo:
         disagree = estimate_bvm_mc(Scenario(DiracDelta(2.0), DiracDelta(3.0), rule), 100, 0)
         assert agree.p_hat == 1.0
         assert disagree.p_hat == 0.0
+        # The binomial standard error reads 0 here; the Wilson interval does not.
+        assert 0.9 < agree.ci_lo < 1.0 == agree.ci_hi
+        assert 0.0 == disagree.ci_lo < disagree.ci_hi < 0.1
 
     def test_categorical_matches_enumeration(self):
         model = Categorical([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
@@ -122,13 +126,43 @@ class TestMonteCarlo:
         combined = math.hypot(soft.std_error, se_nested)
         assert abs(soft.p_hat - p_nested) <= 3 * combined
 
-    def test_joint_sampler_override(self):
-        def sampler(seed, n):
-            x = Normal(0, 1).sample(seed, n, stream=0)
-            return x, x  # perfectly correlated
+    def test_streamed_estimate_holds_no_k_pairs(self):
+        # k = 10^6 pairs of float64 values alone would take 16 MB.
+        sc = Scenario(Normal(0, 1), Normal(0.5, 2.0), Threshold("abs_diff", 0.8))
+        estimate_bvm_mc(sc, 10_000, 0)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            estimate_bvm_mc(sc, 1_000_000, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
-        sc = Scenario(Normal(0, 1), Normal(0, 1), Threshold("abs_diff", 1e-9), joint_sampler=sampler)
-        assert estimate_bvm_mc(sc, 1000, 0).p_hat == 1.0
+    def test_soft_variance_survives_weights_near_one(self):
+        # Every weight lies within 1e-9 of 1, where E[w^2] - p^2 cancels.
+        rule = SoftExponential("abs_diff", 0.0, 1e-11)
+        model, data = Normal(0, 1), Normal(0.5, 2.0)
+        k, seed = 100_000, 8
+        w = rule.kernel_many(model.sample(seed, k, stream=0), data.sample(seed, k, stream=DATA_STREAM))
+        assert np.all(np.abs(w - 1.0) < 1e-9)
+        reference = math.sqrt(np.var(w) / k)
+        est = estimate_bvm_mc(Scenario(model, data, rule), k, seed)
+        assert est.std_error == pytest.approx(reference, rel=1e-6, abs=0.0)
+
+    def test_wilson_interval_brackets_estimate(self):
+        est = estimate_bvm_mc(Scenario(Normal(0, 1), Normal(0, 1), Threshold("abs_diff", 1.0)), 5000, 2)
+        half = 1.96 * est.std_error
+        assert est.ci_lo < est.p_hat < est.ci_hi
+        assert est.ci_hi - est.ci_lo == pytest.approx(2 * half, rel=0.01)
+
+    def test_chunk_error_propagates_from_threads(self, monkeypatch):
+        class Escapes(Threshold):
+            def kernel_many(self, zhat_batch, z_batch):
+                return np.full(len(zhat_batch), 2.0)
+
+        monkeypatch.setenv("BVM_THREADS", "2")
+        with pytest.raises(EstimationError):
+            estimate_bvm_mc(Scenario(Normal(0, 1), Normal(0, 1), Escapes("abs_diff", 1.0)), 20_000, 0)
 
     def test_sample_count_validation(self):
         with pytest.raises(EstimationError):

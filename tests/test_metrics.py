@@ -9,6 +9,7 @@ from scipy import stats
 from bvm import (
     AlwaysFalse,
     AlwaysTrue,
+    And,
     BinnedPdf,
     Categorical,
     DiracDelta,
@@ -132,6 +133,24 @@ class TestFrequentist:
         est = frequentist(0.0, data, Interval("identity", 0.0, 1e9))
         assert est.p_hat == pytest.approx(0.5, abs=1e-7)
 
+    # Model mean and data from a fixture whose acceptance window lies in
+    # the outer quantile panel; both rules have two breakpoints, and every
+    # one of them must be pinned or the window falls between probe points.
+    @pytest.mark.parametrize(
+        "rule, e_lo, e_hi",
+        [
+            (Threshold("abs_value", 0.08), -0.08, 0.08),
+            (And([Threshold("abs_value", 0.1), Interval("identity", 0.0, 0.05)]), 0.0, 0.05),
+        ],
+    )
+    def test_every_breakpoint_pinned(self, rule, e_lo, e_hi):
+        model_mean, data = 0.3947, DataSummary(-0.0932, 0.652, 19)
+        t = stats.t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
+        # E = model_mean - mu lies in [e_lo, e_hi] iff mu lies in [model_mean - e_hi, model_mean - e_lo].
+        mass = t.cdf(model_mean - e_lo) - t.cdf(model_mean - e_hi)
+        assert mass > 1e-3
+        assert frequentist(model_mean, data, rule).p_hat == pytest.approx(mass, abs=1e-6)
+
 
 class TestAreaValidation:
     def test_identical_samples_zero_threshold(self):
@@ -211,6 +230,20 @@ class TestDivergenceValidation:
         est = divergence_validation(p, p, "js", Threshold("identity", 0.01), sampler=sampler, r=500, seed=0)
         assert 0.0 < est.p_hat <= 1.0
         assert est.n_samples == 500
+
+    @pytest.mark.parametrize("r", [1000, 4096 + 17])
+    def test_sampler_called_once_per_draw(self, r):
+        edges = np.array([0.0, 0.5, 1.0])
+        p = BinnedPdf(edges, [0.5, 0.5])
+        calls = []
+
+        def sampler(rng):
+            calls.append(1)
+            w = rng.beta(50, 50)
+            return p, BinnedPdf(edges, [w, 1 - w])
+
+        divergence_validation(p, p, "js", Threshold("identity", 0.01), sampler=sampler, r=r, seed=0)
+        assert len(calls) == r
 
 
 class TestClassicalHypothesis:
