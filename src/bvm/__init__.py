@@ -23,7 +23,6 @@ from .agreement import (
     SoftExponential,
     Threshold,
     compose,
-    evaluate_kernel,
 )
 from .comparison import (
     BinnedPdf,

@@ -34,7 +34,6 @@ __all__ = [
     "Or",
     "Not",
     "compose",
-    "evaluate_kernel",
 ]
 
 
@@ -42,46 +41,32 @@ def _resolve_fn(fn) -> ComparisonFn:
     return fn if isinstance(fn, ComparisonFn) else get_comparison_fn(fn)
 
 
-def _as_weight(flag) -> float:
-    return 1.0 if flag else 0.0
-
-
 class AgreementRule:
-    """Base class; subclasses implement ``kernel`` and usually ``kernel_many``."""
+    """Base class. Subclasses implement ``kernel_many`` only: the weights
+    of a batch of (model value, data value) pairs, one per pair.
+    """
 
     is_soft = False
 
     def kernel(self, zhat, z) -> float:
-        raise NotImplementedError
+        """Agreement-kernel weight in [0, 1] for one value pair: a batch of one."""
+        w = float(self.kernel_many([zhat], [z])[0])
+        if not 0.0 <= w <= 1.0:
+            raise AssertionError(f"kernel weight {w} escaped [0, 1]")
+        return w
 
     def kernel_many(self, zhat_batch, z_batch) -> np.ndarray:
-        return np.asarray(
-            [self.kernel(zh, zv) for zh, zv in zip(zhat_batch, z_batch)], dtype=float
-        )
-
-
-def evaluate_kernel(rule: AgreementRule, zhat, z) -> float:
-    """Agreement-kernel weight in [0, 1] for one value pair."""
-    w = float(rule.kernel(zhat, z))
-    if not 0.0 <= w <= 1.0:
-        raise AssertionError(f"kernel weight {w} escaped [0, 1]")
-    return w
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class AlwaysTrue(AgreementRule):
-    def kernel(self, zhat, z) -> float:
-        return 1.0
-
     def kernel_many(self, zhat_batch, z_batch):
         return np.ones(len(zhat_batch))
 
 
 @dataclass(frozen=True)
 class AlwaysFalse(AgreementRule):
-    def kernel(self, zhat, z) -> float:
-        return 0.0
-
     def kernel_many(self, zhat_batch, z_batch):
         return np.zeros(len(zhat_batch))
 
@@ -106,10 +91,6 @@ class Threshold(AgreementRule):
     def __post_init__(self):
         object.__setattr__(self, "fn", _resolve_fn(self.fn))
 
-    def kernel(self, zhat, z) -> float:
-        # Vector-valued f (per-point errors) must satisfy the bound everywhere.
-        return float(np.all(np.asarray(self.fn.pair(zhat, z), dtype=float) <= self.eps))
-
     def kernel_many(self, zhat_batch, z_batch):
         return _indicator_from_values(self.fn.on_batch(zhat_batch, z_batch), lambda f: f <= self.eps)
 
@@ -126,10 +107,6 @@ class Interval(AgreementRule):
         if self.lo > self.hi:
             raise ValueError("Interval requires lo <= hi")
         object.__setattr__(self, "fn", _resolve_fn(self.fn))
-
-    def kernel(self, zhat, z) -> float:
-        f = np.asarray(self.fn.pair(zhat, z), dtype=float)
-        return float(np.all((f >= self.lo) & (f <= self.hi)))
 
     def kernel_many(self, zhat_batch, z_batch):
         return _indicator_from_values(
@@ -150,8 +127,11 @@ class SetMembership(AgreementRule):
         agreeing = self.synonyms.get(z, (z,))
         return zhat in agreeing or zhat == z
 
-    def kernel(self, zhat, z) -> float:
-        return _as_weight(self._agrees(zhat, z))
+    def kernel_many(self, zhat_batch, z_batch):
+        # Labels are arbitrary hashable objects, so this runs pair by pair.
+        return np.fromiter(
+            (self._agrees(zh, zv) for zh, zv in zip(zhat_batch, z_batch)), dtype=float, count=len(zhat_batch)
+        )
 
 
 @dataclass(frozen=True)
@@ -164,10 +144,6 @@ class InRegion(AgreementRule):
     def __post_init__(self):
         if self.side not in ("model", "data"):
             raise ValueError("side must be 'model' or 'data'")
-
-    def kernel(self, zhat, z) -> float:
-        v = zhat if self.side == "model" else z
-        return _as_weight(bool(self.region.contains(v)))
 
     def kernel_many(self, zhat_batch, z_batch):
         v = zhat_batch if self.side == "model" else z_batch
@@ -201,9 +177,6 @@ class SoftExponential(AgreementRule):
             w = np.prod(w, axis=-1)
         return w
 
-    def kernel(self, zhat, z) -> float:
-        return float(np.prod(self._weights(self.fn.pair(zhat, z))))
-
     def kernel_many(self, zhat_batch, z_batch):
         return self._weights(self.fn.on_batch(zhat_batch, z_batch))
 
@@ -229,9 +202,6 @@ class GammaEpsilon(AgreementRule):
         if np.any(eps < 0):
             raise ValueError("eps must be nonnegative")
         object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
-
-    def kernel(self, yhat, y) -> float:
-        return float(self.kernel_many(np.atleast_2d(yhat), np.atleast_2d(y))[0])
 
     def kernel_many(self, yhat_batch, y_batch):
         yhat = np.atleast_2d(np.asarray(yhat_batch, dtype=float))
@@ -268,9 +238,6 @@ class EpsilonBeta(AgreementRule):
         object.__setattr__(self, "coverage_lo", float(coverage_lo))
         object.__setattr__(self, "coverage_hi", float(coverage_hi))
 
-    def kernel(self, yhat, y) -> float:
-        return float(self.kernel_many(np.atleast_2d(yhat), np.atleast_2d(y))[0])
-
     def kernel_many(self, yhat_batch, y_batch):
         yhat = np.atleast_2d(np.asarray(yhat_batch, dtype=float))
         y = np.atleast_2d(np.asarray(y_batch, dtype=float))
@@ -281,10 +248,6 @@ class EpsilonBeta(AgreementRule):
         cov = np.mean((y >= lo) & (y <= hi), axis=-1)
         cov_ok = (cov >= self.coverage_lo) & (cov <= self.coverage_hi)
         return (mae_ok & cov_ok).astype(float)
-
-
-def _flatten_weights(children, zhat, z):
-    return [evaluate_kernel(c, zhat, z) for c in children]
 
 
 @dataclass(frozen=True)
@@ -300,12 +263,6 @@ class And(AgreementRule):
     @property
     def is_soft(self):
         return any(c.is_soft for c in self.children)
-
-    def kernel(self, zhat, z) -> float:
-        out = 1.0
-        for w in _flatten_weights(self.children, zhat, z):
-            out *= w
-        return out
 
     def kernel_many(self, zhat_batch, z_batch):
         out = np.ones(len(zhat_batch))
@@ -328,12 +285,6 @@ class Or(AgreementRule):
     def is_soft(self):
         return any(c.is_soft for c in self.children)
 
-    def kernel(self, zhat, z) -> float:
-        miss = 1.0
-        for w in _flatten_weights(self.children, zhat, z):
-            miss *= 1.0 - w
-        return 1.0 - miss
-
     def kernel_many(self, zhat_batch, z_batch):
         miss = np.ones(len(zhat_batch))
         for c in self.children:
@@ -348,9 +299,6 @@ class Not(AgreementRule):
     def __post_init__(self):
         if self.child.is_soft:
             raise ValueError("negation of a soft rule is undefined; negate hard rules only")
-
-    def kernel(self, zhat, z) -> float:
-        return 1.0 - evaluate_kernel(self.child, zhat, z)
 
     def kernel_many(self, zhat_batch, z_batch):
         return 1.0 - self.child.kernel_many(zhat_batch, z_batch)

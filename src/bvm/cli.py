@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .comparison import BinnedPdf
 from .config import (
+    _METRIC,
     ConfigError,
     build_scenario,
     build_sweep_template,
@@ -254,7 +255,7 @@ def cmd_sweep(args) -> int:
             epsilons,
             m=args.m,
             estimator=estimator.get("method", "grid"),
-            k=args.samples or 10_000,
+            k=args.samples if args.samples is not None else estimator.get("samples", 10_000),
             seed=seed,
         )
         grids.append(grid)
@@ -466,17 +467,8 @@ def cmd_metric(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_METRIC_NAMES = [
-    "reliability",
-    "improved_reliability",
-    "frequentist",
-    "power",
-    "classical",
-    "evidence",
-    "area",
-    "binned_pdf",
-    "divergence",
-]
+# One subcommand per metric the config schema knows, in schema order.
+_METRIC_NAMES = [branch["properties"]["name"]["const"] for branch in _METRIC["oneOf"]]
 
 
 def build_parser() -> argparse.ArgumentParser:

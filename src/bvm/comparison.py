@@ -18,7 +18,6 @@ __all__ = [
     "BinnedPdf",
     "ComparisonFn",
     "get_comparison_fn",
-    "comparison_fn_names",
     "abs_diff",
     "sq_diff",
     "mean_abs_error",
@@ -331,7 +330,3 @@ def get_comparison_fn(name: str, **params) -> ComparisonFn:
         return _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown comparison function '{name}'") from None
-
-
-def comparison_fn_names() -> list[str]:
-    return sorted(_REGISTRY) + ["binned_prob_diff"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agreement import AgreementRule, GammaEpsilon
+from .agreement import AgreementRule
 from .comparison import ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
 from .models import InputGrid, ModelFunction
@@ -420,7 +420,7 @@ def sweep(
     n = err.shape[1]
 
     # Smallest in-tolerance count c with c/n >= gamma, matching the float
-    # comparison used by GammaEpsilon.kernel exactly.
+    # comparison used by GammaEpsilon exactly.
     fractions = np.arange(n + 1) / n
     needed = np.asarray([int(np.searchsorted(fractions >= g, True)) for g in gammas])
 
@@ -433,11 +433,6 @@ def sweep(
         for i, need in enumerate(needed):
             values[i, j] = tails[need] if need <= n else 0.0
     return SweepGrid(gammas=gammas, epsilons=epsilons, values=values)
-
-
-def gamma_epsilon_rule(gamma: float, eps: float, m: float) -> GammaEpsilon:
-    """The rule a sweep cell evaluates; exposed for cross-checking."""
-    return GammaEpsilon(gamma=gamma, eps=eps, m=m)
 
 
 def _check_axes(g1: SweepGrid, g2: SweepGrid):

@@ -33,7 +33,7 @@ from .distributions import (
 )
 from .engine import BvmEstimate, EstimationError, Scenario, estimate_bvm_mc
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, assemble_chunks
+from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng, map_chunks
 
 __all__ = [
     "DataSummary",
@@ -51,7 +51,6 @@ __all__ = [
     "statistical_power_bvm",
     "bayesian_evidence",
     "bayes_factor",
-    "kernel_on_value",
 ]
 
 
@@ -92,13 +91,23 @@ class GaussianLikelihoodSpec:
         object.__setattr__(self, "data_y", y)
 
 
-def kernel_on_value(rule: AgreementRule, value: float) -> float:
-    """Evaluate a rule defined directly on a comparison value.
+def _resampled_weights(rule: AgreementRule, values_of_chunk, n: int, seed: int) -> np.ndarray:
+    """Kernel weights of n resampled comparison values, in draw order.
 
-    The value is passed to both rule sides, so the rule must read it with
-    a value comparison ('identity' or 'abs_value').
+    ``values_of_chunk(rng, m)`` returns the m comparison values of one
+    chunk, drawn from that chunk's RESAMPLE_STREAM generator. The rule
+    reads each value on both of its sides, so it must compare through a
+    value comparison ('identity' or 'abs_value'). Chunks run on
+    :func:`map_chunks`.
     """
-    return float(rule.kernel(value, value))
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
+
+    def chunk_weights(c: int, m: int):
+        v = values_of_chunk(chunk_rng(seed, RESAMPLE_STREAM, c), m)
+        return np.asarray(rule.kernel_many(v, v), dtype=float)
+
+    return np.concatenate(map_chunks(chunk_weights, n))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +269,8 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
     t = StudentT(location=data.sample_mean, dof=data.dof, scale=scale)
 
     def integrand(mu: float) -> float:
-        return kernel_on_value(rule, model_mean - mu) * t.density(mu)
+        v = model_mean - mu
+        return rule.kernel(v, v) * t.density(mu)
 
     edges = [t.quantile(q) for q in np.linspace(1e-13, 1.0 - 1e-13, 129)]
     breaks = _breakpoints(rule)
@@ -295,17 +305,15 @@ def area_metric_validation(
         raise ValueError("need at least one sample on each side")
     fm = ecdf(xm)
     if bootstrap <= 0:
-        p = kernel_on_value(rule, area_metric(fm, ecdf(xd)))
-        return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
+        v = area_metric(fm, ecdf(xd))
+        return BvmEstimate(p_hat=rule.kernel(v, v), std_error=0.0, n_samples=0, seed=seed, method="closedForm")
 
-    def draw_weights(rng, m):
+    def areas(rng, m):
         # The first m rows of an (m, n) index draw equal those of a full chunk's.
         idx = rng.integers(0, xd.size, (m, xd.size))
-        return np.asarray(
-            [kernel_on_value(rule, area_metric(fm, ecdf(xd[row]))) for row in idx], dtype=float
-        )
+        return np.asarray([area_metric(fm, ecdf(xd[row])) for row in idx], dtype=float)
 
-    w = assemble_chunks(draw_weights, seed, bootstrap, stream=RESAMPLE_STREAM)
+    w = _resampled_weights(rule, areas, bootstrap, seed)
     return BvmEstimate.binomial(float(np.mean(w)), bootstrap, seed)
 
 
@@ -325,12 +333,11 @@ def binned_pdf_metric(
         raise ValueError("counts must be nonnegative")
     alpha = counts + 1.0
 
-    def draw_weights(rng, m):
+    def distances(rng, m):
         draws = rng.dirichlet(alpha, CHUNK_SIZE)[:m]
-        dm = np.sum(np.abs(model_pdf.masses - draws), axis=1)
-        return np.asarray([kernel_on_value(rule, v) for v in dm], dtype=float)
+        return np.sum(np.abs(model_pdf.masses - draws), axis=1)
 
-    w = assemble_chunks(draw_weights, seed, r, stream=RESAMPLE_STREAM)
+    w = _resampled_weights(rule, distances, r, seed)
     p = float(np.mean(w))
     if not rule.is_soft:
         return BvmEstimate.binomial(p, r, seed)
@@ -351,21 +358,22 @@ def divergence_validation(
 
     An infinite divergence simply fails any finite threshold. With
     ``sampler(rng) -> (model_pdf, data_pdf)`` the pdfs themselves are
-    uncertain and the indicator is averaged over r draws.
+    uncertain and the indicator is averaged over r draws. Chunks of draws
+    may run on several threads (``BVM_THREADS``), so the sampler must be
+    a pure function of the generator it is given.
     """
     if sampler is None:
         g = divergence(kind, p_data, p_model)
-        p = kernel_on_value(rule, g)
-        return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
+        return BvmEstimate(p_hat=rule.kernel(g, g), std_error=0.0, n_samples=0, seed=seed, method="closedForm")
 
-    def draw_weights(rng, m):
+    def divergences(rng, m):
         out = np.empty(m)
         for i in range(m):
             pm, pd = sampler(rng)
-            out[i] = kernel_on_value(rule, divergence(kind, pd, pm))
+            out[i] = divergence(kind, pd, pm)
         return out
 
-    w = assemble_chunks(draw_weights, seed, r, stream=RESAMPLE_STREAM)
+    w = _resampled_weights(rule, divergences, r, seed)
     return BvmEstimate.binomial(float(np.mean(w)), r, seed)
 
 

@@ -7,13 +7,16 @@ draws of a request never depend on how many draws were requested in
 total, and any chunk can be drawn on its own, anywhere, with the same
 bits.
 
-:func:`map_chunks` is the one parallel loop. Each worker draws, scores
-and reduces whole chunks of its own, and the results come back in chunk
-order, so work spread over any number of threads reproduces the
+:func:`map_chunks` is the one chunk loop: the Monte Carlo estimator,
+the comparison density and the metrics' resampling loops (binned pdf,
+area bootstrap, divergence sampler) all run on it. Each worker draws,
+scores and reduces whole chunks of its own, and the results come back
+in chunk order, so work spread over any number of threads reproduces the
 single-threaded result bit for bit. ``BVM_THREADS`` (default 1) sets the
-number of workers; it parallelises sampling as well as kernels, and the
-memory an estimate holds is O(CHUNK_SIZE x path length x workers), not
-O(k).
+number of workers; it parallelises sampling as well as kernels, so any
+user code a chunk calls (such as a divergence ``sampler``) must be a pure
+function of its arguments. The memory an estimate holds is
+O(CHUNK_SIZE x path length x workers), not O(k).
 """
 
 from __future__ import annotations
@@ -56,20 +59,6 @@ def num_chunks(n: int) -> int:
 def _chunks(n: int) -> list:
     """(chunk index, draw count) of every chunk of an n-draw request."""
     return [(c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)) for c in range(num_chunks(n))]
-
-
-def assemble_chunks(draw_chunk, seed: int, n: int, stream: int = 0) -> np.ndarray:
-    """Concatenate ``draw_chunk(rng, m)`` over as many chunks as *n* needs.
-
-    ``m`` is the chunk's share of the *n* draws (``CHUNK_SIZE`` except in
-    the tail), and ``draw_chunk`` returns that many draws along axis 0.
-    Chunks run in order on the calling thread, so ``draw_chunk`` may call
-    back into user code.
-    """
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
-    parts = [draw_chunk(chunk_rng(seed, stream, c), m) for c, m in _chunks(n)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def _max_workers() -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bvm import (
+    AgreementRule,
     AlwaysFalse,
     AlwaysTrue,
     And,
@@ -20,47 +21,64 @@ from bvm import (
     SoftExponential,
     Threshold,
     compose,
-    evaluate_kernel,
 )
 
 
 class TestBasicKernels:
     def test_threshold(self):
         rule = Threshold("abs_diff", 1.0)
-        assert evaluate_kernel(rule, 0.5, 0.0) == 1.0
-        assert evaluate_kernel(rule, 1.0, 0.0) == 1.0  # closed boundary
-        assert evaluate_kernel(rule, 1.5, 0.0) == 0.0
+        assert rule.kernel(0.5, 0.0) == 1.0
+        assert rule.kernel(1.0, 0.0) == 1.0  # closed boundary
+        assert rule.kernel(1.5, 0.0) == 0.0
 
     def test_interval(self):
         rule = Interval("identity", -1.0, 2.0)
-        assert evaluate_kernel(rule, 0.0, 0.0) == 1.0
-        assert evaluate_kernel(rule, 2.0, 0.0) == 1.0
-        assert evaluate_kernel(rule, -1.5, 0.0) == 0.0
+        assert rule.kernel(0.0, 0.0) == 1.0
+        assert rule.kernel(2.0, 0.0) == 1.0
+        assert rule.kernel(-1.5, 0.0) == 0.0
 
     def test_soft_exponential_half_weight(self):
         # At f = eps' + ln2 / lam the surviving weight is exactly 1/2.
         lam, eps_prime = 3.0, 0.5
         rule = SoftExponential("abs_diff", eps_prime, lam)
         f = eps_prime + math.log(2.0) / lam
-        assert evaluate_kernel(rule, f, 0.0) == pytest.approx(0.5, rel=1e-12)
+        assert rule.kernel(f, 0.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_soft_continuity_at_tolerance(self):
         rule = SoftExponential("abs_diff", 0.5, 4.0)
-        assert evaluate_kernel(rule, 0.5, 0.0) == 1.0
-        assert evaluate_kernel(rule, 0.5 + 1e-12, 0.0) == pytest.approx(1.0, abs=1e-10)
+        assert rule.kernel(0.5, 0.0) == 1.0
+        assert rule.kernel(0.5 + 1e-12, 0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_set_membership(self):
         rule = SetMembership({"cat": ("cat", "feline")})
-        assert evaluate_kernel(rule, "feline", "cat") == 1.0
-        assert evaluate_kernel(rule, "dog", "cat") == 0.0
+        assert rule.kernel("feline", "cat") == 1.0
+        assert rule.kernel("dog", "cat") == 0.0
         # labels outside the map agree only with themselves
-        assert evaluate_kernel(rule, "dog", "dog") == 1.0
+        assert rule.kernel("dog", "dog") == 1.0
+
+    def test_set_membership_batch_over_object_labels(self):
+        rule = SetMembership({"cat": ("cat", "feline"), "dog": ("dog", "wolf")})
+        zh = np.array(["feline", "wolf", "cat", "dog", "bird", "bird", 3], dtype=object)
+        z = np.array(["cat", "cat", "cat", "dog", "dog", "bird", 3], dtype=object)
+        w = rule.kernel_many(zh, z)
+        assert w.dtype == float
+        assert w.tolist() == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+        assert w.tolist() == [rule.kernel(a, b) for a, b in zip(zh, z)]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_kernel_rejects_weight_outside_unit_interval(self, bad):
+        class Broken(AgreementRule):
+            def kernel_many(self, zhat_batch, z_batch):
+                return np.full(len(zhat_batch), bad)
+
+        with pytest.raises(AssertionError, match="escaped"):
+            Broken().kernel(0.0, 0.0)
 
     def test_in_region(self):
         region = ConfidenceRegion("interval", 0.9, intervals=((-1.0, 1.0),))
-        assert evaluate_kernel(InRegion(region, "model"), 0.5, 99.0) == 1.0
-        assert evaluate_kernel(InRegion(region, "data"), 99.0, 0.5) == 1.0
-        assert evaluate_kernel(InRegion(region, "model"), 2.0, 0.0) == 0.0
+        assert InRegion(region, "model").kernel(0.5, 99.0) == 1.0
+        assert InRegion(region, "data").kernel(99.0, 0.5) == 1.0
+        assert InRegion(region, "model").kernel(2.0, 0.0) == 0.0
 
     def test_threshold_monotone_in_eps(self):
         rng = np.random.default_rng(0)
@@ -69,7 +87,7 @@ class TestBasicKernels:
         prev = np.zeros(len(pairs))
         for eps in eps_grid:
             rule = Threshold("abs_diff", eps)
-            w = np.array([evaluate_kernel(rule, a, b) for a, b in pairs])
+            w = np.array([rule.kernel(a, b) for a, b in pairs])
             assert np.all(w >= prev)
             prev = w
 
@@ -149,17 +167,17 @@ class TestEpsilonBeta:
 class TestComposition:
     def test_and_or_basics(self):
         t, f = AlwaysTrue(), AlwaysFalse()
-        assert evaluate_kernel(And([t, t]), 0, 0) == 1.0
-        assert evaluate_kernel(And([t, f]), 0, 0) == 0.0
-        assert evaluate_kernel(Or([f, t]), 0, 0) == 1.0
-        assert evaluate_kernel(Or([f, f]), 0, 0) == 0.0
+        assert And([t, t]).kernel(0, 0) == 1.0
+        assert And([t, f]).kernel(0, 0) == 0.0
+        assert Or([f, t]).kernel(0, 0) == 1.0
+        assert Or([f, f]).kernel(0, 0) == 0.0
 
     def test_contradiction_is_zero_everywhere(self):
         b = Threshold("abs_diff", 0.7)
         rule = And([b, Not(b)])
         rng = np.random.default_rng(3)
         for a, c in rng.normal(size=(100, 2)):
-            assert evaluate_kernel(rule, a, c) == 0.0
+            assert rule.kernel(a, c) == 0.0
 
     def test_de_morgan_pointwise(self):
         a = Threshold("abs_diff", 0.5)
@@ -168,7 +186,7 @@ class TestComposition:
         rhs = Or([Not(a), Not(b)])
         rng = np.random.default_rng(4)
         for zh, z in rng.normal(size=(1000, 2)):
-            assert evaluate_kernel(lhs, zh, z) == evaluate_kernel(rhs, zh, z)
+            assert lhs.kernel(zh, z) == rhs.kernel(zh, z)
 
     def test_compose_factory(self):
         t = AlwaysTrue()
@@ -199,7 +217,7 @@ class TestComposition:
         ]
         for rule in rules:
             for zh, z in rng.normal(size=(200, 2)):
-                w = evaluate_kernel(rule, zh, z)
+                w = rule.kernel(zh, z)
                 assert 0.0 <= w <= 1.0
 
     def test_batch_matches_scalar_evaluation(self):

@@ -1,5 +1,6 @@
 """Config schema, serialisation round trips, CLI behaviour, exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -341,6 +342,21 @@ class TestSweepCli:
             assert e == grid.epsilons[j]
             assert p == grid.values[i, j]
 
+    def test_mc_sweep_uses_config_samples(self, tmp_config, tmp_path):
+        doc = sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
+        doc["estimator"] = {"method": "mc", "samples": 3000, "seed": 4}
+        a = tmp_config(doc)
+        prefix = str(tmp_path / "mc")
+        assert main(["sweep", a, "--gamma", "0.75:1.0:0.05", "--eps", "0:0.5:0.05", "--out-prefix", prefix]) == EXIT_OK
+        from bvm.engine import sweep as run_sweep
+
+        template, _ = build_sweep_template(doc)
+        gammas, epsilons = np.linspace(0.75, 1.0, 6), np.linspace(0.0, 0.5, 11)
+        grid = run_sweep(template, gammas, epsilons, m=5.0, estimator="mc", k=3000, seed=4)
+        with open(prefix + "_model1.csv") as fh:
+            written = [float(r[2]) for r in list(csv.reader(fh))[1:]]
+        assert written == grid.values.ravel().tolist()
+
     def test_bad_axis_spec(self, tmp_config):
         a = tmp_config(
             sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
@@ -349,6 +365,16 @@ class TestSweepCli:
 
 
 class TestMetricCli:
+    def test_subcommands_match_schema_names(self):
+        from bvm.cli import build_parser
+        from bvm.config import SCENARIO_SCHEMA
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        commands = {name for name, p in sub.choices.items() if p.get_default("metric_name") == name}
+        names = {b["properties"]["name"]["const"] for b in SCENARIO_SCHEMA["properties"]["metric"]["oneOf"]}
+        assert len(names) == 9
+        assert commands == names
+
     def test_reliability_subcommand(self, tmp_config, capsys):
         doc = {
             "metric": {"name": "reliability", "eps": 1.959963984540054},

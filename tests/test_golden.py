@@ -9,11 +9,13 @@ outputs and has to say so.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from bvm import (
     AlwaysTrue,
     And,
+    BinnedPdf,
     Categorical,
     Interval,
     Normal,
@@ -26,6 +28,7 @@ from bvm import (
     estimate_bvm_mc,
 )
 from bvm.config import build_scenario
+from bvm.metrics import area_metric_validation, binned_pdf_metric, divergence_validation
 from bvm.studies import builtin_configs
 
 MODEL, DATA = Normal(0.3, 1.1), Normal(-0.2, 0.7)
@@ -50,7 +53,28 @@ def _density():
     return hashlib.sha256(dens.masses.tobytes()).hexdigest()
 
 
-# k = 10^6 is 244 full chunks plus a 576-draw tail.
+EDGES = np.linspace(0.0, 1.0, 6)
+PDF = BinnedPdf(EDGES, [0.1, 0.25, 0.3, 0.2, 0.15])
+COUNTS = [3, 9, 14, 6, 8]
+XM = np.random.default_rng(21).normal(0.0, 1.0, 30)
+XD = np.random.default_rng(22).normal(0.2, 1.1, 30)
+ALPHA = np.array([4.0, 11.0, 13.0, 7.0, 5.0])
+
+
+def _binned_soft():
+    return binned_pdf_metric(PDF, COUNTS, SoftExponential("identity", 0.25, 6.0), r=9_001, seed=32)
+
+
+def _divergence():
+    def sampler(g):
+        return PDF, BinnedPdf(EDGES, g.dirichlet(ALPHA))
+
+    rule = Threshold("identity", 0.12)
+    return divergence_validation(PDF, PDF, "hellinger", rule, sampler=sampler, r=4_500, seed=34).p_hat.hex()
+
+
+# k = 10^6 is 244 full chunks plus a 576-draw tail. Every metric case
+# resamples more than one 4096-draw chunk.
 CASES = {
     "hard-threshold-1e6": lambda: _mc(MODEL, DATA, HARD, 1_000_000, 11),
     "soft-exponential": lambda: _mc(MODEL, DATA, SoftExponential("abs_diff", 0.4, 2.0), 250_000, 12),
@@ -60,6 +84,11 @@ CASES = {
     "oscillator-mean-error-1e5": lambda: _oscillator("mean_error"),
     "oscillator-compound-1e5": lambda: _oscillator("compound"),
     "comparison-density-sha256": _density,
+    "binned-pdf-hard": lambda: binned_pdf_metric(PDF, COUNTS, Threshold("identity", 0.3), r=10_000, seed=31).p_hat.hex(),
+    "binned-pdf-soft": lambda: _binned_soft().p_hat.hex(),
+    "binned-pdf-soft-std-error": lambda: _binned_soft().std_error.hex(),
+    "area-bootstrap": lambda: area_metric_validation(XM, XD, Threshold("identity", 0.3), bootstrap=5_000, seed=33).p_hat.hex(),
+    "divergence-sampler": _divergence,
 }
 
 GOLDEN = {
@@ -71,6 +100,11 @@ GOLDEN = {
     "oscillator-mean-error-1e5": "0x1.e13d31b9b66f9p-1",
     "oscillator-compound-1e5": "0x1.c07dd44135547p-1",
     "comparison-density-sha256": "e9790c3dcfc28fb545a7fc06073a39bdd0bb09f8183aac00b2166dadca330530",
+    "binned-pdf-hard": "0x1.47e28240b7803p-1",
+    "binned-pdf-soft": "0x1.94c594010b248p-1",
+    "binned-pdf-soft-std-error": "0x1.54344851b756cp-9",
+    "area-bootstrap": "0x1.b15b573eab368p-3",
+    "divergence-sampler": "0x1.309546c510281p-1",
 }
 
 

@@ -7,29 +7,13 @@ import pytest
 
 from bvm import rng
 from bvm.distributions import Categorical, Normal
-from bvm.rng import CHUNK_SIZE, assemble_chunks, chunk_rng, map_chunks
+from bvm.rng import CHUNK_SIZE, map_chunks
 
 
 def test_stream_ids_are_distinct():
     ids = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
     assert len(ids) >= 8
     assert len(set(ids.values())) == len(ids), ids
-
-
-def test_assemble_chunks_passes_each_chunk_its_draw_count():
-    n = 2 * CHUNK_SIZE + 5
-    seen = []
-
-    def draw(g, m):
-        seen.append(m)
-        return g.integers(0, 7, (m, 7))
-
-    out = assemble_chunks(draw, 3, n, stream=rng.RESAMPLE_STREAM)
-    assert seen == [CHUNK_SIZE, CHUNK_SIZE, 5]
-    full = np.concatenate(
-        [chunk_rng(3, rng.RESAMPLE_STREAM, c).integers(0, 7, (CHUNK_SIZE, 7)) for c in range(3)]
-    )
-    assert np.array_equal(out, full[:n])
 
 
 @pytest.mark.parametrize("dist", [Normal(0.0, 1.0), Categorical(["a", "b"], [0.3, 0.7])])
