@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -214,10 +215,12 @@ def _parse_axis(spec: str) -> np.ndarray:
         lo, hi, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ConfigError(f"axis spec '{spec}' must be min:max:step") from None
-    if not (hi > lo and step > 0):
-        raise ConfigError(f"axis spec '{spec}' needs max > min and step > 0")
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+    if not (hi > lo and step > 0 and all(map(math.isfinite, (lo, hi, step)))):
+        raise ConfigError(f"axis spec '{spec}' needs finite max > min and step > 0")
+    steps = (hi - lo) / step
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"axis spec '{spec}': step {step:g} does not divide max - min into whole steps")
+    return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
 def _write_sweep_csv(path: str, grid):
@@ -261,7 +264,11 @@ def cmd_sweep(args) -> int:
         grids.append(grid)
         out_csv = f"{args.out_prefix}_model{len(grids)}.csv"
         _write_sweep_csv(out_csv, grid)
-        print(f"wrote {out_csv} ({grid.values.shape[0]}x{grid.values.shape[1]} cells)")
+        zero = int(np.count_nonzero(~grid.values.any(axis=0)))
+        print(
+            f"wrote {out_csv} ({grid.values.shape[0]}x{grid.values.shape[1]} cells, {grid.n_paths} paths, "
+            f"{zero} eps column{'' if zero == 1 else 's'} with zero mass)"
+        )
     if len(grids) == 2:
         cells = ratio_grid(grids[0], grids[1])
         ratio_csv = f"{args.out_prefix}_ratio.csv"

@@ -304,14 +304,23 @@ def bvm_ratio(factor: RatioResult, prior_m: float, prior_m_other: float) -> Rati
 # ---------------------------------------------------------------------------
 # (gamma, eps) sweeps
 
+# Paths per block when sweep counts in-tolerance errors; small enough
+# that a block's errors and column positions stay in cache.
+SWEEP_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """P(agree) over the (gamma, eps) axis product; shape (len(gammas), len(epsilons))."""
+    """P(agree) over the (gamma, eps) axis product; shape (len(gammas), len(epsilons)).
+
+    ``n_paths`` is the number of weighted model paths behind the cells
+    (0 when unknown).
+    """
 
     gammas: np.ndarray
     epsilons: np.ndarray
     values: np.ndarray
+    n_paths: int = 0
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=float)
@@ -404,35 +413,55 @@ def sweep(
 ) -> SweepGrid:
     """P(agree) under the (gamma, eps) rule at every axis combination.
 
-    The per-path absolute errors against the data path are sorted once;
-    each eps column then costs one pass of counting and a weighted
-    histogram, and every gamma row reads the same tail sums. This is what
-    makes path ensembles in the 10^5 range sweepable in seconds.
+    The in-tolerance count of every path at every eps comes from one
+    pass over the paths, in blocks of ``SWEEP_BLOCK``: each absolute
+    error is placed by ``searchsorted`` into the sorted eps axis, which
+    gives the first column that tolerates it; a row-offset ``bincount``
+    and a ``cumsum`` along eps then turn those positions into the block's
+    counts for every column. The counts are kept in an eps-by-path
+    matrix of the narrowest unsigned dtype that holds n (one byte per
+    cell for n < 256); the full error matrix is never held. Each eps
+    column then costs one weighted histogram over the paths, and every
+    gamma row reads the same tail sums. The counts are exact integers and
+    the histogram adds each bin's weights in path order, so the cells are
+    bit for bit those of a direct per-eps count, whatever the block size
+    or the order of the eps axis.
     """
     gammas = np.asarray(gammas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
     if gammas.size == 0 or epsilons.size == 0:
         raise EstimationError("sweep axes must be nonempty")
     paths, weights = weighted_paths(template, estimator, k, seed)
-    err = np.abs(paths - template.data_path)
-    err.sort(axis=1)
-    max_err = err[:, -1]
-    n = err.shape[1]
+    n_paths, n = paths.shape
+    n_eps = epsilons.size
+    order = np.argsort(epsilons, kind="stable")
+    eps_sorted = epsilons[order]
+
+    # counts[q, p]: how many of path p's n errors are <= eps_sorted[q].
+    counts = np.empty((n_eps, n_paths), dtype=np.min_scalar_type(n))
+    max_err = np.empty(n_paths)
+    for start in range(0, n_paths, SWEEP_BLOCK):
+        err = np.abs(paths[start : start + SWEEP_BLOCK] - template.data_path)
+        rows = err.shape[0]
+        max_err[start : start + rows] = err.max(axis=1)
+        first_ok = np.searchsorted(eps_sorted, err, side="left")
+        first_ok += np.arange(rows)[:, None] * (n_eps + 1)
+        hist = np.bincount(first_ok.ravel(), minlength=rows * (n_eps + 1)).reshape(rows, n_eps + 1)
+        np.cumsum(hist.T[:n_eps], axis=0, dtype=counts.dtype, out=counts[:, start : start + rows])
 
     # Smallest in-tolerance count c with c/n >= gamma, matching the float
     # comparison used by GammaEpsilon exactly.
     fractions = np.arange(n + 1) / n
     needed = np.asarray([int(np.searchsorted(fractions >= g, True)) for g in gammas])
 
-    values = np.empty((gammas.size, epsilons.size))
-    for j, eps in enumerate(epsilons):
-        counts = np.sum(err <= eps, axis=1)
-        w_ok = np.where(max_err <= m * eps, weights, 0.0)
-        hist = np.bincount(counts, weights=w_ok, minlength=n + 1)
+    values = np.empty((gammas.size, n_eps))
+    for q, j in enumerate(order):
+        w_ok = np.where(max_err <= m * epsilons[j], weights, 0.0)
+        hist = np.bincount(counts[q], weights=w_ok, minlength=n + 1)
         tails = np.cumsum(hist[::-1])[::-1]
         for i, need in enumerate(needed):
             values[i, j] = tails[need] if need <= n else 0.0
-    return SweepGrid(gammas=gammas, epsilons=epsilons, values=values)
+    return SweepGrid(gammas=gammas, epsilons=epsilons, values=values, n_paths=n_paths)
 
 
 def _check_axes(g1: SweepGrid, g2: SweepGrid):

@@ -12,6 +12,7 @@ from bvm.cli import (
     EXIT_ESTIMATION,
     EXIT_OK,
     EXIT_RULE_MISMATCH,
+    _parse_axis,
     main,
 )
 from bvm.config import (
@@ -362,6 +363,37 @@ class TestSweepCli:
             sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
         )
         assert main(["sweep", a, "--gamma", "nope"]) == EXIT_CONFIG
+
+    def test_step_that_does_not_divide_the_range_is_rejected(self, tmp_config, tmp_path, capsys):
+        a = tmp_config(
+            sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
+        )
+        prefix = str(tmp_path / "bad")
+        assert main(["sweep", a, "--gamma", "0.75:1.0:0.05", "--eps", "0:1:0.3", "--out-prefix", prefix]) == EXIT_CONFIG
+        assert "0:1:0.3" in capsys.readouterr().err
+        assert not (tmp_path / "bad_model1.csv").exists()
+        for spec in ("0:1:0.3", "0:inf:0.1"):
+            with pytest.raises(ConfigError):
+                _parse_axis(spec)
+        assert len(_parse_axis("0.75:1.0:0.01")) == 26
+        assert len(_parse_axis("0:1:0.01")) == 101
+
+    def test_wrote_line_reports_paths_and_zero_mass_columns(self, tmp_config, tmp_path, capsys):
+        a = tmp_config(
+            sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
+        )
+        doc = sweep_doc([0, 2], [{"type": "dirac", "value": 1.0}, {"type": "dirac", "value": -0.5}])
+        b = tmp_config(doc, "det.json")
+        prefix = str(tmp_path / "diag")
+        assert main(["sweep", a, b, "--gamma", "0.75:1.0:0.05", "--eps", "0.05:0.5:0.05", "--out-prefix", prefix]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        # The 9 x 9 grid paths have no mass at eps = 0.05 only; the one
+        # exact path first agrees at eps = 0.25.
+        assert f"wrote {prefix}_model1.csv (6x10 cells, 81 paths, 1 eps column with zero mass)" in lines
+        assert f"wrote {prefix}_model2.csv (6x10 cells, 1 paths, 4 eps columns with zero mass)" in lines
+        with open(prefix + "_model2.csv") as fh:
+            cells = np.array([float(r[2]) for r in list(csv.reader(fh))[1:]]).reshape(6, 10)
+        assert np.count_nonzero(~cells.any(axis=0)) == 4
 
 
 class TestMetricCli:

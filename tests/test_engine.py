@@ -35,7 +35,7 @@ from bvm import (
     ratio_grid,
     sweep,
 )
-from bvm.engine import EstimationError, RatioResult, weighted_paths
+from bvm.engine import SWEEP_BLOCK, EstimationError, RatioResult, weighted_paths
 from bvm.rng import DATA_STREAM, TOLERANCE_STREAM
 
 
@@ -298,22 +298,71 @@ def small_template(seed=0, uncertain=True, n_points=12, points_per_param=7):
     return SweepTemplate(model, prior, grid, data, grid_points_per_param=points_per_param)
 
 
+def assert_matches_cellwise_grid(template, gammas, epsilons, m):
+    # Dual route: the optimised sweep must equal running the plain grid
+    # estimator with the (gamma, eps) rule at every cell.
+    grid = sweep(template, gammas, epsilons, m=m)
+    paths, weights = weighted_paths(template, "grid")
+    data_grid = ([template.data_path], [1.0])
+    for i, g in enumerate(gammas):
+        for j, e in enumerate(epsilons):
+            rule = GammaEpsilon(g, e, m)
+            sc = Scenario(DiracDelta(template.data_path), DiracDelta(template.data_path), rule)
+            direct = estimate_bvm_grid(sc, (paths, weights), data_grid)
+            assert grid.values[i, j] == pytest.approx(direct.p_hat, abs=1e-12)
+    return grid
+
+
+def direct_count_sweep(paths, weights, data_path, gammas, epsilons, m):
+    # Reference: count each path's in-tolerance errors at every eps by a
+    # full pass over the error matrix, then the same weighted histogram.
+    err = np.abs(paths - data_path)
+    n = err.shape[1]
+    needed = [int(np.searchsorted(np.arange(n + 1) / n >= g, True)) for g in gammas]
+    values = np.zeros((len(gammas), len(epsilons)))
+    for j, eps in enumerate(epsilons):
+        w_ok = np.where(err.max(axis=1) <= m * eps, weights, 0.0)
+        tails = np.cumsum(np.bincount(np.sum(err <= eps, axis=1), weights=w_ok, minlength=n + 1)[::-1])[::-1]
+        for i, need in enumerate(needed):
+            values[i, j] = tails[need] if need <= n else 0.0
+    return values
+
+
 class TestSweep:
     def test_matches_cellwise_grid_estimates(self):
-        # Dual route: the optimised sweep must equal running the plain grid
-        # estimator with the (gamma, eps) rule at every cell.
+        grid = assert_matches_cellwise_grid(small_template(), np.array([0.5, 0.8, 1.0]), np.array([0.0, 0.2, 0.5, 1.1]), 3.0)
+        assert grid.n_paths == 7 * 7
+
+    def test_shuffled_axis_with_repeat_and_negative_eps(self):
         template = small_template()
         gammas = np.array([0.5, 0.8, 1.0])
-        epsilons = np.array([0.0, 0.2, 0.5, 1.1])
-        grid = sweep(template, gammas, epsilons, m=3.0)
-        paths, weights = weighted_paths(template, "grid")
-        data_grid = ([template.data_path], [1.0])
-        for i, g in enumerate(gammas):
-            for j, e in enumerate(epsilons):
-                rule = GammaEpsilon(g, e, 3.0)
-                sc = Scenario(DiracDelta(template.data_path), DiracDelta(template.data_path), rule)
-                direct = estimate_bvm_grid(sc, (paths, weights), data_grid)
-                assert grid.values[i, j] == pytest.approx(direct.p_hat, abs=1e-12)
+        epsilons = np.array([-0.1, 0.0, 0.1, 0.2, 0.2, 0.35, 0.5, 1.1])
+        perm = np.random.default_rng(5).permutation(epsilons.size)
+        ordered = sweep(template, gammas, epsilons, m=3.0)
+        shuffled = sweep(template, gammas, epsilons[perm], m=3.0)
+        assert np.array_equal(shuffled.epsilons, epsilons[perm])
+        assert np.array_equal(shuffled.values, ordered.values[:, perm])
+        assert np.array_equal(ordered.values[:, 3], ordered.values[:, 4])
+        assert not ordered.values[:, 0].any()
+        assert ordered.values[:, 2:].any()
+
+    def test_grid_longer_than_255_points_widens_counts(self):
+        # n = 300: counts above 255 must not wrap; gamma 0.9 needs 270.
+        template = small_template(n_points=300, points_per_param=5)
+        grid = assert_matches_cellwise_grid(template, np.array([0.5, 0.9, 1.0]), np.array([0.0, 0.1, 0.2, 0.4, 1.1]), 3.0)
+        assert 0.0 < grid.values[1, 2] < 1.0
+
+    def test_paths_span_blocks_with_ragged_tail(self):
+        k = 2 * SWEEP_BLOCK + 37
+        template = small_template()
+        paths, weights = weighted_paths(template, "mc", k, 9)
+        # Every error of the last path is also an eps: an error equal to
+        # eps is in tolerance.
+        gammas = np.linspace(0.05, 1.0, 20)
+        epsilons = np.concatenate([np.linspace(0.0, 0.6, 13), np.abs(paths[-1] - template.data_path)])
+        grid = sweep(template, gammas, epsilons, m=3.0, estimator="mc", k=k, seed=9)
+        assert grid.n_paths == k
+        assert np.array_equal(grid.values, direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0))
 
     def test_monotone_axes(self):
         grid = sweep(small_template(), np.linspace(0.5, 1.0, 6), np.linspace(0, 1.5, 16), m=5.0)

@@ -1,8 +1,9 @@
 """Golden bits: estimator outputs pinned to the last ulp.
 
 Each case's fingerprint (``p_hat.hex()``, or a sha256 of a density's
-masses) was recorded once and must not move under any refactor of the
-sampling, kernel or reduction code, at any ``BVM_THREADS``. A change
+masses or of a sweep grid's cells) was recorded once and must not move
+under any refactor of the sampling, kernel, counting or reduction code,
+at any ``BVM_THREADS``. A change
 that alters one of these on purpose changes the package's reproducible
 outputs and has to say so.
 """
@@ -26,10 +27,11 @@ from bvm import (
     Threshold,
     comparison_density,
     estimate_bvm_mc,
+    sweep,
 )
-from bvm.config import build_scenario
+from bvm.config import build_scenario, build_sweep_template
 from bvm.metrics import area_metric_validation, binned_pdf_metric, divergence_validation
-from bvm.studies import builtin_configs
+from bvm.studies import _poly_config, builtin_configs, sweep_axes
 
 MODEL, DATA = Normal(0.3, 1.1), Normal(-0.2, 0.7)
 HARD = Threshold("abs_diff", 0.9)
@@ -73,6 +75,12 @@ def _divergence():
     return divergence_validation(PDF, PDF, "hellinger", rule, sampler=sampler, r=4_500, seed=34).p_hat.hex()
 
 
+def _sweep(order, variant, estimator="grid", k=10_000, seed=0):
+    template, _ = build_sweep_template(_poly_config(order, variant, 0))
+    grid = sweep(template, *sweep_axes(), m=5.0, estimator=estimator, k=k, seed=seed)
+    return hashlib.sha256(grid.values.tobytes()).hexdigest()
+
+
 # k = 10^6 is 244 full chunks plus a 576-draw tail. Every metric case
 # resamples more than one 4096-draw chunk.
 CASES = {
@@ -89,6 +97,11 @@ CASES = {
     "binned-pdf-soft-std-error": lambda: _binned_soft().std_error.hex(),
     "area-bootstrap": lambda: area_metric_validation(XM, XD, Threshold("identity", 0.3), bootstrap=5_000, seed=33).p_hat.hex(),
     "divergence-sampler": _divergence,
+    "sweep-ex53-deterministic-model1": lambda: _sweep(1, "deterministic"),
+    "sweep-ex53-deterministic-model2": lambda: _sweep(2, "deterministic"),
+    "sweep-ex53-uncertain-model1": lambda: _sweep(1, "uncertain"),
+    "sweep-ex53-uncertain-model2": lambda: _sweep(2, "uncertain"),
+    "sweep-mc-uncertain-model2": lambda: _sweep(2, "uncertain", "mc", k=20_000, seed=11),
 }
 
 GOLDEN = {
@@ -105,6 +118,11 @@ GOLDEN = {
     "binned-pdf-soft-std-error": "0x1.54344851b756cp-9",
     "area-bootstrap": "0x1.b15b573eab368p-3",
     "divergence-sampler": "0x1.309546c510281p-1",
+    "sweep-ex53-deterministic-model1": "e80cfb8c5e3e780738c67b35eeebc89c5a29e4c5b166ac71318b859318a498fb",
+    "sweep-ex53-deterministic-model2": "0b8c6f6faa8a7c677aaaf3407305eab37db9fbebe024f4b9c369e30a3ec35481",
+    "sweep-ex53-uncertain-model1": "36f20bb20164e8f323e7a4ff830bd8c3bed91c037dbf13befed8ac53b1dd27e6",
+    "sweep-ex53-uncertain-model2": "45274784e52264cbe1ccee84a245bdaac047fdd0cab050ecd432a2f1c40dfe86",
+    "sweep-mc-uncertain-model2": "ab2e9f995171ed2e16babaa3707c84337619585a9d8f39b9ad0fc1c839f55a25",
 }
 
 
