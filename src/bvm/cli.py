@@ -414,7 +414,10 @@ def cmd_metric(args) -> int:
             k=samples,
             seed=seed,
         )
-        print(f"log evidence = {_fmt(res.log_evidence)} +/- {_fmt(res.std_error_log)} [n={res.n_samples}, seed={res.seed}]")
+        print(
+            f"log evidence = {_fmt(res.log_evidence)} +/- {_fmt(res.std_error_log)} "
+            f"[n={res.n_samples}, seed={res.seed}, ess={_fmt(res.ess)}, max weight share={_fmt(res.max_weight_share)}]"
+        )
         record = RunRecord(
             command=name,
             config=doc,
@@ -423,6 +426,8 @@ def cmd_metric(args) -> int:
                 "std_error_log": res.std_error_log,
                 "n_samples": res.n_samples,
                 "seed": res.seed,
+                "ess": res.ess,
+                "max_weight_share": res.max_weight_share,
             }],
             wall_time_s=time.perf_counter() - t0,
         )

@@ -47,6 +47,10 @@ class _NoQuantile(Exception):
     """Internal: the variant has no closed-form quantile function."""
 
 
+def _float_if_scalar(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Base class. Concrete variants implement ``_draw`` (one full chunk)."""
@@ -74,7 +78,9 @@ class Distribution:
         """Probability density (mass for discrete variants) at *x*."""
         raise DensityUnsupported(f"{type(self).__name__} has no evaluable density")
 
-    def cdf(self, x) -> float:
+    def cdf(self, x):
+        """P(X <= x): a float for scalar *x*; the continuous variants and
+        :class:`Empirical` also take an array and return one of its shape."""
         raise _NoQuantile(f"{type(self).__name__} has no closed-form cdf")
 
     def quantile(self, q: float) -> float:
@@ -149,8 +155,8 @@ class Normal(Distribution):
         z = (x - self.mean) / self.std
         return float(np.exp(-0.5 * z * z) / (self.std * np.sqrt(2.0 * np.pi)))
 
-    def cdf(self, x) -> float:
-        return float(stats.norm.cdf(x, loc=self.mean, scale=self.std))
+    def cdf(self, x):
+        return _float_if_scalar(stats.norm.cdf(x, loc=self.mean, scale=self.std))
 
     def quantile(self, q: float) -> float:
         return float(stats.norm.ppf(q, loc=self.mean, scale=self.std))
@@ -176,8 +182,8 @@ class StudentT(Distribution):
     def density(self, x) -> float:
         return float(stats.t.pdf(x, self.dof, loc=self.location, scale=self.scale))
 
-    def cdf(self, x) -> float:
-        return float(stats.t.cdf(x, self.dof, loc=self.location, scale=self.scale))
+    def cdf(self, x):
+        return _float_if_scalar(stats.t.cdf(x, self.dof, loc=self.location, scale=self.scale))
 
     def quantile(self, q: float) -> float:
         return float(stats.t.ppf(q, self.dof, loc=self.location, scale=self.scale))
@@ -198,8 +204,8 @@ class Uniform(Distribution):
     def density(self, x) -> float:
         return 1.0 / (self.hi - self.lo) if self.lo <= x <= self.hi else 0.0
 
-    def cdf(self, x) -> float:
-        return float(np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0))
+    def cdf(self, x):
+        return _float_if_scalar(np.clip((np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0))
 
     def quantile(self, q: float) -> float:
         return self.lo + q * (self.hi - self.lo)
@@ -224,10 +230,10 @@ class ShiftedExponential(Distribution):
             return 0.0
         return float(self.rate * np.exp(-self.rate * (x - self.shift)))
 
-    def cdf(self, x) -> float:
-        if x < self.shift:
-            return 0.0
-        return float(1.0 - np.exp(-self.rate * (x - self.shift)))
+    def cdf(self, x):
+        # Below the shift the clamped exponent is 0, so the cdf is exactly 0.
+        d = np.maximum(np.asarray(x, dtype=float) - self.shift, 0.0)
+        return _float_if_scalar(1.0 - np.exp(-self.rate * d))
 
     def quantile(self, q: float) -> float:
         if q >= 1.0:
@@ -315,10 +321,10 @@ class Empirical(Distribution):
             raise ValueError("empirical quantiles need at least 1000 samples")
         return float(np.quantile(self.samples, q, method="linear"))
 
-    def cdf(self, x) -> float:
+    def cdf(self, x):
         if self.samples.ndim != 1:
             raise ValueError("operation requires a scalar distribution")
-        return float(np.searchsorted(np.sort(self.samples), x, side="right") / self.samples.shape[0])
+        return _float_if_scalar(np.searchsorted(np.sort(self.samples), x, side="right") / self.samples.shape[0])
 
     @property
     def kind(self) -> str:
@@ -499,8 +505,9 @@ def confidence_set(
     categorical labels) until their mass reaches *level*.
 
     For continuous variants the histogram covers the [0.001, 0.999]
-    quantile window with equal-width bins; bin masses come from the cdf
-    when the variant has one and from *n* samples otherwise.
+    quantile window with equal-width bins; bin masses are the differences
+    of one array call of the cdf at all bin edges when the variant has a
+    cdf, and histogram fractions of *n* samples otherwise.
     """
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
@@ -529,7 +536,7 @@ def confidence_set(
         return ConfidenceRegion(kind="set", level=level, intervals=((lo, hi),))
     edges = np.linspace(lo, hi, bins + 1)
     try:
-        masses = np.diff([dist.cdf(e) for e in edges])
+        masses = np.diff(dist.cdf(edges))
     except _NoQuantile:
         x = np.asarray(dist.sample(seed, max(n, 10_000), stream=QUANTILE_STREAM), dtype=float)
         masses = np.histogram(x, bins=edges)[0] / x.shape[0]

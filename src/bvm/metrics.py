@@ -12,13 +12,14 @@ with the Bayes factor.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.stats import norm as _norm, t as _student_t
 
 from .agreement import AgreementRule, GammaEpsilon, Threshold
-from .comparison import BinnedPdf, area_metric, divergence, ecdf
+from .comparison import BinnedPdf, area_metric, area_metric_many, divergence
 from .distributions import (
     ConfidenceRegion,
     DiracDelta,
@@ -177,40 +178,6 @@ def improved_reliability(
 # Frequentist metric (certain model mean against a Student-t data mean)
 
 
-def _adaptive_simpson(f, edges, tol: float, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature over pre-split panels.
-
-    Panel pre-splitting keeps indicator discontinuities from aliasing a
-    whole-interval estimate; recursion then resolves each panel to the
-    shared absolute tolerance.
-    """
-
-    def simpson(fa, fm, fb, lo, hi):
-        return (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = simpson(flo, flm, fmid, lo, mid)
-        right = simpson(fmid, frm, fhi, mid, hi)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return rec(lo, mid, flo, flm, fmid, left, tol / 2.0, depth - 1) + rec(
-            mid, hi, fmid, frm, fhi, right, tol / 2.0, depth - 1
-        )
-
-    edges = np.asarray(edges, dtype=float)
-    panel_tol = tol / (edges.size - 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        total += rec(lo, hi, flo, fmid, fhi, simpson(flo, fmid, fhi, lo, hi), panel_tol, max_depth)
-    return total
-
-
 def _breakpoints(rule: AgreementRule):
     """Discontinuity locations of a value rule, on the value's own axis.
 
@@ -221,6 +188,7 @@ def _breakpoints(rule: AgreementRule):
         AlwaysFalse,
         AlwaysTrue,
         And,
+        InRegion,
         Interval,
         Not,
         Or,
@@ -243,6 +211,8 @@ def _breakpoints(rule: AgreementRule):
         return of_fn(rule.fn.name, [rule.lo, rule.hi])
     if isinstance(rule, SoftExponential):
         return of_fn(rule.fn.name, [rule.eps_prime])
+    if isinstance(rule, InRegion) and not rule.region.labels:
+        return {p for interval in rule.region.intervals for p in interval}
     if isinstance(rule, Not):
         return _breakpoints(rule.child)
     if isinstance(rule, (And, Or)):
@@ -256,30 +226,52 @@ def _breakpoints(rule: AgreementRule):
     return None
 
 
+# Quantile-panel edges for the quadrature: graded in the tails, where a
+# heavy-tailed density spreads each probability decade over a long stretch
+# of the axis, and equal in probability in the body. Only 1e-13 of mass is
+# cut off on each side.
+_TAIL_Q = np.logspace(-13.0, -2.0, 23)
+_PANEL_Q = np.unique(np.concatenate([_TAIL_Q, np.linspace(0.01, 0.99, 99), 1.0 - _TAIL_Q]))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
 def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> BvmEstimate:
     """Student-t mass of the data mean over the rule's acceptance region.
 
     The rule reads the signed error E = model_mean - mu_y through a value
-    comparison. Integration is adaptive Simpson at absolute tolerance
-    1e-9 over equal-probability quantile panels, with panel edges pinned
-    at the rule's own discontinuities so no acceptance window can slip
-    between probe points; only ~1e-13 of tail mass is truncated.
+    comparison. For a hard rule with known breakpoints the acceptance set
+    is a union of the gaps between the breakpoints (mapped to the mu axis):
+    one batched kernel call at the gap midpoints classifies them, and the
+    mass is the sum of the accepted gaps' Student-t cdf differences, which
+    is exact. Any other rule is integrated by 20-node Gauss-Legendre on
+    quantile panels graded in the tails, with panel edges pinned at the
+    rule's breakpoints so no kink or acceptance window falls inside a
+    panel; 2e-13 of tail mass is truncated. A hard rule whose breakpoints
+    are unknown may jump inside a panel, which limits the accuracy there.
     """
-    scale = data.sample_std / math.sqrt(data.n)
-    t = StudentT(location=data.sample_mean, dof=data.dof, scale=scale)
+    t = _student_t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
 
-    def integrand(mu: float) -> float:
+    def weights(mu):
         v = model_mean - mu
-        return rule.kernel(v, v) * t.density(mu)
+        return rule.kernel_many(v, v)
 
-    edges = [t.quantile(q) for q in np.linspace(1e-13, 1.0 - 1e-13, 129)]
     breaks = _breakpoints(rule)
-    if breaks is not None:
-        # E = model_mean - mu is linear, so value-axis kinks map directly.
-        # Bound the window first: extending the list moves edges[-1].
-        lo, hi = edges[0], edges[-1]
-        edges.extend(model_mean - b for b in breaks if lo < model_mean - b < hi)
-    p = _adaptive_simpson(integrand, np.unique(np.asarray(edges)), tol=1e-9)
+    # E = model_mean - mu is linear, so value-axis kinks map directly.
+    cuts = np.unique([model_mean - b for b in breaks or () if math.isfinite(b)])
+    if not rule.is_soft and breaks is not None:
+        # One probe per gap; the two unbounded end gaps are probed 1 beyond
+        # the outermost cut; a rule without cuts is constant, probed at 0.
+        probes = np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[:-1] + cuts[1:]), cuts[-1:] + 1.0])
+        if cuts.size == 0:
+            probes = np.zeros(1)
+        mass = np.diff(t.cdf(np.concatenate([[-np.inf], cuts, [np.inf]])))
+        p = float(weights(probes) @ mass)
+    else:
+        edges = t.ppf(_PANEL_Q)
+        edges = np.unique(np.concatenate([edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])]]))
+        half = 0.5 * np.diff(edges)
+        mu = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+        p = float(np.sum(weights(mu) * t.pdf(mu) * (half[:, None] * _GL_WEIGHTS).ravel()))
     return BvmEstimate(p_hat=min(1.0, max(0.0, p)), std_error=0.0, n_samples=0, seed=0, method="closedForm")
 
 
@@ -297,21 +289,20 @@ def area_metric_validation(
     """Accept/reject on the area between the two empirical CDFs.
 
     With ``bootstrap`` > 0 the data sample is treated as uncertain:
-    the indicator is averaged over that many resamples of the data.
+    the indicator is averaged over that many resamples of the data, and
+    each chunk of resamples is scored by one :func:`area_metric_many` call.
     """
     xm = np.asarray(samples_m, dtype=float)
     xd = np.asarray(samples_d, dtype=float)
     if xm.size == 0 or xd.size == 0:
         raise ValueError("need at least one sample on each side")
-    fm = ecdf(xm)
     if bootstrap <= 0:
-        v = area_metric(fm, ecdf(xd))
+        v = area_metric(xm, xd)
         return BvmEstimate(p_hat=rule.kernel(v, v), std_error=0.0, n_samples=0, seed=seed, method="closedForm")
 
     def areas(rng, m):
         # The first m rows of an (m, n) index draw equal those of a full chunk's.
-        idx = rng.integers(0, xd.size, (m, xd.size))
-        return np.asarray([area_metric(fm, ecdf(xd[row])) for row in idx], dtype=float)
+        return area_metric_many(xm, xd[rng.integers(0, xd.size, (m, xd.size))])
 
     w = _resampled_weights(rule, areas, bootstrap, seed)
     return BvmEstimate.binomial(float(np.mean(w)), bootstrap, seed)
@@ -464,12 +455,20 @@ def statistical_power_bvm(
 @dataclass(frozen=True)
 class EvidenceResult:
     """Marginal likelihood of the data under the parameter prior, kept in
-    log space; the standard error of the log comes from the delta method."""
+    log space; the standard error of the log comes from the delta method.
+
+    ``ess`` is Kish's effective sample size of the likelihood weights,
+    (sum w)^2 / sum w^2, and ``max_weight_share`` the largest weight over
+    their sum: an ess far below ``n_samples`` means a few prior draws carry
+    the estimate and its standard error is not to be trusted.
+    """
 
     log_evidence: float
     std_error_log: float
     n_samples: int
     seed: int
+    ess: float
+    max_weight_share: float
 
     @property
     def evidence(self) -> float:
@@ -487,6 +486,8 @@ def bayesian_evidence(
 
     The likelihood of a parameter draw theta is
     ``(2 pi sigma^2)^(-N/2) exp(-sum_i (M(x_i; theta) - y_i)^2 / (2 sigma^2))``.
+    Warns (``RuntimeWarning``) when the effective sample size of the
+    likelihood weights is below 1 % of k.
     """
     if k < 1:
         raise EstimationError("sample count must be at least 1")
@@ -502,7 +503,19 @@ def bayesian_evidence(
     mean_w = float(np.mean(w))
     log_ev = peak + math.log(mean_w) if mean_w > 0 else -math.inf
     se_log = float(np.std(w) / (mean_w * math.sqrt(k))) if mean_w > 0 else math.inf
-    return EvidenceResult(log_evidence=log_ev, std_error_log=se_log, n_samples=k, seed=seed)
+    total = float(np.sum(w))
+    ess = total * total / float(w @ w) if mean_w > 0 else 0.0
+    share = float(np.max(w)) / total if mean_w > 0 else math.nan
+    if ess < 0.01 * k:
+        warnings.warn(
+            f"evidence rests on few prior draws: effective sample size {ess:.1f} of k={k}, "
+            f"largest weight share {share:.3f}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return EvidenceResult(
+        log_evidence=log_ev, std_error_log=se_log, n_samples=k, seed=seed, ess=ess, max_weight_share=share
+    )
 
 
 @dataclass(frozen=True)

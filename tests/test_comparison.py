@@ -9,6 +9,7 @@ from scipy import stats
 from bvm.comparison import (
     BinnedPdf,
     area_metric,
+    area_metric_many,
     binned_prob_diff,
     coverage_fraction,
     divergence,
@@ -122,6 +123,42 @@ class TestAreaMetric:
         rng = np.random.default_rng(6)
         a, b = rng.normal(size=(2, 9))
         assert area_metric(ecdf(a), ecdf(b)) == area_metric(ecdf(b), ecdf(a))
+
+
+def _area_by_x_breakpoints(a, b):
+    # Reference: sum |F1 - F2| over the gaps of the merged sample values.
+    f1, f2 = ecdf(a), ecdf(b)
+    breaks = np.union1d(f1.xs, f2.xs)
+    left = breaks[:-1]
+    return float(np.sum(np.abs(f1(left) - f2(left)) * np.diff(breaks)))
+
+
+class TestAreaMetricMany:
+    @pytest.mark.parametrize("a, b", [(50, 50), (13, 29), (29, 13), (37, 37), (1, 1), (1, 7)])
+    def test_matches_per_row_reference(self, a, b):
+        rng = np.random.default_rng(a * 100 + b)
+        xm = rng.normal(size=a)
+        pool = rng.normal(0.3, 1.4, size=b)
+        # Bootstrap rows: resampling with replacement makes ties.
+        rows = pool[rng.integers(0, b, (40, b))]
+        got = area_metric_many(xm, rows)
+        assert got.shape == (40,)
+        for row, area in zip(rows, got):
+            ref = _area_by_x_breakpoints(xm, row)
+            assert area == pytest.approx(ref, rel=1e-12, abs=1e-300)
+            assert area_metric(xm, row) == area
+
+    def test_rows_equal_to_the_sample_give_exact_zero(self):
+        x = np.random.default_rng(7).normal(size=23)
+        rows = np.stack([x, x[::-1], np.roll(x, 5)])
+        assert np.array_equal(area_metric_many(x, rows), np.zeros(3))
+        assert area_metric(x, x) == 0.0
+
+    def test_empty_or_flat_input_rejected(self):
+        with pytest.raises(ValueError):
+            area_metric_many([], np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            area_metric_many([1.0], np.zeros(3))
 
 
 class TestBinnedPdf:

@@ -189,6 +189,28 @@ class TestConfidenceInterval:
         assert abs(frac - 0.95) < 0.01
 
 
+class TestArrayCdf:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            Normal(0.3, 1.2),
+            StudentT(0.1, 3.0, 0.7),
+            Uniform(-1.0, 3.0),
+            ShiftedExponential(2.0, 0.5),
+            Empirical(np.random.default_rng(8).normal(size=1500)),
+        ],
+        ids=type,
+    )
+    def test_array_cdf_equals_scalar_calls(self, dist):
+        x = np.concatenate([[-np.inf, -7.0, 0.5, 3.0, np.inf], np.linspace(-4.0, 6.0, 257)])
+        scalar = [dist.cdf(v) for v in x]
+        assert all(type(c) is float for c in scalar)
+        got = dist.cdf(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.asarray(scalar))
+        assert np.array_equal(dist.cdf(x.reshape(2, -1)), got.reshape(2, -1))
+
+
 class TestConfidenceSet:
     def test_categorical_greedy_mass_ordering(self):
         # Hand oracle: 0.5 + 0.45 >= 0.95 already, so {0, 10} suffices.

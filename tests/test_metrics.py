@@ -1,24 +1,31 @@
 """Special-case metrics against closed forms and independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from bvm import (
+    AgreementRule,
     AlwaysFalse,
     AlwaysTrue,
     And,
     BinnedPdf,
     Categorical,
+    ConfidenceRegion,
     DiracDelta,
     Empirical,
     IndependentProduct,
     InputGrid,
+    InRegion,
     Interval,
     Normal,
+    Not,
+    Or,
     Scenario,
+    SoftExponential,
     StudentT,
     Threshold,
     estimate_bvm_mc,
@@ -150,6 +157,68 @@ class TestFrequentist:
         mass = t.cdf(model_mean - e_lo) - t.cdf(model_mean - e_hi)
         assert mass > 1e-3
         assert frequentist(model_mean, data, rule).p_hat == pytest.approx(mass, abs=1e-6)
+
+    # Hard rules are summed exactly over the gaps between their breakpoints.
+    # Each case lists its acceptance set as closed windows on the E axis.
+    @pytest.mark.parametrize(
+        "rule, windows",
+        [
+            (Threshold("abs_value", 0.08), [(-0.08, 0.08)]),
+            (And([Threshold("abs_value", 0.1), Interval("identity", 0.0, 0.05)]), [(0.0, 0.05)]),
+            (Or([Interval("identity", -0.6, -0.4), Interval("identity", 0.3, 0.45)]), [(-0.6, -0.4), (0.3, 0.45)]),
+            (Not(Threshold("abs_value", 0.5)), [(-math.inf, -0.5), (0.5, math.inf)]),
+            (InRegion(ConfidenceRegion("set", 0.9, intervals=((-0.2, 0.1), (0.4, 0.7)))), [(-0.2, 0.1), (0.4, 0.7)]),
+            (Threshold("identity", 0.3), [(-math.inf, 0.3)]),
+            (AlwaysTrue(), [(-math.inf, math.inf)]),
+        ],
+    )
+    def test_hard_rule_is_student_t_cdf_sum(self, rule, windows):
+        model_mean, data = 0.3947, DataSummary(-0.0932, 0.652, 19)
+        t = stats.t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
+        mass = sum(t.cdf(model_mean - lo) - t.cdf(model_mean - hi) for lo, hi in windows)
+        assert frequentist(model_mean, data, rule).p_hat == pytest.approx(mass, abs=1e-12)
+
+    def test_always_false_is_exactly_zero(self):
+        assert frequentist(0.2, DataSummary(0.0, 1.0, 10), AlwaysFalse()).p_hat == 0.0
+
+    @staticmethod
+    def _soft_mass_by_quad(model_mean, t, weight_of_error, kinks):
+        # Integrate w(model_mean - mu) t.pdf(mu) piecewise between the kinks.
+        cuts = sorted(model_mean - k for k in kinks)
+        edges = [-math.inf, *cuts, math.inf]
+        def f(mu):
+            return weight_of_error(model_mean - mu) * t.pdf(mu)
+
+        return sum(
+            integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+
+    def test_heavy_tailed_soft_rule_matches_quad(self):
+        # dof = 3 and a data mean three scales from the model mean: much of
+        # the mass sits where the density decays like |mu|^-4, and 129
+        # equal-probability panels were 3e-3 off here.
+        model_mean, data = 0.0, DataSummary(1.5, 1.0, 4)
+        eps, lam = 0.4, 0.7
+        t = stats.t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
+        oracle = self._soft_mass_by_quad(
+            model_mean, t, lambda e: math.exp(-lam * max(abs(e) - eps, 0.0)), [-eps, eps]
+        )
+        est = frequentist(model_mean, data, SoftExponential("abs_value", eps, lam))
+        assert est.p_hat == pytest.approx(oracle, abs=1e-9)
+
+    def test_rule_without_breakpoints_still_integrates(self):
+        class Logistic(AgreementRule):
+            # A smooth soft rule whose breakpoints frequentist cannot know.
+            is_soft = True
+
+            def kernel_many(self, zhat_batch, z_batch):
+                return special.expit((0.3 - np.abs(np.asarray(zhat_batch, dtype=float))) / 0.05)
+
+        model_mean, data = 0.1, DataSummary(-0.2, 0.9, 8)
+        t = stats.t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
+        oracle = self._soft_mass_by_quad(model_mean, t, lambda e: special.expit((0.3 - abs(e)) / 0.05), [0.0])
+        assert frequentist(model_mean, data, Logistic()).p_hat == pytest.approx(oracle, abs=1e-9)
 
 
 class TestAreaValidation:
@@ -322,6 +391,27 @@ class TestEvidence:
         log_l = -math.log(2 * math.pi * sigma**2) - float(np.sum(resid**2)) / (2 * sigma**2)
         assert res.log_evidence == pytest.approx(log_l, abs=1e-12)
         assert res.std_error_log == pytest.approx(0.0, abs=1e-12)
+        assert res.ess == 10.0
+        assert res.max_weight_share == pytest.approx(0.1, rel=1e-15)
+
+    def test_collapse_onto_few_draws_warns(self):
+        # A wide prior and a sharp likelihood: only the few draws within a
+        # few hundredths of the datum carry weight.
+        grid = InputGrid(np.array([0.0]))
+        lik = GaussianLikelihoodSpec(0.01, np.array([0.7]), grid)
+        with pytest.warns(RuntimeWarning, match="effective sample size"):
+            res = bayesian_evidence(polynomial_model([0]), Normal(0, 5.0), lik, k=2000, seed=1)
+        assert res.ess < 20
+        assert res.max_weight_share > 0.1
+
+    def test_well_spread_weights_do_not_warn(self):
+        grid = InputGrid(np.array([0.0]))
+        lik = GaussianLikelihoodSpec(0.5, np.array([0.7]), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bayesian_evidence(polynomial_model([0]), Normal(0, 1.1), lik, k=20_000, seed=4)
+        assert 0.3 * 20_000 < res.ess <= 20_000
+        assert res.max_weight_share < 1e-3
 
     def test_conjugate_oracle(self):
         grid = InputGrid(np.array([0.0]))
