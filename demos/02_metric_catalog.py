@@ -109,4 +109,4 @@ bf = bayes_factor(ev_narrow, ev_wide)
 print()
 print(f"log evidence, narrow prior:           {ev_narrow.log_evidence:.4f}")
 print(f"log evidence, wide prior:             {ev_wide.log_evidence:.4f}")
-print(f"evidence ratio (narrow/wide):         {bf.factor:.3f}  (needless prior width is penalised)")
+print(f"evidence ratio (narrow/wide):         {bf.value:.3f}  (needless prior width is penalised)")

@@ -4,8 +4,12 @@ Commands: ``validate`` (run one configured scenario), ``ratio`` (compare
 two models under the same agreement rule), ``sweep`` (grids over the
 (gamma, eps) rule family plus ratio summaries), ``reproduce`` (run a
 bundled study against its recorded targets), and one subcommand per
-named metric. Every run emits a JSON run record embedding the resolved
-config and seed, so results can be reproduced bit for bit.
+entry of the metric table ``config.METRICS``, all run by
+:func:`cmd_metric`. Every run emits a JSON run record embedding the
+resolved config and seed, so results can be reproduced bit for bit; a
+record's estimates hold the fields of the result dataclass
+(``BvmEstimate``, or ``EvidenceResult`` for ``evidence``) plus any
+metric-specific extras.
 
 Exit codes: 0 success, 2 config/schema error, 3 estimation error,
 4 agreement-rule mismatch between ratio configs, 5 reproduction target
@@ -25,15 +29,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .comparison import BinnedPdf
 from .config import (
-    _METRIC,
+    DEFAULT_SAMPLES,
+    METRICS,
     ConfigError,
     build_scenario,
     build_sweep_template,
-    distribution_from_config,
     load_config,
-    rule_from_config,
     rule_to_config,
 )
 from .engine import (
@@ -48,19 +50,7 @@ from .engine import (
     sweep,
     weighted_paths,
 )
-from .metrics import (
-    DataSummary,
-    GaussianLikelihoodSpec,
-    area_metric_validation,
-    bayesian_evidence,
-    binned_pdf_metric,
-    classical_hypothesis,
-    divergence_validation,
-    frequentist,
-    improved_reliability,
-    reliability,
-    statistical_power_bvm,
-)
+from .metrics import EvidenceResult
 from .studies import run_study, study_ids
 
 EXIT_OK = 0
@@ -95,16 +85,18 @@ class RunRecord:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "p_hat": est.p_hat,
-        "std_error": est.std_error,
-        "ci_lo": est.ci_lo,
-        "ci_hi": est.ci_hi,
-        "n_samples": est.n_samples,
-        "seed": est.seed,
-        "method": est.method,
-    }
+def _result_line(result) -> str:
+    """One-line summary of an agreement estimate or a model evidence."""
+    if isinstance(result, EvidenceResult):
+        return (
+            f"log evidence = {_fmt(result.log_evidence)} +/- {_fmt(result.std_error_log)} "
+            f"[n={result.n_samples}, seed={result.seed}, ess={_fmt(result.ess)}, "
+            f"max weight share={_fmt(result.max_weight_share)}]"
+        )
+    return (
+        f"P(agree) = {_fmt(result.p_hat)} +/- {_fmt(result.std_error)} "
+        f"[{result.method}, n={result.n_samples}, seed={result.seed}]"
+    )
 
 
 def _ratio_dict(label: str, r: RatioResult) -> dict:
@@ -163,12 +155,12 @@ def cmd_validate(args) -> int:
         command="validate",
         config=built.resolved,
         agreement=rule_doc,
-        estimates=[_estimate_dict(est)],
+        estimates=[asdict(est)],
         wall_time_s=time.perf_counter() - t0,
     )
     fmt = args.format or built.output.get("format", "json")
     _write_record(record, args.out or built.output.get("path"), fmt)
-    print(f"P(agree) = {_fmt(est.p_hat)} +/- {_fmt(est.std_error)} [{est.method}, n={est.n_samples}, seed={est.seed}]")
+    print(_result_line(est))
     print(f"agreement: {json.dumps(rule_doc, sort_keys=True)}")
     return EXIT_OK
 
@@ -199,7 +191,7 @@ def cmd_ratio(args) -> int:
         command="ratio",
         config={"model": doc_m, "model_other": doc_m2, "prior_m": args.prior_m, "prior_m_other": args.prior_m2},
         agreement=doc_m.get("agreement"),
-        estimates=[_estimate_dict(est_m), _estimate_dict(est_m2)],
+        estimates=[asdict(est_m), asdict(est_m2)],
         ratios=[_ratio_dict("factor", factor), _ratio_dict("ratio", ratio)],
         wall_time_s=time.perf_counter() - t0,
     )
@@ -258,7 +250,7 @@ def cmd_sweep(args) -> int:
             epsilons,
             m=args.m,
             estimator=estimator.get("method", "grid"),
-            k=args.samples if args.samples is not None else estimator.get("samples", 10_000),
+            k=args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES),
             seed=seed,
         )
         grids.append(grid)
@@ -315,172 +307,34 @@ def cmd_reproduce(args) -> int:
 # Metric subcommands
 
 
-def _metric_section(doc: dict, expected: str) -> dict:
-    metric = doc.get("metric")
-    if not metric:
-        raise ConfigError("config field $.metric: section is required for this command")
-    if metric["name"] != expected:
-        raise ConfigError(f"config field $.metric.name: expected '{expected}', got '{metric['name']}'")
-    return metric
-
-
-def _section_distribution(doc: dict, section: str):
-    sec = doc.get(section)
-    if not sec:
-        raise ConfigError(f"config field $.{section}: section is required for this command")
-    from .config import _data_dist_from_section, _model_dist_from_section
-
-    if section == "model":
-        return _model_dist_from_section(sec)
-    return _data_dist_from_section(sec)
-
-
-def _agreement_rule(doc: dict, model_dist=None):
-    if "agreement" not in doc:
-        raise ConfigError("config field $.agreement: section is required for this command")
-    return rule_from_config(doc["agreement"], model_dist)
-
-
-def _estimator_params(doc: dict):
-    est = doc.get("estimator", {})
-    return est.get("samples", 10_000), est.get("seed", 0)
-
-
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
     doc = load_config(args.config)
     name = args.metric_name
-    metric = _metric_section(doc, name)
-    samples, seed = _estimator_params(doc)
-    if args.seed is not None:
-        seed = args.seed
-    if args.samples is not None:
-        samples = args.samples
-    extras: dict = {}
-
-    if name == "reliability":
-        est = reliability(
-            _section_distribution(doc, "model"),
-            _section_distribution(doc, "data"),
-            eps=metric["eps"],
-            k=samples,
-            seed=seed,
-        )
-    elif name == "improved_reliability":
-        est = improved_reliability(
-            _section_distribution(doc, "model"),
-            _section_distribution(doc, "data"),
-            eps=metric["eps"],
-            k=samples,
-            seed=seed,
-        )
-    elif name == "frequentist":
-        ds = metric["data_summary"]
-        est = frequentist(
-            metric["model_mean"],
-            DataSummary(ds["mean"], ds["std"], ds["n"]),
-            _agreement_rule(doc),
-        )
-    elif name == "power":
-        res = statistical_power_bvm(
-            _section_distribution(doc, "model"),
-            _section_distribution(doc, "data"),
-            alpha=metric["alpha"],
-            alpha_hat=metric["alpha_hat"],
-            region_kind=metric.get("region", "interval"),
-            seed=seed,
-        )
-        est = res.estimate
-        extras = {
-            "power_model_in_data": res.power_model_in_data,
-            "power_data_in_model": res.power_data_in_model,
-            "systematic_error": res.systematic_error,
-        }
-    elif name == "classical":
-        res = classical_hypothesis(_section_distribution(doc, "data"), metric["alpha"])
-        est = res.estimate
-        extras = {"critical_interval": [res.interval.lo, res.interval.hi]}
-    elif name == "evidence":
-        model_sec = doc.get("model", {})
-        if "model_function" not in model_sec:
-            raise ConfigError("config field $.model: evidence needs model_function + prior + grid")
-        from .config import grid_from_config, model_function_from_config
-
-        grid = grid_from_config(model_sec["grid"])
-        res = bayesian_evidence(
-            model_function_from_config(model_sec["model_function"]),
-            distribution_from_config(model_sec["prior"]),
-            GaussianLikelihoodSpec(metric["sigma"], np.asarray(metric["data_y"], dtype=float), grid),
-            k=samples,
-            seed=seed,
-        )
-        print(
-            f"log evidence = {_fmt(res.log_evidence)} +/- {_fmt(res.std_error_log)} "
-            f"[n={res.n_samples}, seed={res.seed}, ess={_fmt(res.ess)}, max weight share={_fmt(res.max_weight_share)}]"
-        )
-        record = RunRecord(
-            command=name,
-            config=doc,
-            estimates=[{
-                "log_evidence": res.log_evidence,
-                "std_error_log": res.std_error_log,
-                "n_samples": res.n_samples,
-                "seed": res.seed,
-                "ess": res.ess,
-                "max_weight_share": res.max_weight_share,
-            }],
-            wall_time_s=time.perf_counter() - t0,
-        )
-        _write_record(record, args.out)
-        return EXIT_OK
-    elif name == "area":
-        est = area_metric_validation(
-            np.asarray(metric["samples_m"], dtype=float),
-            np.asarray(metric["samples_d"], dtype=float),
-            _agreement_rule(doc),
-            bootstrap=metric.get("bootstrap", 0),
-            seed=seed,
-        )
-    elif name == "binned_pdf":
-        pdf = BinnedPdf(np.asarray(metric["edges"], dtype=float), np.asarray(metric["model_masses"], dtype=float))
-        est = binned_pdf_metric(
-            pdf,
-            np.asarray(metric["data_counts"], dtype=float),
-            _agreement_rule(doc),
-            r=metric.get("draws", samples),
-            seed=seed,
-        )
-    elif name == "divergence":
-        edges = np.asarray(metric["edges"], dtype=float)
-        est = divergence_validation(
-            BinnedPdf(edges, np.asarray(metric["model_masses"], dtype=float)),
-            BinnedPdf(edges, np.asarray(metric["data_masses"], dtype=float)),
-            kind=metric["kind"],
-            rule=_agreement_rule(doc),
-            seed=seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown metric '{name}'")
-
+    section = doc.get("metric")
+    if not section:
+        raise ConfigError("config field $.metric: section is required for this command")
+    if section["name"] != name:
+        raise ConfigError(f"config field $.metric.name: expected '{name}', got '{section['name']}'")
+    estimator = doc.get("estimator", {})
+    samples = args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES)
+    seed = args.seed if args.seed is not None else estimator.get("seed", 0)
+    result, extras = METRICS[name].run(doc, section, samples, seed)
     record = RunRecord(
         command=name,
         config=doc,
         agreement=doc.get("agreement"),
-        estimates=[{**_estimate_dict(est), **extras}],
+        estimates=[{**asdict(result), **extras}],
         wall_time_s=time.perf_counter() - t0,
     )
     _write_record(record, args.out)
-    print(f"P(agree) = {_fmt(est.p_hat)} +/- {_fmt(est.std_error)} [{est.method}, n={est.n_samples}, seed={est.seed}]")
+    print(_result_line(result))
     for key, value in extras.items():
         print(f"{key} = {value}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-
-
-# One subcommand per metric the config schema knows, in schema order.
-_METRIC_NAMES = [branch["properties"]["name"]["const"] for branch in _METRIC["oneOf"]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_reproduce)
 
-    for name in _METRIC_NAMES:
+    for name in METRICS:  # one subcommand per metric table entry, in table order
         p = sub.add_parser(name, help=f"run the {name.replace('_', ' ')} metric from a config")
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)

@@ -5,20 +5,38 @@ comparison, agreement) plus estimator and output settings as tagged
 records. Documents are schema-validated before anything runs; unknown
 keys are rejected so that typos fail loudly rather than silently using
 defaults.
+
+The metric table ``METRICS`` lists each metric subcommand once: the
+fields of its ``metric`` section, from which the schema is built, and the
+runner that builds its inputs from the document and calls the metric.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import agreement as ag
 from . import distributions as dist
-from .comparison import get_comparison_fn
+from .comparison import BinnedPdf, get_comparison_fn
 from .engine import Scenario, SweepTemplate
+from .metrics import (
+    DataSummary,
+    GaussianLikelihoodSpec,
+    area_metric_validation,
+    bayesian_evidence,
+    binned_pdf_metric,
+    classical_hypothesis,
+    divergence_validation,
+    frequentist,
+    improved_reliability,
+    reliability,
+    statistical_power_bvm,
+)
 from .models import InputGrid, ModelFunction, damped_oscillator_model, polynomial_model
 from .rng import BAND_STREAM, INSTANCE_STREAM, chunk_rng
 
@@ -37,6 +55,9 @@ __all__ = [
     "grid_from_config",
     "grid_to_config",
     "SCENARIO_SCHEMA",
+    "DEFAULT_SAMPLES",
+    "METRICS",
+    "Metric",
 ]
 
 
@@ -354,95 +375,176 @@ _OUTPUT = {
     "additionalProperties": False,
 }
 
-_METRIC = {
-    "oneOf": [
+# ---------------------------------------------------------------------------
+# Metric table: each metric subcommand is one entry
+
+
+# Sample count of an estimator section that gives none.
+DEFAULT_SAMPLES = 10_000
+
+
+class Metric(NamedTuple):
+    """One metric subcommand: the fields of its ``metric`` config section
+    besides ``name``, and how it runs.
+
+    ``run(doc, section, samples, seed)`` returns ``(result, extras)``: the
+    result dataclass (a ``BvmEstimate``, or an ``EvidenceResult``) and a
+    dict of further named numbers, both written to the run record.
+    """
+
+    properties: dict
+    required: tuple
+    run: Callable[[dict, dict, int, int], tuple]
+
+
+def _section(doc: dict, name: str) -> dict:
+    if not doc.get(name):
+        raise ConfigError(f"config field $.{name}: section is required for this command")
+    return doc[name]
+
+
+def _model_dist(doc: dict) -> dist.Distribution:
+    return _model_dist_from_section(_section(doc, "model"))
+
+
+def _data_dist(doc: dict) -> dist.Distribution:
+    return _data_dist_from_section(_section(doc, "data"))
+
+
+def _rule(doc: dict) -> ag.AgreementRule:
+    return rule_from_config(_section(doc, "agreement"))
+
+
+def _run_reliability(doc, metric, samples, seed):
+    return reliability(_model_dist(doc), _data_dist(doc), eps=metric["eps"], k=samples, seed=seed), {}
+
+
+def _run_improved_reliability(doc, metric, samples, seed):
+    return improved_reliability(_model_dist(doc), _data_dist(doc), eps=metric["eps"], k=samples, seed=seed), {}
+
+
+def _run_frequentist(doc, metric, samples, seed):
+    ds = metric["data_summary"]
+    return frequentist(metric["model_mean"], DataSummary(ds["mean"], ds["std"], ds["n"]), _rule(doc)), {}
+
+
+def _run_power(doc, metric, samples, seed):
+    res = statistical_power_bvm(
+        _model_dist(doc),
+        _data_dist(doc),
+        alpha=metric["alpha"],
+        alpha_hat=metric["alpha_hat"],
+        region_kind=metric.get("region", "interval"),
+        seed=seed,
+    )
+    extras = {
+        "power_model_in_data": res.power_model_in_data,
+        "power_data_in_model": res.power_data_in_model,
+        "systematic_error": res.systematic_error,
+    }
+    return res.estimate, extras
+
+
+def _run_classical(doc, metric, samples, seed):
+    res = classical_hypothesis(_data_dist(doc), metric["alpha"])
+    return res.estimate, {"critical_interval": [res.interval.lo, res.interval.hi]}
+
+
+def _run_evidence(doc, metric, samples, seed):
+    model_sec = doc.get("model", {})
+    if "model_function" not in model_sec:
+        raise ConfigError("config field $.model: evidence needs model_function + prior + grid")
+    grid = grid_from_config(model_sec["grid"])
+    res = bayesian_evidence(
+        model_function_from_config(model_sec["model_function"]),
+        distribution_from_config(model_sec["prior"]),
+        GaussianLikelihoodSpec(metric["sigma"], metric["data_y"], grid),
+        k=samples,
+        seed=seed,
+    )
+    return res, {}
+
+
+def _run_area(doc, metric, samples, seed):
+    est = area_metric_validation(
+        metric["samples_m"], metric["samples_d"], _rule(doc), bootstrap=metric.get("bootstrap", 0), seed=seed
+    )
+    return est, {}
+
+
+def _run_binned_pdf(doc, metric, samples, seed):
+    pdf = BinnedPdf(metric["edges"], metric["model_masses"])
+    return binned_pdf_metric(pdf, metric["data_counts"], _rule(doc), r=metric.get("draws", samples), seed=seed), {}
+
+
+def _run_divergence(doc, metric, samples, seed):
+    model_pdf = BinnedPdf(metric["edges"], metric["model_masses"])
+    data_pdf = BinnedPdf(metric["edges"], metric["data_masses"])
+    return divergence_validation(model_pdf, data_pdf, metric["kind"], _rule(doc), seed=seed), {}
+
+
+METRICS: dict[str, Metric] = {
+    "reliability": Metric({"eps": _NUM}, ("eps",), _run_reliability),
+    "improved_reliability": Metric({"eps": {"oneOf": [_NUM, _NUM_ARRAY]}}, ("eps",), _run_improved_reliability),
+    "frequentist": Metric(
         {
-            "type": "object",
-            "properties": {"name": {"const": "reliability"}, "eps": _NUM},
-            "required": ["name", "eps"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"name": {"const": "improved_reliability"}, "eps": {"oneOf": [_NUM, _NUM_ARRAY]}},
-            "required": ["name", "eps"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "name": {"const": "frequentist"},
-                "model_mean": _NUM,
-                "data_summary": {
-                    "type": "object",
-                    "properties": {"mean": _NUM, "std": {"type": "number", "exclusiveMinimum": 0}, "n": {"type": "integer", "minimum": 2}},
-                    "required": ["mean", "std", "n"],
-                    "additionalProperties": False,
-                },
+            "model_mean": _NUM,
+            "data_summary": {
+                "type": "object",
+                "properties": {"mean": _NUM, "std": {"type": "number", "exclusiveMinimum": 0}, "n": {"type": "integer", "minimum": 2}},
+                "required": ["mean", "std", "n"],
+                "additionalProperties": False,
             },
-            "required": ["name", "model_mean", "data_summary"],
-            "additionalProperties": False,
         },
+        ("model_mean", "data_summary"),
+        _run_frequentist,
+    ),
+    "power": Metric(
         {
-            "type": "object",
-            "properties": {
-                "name": {"const": "power"},
-                "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "alpha_hat": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "region": {"enum": ["interval", "set"]},
-            },
-            "required": ["name", "alpha", "alpha_hat"],
-            "additionalProperties": False,
+            "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+            "alpha_hat": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+            "region": {"enum": ["interval", "set"]},
         },
+        ("alpha", "alpha_hat"),
+        _run_power,
+    ),
+    "classical": Metric(
+        {"alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}, ("alpha",), _run_classical
+    ),
+    "evidence": Metric(
+        {"sigma": {"type": "number", "exclusiveMinimum": 0}, "data_y": _NUM_ARRAY}, ("sigma", "data_y"), _run_evidence
+    ),
+    "area": Metric(
+        {"samples_m": _NUM_ARRAY, "samples_d": _NUM_ARRAY, "bootstrap": {"type": "integer", "minimum": 0}},
+        ("samples_m", "samples_d"),
+        _run_area,
+    ),
+    "binned_pdf": Metric(
+        {"edges": _NUM_ARRAY, "model_masses": _NUM_ARRAY, "data_counts": _NUM_ARRAY, "draws": {"type": "integer", "minimum": 1}},
+        ("edges", "model_masses", "data_counts"),
+        _run_binned_pdf,
+    ),
+    "divergence": Metric(
         {
-            "type": "object",
-            "properties": {"name": {"const": "classical"}, "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}},
-            "required": ["name", "alpha"],
-            "additionalProperties": False,
+            "kind": {"enum": ["kl", "sym_kl", "js", "hellinger"]},
+            "edges": _NUM_ARRAY,
+            "model_masses": _NUM_ARRAY,
+            "data_masses": _NUM_ARRAY,
         },
-        {
-            "type": "object",
-            "properties": {"name": {"const": "evidence"}, "sigma": {"type": "number", "exclusiveMinimum": 0}, "data_y": _NUM_ARRAY},
-            "required": ["name", "sigma", "data_y"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "name": {"const": "area"},
-                "samples_m": _NUM_ARRAY,
-                "samples_d": _NUM_ARRAY,
-                "bootstrap": {"type": "integer", "minimum": 0},
-            },
-            "required": ["name", "samples_m", "samples_d"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "name": {"const": "binned_pdf"},
-                "edges": _NUM_ARRAY,
-                "model_masses": _NUM_ARRAY,
-                "data_counts": _NUM_ARRAY,
-                "draws": {"type": "integer", "minimum": 1},
-            },
-            "required": ["name", "edges", "model_masses", "data_counts"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "name": {"const": "divergence"},
-                "kind": {"enum": ["kl", "sym_kl", "js", "hellinger"]},
-                "edges": _NUM_ARRAY,
-                "model_masses": _NUM_ARRAY,
-                "data_masses": _NUM_ARRAY,
-            },
-            "required": ["name", "kind", "edges", "model_masses", "data_masses"],
-            "additionalProperties": False,
-        },
-    ]
+        ("kind", "edges", "model_masses", "data_masses"),
+        _run_divergence,
+    ),
 }
+
+
+def _metric_schema(name: str, metric: Metric) -> dict:
+    return {
+        "type": "object",
+        "properties": {"name": {"const": name}, **metric.properties},
+        "required": ["name", *metric.required],
+        "additionalProperties": False,
+    }
+
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -459,7 +561,7 @@ SCENARIO_SCHEMA = {
         "agreement": {"$ref": "#/$defs/rule"},
         "estimator": _ESTIMATOR,
         "output": _OUTPUT,
-        "metric": _METRIC,
+        "metric": {"oneOf": [_metric_schema(name, m) for name, m in METRICS.items()]},
     },
     "required": [],
     "additionalProperties": False,
@@ -746,7 +848,7 @@ def build_scenario(doc: dict) -> BuiltScenario:
     rule = rule_from_config(doc["agreement"], model_dist)
     scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
     estimator = dict(doc["estimator"])
-    estimator.setdefault("samples", 10_000)
+    estimator.setdefault("samples", DEFAULT_SAMPLES)
     estimator.setdefault("bins", 64)
     return BuiltScenario(
         scenario=scenario,

@@ -262,27 +262,48 @@ def bvm_from_density(density: ComparisonDensity, rule: AgreementRule) -> float:
 
 @dataclass(frozen=True)
 class RatioResult:
-    """A ratio of agreement probabilities with explicit degenerate states.
+    """A ratio of two nonnegative quantities with explicit degenerate states.
 
     ``status`` is 'ok', 'indeterminate' (0/0) or 'infinite' (x/0, x > 0);
-    ``value`` is None unless status is 'ok'.
+    ``value`` is None unless status is 'ok'. A ratio built in log space
+    (:meth:`of_logs`, as the Bayes factor is) also carries ``log_value``,
+    which stays exact where ``value`` overflows to inf or underflows to 0.
+    NaN, infinite and negative terms raise ``ValueError``.
     """
 
     status: str
     value: float | None
+    log_value: float | None = None
 
     @classmethod
     def of(cls, num: float, den: float) -> "RatioResult":
+        if not all(math.isfinite(x) and x >= 0.0 for x in (num, den)):
+            raise ValueError(f"ratio terms must be finite and nonnegative, got {num!r} / {den!r}")
         if den == 0.0 and num == 0.0:
             return cls("indeterminate", None)
         if den == 0.0:
             return cls("infinite", None)
         return cls("ok", num / den)
 
+    @classmethod
+    def of_logs(cls, log_num: float, log_den: float) -> "RatioResult":
+        """The ratio exp(log_num) / exp(log_den); a log of -inf is a zero term."""
+        if any(math.isnan(x) or x == math.inf for x in (log_num, log_den)):
+            raise ValueError(f"log ratio terms must not be NaN or +inf, got {log_num!r} / {log_den!r}")
+        if log_den == -math.inf:
+            return cls("indeterminate" if log_num == -math.inf else "infinite", None)
+        log_value = log_num - log_den
+        try:
+            value = math.exp(log_value)
+        except OverflowError:
+            value = math.inf
+        return cls("ok", value, log_value)
+
     def scaled(self, factor: float) -> "RatioResult":
         if self.status != "ok":
             return self
-        return RatioResult("ok", self.value * factor)
+        log_value = None if self.log_value is None else self.log_value + math.log(factor)
+        return RatioResult("ok", self.value * factor, log_value)
 
 
 def _p_of(est) -> float:
@@ -295,7 +316,12 @@ def bvm_factor(p_agree: BvmEstimate | float, p_agree_other: BvmEstimate | float)
 
 
 def bvm_ratio(factor: RatioResult, prior_m: float, prior_m_other: float) -> RatioResult:
-    """Factor times prior odds; equals the factor under equal priors."""
+    """Factor times prior odds; equals the factor under equal priors.
+
+    Given a Bayes factor (:func:`bvm.metrics.bayes_factor`) it is the
+    posterior odds of the two models: Bayesian model testing as a special
+    case of the BVM ratio.
+    """
     if prior_m <= 0 or prior_m_other <= 0:
         raise ValueError("model priors must be positive")
     return factor.scaled(prior_m / prior_m_other)

@@ -32,7 +32,7 @@ from .distributions import (
     confidence_set,
     probability_in_region,
 )
-from .engine import BvmEstimate, EstimationError, Scenario, estimate_bvm_mc
+from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, estimate_bvm_mc
 from .models import InputGrid, ModelFunction
 from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng, map_chunks
 
@@ -518,30 +518,18 @@ def bayesian_evidence(
     )
 
 
-@dataclass(frozen=True)
-class BayesFactorResult:
-    status: str
-    log_factor: float | None
-
-    @property
-    def factor(self) -> float | None:
-        return None if self.log_factor is None else math.exp(self.log_factor)
-
-
 def _log_evidence_of(ev) -> float:
     if isinstance(ev, EvidenceResult):
         return ev.log_evidence
     ev = float(ev)
-    if ev < 0:
-        raise ValueError("evidence must be nonnegative")
+    if not ev >= 0:
+        raise ValueError(f"evidence must be a nonnegative number, got {ev!r}")
     return math.log(ev) if ev > 0 else -math.inf
 
 
-def bayes_factor(ev1, ev2) -> BayesFactorResult:
-    """Evidence ratio computed in log space; 0/0 is flagged, not NaN."""
-    l1, l2 = _log_evidence_of(ev1), _log_evidence_of(ev2)
-    if l1 == -math.inf and l2 == -math.inf:
-        return BayesFactorResult(status="indeterminate", log_factor=None)
-    if l2 == -math.inf:
-        return BayesFactorResult(status="infinite", log_factor=None)
-    return BayesFactorResult(status="ok", log_factor=l1 - l2)
+def bayes_factor(ev1, ev2) -> RatioResult:
+    """Evidence ratio ev1 / ev2 computed in log space (``log_value``); 0/0
+    is flagged, not NaN, and a NaN or infinite evidence raises ValueError.
+    Scaled by prior odds (:func:`bvm.engine.bvm_ratio`) it is the
+    posterior odds."""
+    return RatioResult.of_logs(_log_evidence_of(ev1), _log_evidence_of(ev2))

@@ -282,9 +282,25 @@ class TestRatios:
         k = bvm_factor(0.5, 0.25)
         assert bvm_ratio(k, 1.0, 1.0).value == pytest.approx(2.0)
         assert bvm_ratio(k, 1.0, 2.0).value == pytest.approx(1.0)
+        assert bvm_ratio(k, 1.0, 2.0).log_value is None
         assert bvm_ratio(bvm_factor(0.0, 0.0), 1.0, 2.0).status == "indeterminate"
         with pytest.raises(ValueError):
             bvm_ratio(k, 0.0, 1.0)
+
+    @pytest.mark.parametrize("num, den", [(math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5), (0.5, -0.1), (math.inf, 0.5)])
+    def test_non_finite_or_negative_terms_raise(self, num, den):
+        with pytest.raises(ValueError):
+            bvm_factor(num, den)
+
+    @pytest.mark.parametrize("log_num, log_den", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf)])
+    def test_nan_or_infinite_logs_raise(self, log_num, log_den):
+        with pytest.raises(ValueError):
+            RatioResult.of_logs(log_num, log_den)
+
+    def test_log_space_states(self):
+        assert RatioResult.of_logs(-math.inf, -math.inf).status == "indeterminate"
+        assert RatioResult.of_logs(-3.0, -math.inf).status == "infinite"
+        assert RatioResult.of_logs(-math.inf, -3.0) == RatioResult("ok", 0.0, -math.inf)
 
 
 def small_template(seed=0, uncertain=True, n_points=12, points_per_param=7):

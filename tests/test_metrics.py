@@ -28,6 +28,7 @@ from bvm import (
     SoftExponential,
     StudentT,
     Threshold,
+    bvm_ratio,
     estimate_bvm_mc,
     polynomial_model,
     push_forward,
@@ -35,6 +36,7 @@ from bvm import (
 from bvm.metrics import (
     ClassicalTestResult,
     DataSummary,
+    EvidenceResult,
     GaussianLikelihoodSpec,
     area_metric_validation,
     bayes_factor,
@@ -378,6 +380,10 @@ def conjugate_closed_form(y, sigma, tau):
     return stats.norm.pdf(y, 0.0, math.hypot(sigma, tau))
 
 
+def _evidence(log_evidence):
+    return EvidenceResult(log_evidence, 0.01, 1000, 0, ess=1000.0, max_weight_share=0.001)
+
+
 class TestEvidence:
     def test_certain_prior_is_exact_likelihood(self):
         grid = InputGrid(np.array([0.0, 1.0]))
@@ -440,17 +446,39 @@ class TestEvidence:
         ev2 = bayesian_evidence(model, Normal(0, 0.4), lik, k=50_000, seed=7)
         bf = bayes_factor(ev1, ev2)
         assert bf.status == "ok"
-        assert bf.log_factor == ev1.log_evidence - ev2.log_evidence
+        assert bf.log_value == ev1.log_evidence - ev2.log_evidence
         closed = math.log(conjugate_closed_form(0.7, 0.5, 1.1) / conjugate_closed_form(0.7, 0.5, 0.4))
         spread = 3 * math.hypot(ev1.std_error_log, ev2.std_error_log)
-        assert abs(bf.log_factor - closed) <= spread
+        assert abs(bf.log_value - closed) <= spread
 
     def test_bayes_factor_degenerate_states(self):
-        assert bayes_factor(1.0, 1.0).factor == pytest.approx(1.0)
+        assert bayes_factor(1.0, 1.0).value == pytest.approx(1.0)
         assert bayes_factor(0.0, 0.0).status == "indeterminate"
         assert bayes_factor(1.0, 0.0).status == "infinite"
         with pytest.raises(ValueError):
             bayes_factor(-1.0, 1.0)
+
+    @pytest.mark.parametrize("ev1, ev2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf), (math.inf, 1.0)])
+    def test_bayes_factor_rejects_nan_and_infinite_evidence(self, ev1, ev2):
+        with pytest.raises(ValueError):
+            bayes_factor(ev1, ev2)
+
+    def test_bayes_factor_rejects_nan_log_evidence(self):
+        with pytest.raises(ValueError):
+            bayes_factor(_evidence(math.nan), _evidence(0.0))
+
+    def test_bayes_factor_overflow_keeps_exact_log(self):
+        bf = bayes_factor(_evidence(0.0), _evidence(-1000.0))
+        assert bf.status == "ok"
+        assert bf.value == math.inf
+        assert bf.log_value == 1000.0
+        assert bayes_factor(_evidence(-1000.0), _evidence(0.0)).value == 0.0
+
+    def test_posterior_odds_are_the_scaled_bayes_factor(self):
+        bf = bayes_factor(_evidence(-2.5), _evidence(-4.0))
+        odds = bvm_ratio(bf, 2, 1)
+        assert odds.log_value == bf.log_value + math.log(2)
+        assert odds.value == pytest.approx(2.0 * math.exp(1.5))
 
 
 class TestCrossMetricConsistency:
