@@ -327,7 +327,8 @@ def cmd_metric(args) -> int:
         estimates=[{**asdict(result), **extras}],
         wall_time_s=time.perf_counter() - t0,
     )
-    _write_record(record, args.out)
+    output = doc.get("output", {})
+    _write_record(record, args.out or output.get("path"), output.get("format", "json"))
     print(_result_line(result))
     for key, value in extras.items():
         print(f"{key} = {value}")

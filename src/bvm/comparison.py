@@ -1,9 +1,9 @@
 """Comparison value functions: path errors, ECDF area, binned-pdf distances.
 
 Each registered function maps a (model value, data value) pair to the
-quantitative measure an agreement rule thresholds. Pair variants take a
-single pair; the vectorised variants used by the estimators take stacked
-batches along axis 0.
+quantitative measure an agreement rule thresholds. Each has one
+implementation, over pairs stacked along axis 0 or over a single pair; path
+errors and binned-pdf distances reduce along the last axis.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ def area_metric(f1, f2) -> float:
 
 
 def area_metric_many(xm, rows) -> np.ndarray:
-    """Area between the ECDF of sample *xm* (size a) and the ECDF of each
-    row of the (m, b) array *rows*, in row order.
+    """Area between the ECDF of a model sample and the ECDF of each row of
+    the (m, b) array *rows*, in row order. *xm* is one sample of size a,
+    shared by every row, or an (m, a) array holding one sample per row.
 
     The area equals the integral over u in (0, 1] of |Q_m(u) - Q_row(u)|
     for the two quantile (sorted-sample step) functions. Both steps sit on
@@ -142,16 +143,16 @@ def area_metric_many(xm, rows) -> np.ndarray:
     area is the mean absolute difference of the sorted samples (the 1-d
     optimal-transport distance), and identical samples give exactly 0.
     """
-    xs = np.sort(np.asarray(xm, dtype=float))
+    xs = np.sort(np.asarray(xm, dtype=float), axis=-1)
     rows = np.asarray(rows, dtype=float)
-    if xs.ndim != 1 or rows.ndim != 2 or xs.size == 0 or rows.shape[1] == 0:
-        raise ValueError("need a nonempty sample and a 2-d array of nonempty rows")
-    a, b = xs.size, rows.shape[1]
+    if xs.ndim not in (1, 2) or rows.ndim != 2 or xs.size == 0 or rows.shape[1] == 0:
+        raise ValueError("need a nonempty sample (one, or one per row) and a 2-d array of nonempty rows")
+    a, b = xs.shape[-1], rows.shape[1]
     grid = np.union1d(np.arange(a + 1) * b, np.arange(b + 1) * a)
     right = grid[1:] - 1  # (grid[k], grid[k + 1]] holds no step of either side
     du = np.diff(grid) / (a * b)
     gap = np.sort(rows, axis=1)[:, right // a]
-    gap -= xs[right // b]
+    gap -= xs[..., right // b]
     np.abs(gap, out=gap)
     gap *= du
     # A running sum adds each row's terms in grid order whatever the batch
@@ -206,7 +207,7 @@ class BinnedPdf:
 
 def _paired_masses(p, q):
     if isinstance(p, BinnedPdf) and isinstance(q, BinnedPdf):
-        if p.edges.shape != q.edges.shape or not np.allclose(p.edges, q.edges, rtol=0, atol=0):
+        if not np.array_equal(p.edges, q.edges):
             raise ValueError("binned pdfs must share identical bin edges")
         return p.masses, q.masses
     p = np.asarray(p.masses if isinstance(p, BinnedPdf) else p, dtype=float)
@@ -216,38 +217,44 @@ def _paired_masses(p, q):
     return p, q
 
 
-def binned_prob_diff(p, q) -> float:
+def _per_row(x):
+    """The distances below reduce along the last axis: one pair of mass
+    vectors (or BinnedPdfs) gives a float, stacked (m, bins) rows m values."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def binned_prob_diff(p, q):
     """Sum over bins of |p_i - q_i|; ranges over [0, 2]."""
     pm, qm = _paired_masses(p, q)
-    return float(np.sum(np.abs(pm - qm)))
+    return _per_row(np.sum(np.abs(pm - qm), axis=-1))
 
 
-def kl_divergence(p, q) -> float:
+def kl_divergence(p, q):
     """KL(p || q) in nats with 0*ln(0) := 0; +inf when q misses p's support."""
     pm, qm = _paired_masses(p, q)
     support = pm > 0
-    if np.any(qm[support] == 0):
-        return float("inf")
-    return float(np.sum(pm[support] * np.log(pm[support] / qm[support])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(support, pm * np.log(pm / qm), 0.0)
+    missed = np.any(support & (qm == 0), axis=-1)
+    return _per_row(np.where(missed, np.inf, np.sum(terms, axis=-1)))
 
 
-def symmetrized_kl(p, q) -> float:
+def symmetrized_kl(p, q):
     return kl_divergence(p, q) + kl_divergence(q, p)
 
 
-def js_divergence(p, q) -> float:
+def js_divergence(p, q):
     """Jensen-Shannon divergence in nats; bounded by ln 2."""
     pm, qm = _paired_masses(p, q)
     m = 0.5 * (pm + qm)
     return 0.5 * kl_divergence(pm, m) + 0.5 * kl_divergence(qm, m)
 
 
-def hellinger(p, q) -> float:
+def hellinger(p, q):
     """Hellinger distance with the convention H^2 = 1 - sum_i sqrt(p_i q_i)."""
     pm, qm = _paired_masses(p, q)
-    if np.array_equal(pm, qm):
-        return 0.0  # sqrt(p*q) can lose an ulp; equal masses are exactly zero
-    return float(np.sqrt(max(0.0, 1.0 - np.sum(np.sqrt(pm * qm)))))
+    h = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.sqrt(pm * qm), axis=-1)))
+    return _per_row(np.where(np.all(pm == qm, axis=-1), 0.0, h))  # equal rows: exactly 0
 
 
 _DIVERGENCES = {
@@ -258,7 +265,8 @@ _DIVERGENCES = {
 }
 
 
-def divergence(kind: str, p, q) -> float:
+def divergence(kind: str, p, q):
+    """The named divergence of one mass pair (a float) or of stacked rows."""
     try:
         fn = _DIVERGENCES[kind]
     except KeyError:
@@ -277,28 +285,15 @@ def identity_statistic(zhat, z=None):
 
 @dataclass(frozen=True)
 class ComparisonFn:
-    """Named comparison function with paired and batched entry points."""
+    """Named comparison function: ``batch`` maps (model, data) values stacked
+    along axis 0 to one value per pair; ``pair`` computes the same on one pair."""
 
     name: str
     pair: Callable
-    batch: Callable | None = None
-    symmetric: bool = False
+    batch: Callable
 
     def on_batch(self, zhat_batch, z_batch) -> np.ndarray:
-        if self.batch is not None:
-            return np.asarray(self.batch(zhat_batch, z_batch), dtype=float)
-        return np.asarray(
-            [self.pair(zh, zv) for zh, zv in zip(zhat_batch, z_batch)], dtype=float
-        )
-
-
-def _path_batch(fn):
-    def run(zh, zv):
-        zh = np.atleast_2d(np.asarray(zh, dtype=float))
-        zv = np.atleast_2d(np.asarray(zv, dtype=float))
-        return fn(zh, zv)
-
-    return run
+        return np.asarray(self.batch(zhat_batch, z_batch), dtype=float)
 
 
 _REGISTRY: dict[str, ComparisonFn] = {}
@@ -310,23 +305,27 @@ def _register(fn: ComparisonFn, *aliases: str):
         _REGISTRY[alias] = fn
 
 
-_register(ComparisonFn("abs_diff", abs_diff, batch=abs_diff, symmetric=True))
-_register(ComparisonFn("sq_diff", sq_diff, batch=sq_diff, symmetric=True))
-_register(ComparisonFn("mean_abs_error", mean_abs_error, batch=_path_batch(mean_abs_error), symmetric=True))
-_register(ComparisonFn("max_abs_error", max_abs_error, batch=_path_batch(max_abs_error), symmetric=True))
-_register(ComparisonFn("per_point_abs_error", per_point_abs_error, batch=_path_batch(per_point_abs_error), symmetric=True))
-_register(ComparisonFn("area_metric", area_metric, symmetric=True))
-_register(ComparisonFn("kl", kl_divergence), "kl_divergence")
-_register(ComparisonFn("sym_kl", symmetrized_kl, symmetric=True), "symmetrized_kl")
-_register(ComparisonFn("js", js_divergence, symmetric=True), "js_divergence")
-_register(ComparisonFn("hellinger", hellinger, symmetric=True))
-_register(ComparisonFn("identity", identity_statistic, batch=lambda zh, z: identity_statistic(zh)))
-_register(ComparisonFn("abs_value", lambda zh, z=None: np.abs(np.asarray(zh, dtype=float)), batch=lambda zh, z: np.abs(np.asarray(zh, dtype=float))))
+def _abs_value(zh, z=None):
+    return np.abs(np.asarray(zh, dtype=float))
+
+
+_register(ComparisonFn("abs_diff", abs_diff, abs_diff))
+_register(ComparisonFn("sq_diff", sq_diff, sq_diff))
+_register(ComparisonFn("mean_abs_error", mean_abs_error, mean_abs_error))
+_register(ComparisonFn("max_abs_error", max_abs_error, max_abs_error))
+_register(ComparisonFn("per_point_abs_error", per_point_abs_error, per_point_abs_error))
+_register(ComparisonFn("area_metric", area_metric, area_metric_many))
+_register(ComparisonFn("kl", kl_divergence, kl_divergence), "kl_divergence")
+_register(ComparisonFn("sym_kl", symmetrized_kl, symmetrized_kl), "symmetrized_kl")
+_register(ComparisonFn("js", js_divergence, js_divergence), "js_divergence")
+_register(ComparisonFn("hellinger", hellinger, hellinger))
+_register(ComparisonFn("identity", identity_statistic, identity_statistic))
+_register(ComparisonFn("abs_value", _abs_value, _abs_value))
 
 
 def make_binned_prob_diff_fn(bins: int) -> ComparisonFn:
-    """Comparison on raw sample paths: bin both over the pooled range, then
-    sum the absolute mass differences."""
+    """Comparison on raw sample paths: bin both over their pooled range, then
+    sum the absolute mass differences; a batch does this row pair by row pair."""
 
     def pair(zh, zv):
         zh = np.asarray(zh, dtype=float)
@@ -339,7 +338,10 @@ def make_binned_prob_diff_fn(bins: int) -> ComparisonFn:
         q = BinnedPdf.from_samples(zv, bins, lo, hi)
         return binned_prob_diff(p, q)
 
-    return ComparisonFn(f"binned_prob_diff_{bins}", pair, symmetric=True)
+    def batch(zh, zv):
+        return np.array([pair(a, b) for a, b in zip(zh, zv)], dtype=float)
+
+    return ComparisonFn(f"binned_prob_diff_{bins}", pair, batch)
 
 
 def get_comparison_fn(name: str, **params) -> ComparisonFn:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm as _norm, t as _student_t
 
 from .agreement import AgreementRule, GammaEpsilon, Threshold
-from .comparison import BinnedPdf, area_metric, area_metric_many, divergence
+from .comparison import BinnedPdf, _paired_masses, area_metric, area_metric_many, divergence
 from .distributions import (
     ConfidenceRegion,
     DiracDelta,
@@ -92,14 +92,15 @@ class GaussianLikelihoodSpec:
         object.__setattr__(self, "data_y", y)
 
 
-def _resampled_weights(rule: AgreementRule, values_of_chunk, n: int, seed: int) -> np.ndarray:
-    """Kernel weights of n resampled comparison values, in draw order.
+def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int) -> BvmEstimate:
+    """Mean kernel weight of n resampled comparison values.
 
     ``values_of_chunk(rng, m)`` returns the m comparison values of one
     chunk, drawn from that chunk's RESAMPLE_STREAM generator. The rule
     reads each value on both of its sides, so it must compare through a
     value comparison ('identity' or 'abs_value'). Chunks run on
-    :func:`map_chunks`.
+    :func:`map_chunks`. The standard error is binomial (with a Wilson
+    interval) for a hard rule, and std(weights) / sqrt(n) for a soft one.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
@@ -108,7 +109,11 @@ def _resampled_weights(rule: AgreementRule, values_of_chunk, n: int, seed: int) 
         v = values_of_chunk(chunk_rng(seed, RESAMPLE_STREAM, c), m)
         return np.asarray(rule.kernel_many(v, v), dtype=float)
 
-    return np.concatenate(map_chunks(chunk_weights, n))
+    w = np.concatenate(map_chunks(chunk_weights, n))
+    p = float(np.mean(w))
+    if not rule.is_soft:
+        return BvmEstimate.binomial(p, n, seed)
+    return BvmEstimate(p_hat=p, std_error=float(np.std(w) / math.sqrt(n)), n_samples=n, seed=seed, method="mc")
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +309,7 @@ def area_metric_validation(
         # The first m rows of an (m, n) index draw equal those of a full chunk's.
         return area_metric_many(xm, xd[rng.integers(0, xd.size, (m, xd.size))])
 
-    w = _resampled_weights(rule, areas, bootstrap, seed)
-    return BvmEstimate.binomial(float(np.mean(w)), bootstrap, seed)
+    return _resampled_estimate(rule, areas, bootstrap, seed)
 
 
 def binned_pdf_metric(
@@ -328,12 +332,7 @@ def binned_pdf_metric(
         draws = rng.dirichlet(alpha, CHUNK_SIZE)[:m]
         return np.sum(np.abs(model_pdf.masses - draws), axis=1)
 
-    w = _resampled_weights(rule, distances, r, seed)
-    p = float(np.mean(w))
-    if not rule.is_soft:
-        return BvmEstimate.binomial(p, r, seed)
-    se = float(np.std(w) / math.sqrt(r))
-    return BvmEstimate(p_hat=p, std_error=se, n_samples=r, seed=seed, method="mc")
+    return _resampled_estimate(rule, distances, r, seed)
 
 
 def divergence_validation(
@@ -358,14 +357,12 @@ def divergence_validation(
         return BvmEstimate(p_hat=rule.kernel(g, g), std_error=0.0, n_samples=0, seed=seed, method="closedForm")
 
     def divergences(rng, m):
-        out = np.empty(m)
-        for i in range(m):
-            pm, pd = sampler(rng)
-            out[i] = divergence(kind, pd, pm)
-        return out
+        # One divergence call scores the chunk's m pdf pairs, drawn in order.
+        pairs = [sampler(rng) for _ in range(m)]
+        data, model = zip(*(_paired_masses(pd, pm) for pm, pd in pairs))
+        return divergence(kind, np.stack(data), np.stack(model))
 
-    w = _resampled_weights(rule, divergences, r, seed)
-    return BvmEstimate.binomial(float(np.mean(w)), r, seed)
+    return _resampled_estimate(rule, divergences, r, seed)
 
 
 # ---------------------------------------------------------------------------

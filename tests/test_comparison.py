@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from bvm.comparison import (
+    _REGISTRY,
     BinnedPdf,
     area_metric,
     area_metric_many,
@@ -234,23 +235,83 @@ class TestDivergences:
                 assert a == pytest.approx(b, rel=1e-10)
 
 
+def _mass_rows(rng, m, bins):
+    """Stacked mass pairs with zero-mass bins, rows where q misses p's
+    support (KL = inf), and equal rows (which have zero-mass bins too)."""
+    p = rng.dirichlet(np.ones(bins), m)
+    q = rng.dirichlet(np.ones(bins), m)
+    p[::3, : bins // 2] = 0.0
+    q[1::3, -1] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    q[::6] = p[::6]
+    return p, q
+
+
+def _registry_inputs(rng, name):
+    """Stacked (model values, data values) batches a comparison reads."""
+    m = 30
+    if name in ("abs_diff", "sq_diff", "identity", "abs_value"):
+        return [(rng.normal(size=m), rng.normal(size=m))]
+    if name in ("mean_abs_error", "max_abs_error", "per_point_abs_error"):
+        return [(rng.normal(size=(m, 7)), rng.normal(size=(m, 7)))]
+    if name == "area_metric":
+        return [(rng.normal(size=(m, a)), rng.normal(0.3, 1.2, size=(m, b))) for a, b in ((9, 9), (5, 13))]
+    if name.startswith("binned_prob_diff_"):
+        zh = rng.normal(size=(m, 40))
+        zh[0] = 2.5  # a constant row: all its mass in one bin
+        return [(zh, rng.normal(0.4, 1.3, size=(m, 25)))]
+    # Divergences: fewer than 8 bins, and enough for a pairwise sum.
+    return [_mass_rows(rng, m, bins) for bins in (3, 8, 12)]
+
+
+def _binned_reference(a, b, bins):
+    # Per-row np.histogram over the pooled range padded 1%.
+    pooled = np.concatenate([a, b])
+    span = pooled.max() - pooled.min()
+    pad = 0.01 * span if span > 0 else 1e-9
+    rng_ = (pooled.min() - pad, pooled.max() + pad)
+    pa = np.histogram(a, bins, rng_)[0] / a.size
+    pb = np.histogram(b, bins, rng_)[0] / b.size
+    return float(np.sum(np.abs(pa - pb)))
+
+
 class TestRegistry:
     def test_batch_matches_pairwise(self):
+        # Every registry entry, plus binned_prob_diff at 1, 8 and 16 bins:
+        # each batch row is bit-equal to the pair computation on that row.
+        fns = {name: (get_comparison_fn(name), None) for name in _REGISTRY}
+        for bins in (1, 8, 16):
+            fns[f"binned_prob_diff_{bins}"] = (get_comparison_fn("binned_prob_diff", bins=bins), bins)
         rng = np.random.default_rng(10)
-        zh = rng.normal(size=(20, 7))
-        z = rng.normal(size=(20, 7))
-        for name in ("mean_abs_error", "max_abs_error"):
-            fn = get_comparison_fn(name)
-            batch = fn.on_batch(zh, z)
-            pairs = [fn.pair(a, b) for a, b in zip(zh, z)]
-            assert np.allclose(batch, pairs, atol=0)
+        for name, (fn, bins) in fns.items():
+            for zh, z in _registry_inputs(rng, name):
+                batch = fn.on_batch(zh, z)
+                assert batch.shape[0] == len(zh)
+                for i, (a, b) in enumerate(zip(zh, z)):
+                    assert np.array_equal(np.asarray(fn.pair(a, b)), batch[i]), (name, i)
+                if bins is not None:
+                    ref = [_binned_reference(a, b, bins) for a, b in zip(zh, z)]
+                    assert np.array_equal(batch, ref), name
+
+    def test_divergence_batches_keep_the_conventions(self):
+        p, q = _mass_rows(np.random.default_rng(13), 30, 12)
+        assert np.all(np.isinf(kl_divergence(p, q)[1::3]))
+        for kind in ("kl", "sym_kl", "js", "hellinger"):
+            values = divergence(kind, p, q)
+            assert values.shape == (30,)
+            assert np.all(values[::6] == 0.0)
+            assert np.all(values >= 0.0)
+
+    def test_area_batch_needs_one_model_sample_per_row(self):
+        with pytest.raises(ValueError):
+            area_metric_many(np.zeros((3, 4)), np.zeros((2, 4)))
 
     def test_symmetric_flags_hold(self):
         rng = np.random.default_rng(11)
         a, b = rng.normal(size=(2, 6))
         for name in ("abs_diff", "sq_diff", "mean_abs_error", "max_abs_error", "area_metric"):
             fn = get_comparison_fn(name)
-            assert fn.symmetric
             assert np.allclose(np.asarray(fn.pair(a, b)), np.asarray(fn.pair(b, a)))
 
     def test_unknown_name(self):

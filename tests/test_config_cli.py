@@ -564,3 +564,37 @@ class TestOutputFormats:
         assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         record = json.loads(open(tmp_path / "rec.json").read())
         assert record["command"] == "validate"
+
+    @staticmethod
+    def _classical_doc(**output):
+        return {
+            "metric": {"name": "classical", "alpha": 0.05},
+            "data": {"distribution": {"type": "student_t", "location": 0.0, "dof": 10.0, "scale": 1.75}},
+            "output": output,
+        }
+
+    def test_metric_honours_output_section_csv(self, tmp_config, tmp_path):
+        out = tmp_path / "rec.csv"
+        assert main(["classical", "--config", tmp_config(self._classical_doc(path=str(out), format="csv"))]) == EXIT_OK
+        header, values = list(csv.reader(open(out)))
+        assert header == sorted(header) and "critical_interval" in header
+        assert float(values[header.index("p_hat")]) == pytest.approx(0.95)
+
+    def test_metric_honours_output_section_json(self, tmp_config, tmp_path):
+        out = tmp_path / "rec.json"
+        assert main(["classical", "--config", tmp_config(self._classical_doc(path=str(out), format="json"))]) == EXIT_OK
+        record = json.loads(out.read_text())
+        assert record["command"] == "classical"
+        assert record["estimates"][0]["p_hat"] == pytest.approx(0.95)
+
+    def test_metric_output_format_defaults_to_json(self, tmp_config, tmp_path):
+        out = tmp_path / "rec.out"
+        assert main(["classical", "--config", tmp_config(self._classical_doc(path=str(out)))]) == EXIT_OK
+        assert json.loads(out.read_text())["command"] == "classical"
+
+    def test_metric_out_flag_overrides_output_path(self, tmp_config, tmp_path):
+        configured, flagged = tmp_path / "configured.json", tmp_path / "flagged.json"
+        cfg = tmp_config(self._classical_doc(path=str(configured), format="json"))
+        assert main(["classical", "--config", cfg, "--out", str(flagged)]) == EXIT_OK
+        assert json.loads(flagged.read_text())["command"] == "classical"
+        assert not configured.exists()

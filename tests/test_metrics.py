@@ -33,6 +33,7 @@ from bvm import (
     polynomial_model,
     push_forward,
 )
+from bvm.comparison import area_metric, divergence
 from bvm.metrics import (
     ClassicalTestResult,
     DataSummary,
@@ -315,6 +316,72 @@ class TestDivergenceValidation:
 
         divergence_validation(p, p, "js", Threshold("identity", 0.01), sampler=sampler, r=r, seed=0)
         assert len(calls) == r
+
+
+    def test_one_divergence_call_per_chunk(self, monkeypatch):
+        import bvm.metrics
+
+        edges = np.array([0.0, 0.5, 1.0])
+        p = BinnedPdf(edges, [0.5, 0.5])
+        shapes = []
+
+        def counted(kind, a, b):
+            shapes.append(np.shape(a))
+            return divergence(kind, a, b)
+
+        def sampler(rng):
+            w = rng.beta(50, 50)
+            return p, BinnedPdf(edges, [w, 1 - w])
+
+        monkeypatch.setattr(bvm.metrics, "divergence", counted)
+        divergence_validation(p, p, "js", Threshold("identity", 0.01), sampler=sampler, r=4096 + 17, seed=0)
+        assert shapes == [(4096, 2), (17, 2)]
+
+    def test_sampled_pdfs_must_share_edges(self):
+        p = BinnedPdf([0.0, 0.5, 1.0], [0.5, 0.5])
+        q = BinnedPdf([0.0, 0.4, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            divergence_validation(p, p, "js", AlwaysTrue(), sampler=lambda rng: (p, q), r=10, seed=0)
+
+
+class TestSoftResampledEstimates:
+    """A soft rule's standard error is the std of its weights over sqrt(n),
+    never the binomial one of a 0/1 indicator."""
+
+    RULE = SoftExponential("identity", 0.1, 20.0)
+
+    def test_area_with_constant_resamples_has_zero_std_error(self):
+        # Every bootstrap resample of a constant data sample is the same,
+        # so every resample has the same area and the same weight in (0, 1).
+        xm, xd = [0.0, 0.2], [0.3] * 7
+        est = area_metric_validation(xm, xd, self.RULE, bootstrap=5000, seed=3)
+        w = self.RULE.kernel(area_metric(xm, xd), area_metric(xm, xd))
+        assert 0.0 < w < 1.0
+        assert est.p_hat == pytest.approx(w, rel=1e-12)
+        assert est.std_error < 1e-12
+        assert est.method == "mc" and est.n_samples == 5000
+
+    def test_area_std_error_below_binomial(self):
+        rng = np.random.default_rng(4)
+        xm, xd = rng.normal(size=30), rng.normal(0.2, 1.1, 30)
+        est = area_metric_validation(xm, xd, self.RULE, bootstrap=5000, seed=3)
+        assert 0.0 < est.std_error < 0.5 * math.sqrt(est.p_hat * (1 - est.p_hat) / 5000)
+        assert est.ci_lo == pytest.approx(est.p_hat - 1.959963984540054 * est.std_error, rel=1e-9)
+
+    def test_divergence_matches_the_weights_of_the_drawn_pdfs(self):
+        edges = np.linspace(0.0, 1.0, 5)
+        p = BinnedPdf(edges, [0.1, 0.4, 0.3, 0.2])
+        drawn = []
+
+        def sampler(rng):
+            q = BinnedPdf(edges, rng.dirichlet([4.0, 11.0, 13.0, 7.0]))
+            drawn.append(q)
+            return p, q
+
+        est = divergence_validation(p, p, "hellinger", self.RULE, sampler=sampler, r=3000, seed=5)
+        w = np.array([self.RULE.kernel(g, g) for g in (divergence("hellinger", q, p) for q in drawn)])
+        assert est.p_hat == pytest.approx(np.mean(w), rel=1e-12)
+        assert est.std_error == pytest.approx(np.std(w) / math.sqrt(3000), rel=1e-9)
 
 
 class TestClassicalHypothesis:
