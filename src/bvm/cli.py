@@ -22,11 +22,13 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -51,6 +53,7 @@ from .engine import (
     weighted_paths,
 )
 from .metrics import EvidenceResult
+from .rng import CHUNK_SIZE, _max_workers
 from .studies import run_study, study_ids
 
 EXIT_OK = 0
@@ -69,6 +72,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _environment() -> dict:
+    """Library versions and run settings behind a record. Results are
+    bit-identical for a seed only within one numpy version (its generator
+    streams carry no cross-version guarantee); threads change only speed."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "bvm_threads": _max_workers(),
+        "chunk_size": CHUNK_SIZE,
+    }
+
+
 @dataclass
 class RunRecord:
     """Everything needed to audit and re-run one invocation."""
@@ -80,6 +96,7 @@ class RunRecord:
     ratios: list = field(default_factory=list)
     wall_time_s: float = 0.0
     version: str = __version__
+    environment: dict = field(default_factory=_environment)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -183,7 +200,7 @@ def cmd_ratio(args) -> int:
         )
     if args.prior_m <= 0 or args.prior_m2 <= 0:
         raise ConfigError("model priors must be positive")
-    _, est_m = _run_configured_scenario(doc_m, args.seed, args.samples)
+    built_m, est_m = _run_configured_scenario(doc_m, args.seed, args.samples)
     _, est_m2 = _run_configured_scenario(doc_m2, args.seed, args.samples)
     factor = bvm_factor(est_m, est_m2)
     ratio = bvm_ratio(factor, args.prior_m, args.prior_m2)
@@ -195,7 +212,9 @@ def cmd_ratio(args) -> int:
         ratios=[_ratio_dict("factor", factor), _ratio_dict("ratio", ratio)],
         wall_time_s=time.perf_counter() - t0,
     )
-    _write_record(record, args.out, args.format or "json")
+    # The first config's output section decides; --out and --format win over it.
+    fmt = args.format or built_m.output.get("format", "json")
+    _write_record(record, args.out or built_m.output.get("path"), fmt)
     for label, r in (("K", factor), ("R", ratio)):
         shown = _fmt(r.value) if r.status == "ok" else r.status
         print(f"{label} = {shown} [status={r.status}]")
@@ -353,7 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default=None)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("ratio", help="agreement ratio of two models under one rule")
+    p = sub.add_parser(
+        "ratio",
+        help="agreement ratio of two models under one rule",
+        description="Agreement ratio of two models under one rule. The run record goes to --out, "
+        "else to the first config's output.path in its output.format; the second config's "
+        "output section is ignored.",
+    )
     p.add_argument("config_m")
     p.add_argument("config_m2")
     p.add_argument("--prior-m", type=float, default=1.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri, poch, stdtr, stdtrit
 
 from .models import InputGrid, ModelFunction
 from .rng import CHUNK_SIZE, QUANTILE_STREAM, REGION_STREAM, _chunks, chunk_rng
@@ -51,6 +51,20 @@ def _float_if_scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+# The normal and Student-t functions are the scipy.special ufuncs behind
+# scipy.stats.norm and scipy.stats.t, composed in the same order, so each
+# result has the same bits as the scipy.stats call.
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _standardise(x, loc, scale):
+    return (np.asarray(x, dtype=float) - loc) / scale
+
+
+def _std_normal_pdf(z):
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Base class. Concrete variants implement ``_draw`` (one full chunk)."""
@@ -75,7 +89,8 @@ class Distribution:
         raise NotImplementedError
 
     def density(self, x) -> float:
-        """Probability density (mass for discrete variants) at *x*."""
+        """Probability density (mass for discrete variants) at *x*;
+        :class:`Normal` and :class:`StudentT` also take an array."""
         raise DensityUnsupported(f"{type(self).__name__} has no evaluable density")
 
     def cdf(self, x):
@@ -84,6 +99,8 @@ class Distribution:
         raise _NoQuantile(f"{type(self).__name__} has no closed-form cdf")
 
     def quantile(self, q: float) -> float:
+        """Inverse cdf at *q*; :class:`Normal` and :class:`StudentT` also
+        take an array and return one of its shape."""
         raise _NoQuantile(f"{type(self).__name__} has no closed-form quantiles")
 
     @property
@@ -151,15 +168,17 @@ class Normal(Distribution):
     def _draw(self, rng, m):
         return rng.normal(self.mean, self.std, m)
 
-    def density(self, x) -> float:
-        z = (x - self.mean) / self.std
-        return float(np.exp(-0.5 * z * z) / (self.std * np.sqrt(2.0 * np.pi)))
+    def density(self, x):
+        """Density at *x*: a float for scalar *x*, else an array of its shape."""
+        return _float_if_scalar(_std_normal_pdf(_standardise(x, self.mean, self.std)) / self.std)
 
     def cdf(self, x):
-        return _float_if_scalar(stats.norm.cdf(x, loc=self.mean, scale=self.std))
+        return _float_if_scalar(ndtr(_standardise(x, self.mean, self.std)))
 
-    def quantile(self, q: float) -> float:
-        return float(stats.norm.ppf(q, loc=self.mean, scale=self.std))
+    def quantile(self, q):
+        """Quantile at *q*: a float for scalar *q*, else an array of its
+        shape; -inf at q = 0, +inf at q = 1 and NaN outside [0, 1]."""
+        return _float_if_scalar(ndtri(q) * self.std + self.mean)
 
 
 @dataclass(frozen=True)
@@ -179,14 +198,27 @@ class StudentT(Distribution):
     def _draw(self, rng, m):
         return self.location + self.scale * rng.standard_t(self.dof, m)
 
-    def density(self, x) -> float:
-        return float(stats.t.pdf(x, self.dof, loc=self.location, scale=self.scale))
+    def density(self, x):
+        """Density at *x*: a float for scalar *x*, else an array of its shape."""
+        z = _standardise(x, self.location, self.scale)
+        df = float(self.dof)
+        if df == np.inf:  # the poch form is NaN here; the limit is the normal
+            pdf = _std_normal_pdf(z)
+        else:
+            log_norm = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+            pdf = np.exp(log_norm - (df + 1) / 2 * np.log1p(z * z / df))
+        return _float_if_scalar(pdf / self.scale)
 
     def cdf(self, x):
-        return _float_if_scalar(stats.t.cdf(x, self.dof, loc=self.location, scale=self.scale))
+        return _float_if_scalar(stdtr(self.dof, _standardise(x, self.location, self.scale)))
 
-    def quantile(self, q: float) -> float:
-        return float(stats.t.ppf(q, self.dof, loc=self.location, scale=self.scale))
+    def quantile(self, q):
+        """Quantile at *q*: a float for scalar *q*, else an array of its
+        shape; -inf at q = 0, +inf at q = 1 and NaN outside [0, 1]."""
+        q = np.asarray(q, dtype=float)
+        # stdtrit(dof, 0) is +inf; the quantile there is the lower support end.
+        z = np.where(q == 0.0, -np.inf, np.where(q == 1.0, np.inf, stdtrit(self.dof, q)))
+        return _float_if_scalar(z * self.scale + self.location)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm, t as _student_t
+from scipy.special import ndtr
 
 from .agreement import AgreementRule, GammaEpsilon, Threshold
 from .comparison import BinnedPdf, _paired_masses, area_metric, area_metric_many, divergence
@@ -150,7 +150,7 @@ def reliability(
         if sd == 0.0:
             p = 1.0 if abs(mu) <= eps else 0.0
         else:
-            p = float(_norm.cdf((eps - mu) / sd) - _norm.cdf((-eps - mu) / sd))
+            p = float(ndtr((eps - mu) / sd) - ndtr((-eps - mu) / sd))
         return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
     continuous = (Normal, StudentT, Uniform, ShiftedExponential)
     for certain, other in ((model_dist, data_dist), (data_dist, model_dist)):
@@ -254,7 +254,7 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
     panel; 2e-13 of tail mass is truncated. A hard rule whose breakpoints
     are unknown may jump inside a panel, which limits the accuracy there.
     """
-    t = _student_t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
+    t = StudentT(data.sample_mean, data.dof, data.sample_std / math.sqrt(data.n))
 
     def weights(mu):
         v = model_mean - mu
@@ -272,11 +272,11 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
         mass = np.diff(t.cdf(np.concatenate([[-np.inf], cuts, [np.inf]])))
         p = float(weights(probes) @ mass)
     else:
-        edges = t.ppf(_PANEL_Q)
+        edges = t.quantile(_PANEL_Q)
         edges = np.unique(np.concatenate([edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])]]))
         half = 0.5 * np.diff(edges)
         mu = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
-        p = float(np.sum(weights(mu) * t.pdf(mu) * (half[:, None] * _GL_WEIGHTS).ravel()))
+        p = float(np.sum(weights(mu) * t.density(mu) * (half[:, None] * _GL_WEIGHTS).ravel()))
     return BvmEstimate(p_hat=min(1.0, max(0.0, p)), std_error=0.0, n_samples=0, seed=0, method="closedForm")
 
 

@@ -559,6 +559,22 @@ class TestOutputFormats:
         assert "label,ratio,status" in content
         assert "factor,1.0,ok" in content
 
+    def test_ratio_honours_first_config_output_section(self, tmp_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        a = tmp_config(scenario_doc(output={"path": "rec.csv", "format": "csv"}), "a.json")
+        b = tmp_config(scenario_doc(output={"path": "other.json", "format": "json"}), "b.json")
+        assert main(["ratio", a, b]) == EXIT_OK
+        content = (tmp_path / "rec.csv").read_text()
+        assert "label,ratio,status" in content and "factor,1.0,ok" in content
+        assert not (tmp_path / "other.json").exists()
+
+    def test_ratio_flags_override_output_section(self, tmp_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        a = tmp_config(scenario_doc(output={"path": "rec.csv", "format": "csv"}), "a.json")
+        assert main(["ratio", a, a, "--out", "flagged.json", "--format", "json"]) == EXIT_OK
+        assert json.loads((tmp_path / "flagged.json").read_text())["command"] == "ratio"
+        assert not (tmp_path / "rec.csv").exists()
+
     def test_output_section_defaults(self, tmp_config, tmp_path):
         doc = scenario_doc(output={"path": str(tmp_path / "rec.json"), "format": "json"})
         assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK

@@ -211,6 +211,40 @@ class TestArrayCdf:
         assert np.array_equal(dist.cdf(x.reshape(2, -1)), got.reshape(2, -1))
 
 
+# The package computes these with scipy.special ufuncs; scipy.stats is the
+# independent reference they must match bit for bit. q = 0 (where stdtrit
+# alone gives +inf) and dof = inf (where the poch form of the t pdf is NaN)
+# are the two cases scipy.stats handles outside the ufuncs.
+PARITY_DOFS = [1, 2, 2.5, 3, 7, 18, 120, 1e6, np.inf]
+PARITY_X = np.concatenate(
+    [[-np.inf, 0.0, np.inf, np.nan, -0.0], np.linspace(-60.0, 60.0, 241), np.random.default_rng(5).standard_cauchy(200)]
+)
+PARITY_Q = np.concatenate(
+    [[0.0, 1e-300, 0.3, 1.0, 1.2, np.nan, -0.0, -0.1, 1.0 - 2**-53], np.linspace(0.0, 1.0, 201), np.logspace(-300, -1, 60)]
+)
+PARITY_CASES = [(Normal(0.4, 1.7), stats.norm(0.4, 1.7))] + [
+    (StudentT(0.4, dof, 1.7), stats.t(dof, 0.4, 1.7)) for dof in PARITY_DOFS
+]
+
+
+class TestScipyStatsParity:
+    @pytest.mark.parametrize("dist, ref", PARITY_CASES, ids=[repr(d) for d, _ in PARITY_CASES])
+    def test_bit_equal_to_scipy_stats(self, dist, ref):
+        for ours, theirs, points in (
+            (dist.cdf, ref.cdf, PARITY_X),
+            (dist.density, ref.pdf, PARITY_X),
+            (dist.quantile, ref.ppf, PARITY_Q),
+        ):
+            got = ours(points)
+            assert got.shape == points.shape
+            assert np.array_equal(got, theirs(points), equal_nan=True), ours.__name__
+            assert np.array_equal(ours(points.reshape(2, -1)), got.reshape(2, -1), equal_nan=True)
+            for v in points[:: max(1, points.size // 40)].tolist() + points[:9].tolist():
+                one = ours(v)
+                assert type(one) is float
+                assert np.array_equal(one, theirs(v), equal_nan=True), (ours.__name__, v)
+
+
 class TestConfidenceSet:
     def test_categorical_greedy_mass_ordering(self):
         # Hand oracle: 0.5 + 0.45 >= 0.95 already, so {0, 10} suffices.

@@ -2,20 +2,26 @@
 
 Each case runs ``bvm <metric> --config cfg.json --out record.json`` and
 checks the exit code, every byte printed to stdout, and the JSON run
-record with its ``wall_time_s`` dropped. The inputs reach every branch of
-the metric front end: Monte Carlo reliability (Student-t data), a
-vector tolerance, a soft frequentist rule, highest-density-set power with
-alpha != alpha_hat, a two-point evidence run whose config carries no
-agreement section, the area-metric bootstrap, Dirichlet draws for the
-binned pdf, and a Hellinger divergence.
+record with its ``wall_time_s`` and ``environment`` dropped; the
+environment (library versions and run settings) is checked on its own.
+The inputs reach every branch of the metric front end: Monte Carlo
+reliability (Student-t data), a vector tolerance, a soft frequentist
+rule, highest-density-set power with alpha != alpha_hat, a two-point
+evidence run whose config carries no agreement section, the area-metric
+bootstrap, Dirichlet draws for the binned pdf, and a Hellinger
+divergence.
 """
 
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from bvm import __version__
 from bvm.cli import EXIT_OK, main
+from bvm.rng import CHUNK_SIZE
 
 CASES = {
     "reliability": (
@@ -241,7 +247,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_metric_subcommand_output_and_record(name, tmp_path, capsys):
+def test_metric_subcommand_output_and_record(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BVM_THREADS", raising=False)
     doc, stdout, estimate = CASES[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -250,6 +257,13 @@ def test_metric_subcommand_output_and_record(name, tmp_path, capsys):
     assert capsys.readouterr().out == stdout
     record = json.loads(out.read_text())
     assert record.pop("wall_time_s") >= 0.0
+    assert record.pop("environment") == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "bvm_threads": 1,
+        "chunk_size": CHUNK_SIZE,
+    }
     assert record == {
         "command": name,
         "config": doc,
