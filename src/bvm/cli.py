@@ -12,8 +12,8 @@ record's estimates hold the fields of the result dataclass
 metric-specific extras.
 
 Exit codes: 0 success, 2 config/schema error, 3 estimation error,
-4 agreement-rule mismatch between ratio configs, 5 reproduction target
-failure.
+4 the two ratio configs disagree on data/agreement sections,
+5 reproduction target failure.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .engine import (
 )
 from .metrics import EvidenceResult
 from .rng import CHUNK_SIZE, _max_workers
-from .studies import run_study, study_ids
+from .studies import STUDY_ALIASES, run_study, study_ids
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,7 +64,7 @@ EXIT_TARGET_FAILURE = 5
 
 
 class RuleMismatch(Exception):
-    """Ratio configs must share data, comparison, and agreement sections."""
+    """Ratio configs must share data and agreement sections."""
 
 
 def _fmt(x: float) -> str:
@@ -183,10 +183,9 @@ def cmd_validate(args) -> int:
 
 
 def _shared_sections_match(doc_a: dict, doc_b: dict) -> bool:
-    keys = ("data", "comparison", "agreement")
     return all(
         json.dumps(doc_a.get(k), sort_keys=True) == json.dumps(doc_b.get(k), sort_keys=True)
-        for k in keys
+        for k in ("data", "agreement")
     )
 
 
@@ -196,7 +195,7 @@ def cmd_ratio(args) -> int:
     doc_m2 = load_config(args.config_m2)
     if not _shared_sections_match(doc_m, doc_m2):
         raise RuleMismatch(
-            "the two configs must share identical data, comparison, and agreement sections"
+            "the two configs must share identical data and agreement sections"
         )
     if args.prior_m <= 0 or args.prior_m2 <= 0:
         raise ConfigError("model priors must be positive")
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="run a bundled study against recorded targets")
-    p.add_argument("example", choices=study_ids() + ["power", "oscillator", "poly-sweep"])
+    p.add_argument("example", choices=study_ids() + list(STUDY_ALIASES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_reproduce)

@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, parsing, and serialisation.
+"""Scenario configuration: JSON schema, parsing, and building.
 
 A scenario document bundles the four estimator inputs (model, data,
 comparison, agreement) plus estimator and output settings as tagged
@@ -6,9 +6,12 @@ records. Documents are schema-validated before anything runs; unknown
 keys are rejected so that typos fail loudly rather than silently using
 defaults.
 
-The metric table ``METRICS`` lists each metric subcommand once: the
-fields of its ``metric`` section, from which the schema is built, and the
-runner that builds its inputs from the document and calls the metric.
+Each tagged record kind has one table, keyed by its tag, and a tag is
+defined nowhere else: ``DISTRIBUTIONS`` and ``RULES`` by ``type``,
+``MODEL_FUNCTIONS`` by ``family``, ``GENERATORS`` (data generators) by
+``type``, and ``METRICS`` by ``name``. An entry holds the fields of its
+schema entry and what builds it (a rule entry also serialises it); the
+schema's ``oneOf`` lists are built from the tables, in table order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from jsonschema import Draft202012Validator
 
 from . import agreement as ag
 from . import distributions as dist
-from .comparison import BinnedPdf, get_comparison_fn
+from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
 from .engine import Scenario, SweepTemplate
 from .metrics import (
     DataSummary,
@@ -47,15 +50,17 @@ __all__ = [
     "build_scenario",
     "build_sweep_template",
     "distribution_from_config",
-    "distribution_to_config",
     "rule_from_config",
     "rule_to_config",
     "model_function_from_config",
-    "model_function_to_config",
     "grid_from_config",
-    "grid_to_config",
     "SCENARIO_SCHEMA",
     "DEFAULT_SAMPLES",
+    "Form",
+    "MODEL_FUNCTIONS",
+    "DISTRIBUTIONS",
+    "RULES",
+    "GENERATORS",
     "METRICS",
     "Metric",
 ]
@@ -66,10 +71,56 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Schema
+# Tables of tagged records
+
+
+class Form(NamedTuple):
+    """One tagged record form: the fields of its schema entry besides the
+    tag, the required ones among them, and ``build``, which makes the
+    object from a document of this form. A rule form also names the rule
+    class it builds and ``to_config(rule)``, the fields that serialise one
+    besides the tag."""
+
+    properties: dict
+    required: tuple
+    build: Callable
+    cls: type | None = None
+    to_config: Callable | None = None
+
+
+def _one_of(tag: str, table: dict) -> dict:
+    """Schema of a tagged record: one closed object per table entry."""
+    return {
+        "oneOf": [
+            {
+                "type": "object",
+                "properties": {tag: {"const": name}, **form.properties},
+                "required": [tag, *form.required],
+                "additionalProperties": False,
+            }
+            for name, form in table.items()
+        ]
+    }
+
+
+def _build(table: dict, kind: str, tag: str, *args):
+    """Build through the entry of ``tag``; a ValueError from the builder
+    becomes a ConfigError naming the tag."""
+    form = table.get(tag)
+    if form is None:
+        raise ConfigError(f"unknown {kind} '{tag}'")
+    try:
+        return form.build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} '{tag}': {exc}") from None
+
 
 _NUM = {"type": "number"}
 _NUM_ARRAY = {"type": "array", "items": _NUM, "minItems": 1}
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+_FN_NAME = {"type": "string"}
+_DISTRIBUTION = {"$ref": "#/$defs/distribution"}
+_RULE = {"$ref": "#/$defs/rule"}
 
 _GRID = {
     "oneOf": [
@@ -88,98 +139,106 @@ _GRID = {
     ]
 }
 
-_MODEL_FUNCTION = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "family": {"const": "polynomial"},
-                "powers": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-            },
-            "required": ["family", "powers"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"family": {"const": "damped_oscillator"}},
-            "required": ["family"],
-            "additionalProperties": False,
-        },
-    ]
+MODEL_FUNCTIONS: dict[str, Form] = {
+    "polynomial": Form(
+        {"powers": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}},
+        ("powers",),
+        lambda doc: polynomial_model(doc["powers"]),
+    ),
+    "damped_oscillator": Form({}, (), lambda doc: damped_oscillator_model()),
 }
 
-_DISTRIBUTION: dict = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"type": {"const": "dirac"}, "value": {"oneOf": [_NUM, _NUM_ARRAY]}},
-            "required": ["type", "value"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "normal"}, "mean": _NUM, "std": _NUM},
-            "required": ["type", "mean", "std"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "student_t"}, "location": _NUM, "dof": _NUM, "scale": _NUM},
-            "required": ["type", "location", "dof", "scale"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "uniform"}, "lo": _NUM, "hi": _NUM},
-            "required": ["type", "lo", "hi"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "shifted_exponential"}, "rate": _NUM, "shift": _NUM},
-            "required": ["type", "rate"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "categorical"},
-                "values": {"type": "array", "items": {"type": ["number", "string"]}, "minItems": 1},
-                "probs": _NUM_ARRAY,
-            },
-            "required": ["type", "values", "probs"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "empirical"},
-                "samples": {"type": "array", "items": {"oneOf": [_NUM, _NUM_ARRAY]}, "minItems": 1},
-            },
-            "required": ["type", "samples"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "product"}, "components": {"type": "array", "items": {"$ref": "#/$defs/distribution"}, "minItems": 1}},
-            "required": ["type", "components"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "push_forward"},
-                "prior": {"$ref": "#/$defs/distribution"},
-                "model_function": _MODEL_FUNCTION,
-                "grid": _GRID,
-            },
-            "required": ["type", "prior", "model_function", "grid"],
-            "additionalProperties": False,
-        },
-    ]
+_MODEL_FUNCTION = _one_of("family", MODEL_FUNCTIONS)
+
+DISTRIBUTIONS: dict[str, Form] = {
+    "dirac": Form({"value": {"oneOf": [_NUM, _NUM_ARRAY]}}, ("value",), lambda doc: dist.DiracDelta(doc["value"])),
+    "normal": Form({"mean": _NUM, "std": _NUM}, ("mean", "std"), lambda doc: dist.Normal(doc["mean"], doc["std"])),
+    "student_t": Form(
+        {"location": _NUM, "dof": _NUM, "scale": _NUM},
+        ("location", "dof", "scale"),
+        lambda doc: dist.StudentT(doc["location"], doc["dof"], doc["scale"]),
+    ),
+    "uniform": Form({"lo": _NUM, "hi": _NUM}, ("lo", "hi"), lambda doc: dist.Uniform(doc["lo"], doc["hi"])),
+    "shifted_exponential": Form(
+        {"rate": _NUM, "shift": _NUM},
+        ("rate",),
+        lambda doc: dist.ShiftedExponential(doc["rate"], doc.get("shift", 0.0)),
+    ),
+    "categorical": Form(
+        {"values": {"type": "array", "items": {"type": ["number", "string"]}, "minItems": 1}, "probs": _NUM_ARRAY},
+        ("values", "probs"),
+        lambda doc: dist.Categorical(doc["values"], doc["probs"]),
+    ),
+    "empirical": Form(
+        {"samples": {"type": "array", "items": {"oneOf": [_NUM, _NUM_ARRAY]}, "minItems": 1}},
+        ("samples",),
+        lambda doc: dist.Empirical(np.asarray(doc["samples"], dtype=float)),
+    ),
+    "product": Form(
+        {"components": {"type": "array", "items": _DISTRIBUTION, "minItems": 1}},
+        ("components",),
+        lambda doc: dist.IndependentProduct([distribution_from_config(c) for c in doc["components"]]),
+    ),
+    "push_forward": Form(
+        {"prior": _DISTRIBUTION, "model_function": _MODEL_FUNCTION, "grid": _GRID},
+        ("prior", "model_function", "grid"),
+        lambda doc: dist.PushForward(
+            distribution_from_config(doc["prior"]),
+            model_function_from_config(doc["model_function"]),
+            grid_from_config(doc["grid"]),
+        ),
+    ),
 }
 
-_FN_NAME = {"type": "string"}
+
+def _fn_from_config(doc: dict) -> ComparisonFn:
+    if "bins" in doc:
+        return get_comparison_fn(doc["fn"], bins=doc["bins"])
+    return get_comparison_fn(doc["fn"])
+
+
+def _fn_to_config(fn: ComparisonFn) -> dict:
+    """The fields naming a rule's comparison, as a config gives them: a
+    binned difference is ``binned_prob_diff``, with its bin count unless
+    that is the default (the only count a rule without ``bins`` can hold)."""
+    base, _, bins = fn.name.rpartition("_")
+    if base != "binned_prob_diff":
+        return {"fn": fn.name}
+    if fn.name == get_comparison_fn(base).name:
+        return {"fn": base}
+    return {"fn": base, "bins": int(bins)}
+
+
+_REGION = {
+    "type": "object",
+    "properties": {
+        "kind": {"enum": ["interval", "set"]},
+        "level": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "intervals": {"type": "array", "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}},
+        "labels": {"type": "array", "items": {"type": ["number", "string"]}},
+    },
+    "required": ["kind", "level"],
+    "additionalProperties": False,
+}
+
+
+def _region_from_config(doc: dict) -> dist.ConfidenceRegion:
+    return dist.ConfidenceRegion(
+        kind=doc["kind"],
+        level=doc["level"],
+        intervals=tuple((float(a), float(b)) for a, b in doc.get("intervals", [])),
+        labels=tuple(doc.get("labels", [])),
+    )
+
+
+def _region_to_config(r: dist.ConfidenceRegion) -> dict:
+    out: dict = {"kind": r.kind, "level": r.level}
+    if r.intervals:
+        out["intervals"] = [[lo, hi] for lo, hi in r.intervals]
+    if r.labels:
+        out["labels"] = list(r.labels)
+    return out
+
 
 _BAND = {
     "oneOf": [
@@ -203,135 +262,170 @@ _BAND = {
     ]
 }
 
-_REGION = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["interval", "set"]},
-        "level": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "intervals": {"type": "array", "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}},
-        "labels": {"type": "array", "items": {"type": ["number", "string"]}},
-    },
-    "required": ["kind", "level"],
-    "additionalProperties": False,
+
+def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
+    if "lo" in doc:
+        return np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
+    if model_dist is None or model_dist.kind != "path":
+        raise ConfigError("band with source 'model' needs a path-valued model distribution")
+    level = doc["level"]
+    n_draws = doc.get("samples", 20_000)
+    seed = doc.get("seed", 0)
+    paths = model_dist.sample(seed, n_draws, stream=BAND_STREAM)
+    a = (1.0 - level) / 2.0
+    return np.quantile(paths, a, axis=0), np.quantile(paths, 1.0 - a, axis=0)
+
+
+def _epsilon_beta_from_config(doc: dict, model_dist: dist.Distribution | None) -> ag.EpsilonBeta:
+    return ag.EpsilonBeta(
+        doc["mean_tol"],
+        _band_from_config(doc["band"], model_dist),
+        coverage_lo=doc.get("coverage_lo", 0.91),
+        coverage_hi=doc.get("coverage_hi", 0.99),
+    )
+
+
+def _epsilon_beta_to_config(rule: ag.EpsilonBeta) -> dict:
+    lo, hi = rule.band
+    return {
+        "mean_tol": rule.mean_tol,
+        "coverage_lo": rule.coverage_lo,
+        "coverage_hi": rule.coverage_hi,
+        "band": {"lo": [float(x) for x in lo], "hi": [float(x) for x in hi]},
+    }
+
+
+def _children_form(cls: type) -> Form:
+    """The form of ``And`` or ``Or`` over a list of child rules."""
+    return Form(
+        {"children": {"type": "array", "items": _RULE, "minItems": 1}},
+        ("children",),
+        lambda doc, model_dist: cls([rule_from_config(c, model_dist) for c in doc["children"]]),
+        cls,
+        lambda rule: {"children": [rule_to_config(c) for c in rule.children]},
+    )
+
+
+# A rule builder also takes the scenario's model distribution, from which
+# a band with ``source: model`` is drawn.
+RULES: dict[str, Form] = {
+    "always_true": Form({}, (), lambda doc, model_dist: ag.AlwaysTrue(), ag.AlwaysTrue, lambda rule: {}),
+    "always_false": Form({}, (), lambda doc, model_dist: ag.AlwaysFalse(), ag.AlwaysFalse, lambda rule: {}),
+    "threshold": Form(
+        {"fn": _FN_NAME, "eps": _NUM, "bins": {"type": "integer", "minimum": 1}},
+        ("fn", "eps"),
+        lambda doc, model_dist: ag.Threshold(_fn_from_config(doc), doc["eps"]),
+        ag.Threshold,
+        lambda rule: {**_fn_to_config(rule.fn), "eps": rule.eps},
+    ),
+    "interval": Form(
+        {"fn": _FN_NAME, "lo": _NUM, "hi": _NUM},
+        ("fn", "lo", "hi"),
+        lambda doc, model_dist: ag.Interval(_fn_from_config(doc), doc["lo"], doc["hi"]),
+        ag.Interval,
+        lambda rule: {**_fn_to_config(rule.fn), "lo": rule.lo, "hi": rule.hi},
+    ),
+    "set_membership": Form(
+        {"synonyms": {"type": "object", "additionalProperties": {"type": "array", "items": {"type": ["number", "string"]}}}},
+        ("synonyms",),
+        lambda doc, model_dist: ag.SetMembership({k: tuple(v) for k, v in doc["synonyms"].items()}),
+        ag.SetMembership,
+        lambda rule: {"synonyms": {k: list(v) for k, v in rule.synonyms.items()}},
+    ),
+    "in_region": Form(
+        {"side": {"enum": ["model", "data"]}, "region": _REGION},
+        ("side", "region"),
+        lambda doc, model_dist: ag.InRegion(_region_from_config(doc["region"]), doc["side"]),
+        ag.InRegion,
+        lambda rule: {"side": rule.side, "region": _region_to_config(rule.region)},
+    ),
+    "soft_exponential": Form(
+        {"fn": _FN_NAME, "eps_prime": _NUM, "rate": {"type": "number", "exclusiveMinimum": 0}},
+        ("fn", "eps_prime", "rate"),
+        lambda doc, model_dist: ag.SoftExponential(_fn_from_config(doc), doc["eps_prime"], doc["rate"]),
+        ag.SoftExponential,
+        lambda rule: {**_fn_to_config(rule.fn), "eps_prime": rule.eps_prime, "rate": rule.lam},
+    ),
+    "gamma_epsilon": Form(
+        {"gamma": _UNIT, "eps": {"oneOf": [_NUM, _NUM_ARRAY]}, "m": {"type": "number", "minimum": 1}},
+        ("gamma", "eps", "m"),
+        lambda doc, model_dist: ag.GammaEpsilon(gamma=doc["gamma"], eps=doc["eps"], m=doc["m"]),
+        ag.GammaEpsilon,
+        lambda rule: {
+            "gamma": rule.gamma,
+            "eps": rule.eps if np.ndim(rule.eps) == 0 else [float(e) for e in rule.eps],
+            "m": rule.m,
+        },
+    ),
+    "epsilon_beta": Form(
+        {"mean_tol": _NUM, "coverage_lo": _UNIT, "coverage_hi": _UNIT, "band": _BAND},
+        ("mean_tol", "band"),
+        _epsilon_beta_from_config,
+        ag.EpsilonBeta,
+        _epsilon_beta_to_config,
+    ),
+    "and": _children_form(ag.And),
+    "or": _children_form(ag.Or),
+    "not": Form(
+        {"child": _RULE},
+        ("child",),
+        lambda doc, model_dist: ag.Not(rule_from_config(doc["child"], model_dist)),
+        ag.Not,
+        lambda rule: {"child": rule_to_config(rule.child)},
+    ),
 }
 
-_RULE: dict = {
-    "oneOf": [
-        {"type": "object", "properties": {"type": {"const": "always_true"}}, "required": ["type"], "additionalProperties": False},
-        {"type": "object", "properties": {"type": {"const": "always_false"}}, "required": ["type"], "additionalProperties": False},
-        {
-            "type": "object",
-            "properties": {"type": {"const": "threshold"}, "fn": _FN_NAME, "eps": _NUM, "bins": {"type": "integer", "minimum": 1}},
-            "required": ["type", "fn", "eps"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "interval"}, "fn": _FN_NAME, "lo": _NUM, "hi": _NUM},
-            "required": ["type", "fn", "lo", "hi"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "set_membership"},
-                "synonyms": {"type": "object", "additionalProperties": {"type": "array", "items": {"type": ["number", "string"]}}},
-            },
-            "required": ["type", "synonyms"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "in_region"}, "side": {"enum": ["model", "data"]}, "region": _REGION},
-            "required": ["type", "side", "region"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "soft_exponential"}, "fn": _FN_NAME, "eps_prime": _NUM, "rate": {"type": "number", "exclusiveMinimum": 0}},
-            "required": ["type", "fn", "eps_prime", "rate"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "gamma_epsilon"},
-                "gamma": {"type": "number", "minimum": 0, "maximum": 1},
-                "eps": {"oneOf": [_NUM, _NUM_ARRAY]},
-                "m": {"type": "number", "minimum": 1},
-            },
-            "required": ["type", "gamma", "eps", "m"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "epsilon_beta"},
-                "mean_tol": _NUM,
-                "coverage_lo": {"type": "number", "minimum": 0, "maximum": 1},
-                "coverage_hi": {"type": "number", "minimum": 0, "maximum": 1},
-                "band": _BAND,
-            },
-            "required": ["type", "mean_tol", "band"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "and"}, "children": {"type": "array", "items": {"$ref": "#/$defs/rule"}, "minItems": 1}},
-            "required": ["type", "children"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "or"}, "children": {"type": "array", "items": {"$ref": "#/$defs/rule"}, "minItems": 1}},
-            "required": ["type", "children"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "not"}, "child": {"$ref": "#/$defs/rule"}},
-            "required": ["type", "child"],
-            "additionalProperties": False,
-        },
-    ]
-}
+_RULE_TYPES = {form.cls: tag for tag, form in RULES.items()}
 
-_GENERATOR = {
-    "oneOf": [
+_GRID_FUNCTIONS = {"cos": np.cos, "sin": np.sin}
+
+
+def _function_instance(gen: dict) -> dist.Distribution:
+    """One noisy instance of a model function's path: aleatoric noise drawn
+    once from the instance seed, then epistemic normal uncertainty per point."""
+    grid = grid_from_config(gen["grid"])
+    truth = model_function_from_config(gen["function"]).evaluate(np.asarray(gen["params"], dtype=float), grid)
+    inst = truth
+    if gen["aleatoric_std"] > 0:
+        rng = chunk_rng(gen["instance_seed"], INSTANCE_STREAM, 0)
+        inst = truth + rng.normal(0.0, gen["aleatoric_std"], len(grid))
+    eps_e = gen["epistemic_std"]
+    if eps_e > 0:
+        return dist.IndependentProduct([dist.Normal(float(y), eps_e) for y in inst])
+    return dist.DiracDelta(inst)
+
+
+GENERATORS: dict[str, Form] = {
+    "function_instance": Form(
         {
-            "type": "object",
-            "properties": {
-                "type": {"const": "function_instance"},
-                "function": _MODEL_FUNCTION,
-                "params": _NUM_ARRAY,
-                "grid": _GRID,
-                "aleatoric_std": {"type": "number", "minimum": 0},
-                "epistemic_std": {"type": "number", "minimum": 0},
-                "instance_seed": {"type": "integer", "minimum": 0},
-            },
-            "required": ["type", "function", "params", "grid", "aleatoric_std", "epistemic_std", "instance_seed"],
-            "additionalProperties": False,
+            "function": _MODEL_FUNCTION,
+            "params": _NUM_ARRAY,
+            "grid": _GRID,
+            "aleatoric_std": {"type": "number", "minimum": 0},
+            "epistemic_std": {"type": "number", "minimum": 0},
+            "instance_seed": {"type": "integer", "minimum": 0},
         },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "grid_function"}, "name": {"enum": ["cos", "sin"]}, "grid": _GRID},
-            "required": ["type", "name", "grid"],
-            "additionalProperties": False,
-        },
-    ]
+        ("function", "params", "grid", "aleatoric_std", "epistemic_std", "instance_seed"),
+        _function_instance,
+    ),
+    "grid_function": Form(
+        {"name": {"enum": list(_GRID_FUNCTIONS)}, "grid": _GRID},
+        ("name", "grid"),
+        lambda gen: dist.DiracDelta(_GRID_FUNCTIONS[gen["name"]](grid_from_config(gen["grid"]).points)),
+    ),
 }
 
 _MODEL_SECTION = {
     "oneOf": [
         {
             "type": "object",
-            "properties": {"distribution": {"$ref": "#/$defs/distribution"}},
+            "properties": {"distribution": _DISTRIBUTION},
             "required": ["distribution"],
             "additionalProperties": False,
         },
         {
             "type": "object",
-            "properties": {"model_function": _MODEL_FUNCTION, "prior": {"$ref": "#/$defs/distribution"}, "grid": _GRID},
+            "properties": {"model_function": _MODEL_FUNCTION, "prior": _DISTRIBUTION, "grid": _GRID},
             "required": ["model_function", "prior", "grid"],
             "additionalProperties": False,
         },
@@ -342,13 +436,13 @@ _DATA_SECTION = {
     "oneOf": [
         {
             "type": "object",
-            "properties": {"distribution": {"$ref": "#/$defs/distribution"}},
+            "properties": {"distribution": _DISTRIBUTION},
             "required": ["distribution"],
             "additionalProperties": False,
         },
         {
             "type": "object",
-            "properties": {"generator": _GENERATOR},
+            "properties": {"generator": _one_of("type", GENERATORS)},
             "required": ["generator"],
             "additionalProperties": False,
         },
@@ -361,7 +455,6 @@ _ESTIMATOR = {
         "method": {"enum": ["mc", "grid"]},
         "samples": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "bins": {"type": "integer", "minimum": 1},
         "points_per_param": {"type": "integer", "minimum": 1},
         "span_sigmas": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -537,35 +630,20 @@ METRICS: dict[str, Metric] = {
 }
 
 
-def _metric_schema(name: str, metric: Metric) -> dict:
-    return {
-        "type": "object",
-        "properties": {"name": {"const": name}, **metric.properties},
-        "required": ["name", *metric.required],
-        "additionalProperties": False,
-    }
-
-
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
         "model": _MODEL_SECTION,
         "data": _DATA_SECTION,
-        "comparison": {
-            "type": "object",
-            "properties": {"fn": _FN_NAME, "bins": {"type": "integer", "minimum": 1}},
-            "required": ["fn"],
-            "additionalProperties": False,
-        },
-        "agreement": {"$ref": "#/$defs/rule"},
+        "agreement": _RULE,
         "estimator": _ESTIMATOR,
         "output": _OUTPUT,
-        "metric": {"oneOf": [_metric_schema(name, m) for name, m in METRICS.items()]},
+        "metric": _one_of("name", METRICS),
     },
     "required": [],
     "additionalProperties": False,
-    "$defs": {"distribution": _DISTRIBUTION, "rule": _RULE},
+    "$defs": {"distribution": _one_of("type", DISTRIBUTIONS), "rule": _one_of("type", RULES)},
 }
 
 _VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
@@ -606,190 +684,25 @@ def grid_from_config(doc: dict) -> InputGrid:
     return InputGrid.linspace(doc["start"], doc["stop"], doc["num"])
 
 
-def grid_to_config(grid: InputGrid) -> dict:
-    return {"points": [float(x) for x in grid.points]}
-
-
 def model_function_from_config(doc: dict) -> ModelFunction:
-    if doc["family"] == "polynomial":
-        return polynomial_model(doc["powers"])
-    if doc["family"] == "damped_oscillator":
-        return damped_oscillator_model()
-    raise ConfigError(f"unknown model function family '{doc['family']}'")
-
-
-def model_function_to_config(mf: ModelFunction) -> dict:
-    if mf.name.startswith("poly_"):
-        return {"family": "polynomial", "powers": [int(p) for p in mf.name.split("_")[1:]]}
-    if mf.name == "damped_oscillator":
-        return {"family": "damped_oscillator"}
-    raise ConfigError(f"model function '{mf.name}' has no config form")
+    return _build(MODEL_FUNCTIONS, "model function family", doc["family"], doc)
 
 
 def distribution_from_config(doc: dict) -> dist.Distribution:
-    t = doc["type"]
-    try:
-        if t == "dirac":
-            return dist.DiracDelta(doc["value"])
-        if t == "normal":
-            return dist.Normal(doc["mean"], doc["std"])
-        if t == "student_t":
-            return dist.StudentT(doc["location"], doc["dof"], doc["scale"])
-        if t == "uniform":
-            return dist.Uniform(doc["lo"], doc["hi"])
-        if t == "shifted_exponential":
-            return dist.ShiftedExponential(doc["rate"], doc.get("shift", 0.0))
-        if t == "categorical":
-            return dist.Categorical(doc["values"], doc["probs"])
-        if t == "empirical":
-            return dist.Empirical(np.asarray(doc["samples"], dtype=float))
-        if t == "product":
-            return dist.IndependentProduct([distribution_from_config(c) for c in doc["components"]])
-        if t == "push_forward":
-            return dist.PushForward(
-                distribution_from_config(doc["prior"]),
-                model_function_from_config(doc["model_function"]),
-                grid_from_config(doc["grid"]),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"bad distribution parameters for type '{t}': {exc}") from None
-    raise ConfigError(f"unknown distribution type '{t}'")
-
-
-def distribution_to_config(d: dist.Distribution) -> dict:
-    if isinstance(d, dist.DiracDelta):
-        v = d.value
-        return {"type": "dirac", "value": float(v) if np.ndim(v) == 0 else [float(x) for x in v]}
-    if isinstance(d, dist.Normal):
-        return {"type": "normal", "mean": d.mean, "std": d.std}
-    if isinstance(d, dist.StudentT):
-        return {"type": "student_t", "location": d.location, "dof": d.dof, "scale": d.scale}
-    if isinstance(d, dist.Uniform):
-        return {"type": "uniform", "lo": d.lo, "hi": d.hi}
-    if isinstance(d, dist.ShiftedExponential):
-        return {"type": "shifted_exponential", "rate": d.rate, "shift": d.shift}
-    if isinstance(d, dist.Categorical):
-        return {"type": "categorical", "values": list(d.values), "probs": list(d.probs)}
-    if isinstance(d, dist.Empirical):
-        return {"type": "empirical", "samples": d.samples.tolist()}
-    if isinstance(d, dist.IndependentProduct):
-        return {"type": "product", "components": [distribution_to_config(c) for c in d.components]}
-    if isinstance(d, dist.PushForward):
-        return {
-            "type": "push_forward",
-            "prior": distribution_to_config(d.prior),
-            "model_function": model_function_to_config(d.model),
-            "grid": grid_to_config(d.grid),
-        }
-    raise ConfigError(f"distribution {type(d).__name__} has no config form")
-
-
-def _region_from_config(doc: dict) -> dist.ConfidenceRegion:
-    return dist.ConfidenceRegion(
-        kind=doc["kind"],
-        level=doc["level"],
-        intervals=tuple((float(a), float(b)) for a, b in doc.get("intervals", [])),
-        labels=tuple(doc.get("labels", [])),
-    )
-
-
-def _region_to_config(r: dist.ConfidenceRegion) -> dict:
-    out: dict = {"kind": r.kind, "level": r.level}
-    if r.intervals:
-        out["intervals"] = [[lo, hi] for lo, hi in r.intervals]
-    if r.labels:
-        out["labels"] = list(r.labels)
-    return out
+    return _build(DISTRIBUTIONS, "distribution type", doc["type"], doc)
 
 
 def rule_from_config(doc: dict, model_dist: dist.Distribution | None = None) -> ag.AgreementRule:
     """Build a rule tree; a band with ``source: model`` is resolved against
     the scenario's model path distribution."""
-    t = doc["type"]
-    try:
-        if t == "always_true":
-            return ag.AlwaysTrue()
-        if t == "always_false":
-            return ag.AlwaysFalse()
-        if t == "threshold":
-            fn = get_comparison_fn(doc["fn"], bins=doc["bins"]) if "bins" in doc else get_comparison_fn(doc["fn"])
-            return ag.Threshold(fn, doc["eps"])
-        if t == "interval":
-            return ag.Interval(get_comparison_fn(doc["fn"]), doc["lo"], doc["hi"])
-        if t == "set_membership":
-            return ag.SetMembership({k: tuple(v) for k, v in doc["synonyms"].items()})
-        if t == "in_region":
-            return ag.InRegion(_region_from_config(doc["region"]), doc["side"])
-        if t == "soft_exponential":
-            return ag.SoftExponential(get_comparison_fn(doc["fn"]), doc["eps_prime"], doc["rate"])
-        if t == "gamma_epsilon":
-            return ag.GammaEpsilon(gamma=doc["gamma"], eps=doc["eps"], m=doc["m"])
-        if t == "epsilon_beta":
-            band = _band_from_config(doc["band"], model_dist)
-            return ag.EpsilonBeta(
-                doc["mean_tol"],
-                band,
-                coverage_lo=doc.get("coverage_lo", 0.91),
-                coverage_hi=doc.get("coverage_hi", 0.99),
-            )
-        if t == "and":
-            return ag.And([rule_from_config(c, model_dist) for c in doc["children"]])
-        if t == "or":
-            return ag.Or([rule_from_config(c, model_dist) for c in doc["children"]])
-        if t == "not":
-            return ag.Not(rule_from_config(doc["child"], model_dist))
-    except ValueError as exc:
-        raise ConfigError(f"bad agreement rule '{t}': {exc}") from None
-    raise ConfigError(f"unknown agreement rule type '{t}'")
-
-
-def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
-    if "lo" in doc:
-        return np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
-    if model_dist is None or model_dist.kind != "path":
-        raise ConfigError("band with source 'model' needs a path-valued model distribution")
-    level = doc["level"]
-    n_draws = doc.get("samples", 20_000)
-    seed = doc.get("seed", 0)
-    paths = model_dist.sample(seed, n_draws, stream=BAND_STREAM)
-    a = (1.0 - level) / 2.0
-    return np.quantile(paths, a, axis=0), np.quantile(paths, 1.0 - a, axis=0)
+    return _build(RULES, "agreement rule type", doc["type"], doc, model_dist)
 
 
 def rule_to_config(rule: ag.AgreementRule) -> dict:
-    if isinstance(rule, ag.AlwaysTrue):
-        return {"type": "always_true"}
-    if isinstance(rule, ag.AlwaysFalse):
-        return {"type": "always_false"}
-    if isinstance(rule, ag.Threshold):
-        return {"type": "threshold", "fn": rule.fn.name, "eps": rule.eps}
-    if isinstance(rule, ag.Interval):
-        return {"type": "interval", "fn": rule.fn.name, "lo": rule.lo, "hi": rule.hi}
-    if isinstance(rule, ag.SetMembership):
-        return {"type": "set_membership", "synonyms": {k: list(v) for k, v in rule.synonyms.items()}}
-    if isinstance(rule, ag.InRegion):
-        return {"type": "in_region", "side": rule.side, "region": _region_to_config(rule.region)}
-    if isinstance(rule, ag.SoftExponential):
-        return {"type": "soft_exponential", "fn": rule.fn.name, "eps_prime": rule.eps_prime, "rate": rule.lam}
-    if isinstance(rule, ag.GammaEpsilon):
-        eps = rule.eps if np.ndim(rule.eps) == 0 else [float(e) for e in rule.eps]
-        return {"type": "gamma_epsilon", "gamma": rule.gamma, "eps": eps, "m": rule.m}
-    if isinstance(rule, ag.EpsilonBeta):
-        lo, hi = rule.band
-        return {
-            "type": "epsilon_beta",
-            "mean_tol": rule.mean_tol,
-            "coverage_lo": rule.coverage_lo,
-            "coverage_hi": rule.coverage_hi,
-            "band": {"lo": [float(x) for x in lo], "hi": [float(x) for x in hi]},
-        }
-    if isinstance(rule, ag.And):
-        return {"type": "and", "children": [rule_to_config(c) for c in rule.children]}
-    if isinstance(rule, ag.Or):
-        return {"type": "or", "children": [rule_to_config(c) for c in rule.children]}
-    if isinstance(rule, ag.Not):
-        return {"type": "not", "child": rule_to_config(rule.child)}
-    raise ConfigError(f"rule {type(rule).__name__} has no config form")
+    tag = _RULE_TYPES.get(type(rule))
+    if tag is None:
+        raise ConfigError(f"rule {type(rule).__name__} has no config form")
+    return {"type": tag, **RULES[tag].to_config(rule)}
 
 
 # ---------------------------------------------------------------------------
@@ -799,35 +712,14 @@ def rule_to_config(rule: ag.AgreementRule) -> dict:
 def _model_dist_from_section(doc: dict) -> dist.Distribution:
     if "distribution" in doc:
         return distribution_from_config(doc["distribution"])
-    return dist.PushForward(
-        distribution_from_config(doc["prior"]),
-        model_function_from_config(doc["model_function"]),
-        grid_from_config(doc["grid"]),
-    )
+    return distribution_from_config({"type": "push_forward", **doc})
 
 
 def _data_dist_from_section(doc: dict) -> dist.Distribution:
     if "distribution" in doc:
         return distribution_from_config(doc["distribution"])
     gen = doc["generator"]
-    if gen["type"] == "grid_function":
-        grid = grid_from_config(gen["grid"])
-        fn = {"cos": np.cos, "sin": np.sin}[gen["name"]]
-        return dist.DiracDelta(fn(grid.points))
-    if gen["type"] == "function_instance":
-        grid = grid_from_config(gen["grid"])
-        mf = model_function_from_config(gen["function"])
-        truth = mf.evaluate(np.asarray(gen["params"], dtype=float), grid)
-        inst = truth
-        if gen["aleatoric_std"] > 0:
-            rng = chunk_rng(gen["instance_seed"], INSTANCE_STREAM, 0)
-            inst = truth + rng.normal(0.0, gen["aleatoric_std"], len(grid))
-        eps_e = gen["epistemic_std"]
-        if eps_e > 0:
-            return dist.IndependentProduct([dist.Normal(float(y), eps_e) for y in inst])
-        return dist.DiracDelta(inst)
-    raise ConfigError(f"unknown data generator '{gen['type']}'")
-
+    return _build(GENERATORS, "data generator", gen["type"], gen)
 
 @dataclass(frozen=True)
 class BuiltScenario:
@@ -849,7 +741,6 @@ def build_scenario(doc: dict) -> BuiltScenario:
     scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
     estimator = dict(doc["estimator"])
     estimator.setdefault("samples", DEFAULT_SAMPLES)
-    estimator.setdefault("bins", 64)
     return BuiltScenario(
         scenario=scenario,
         estimator=estimator,

@@ -143,31 +143,30 @@ class ComparisonDensity:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def estimate_bvm_mc(scenario: Scenario, k: int, seed: int) -> BvmEstimate:
-    """Monte Carlo estimate over k independent (model, data) value pairs.
+def _mc_estimate(weights_of_chunk, k: int, seed: int, soft: bool) -> BvmEstimate:
+    """Mean of k kernel weights; ``weights_of_chunk(c, m)`` gives the m
+    weights of chunk c, and the chunks run on :func:`map_chunks`.
 
-    Each chunk is drawn, scored and reduced to ``(m, sum w, M2)`` by the
-    worker that owns it, so no more than a chunk of pairs per worker is
-    ever held. Chunk sums are added in index order, so the result is
+    Each chunk is scored and reduced to ``(m, sum w, M2)`` by the worker
+    that owns it, so no more than a chunk of weights per worker is ever
+    held. Chunk sums are added in index order, so the result is
     deterministic for fixed (seed, k) regardless of BVM_THREADS; the
-    soft-rule variance merges the chunks' sums of squared deviations
-    from their means (Chan, Golub & LeVeque), which does not cancel the
-    way ``E[w^2] - p^2`` does when the weights barely vary.
+    soft-rule variance merges the chunks' sums of squared deviations from
+    their means (Chan, Golub & LeVeque), which does not cancel the way
+    ``E[w^2] - p^2`` does when the weights barely vary. A hard rule's
+    chunk sums are exact integers, and its estimate is binomial.
     """
-    if k < 1:
-        raise EstimationError("sample count must be at least 1")
-    rule = scenario.rule
 
     def chunk_stats(c: int, m: int):
-        w = np.asarray(rule.kernel_many(*scenario.draw_chunk(seed, c, m)), dtype=float)
+        w = np.asarray(weights_of_chunk(c, m), dtype=float)
         if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
             raise EstimationError("kernel weight escaped [0, 1]")
         total = float(np.sum(w))
-        return m, total, float(np.sum(np.square(w - total / m))) if rule.is_soft else 0.0
+        return m, total, float(np.sum(np.square(w - total / m))) if soft else 0.0
 
     stats = map_chunks(chunk_stats, k)
     p = sum(total for _, total, _ in stats) / k
-    if not rule.is_soft:
+    if not soft:
         return BvmEstimate.binomial(p, k, seed)
     n, mean, m2 = 0, 0.0, 0.0
     for m_c, total, m2_c in stats:
@@ -177,6 +176,15 @@ def estimate_bvm_mc(scenario: Scenario, k: int, seed: int) -> BvmEstimate:
         m2 += m2_c + delta * delta * (n - m_c) * m_c / n
     se = math.sqrt(m2 / k / k)
     return BvmEstimate(p_hat=p, std_error=se, n_samples=k, seed=seed, method="mc")
+
+
+def estimate_bvm_mc(scenario: Scenario, k: int, seed: int) -> BvmEstimate:
+    """Monte Carlo estimate over k independent (model, data) value pairs,
+    drawn, scored and reduced chunk by chunk (see :func:`_mc_estimate`)."""
+    if k < 1:
+        raise EstimationError("sample count must be at least 1")
+    rule = scenario.rule
+    return _mc_estimate(lambda c, m: rule.kernel_many(*scenario.draw_chunk(seed, c, m)), k, seed, rule.is_soft)
 
 
 def _check_weights(weights, label: str) -> np.ndarray:

@@ -32,9 +32,9 @@ from .distributions import (
     confidence_set,
     probability_in_region,
 )
-from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, estimate_bvm_mc
+from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, _mc_estimate, estimate_bvm_mc
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng, map_chunks
+from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng
 
 __all__ = [
     "DataSummary",
@@ -98,22 +98,19 @@ def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int)
     ``values_of_chunk(rng, m)`` returns the m comparison values of one
     chunk, drawn from that chunk's RESAMPLE_STREAM generator. The rule
     reads each value on both of its sides, so it must compare through a
-    value comparison ('identity' or 'abs_value'). Chunks run on
-    :func:`map_chunks`. The standard error is binomial (with a Wilson
-    interval) for a hard rule, and std(weights) / sqrt(n) for a soft one.
+    value comparison ('identity' or 'abs_value'). The chunks are reduced
+    as :func:`estimate_bvm_mc` reduces its own: the standard error is
+    binomial (with a Wilson interval) for a hard rule, and std(weights) /
+    sqrt(n) for a soft one.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
 
     def chunk_weights(c: int, m: int):
         v = values_of_chunk(chunk_rng(seed, RESAMPLE_STREAM, c), m)
-        return np.asarray(rule.kernel_many(v, v), dtype=float)
+        return rule.kernel_many(v, v)
 
-    w = np.concatenate(map_chunks(chunk_weights, n))
-    p = float(np.mean(w))
-    if not rule.is_soft:
-        return BvmEstimate.binomial(p, n, seed)
-    return BvmEstimate(p_hat=p, std_error=float(np.std(w) / math.sqrt(n)), n_samples=n, seed=seed, method="mc")
+    return _mc_estimate(chunk_weights, n, seed, rule.is_soft)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .engine import (
 )
 from .metrics import statistical_power_bvm
 
-__all__ = ["StudyReport", "run_study", "study_ids", "builtin_configs"]
+__all__ = ["StudyReport", "run_study", "study_ids", "STUDY_ALIASES", "builtin_configs"]
 
 # Oscillator study constants. Truth parameters and noise widths are part
 # of the recorded study; the comparison grid is this package's convention.
@@ -80,7 +80,7 @@ def study_ids() -> list[str]:
     return ["ex-5.1", "ex-5.2", "ex-5.3"]
 
 
-_ALIASES = {
+STUDY_ALIASES = {
     "power": "ex-5.1",
     "oscillator": "ex-5.2",
     "poly-sweep": "ex-5.3",
@@ -333,11 +333,11 @@ def _run_poly_sweep(seed: int) -> StudyReport:
 
 def run_study(study: str, seed: int = 0) -> StudyReport:
     """Run a bundled study by id ('ex-5.1'..'ex-5.3' or alias)."""
-    study = _ALIASES.get(study, study)
+    study = STUDY_ALIASES.get(study, study)
     if study == "ex-5.1":
         return _run_power(seed)
     if study == "ex-5.2":
         return _run_oscillator(seed)
     if study == "ex-5.3":
         return _run_poly_sweep(seed)
-    raise ValueError(f"unknown study '{study}'; choose from {study_ids()} or {sorted(_ALIASES)}")
+    raise ValueError(f"unknown study '{study}'; choose from {study_ids()} or {sorted(STUDY_ALIASES)}")

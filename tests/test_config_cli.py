@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import bvm
 from bvm.cli import (
     EXIT_CONFIG,
     EXIT_ESTIMATION,
@@ -16,11 +18,12 @@ from bvm.cli import (
     main,
 )
 from bvm.config import (
+    DISTRIBUTIONS,
+    RULES,
     ConfigError,
     build_scenario,
     build_sweep_template,
     distribution_from_config,
-    distribution_to_config,
     rule_from_config,
     rule_to_config,
     validate_config,
@@ -63,40 +66,70 @@ class TestSchema:
         for name, doc in builtin_configs(seed=1).items():
             validate_config(doc)
 
+    def test_schema_digest_is_pinned(self):
+        # Any change to the documents the schema accepts, or to the order of
+        # a oneOf list (which decides the error validate_config reports),
+        # changes this digest.
+        from bvm.config import SCENARIO_SCHEMA
+
+        digest = hashlib.sha256(json.dumps(SCENARIO_SCHEMA, sort_keys=True).encode()).hexdigest()
+        assert digest == "af2987fdf43f18308e5a7e2dc550d74ab668063c8efe8cb7f22fc512ef56bfa4"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"comparison": {"fn": "abs_diff"}}, {"estimator": {"method": "mc", "seed": 0, "bins": 64}}],
+        ids=["comparison", "estimator.bins"],
+    )
+    def test_unread_fields_are_rejected(self, extra):
+        with pytest.raises(ConfigError):
+            validate_config(scenario_doc(**extra))
+
+
+class TestTables:
+    # One document per distribution tag, in table order.
+    DISTRIBUTION_DOCS = [
+        {"type": "dirac", "value": [1.0, 2.0]},
+        {"type": "normal", "mean": 0.5, "std": 2.0},
+        {"type": "student_t", "location": 0.0, "dof": 10.0, "scale": 1.75},
+        {"type": "uniform", "lo": -1.0, "hi": 1.0},
+        {"type": "shifted_exponential", "rate": 2.0, "shift": 0.1},
+        {"type": "categorical", "values": [0.0, 1.0], "probs": [0.4, 0.6]},
+        {"type": "empirical", "samples": [0.0, 1.0, 2.0]},
+        {"type": "product", "components": [{"type": "normal", "mean": 0.0, "std": 1.0}]},
+        {
+            "type": "push_forward",
+            "prior": {"type": "dirac", "value": [1.0]},
+            "model_function": {"family": "polynomial", "powers": [0]},
+            "grid": {"points": [0.0, 1.0]},
+        },
+    ]
+    # Concrete classes exported by bvm that have no config form.
+    NO_CONFIG_FORM = frozenset()
+
+    @staticmethod
+    def _exported(base):
+        return {c for c in vars(bvm).values() if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+    def test_every_distribution_class_has_a_table_entry(self):
+        assert [doc["type"] for doc in self.DISTRIBUTION_DOCS] == list(DISTRIBUTIONS)
+        built = {type(distribution_from_config(doc)) for doc in self.DISTRIBUTION_DOCS}
+        assert built == self._exported(bvm.Distribution) - self.NO_CONFIG_FORM
+
+    def test_every_rule_class_has_a_table_entry(self):
+        classes = [form.cls for form in RULES.values()]
+        assert len(set(classes)) == len(classes)
+        assert set(classes) == self._exported(bvm.AgreementRule) - self.NO_CONFIG_FORM
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "doc",
         [
-            {"type": "normal", "mean": 0.5, "std": 2.0},
-            {"type": "dirac", "value": 3.0},
-            {"type": "dirac", "value": [1.0, 2.0]},
-            {"type": "student_t", "location": 0.0, "dof": 10.0, "scale": 1.75},
-            {"type": "uniform", "lo": -1.0, "hi": 1.0},
-            {"type": "shifted_exponential", "rate": 2.0, "shift": 0.1},
-            {"type": "categorical", "values": [0.0, 1.0], "probs": [0.4, 0.6]},
-            {"type": "product", "components": [{"type": "normal", "mean": 0.0, "std": 1.0}]},
-            {
-                "type": "push_forward",
-                "prior": {"type": "dirac", "value": [1.0]},
-                "model_function": {"family": "polynomial", "powers": [0]},
-                "grid": {"points": [0.0, 1.0]},
-            },
-        ],
-        ids=lambda d: d["type"],
-    )
-    def test_distribution_fixed_point(self, doc):
-        built = distribution_from_config(doc)
-        once = distribution_to_config(built)
-        twice = distribution_to_config(distribution_from_config(once))
-        assert once == twice
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
             {"type": "always_true"},
             {"type": "threshold", "fn": "mean_abs_error", "eps": 0.46},
+            pytest.param({"type": "threshold", "fn": "binned_prob_diff", "bins": 8, "eps": 0.2}, id="threshold-binned"),
             {"type": "interval", "fn": "identity", "lo": -1.0, "hi": 1.0},
+            pytest.param({"type": "interval", "fn": "binned_prob_diff", "lo": 0.0, "hi": 0.5}, id="interval-binned"),
             {"type": "soft_exponential", "fn": "abs_diff", "eps_prime": 0.2, "rate": 3.0},
             {"type": "gamma_epsilon", "gamma": 0.9, "eps": 0.1, "m": 5.0},
             {"type": "set_membership", "synonyms": {"cat": ["cat", "feline"]}},
@@ -125,6 +158,7 @@ class TestRoundTrip:
     def test_rule_fixed_point(self, doc):
         built = rule_from_config(doc)
         once = rule_to_config(built)
+        validate_config({"agreement": once})
         twice = rule_to_config(rule_from_config(once))
         assert once == twice
 
