@@ -34,7 +34,7 @@ from .distributions import (
 )
 from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, _mc_estimate, estimate_bvm_mc
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng
+from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng, map_chunks
 
 __all__ = [
     "DataSummary",
@@ -480,26 +480,40 @@ def bayesian_evidence(
 
     The likelihood of a parameter draw theta is
     ``(2 pi sigma^2)^(-N/2) exp(-sum_i (M(x_i; theta) - y_i)^2 / (2 sigma^2))``.
-    Warns (``RuntimeWarning``) when the effective sample size of the
-    likelihood weights is below 1 % of k.
+    The draws are evaluated chunk by chunk on :func:`bvm.rng.map_chunks`,
+    so the estimate holds the k log-likelihoods, not the k paths, and has
+    the same bits at any ``BVM_THREADS``; ``model`` must then be a pure
+    function of its arguments. A NaN log-likelihood raises
+    :class:`EstimationError`. Warns (``RuntimeWarning``) when the effective
+    sample size of the likelihood weights is below 1 % of k; when every
+    likelihood underflows to zero, the evidence is zero and ess is 0.
     """
     if k < 1:
         raise EstimationError("sample count must be at least 1")
-    theta = prior.sample(seed, k, stream=MODEL_STREAM)
-    if np.ndim(theta) == 1:
-        theta = np.asarray(theta, dtype=float)[:, None]
-    paths = model.evaluate(theta, lik.grid)
-    n = len(lik.grid)
-    sq = np.sum((paths - lik.data_y) ** 2, axis=1)
-    log_l = -0.5 * n * math.log(2.0 * math.pi * lik.sigma**2) - sq / (2.0 * lik.sigma**2)
+    const = -0.5 * len(lik.grid) * math.log(2.0 * math.pi * lik.sigma**2)
+
+    def chunk_log_likelihoods(c, m):
+        theta = prior.draw_chunk(seed, MODEL_STREAM, c, m)
+        if np.ndim(theta) == 1:
+            theta = np.asarray(theta, dtype=float)[:, None]
+        sq = np.sum((model.evaluate(theta, lik.grid) - lik.data_y) ** 2, axis=1)
+        log_l = const - sq / (2.0 * lik.sigma**2)
+        if np.isnan(log_l).any():
+            raise EstimationError(f"model '{model.name}' gives a NaN log-likelihood for a prior draw")
+        return log_l
+
+    log_l = np.concatenate(map_chunks(chunk_log_likelihoods, k))
     peak = float(np.max(log_l))
-    w = np.exp(log_l - peak)
-    mean_w = float(np.mean(w))
-    log_ev = peak + math.log(mean_w) if mean_w > 0 else -math.inf
-    se_log = float(np.std(w) / (mean_w * math.sqrt(k))) if mean_w > 0 else math.inf
-    total = float(np.sum(w))
-    ess = total * total / float(w @ w) if mean_w > 0 else 0.0
-    share = float(np.max(w)) / total if mean_w > 0 else math.nan
+    if peak == -math.inf:
+        log_ev, se_log, ess, share = -math.inf, math.inf, 0.0, math.nan
+    else:
+        w = np.exp(log_l - peak)
+        mean_w = float(np.mean(w))
+        log_ev = peak + math.log(mean_w)
+        se_log = float(np.std(w) / (mean_w * math.sqrt(k)))
+        total = float(np.sum(w))
+        ess = total * total / float(w @ w)
+        share = float(np.max(w)) / total
     if ess < 0.01 * k:
         warnings.warn(
             f"evidence rests on few prior draws: effective sample size {ess:.1f} of k={k}, "

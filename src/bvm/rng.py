@@ -8,13 +8,14 @@ total, and any chunk can be drawn on its own, anywhere, with the same
 bits.
 
 :func:`map_chunks` is the one chunk loop: the Monte Carlo estimator,
-the comparison density and the metrics' resampling loops (binned pdf,
-area bootstrap, divergence sampler) all run on it. Each worker draws,
-scores and reduces whole chunks of its own, and the results come back
-in chunk order, so work spread over any number of threads reproduces the
-single-threaded result bit for bit. ``BVM_THREADS`` (default 1) sets the
-number of workers; it parallelises sampling as well as kernels, so any
-user code a chunk calls (such as a divergence ``sampler``) must be a pure
+the comparison density, the metrics' resampling loops (binned pdf, area
+bootstrap, divergence sampler) and the model evidence's prior draws all
+run on it. Each worker draws, scores and reduces whole chunks of its
+own, and the results come back in chunk order, so work spread over any
+number of threads reproduces the single-threaded result bit for bit.
+``BVM_THREADS`` (default 1) sets the number of workers; it parallelises
+sampling as well as kernels, so any user code a chunk calls (such as a
+divergence ``sampler`` or an evidence model function) must be a pure
 function of its arguments. The memory an estimate holds is
 O(CHUNK_SIZE x path length x workers), not O(k).
 """

@@ -1,9 +1,9 @@
 """Golden bits: estimator outputs pinned to the last ulp.
 
-Each case's fingerprint (``p_hat.hex()``, or a sha256 of a density's
-masses or of a sweep grid's cells) was recorded once and must not move
-under any refactor of the sampling, kernel, counting or reduction code,
-at any ``BVM_THREADS``. A change
+Each case's fingerprint (``p_hat.hex()``, the four floats of a model
+evidence, or a sha256 of a density's masses or of a sweep grid's cells)
+was recorded once and must not move under any refactor of the sampling,
+kernel, counting or reduction code, at any ``BVM_THREADS``. A change
 that alters one of these on purpose changes the package's reproducible
 outputs and has to say so.
 """
@@ -18,6 +18,8 @@ from bvm import (
     And,
     BinnedPdf,
     Categorical,
+    IndependentProduct,
+    InputGrid,
     Interval,
     Normal,
     Or,
@@ -26,12 +28,20 @@ from bvm import (
     SoftExponential,
     Threshold,
     comparison_density,
+    damped_oscillator_model,
     estimate_bvm_mc,
+    polynomial_model,
     sweep,
 )
 from bvm.config import build_scenario, build_sweep_template
-from bvm.metrics import area_metric_validation, binned_pdf_metric, divergence_validation
-from bvm.studies import _poly_config, builtin_configs, sweep_axes
+from bvm.metrics import (
+    GaussianLikelihoodSpec,
+    area_metric_validation,
+    bayesian_evidence,
+    binned_pdf_metric,
+    divergence_validation,
+)
+from bvm.studies import _OSC_PARAMS, _OSC_SIGMAS, _poly_config, builtin_configs, sweep_axes
 
 MODEL, DATA = Normal(0.3, 1.1), Normal(-0.2, 0.7)
 HARD = Threshold("abs_diff", 0.9)
@@ -75,6 +85,32 @@ def _divergence():
     return divergence_validation(PDF, PDF, "hellinger", rule, sampler=sampler, r=4_500, seed=34).p_hat.hex()
 
 
+def _evidence(model, prior, sigma, x, y, k, seed):
+    res = bayesian_evidence(model, prior, GaussianLikelihoodSpec(sigma, y, InputGrid(x)), k=k, seed=seed)
+    return " ".join(v.hex() for v in (res.log_evidence, res.std_error_log, res.ess, res.max_weight_share))
+
+
+POLY_X = np.linspace(0.0, 1.0, 10)
+POLY_MEAN = np.array([0.4, -0.3, 0.8])
+POLY_Y = np.stack([POLY_X**p for p in range(3)], axis=1) @ [0.5, -0.1, 0.6] + np.random.default_rng(24).normal(0, 0.6, 10)
+OSC_X = np.linspace(0.0, 1.0, 100)
+OSC_Y = damped_oscillator_model().evaluate(_OSC_PARAMS, InputGrid(OSC_X)) + np.random.default_rng(25).normal(0, 0.4, 100)
+
+
+def _evidence_poly():
+    prior = IndependentProduct([Normal(float(mu), 0.3) for mu in POLY_MEAN])
+    return _evidence(polynomial_model([0, 1, 2]), prior, 0.6, POLY_X, POLY_Y, 100_000, 35)
+
+
+def _evidence_scalar():
+    return _evidence(polynomial_model([1]), Normal(0.2, 0.8), 0.5, POLY_X, POLY_Y, 30_000, 36)
+
+
+def _evidence_oscillator():
+    prior = IndependentProduct([Normal(p, s) for p, s in zip(_OSC_PARAMS, _OSC_SIGMAS)])
+    return _evidence(damped_oscillator_model(), prior, 1.0, OSC_X, OSC_Y, 4_097, 37)
+
+
 def _sweep(order, variant, estimator="grid", k=10_000, seed=0):
     template, _ = build_sweep_template(_poly_config(order, variant, 0))
     grid = sweep(template, *sweep_axes(), m=5.0, estimator=estimator, k=k, seed=seed)
@@ -82,7 +118,9 @@ def _sweep(order, variant, estimator="grid", k=10_000, seed=0):
 
 
 # k = 10^6 is 244 full chunks plus a 576-draw tail. Every metric case
-# resamples more than one 4096-draw chunk.
+# resamples more than one 4096-draw chunk. The evidence cases pin
+# log_evidence, std_error_log, ess and max_weight_share; the oscillator
+# one is a full chunk plus a one-draw tail.
 CASES = {
     "hard-threshold-1e6": lambda: _mc(MODEL, DATA, HARD, 1_000_000, 11),
     "soft-exponential": lambda: _mc(MODEL, DATA, SoftExponential("abs_diff", 0.4, 2.0), 250_000, 12),
@@ -97,6 +135,9 @@ CASES = {
     "binned-pdf-soft-std-error": lambda: _binned_soft().std_error.hex(),
     "area-bootstrap": lambda: area_metric_validation(XM, XD, Threshold("identity", 0.3), bootstrap=5_000, seed=33).p_hat.hex(),
     "divergence-sampler": _divergence,
+    "evidence-poly3-1e5": _evidence_poly,
+    "evidence-scalar-prior": _evidence_scalar,
+    "evidence-oscillator-4097": _evidence_oscillator,
     "sweep-ex53-deterministic-model1": lambda: _sweep(1, "deterministic"),
     "sweep-ex53-deterministic-model2": lambda: _sweep(2, "deterministic"),
     "sweep-ex53-uncertain-model1": lambda: _sweep(1, "uncertain"),
@@ -118,6 +159,9 @@ GOLDEN = {
     "binned-pdf-soft-std-error": "0x1.54344851b756cp-9",
     "area-bootstrap": "0x1.b15b573eab368p-3",
     "divergence-sampler": "0x1.309546c510281p-1",
+    "evidence-poly3-1e5": "-0x1.1622b330b5b3dp+3 0x1.8442f3d45cadap-9 0x1.a01eb9c8a5737p+15 0x1.44328d15ac0a0p-15",
+    "evidence-scalar-prior": "-0x1.62846bf7ade17p+3 0x1.0e64eb4257725p-7 0x1.341be66fc69b5p+13 0x1.29982057574b6p-13",
+    "evidence-oscillator-4097": "-0x1.9cf3765efd1d1p+6 0x1.df7b2cd2ff9b4p-5 0x1.107cd9eede893p+8 0x1.a2858a54b4631p-7",
     "sweep-ex53-deterministic-model1": "e80cfb8c5e3e780738c67b35eeebc89c5a29e4c5b166ac71318b859318a498fb",
     "sweep-ex53-deterministic-model2": "0b8c6f6faa8a7c677aaaf3407305eab37db9fbebe024f4b9c369e30a3ec35481",
     "sweep-ex53-uncertain-model1": "36f20bb20164e8f323e7a4ff830bd8c3bed91c037dbf13befed8ac53b1dd27e6",

@@ -1,6 +1,7 @@
 """Special-case metrics against closed forms and independent oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from bvm import (
     InputGrid,
     InRegion,
     Interval,
+    ModelFunction,
     Normal,
     Not,
     Or,
@@ -34,6 +36,7 @@ from bvm import (
     push_forward,
 )
 from bvm.comparison import area_metric, divergence
+from bvm.engine import EstimationError
 from bvm.metrics import (
     ClassicalTestResult,
     DataSummary,
@@ -50,6 +53,7 @@ from bvm.metrics import (
     reliability,
     statistical_power_bvm,
 )
+from bvm.rng import CHUNK_SIZE
 
 
 class TestReliability:
@@ -517,6 +521,61 @@ class TestEvidence:
         closed = math.log(conjugate_closed_form(0.7, 0.5, 1.1) / conjugate_closed_form(0.7, 0.5, 0.4))
         spread = 3 * math.hypot(ev1.std_error_log, ev2.std_error_log)
         assert abs(bf.log_value - closed) <= spread
+
+    def test_nan_likelihood_raises_naming_the_model(self):
+        # sqrt of a negative prior draw is NaN; the evidence must not
+        # quietly drop to zero.
+        model = ModelFunction("sqrt_model", ("t",), lambda th, x: np.sqrt(th) * np.ones_like(x))
+        lik = GaussianLikelihoodSpec(0.5, np.array([1.0]), InputGrid(np.array([0.0])))
+        with np.errstate(invalid="ignore"), pytest.raises(EstimationError, match="sqrt_model"):
+            bayesian_evidence(model, Normal(1.0, 0.5), lik, k=10_000, seed=0)
+
+    def test_every_likelihood_underflowing_is_zero_evidence_without_numpy_warning(self):
+        model = ModelFunction("far", ("t",), lambda th, x: np.full((len(th), x.size), np.inf))
+        lik = GaussianLikelihoodSpec(0.5, np.array([0.0, 1.0]), InputGrid(np.array([0.0, 1.0])))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = bayesian_evidence(model, Normal(0, 1), lik, k=5_000, seed=2)
+        assert [str(w.message).split(":")[0] for w in caught] == ["evidence rests on few prior draws"]
+        assert res.log_evidence == -math.inf
+        assert res.std_error_log == math.inf
+        assert res.ess == 0.0
+        assert math.isnan(res.max_weight_share)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_paths_are_evaluated_one_chunk_at_a_time(self, threads, monkeypatch):
+        monkeypatch.setenv("BVM_THREADS", threads)
+        inner = polynomial_model([0, 1, 2])
+        rows = []
+
+        def recording(theta, x):
+            rows.append(len(theta))
+            return inner._fn(theta, x)
+
+        model = ModelFunction(inner.name, inner.param_names, recording)
+        grid = InputGrid(np.linspace(0.0, 1.0, 10))
+        lik = GaussianLikelihoodSpec(0.6, np.zeros(10), grid)
+        prior = IndependentProduct([Normal(0, 0.3)] * 3)
+        bayesian_evidence(model, prior, lik, k=10_000, seed=3)
+        assert sum(rows) == 10_000
+        assert max(rows) <= CHUNK_SIZE
+
+    def test_evidence_holds_no_k_paths(self, monkeypatch):
+        # k = 10^5 paths of 10 points take 8 MB, and the squared
+        # residuals as much again.
+        monkeypatch.setenv("BVM_THREADS", "1")
+        grid = InputGrid(np.linspace(0.0, 1.0, 10))
+        lik = GaussianLikelihoodSpec(0.6, np.linspace(-0.5, 0.5, 10), grid)
+        prior = IndependentProduct([Normal(0, 0.3)] * 3)
+        model = polynomial_model([0, 1, 2])
+        bayesian_evidence(model, prior, lik, k=1_000, seed=4)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            bayesian_evidence(model, prior, lik, k=100_000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_bayes_factor_degenerate_states(self):
         assert bayes_factor(1.0, 1.0).value == pytest.approx(1.0)
