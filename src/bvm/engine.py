@@ -12,6 +12,7 @@ large sweeps cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .agreement import AgreementRule
 from .comparison import ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
 from .models import InputGrid, ModelFunction
-from .rng import DATA_STREAM, MODEL_STREAM, map_chunks
+from .rng import DATA_STREAM, MODEL_STREAM, _chunks, map_chunks
 
 __all__ = [
     "EstimationError",
@@ -409,8 +410,17 @@ def discretize_distribution(dist: Distribution, n: int, span_sigmas: float = 3.0
     raise EstimationError(f"no grid discretisation for {type(dist).__name__}")
 
 
-def weighted_paths(template: SweepTemplate, estimator: str, k: int = 10_000, seed: int = 0):
-    """Model output paths with weights under the requested estimator."""
+def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
+    """``(n_paths, weights, blocks)`` of the model paths under an estimator.
+
+    ``weights`` holds one normalised weight per path, and ``blocks``
+    yields the paths in order, ``SWEEP_BLOCK`` rows at a time, so no more
+    than one block of paths is held (plus, for "mc", the chunk it is
+    sliced from). A grid block takes its rows of the parameter mesh by
+    flat index and evaluates the model on them alone; an "mc" block is a
+    slice of a ``PushForward.draw_chunk``. Both give the bits of one
+    evaluation over every path.
+    """
     if estimator == "grid":
         if isinstance(template.prior, IndependentProduct):
             comps = template.prior.components
@@ -420,20 +430,44 @@ def weighted_paths(template: SweepTemplate, estimator: str, k: int = 10_000, see
             discretize_distribution(c, template.grid_points_per_param, template.span_sigmas)
             for c in comps
         ]
-        mesh = np.meshgrid(*[s[0] for s in supports], indexing="ij")
-        params = np.column_stack([m.ravel() for m in mesh])
-        weight_mesh = np.meshgrid(*[s[1] for s in supports], indexing="ij")
-        weights = np.ones(params.shape[0])
-        for wm in weight_mesh:
-            weights = weights * wm.ravel()
+        values = [s[0] for s in supports]
+        shape = tuple(v.size for v in values)
+        weights = functools.reduce(np.multiply.outer, [s[1] for s in supports]).ravel()
         weights = weights / weights.sum()
-        paths = template.model.evaluate(params, template.grid)
-        return paths, weights
+        n_paths = weights.size
+
+        def grid_blocks():
+            for start in range(0, n_paths, SWEEP_BLOCK):
+                rows = np.unravel_index(np.arange(start, min(start + SWEEP_BLOCK, n_paths)), shape)
+                params = np.column_stack([v[i] for v, i in zip(values, rows)])
+                yield template.model.evaluate(params, template.grid)
+
+        return n_paths, weights, grid_blocks()
     if estimator == "mc":
+        if k < 1:
+            raise EstimationError("sample count must be at least 1")
         pf = PushForward(template.prior, template.model, template.grid)
-        paths = pf.sample(seed, k, stream=MODEL_STREAM)
-        return paths, np.full(k, 1.0 / k)
+
+        def mc_blocks():
+            for c, m in _chunks(k):
+                paths = pf.draw_chunk(seed, MODEL_STREAM, c, m)
+                for start in range(0, m, SWEEP_BLOCK):
+                    yield paths[start : start + SWEEP_BLOCK]
+
+        return k, np.full(k, 1.0 / k), mc_blocks()
     raise EstimationError(f"unknown sweep estimator '{estimator}'")
+
+
+def weighted_paths(template: SweepTemplate, estimator: str, k: int = 10_000, seed: int = 0):
+    """Every model output path, with its weight, under the requested
+    estimator; :func:`sweep` reads the same paths one block at a time."""
+    n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
+    paths = np.empty((n_paths, len(template.grid)))
+    start = 0
+    for block in blocks:
+        paths[start : start + block.shape[0]] = block
+        start += block.shape[0]
+    return paths, weights
 
 
 def sweep(
@@ -447,26 +481,30 @@ def sweep(
 ) -> SweepGrid:
     """P(agree) under the (gamma, eps) rule at every axis combination.
 
-    The in-tolerance count of every path at every eps comes from one
-    pass over the paths, in blocks of ``SWEEP_BLOCK``: each absolute
-    error is placed by ``searchsorted`` into the sorted eps axis, which
-    gives the first column that tolerates it; a row-offset ``bincount``
-    and a ``cumsum`` along eps then turn those positions into the block's
-    counts for every column. The counts are kept in an eps-by-path
-    matrix of the narrowest unsigned dtype that holds n (one byte per
-    cell for n < 256); the full error matrix is never held. Each eps
-    column then costs one weighted histogram over the paths, and every
-    gamma row reads the same tail sums. The counts are exact integers and
-    the histogram adds each bin's weights in path order, so the cells are
-    bit for bit those of a direct per-eps count, whatever the block size
-    or the order of the eps axis.
+    The model is evaluated one block of ``SWEEP_BLOCK`` parameter rows at
+    a time, and each block's paths are counted and dropped before the
+    next is evaluated: the in-tolerance count of every path at every eps
+    comes from one pass over the blocks. Each absolute error is placed by
+    ``searchsorted`` into the sorted eps axis, which gives the first
+    column that tolerates it; a row-offset ``bincount`` and a ``cumsum``
+    along eps then turn those positions into the block's counts for
+    every column. The counts are kept in an eps-by-path matrix of the
+    narrowest unsigned dtype that holds n (one byte per cell for
+    n < 256). So a sweep holds that count matrix, the path weights and
+    one block of paths; neither the path matrix nor the full error
+    matrix is ever held. Each eps column then costs one weighted
+    histogram over the paths, and every gamma row reads the same tail
+    sums. The counts are exact integers and the histogram adds each
+    bin's weights in path order, so the cells are bit for bit those of a
+    direct per-eps count, whatever the block size or the order of the
+    eps axis.
     """
     gammas = np.asarray(gammas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
     if gammas.size == 0 or epsilons.size == 0:
         raise EstimationError("sweep axes must be nonempty")
-    paths, weights = weighted_paths(template, estimator, k, seed)
-    n_paths, n = paths.shape
+    n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
+    n = len(template.grid)
     n_eps = epsilons.size
     order = np.argsort(epsilons, kind="stable")
     eps_sorted = epsilons[order]
@@ -474,14 +512,16 @@ def sweep(
     # counts[q, p]: how many of path p's n errors are <= eps_sorted[q].
     counts = np.empty((n_eps, n_paths), dtype=np.min_scalar_type(n))
     max_err = np.empty(n_paths)
-    for start in range(0, n_paths, SWEEP_BLOCK):
-        err = np.abs(paths[start : start + SWEEP_BLOCK] - template.data_path)
+    start = 0
+    for block in blocks:
+        err = np.abs(block - template.data_path)
         rows = err.shape[0]
         max_err[start : start + rows] = err.max(axis=1)
         first_ok = np.searchsorted(eps_sorted, err, side="left")
         first_ok += np.arange(rows)[:, None] * (n_eps + 1)
         hist = np.bincount(first_ok.ravel(), minlength=rows * (n_eps + 1)).reshape(rows, n_eps + 1)
         np.cumsum(hist.T[:n_eps], axis=0, dtype=counts.dtype, out=counts[:, start : start + rows])
+        start += rows
 
     # Smallest in-tolerance count c with c/n >= gamma, matching the float
     # comparison used by GammaEpsilon exactly.

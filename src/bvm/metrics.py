@@ -84,11 +84,16 @@ class GaussianLikelihoodSpec:
     grid: InputGrid
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        # The evidence takes log(2 pi sigma^2), so the square must not
+        # underflow to 0 or overflow to inf.
+        sigma = float(self.sigma)
+        if not (0.0 < sigma < math.inf and 0.0 < 2.0 * math.pi * (sigma * sigma) < math.inf):
+            raise ValueError(f"sigma must be positive and finite, with a positive finite square; got {self.sigma!r}")
         y = np.asarray(self.data_y, dtype=float)
         if y.shape != (len(self.grid),):
             raise ValueError("data_y length must match the grid")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("data_y must be finite")
         object.__setattr__(self, "data_y", y)
 
 

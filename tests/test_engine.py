@@ -35,8 +35,18 @@ from bvm import (
     ratio_grid,
     sweep,
 )
-from bvm.engine import SWEEP_BLOCK, EstimationError, RatioResult, weighted_paths
-from bvm.rng import DATA_STREAM, TOLERANCE_STREAM
+from bvm.config import build_sweep_template
+from bvm.distributions import PushForward
+from bvm.engine import (
+    SWEEP_BLOCK,
+    EstimationError,
+    RatioResult,
+    _path_blocks,
+    discretize_distribution,
+    weighted_paths,
+)
+from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM, TOLERANCE_STREAM
+from bvm.studies import _poly_config, sweep_axes
 
 
 def enumeration_oracle(model: Categorical, data: Categorical, rule) -> float:
@@ -341,7 +351,18 @@ def direct_count_sweep(paths, weights, data_path, gammas, epsilons, m):
         tails = np.cumsum(np.bincount(np.sum(err <= eps, axis=1), weights=w_ok, minlength=n + 1)[::-1])[::-1]
         for i, need in enumerate(needed):
             values[i, j] = tails[need] if need <= n else 0.0
-    return values
+    # SweepGrid clips its cells to [0, 1]; a sum of grid weights can round
+    # to just above 1.
+    return np.clip(values, 0.0, 1.0)
+
+
+def assert_blocks_concatenate_to(template, estimator, k, seed, paths, weights):
+    n_paths, block_weights, blocks = _path_blocks(template, estimator, k, seed)
+    blocks = list(blocks)
+    assert n_paths == paths.shape[0]
+    assert all(b.shape[0] == SWEEP_BLOCK for b in blocks[:-1]) and 0 < blocks[-1].shape[0] <= SWEEP_BLOCK
+    assert np.array_equal(np.concatenate(blocks), paths)
+    assert np.array_equal(block_weights, weights)
 
 
 class TestSweep:
@@ -369,16 +390,61 @@ class TestSweep:
         assert 0.0 < grid.values[1, 2] < 1.0
 
     def test_paths_span_blocks_with_ragged_tail(self):
-        k = 2 * SWEEP_BLOCK + 37
+        # The second k crosses a chunk boundary and ends on a partial block.
         template = small_template()
-        paths, weights = weighted_paths(template, "mc", k, 9)
-        # Every error of the last path is also an eps: an error equal to
-        # eps is in tolerance.
+        for k in (2 * SWEEP_BLOCK + 37, CHUNK_SIZE + SWEEP_BLOCK + 37):
+            paths, weights = weighted_paths(template, "mc", k, 9)
+            reference = PushForward(template.prior, template.model, template.grid).sample(9, k, stream=MODEL_STREAM)
+            assert np.array_equal(paths, reference)
+            assert_blocks_concatenate_to(template, "mc", k, 9, paths, weights)
+            # Every error of the last path is also an eps: an error equal to
+            # eps is in tolerance.
+            gammas = np.linspace(0.05, 1.0, 20)
+            epsilons = np.concatenate([np.linspace(0.0, 0.6, 13), np.abs(paths[-1] - template.data_path)])
+            grid = sweep(template, gammas, epsilons, m=3.0, estimator="mc", k=k, seed=9)
+            assert grid.n_paths == k
+            expected = direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0)
+            assert np.array_equal(grid.values, expected), k
+
+    def test_grid_mesh_with_ragged_tail(self):
+        # A 33 x 33 mesh is one full block plus 65 rows.
+        template = small_template(points_per_param=33)
+        n_paths = 33 * 33
+        assert n_paths % SWEEP_BLOCK
+        paths, weights = weighted_paths(template, "grid")
+        # Reference: one evaluation over the full meshgrid of supports.
+        (x0, w0), (x1, w1) = (discretize_distribution(c, 33) for c in template.prior.components)
+        mesh = np.meshgrid(x0, x1, indexing="ij")
+        reference = template.model.evaluate(np.column_stack([a.ravel() for a in mesh]), template.grid)
+        assert np.array_equal(paths, reference)
+        w_mesh = np.meshgrid(w0, w1, indexing="ij")
+        w_ref = w_mesh[0].ravel() * w_mesh[1].ravel()
+        assert np.array_equal(weights, w_ref / w_ref.sum())
+        assert_blocks_concatenate_to(template, "grid", 0, 0, paths, weights)
         gammas = np.linspace(0.05, 1.0, 20)
         epsilons = np.concatenate([np.linspace(0.0, 0.6, 13), np.abs(paths[-1] - template.data_path)])
-        grid = sweep(template, gammas, epsilons, m=3.0, estimator="mc", k=k, seed=9)
-        assert grid.n_paths == k
+        grid = sweep(template, gammas, epsilons, m=3.0)
+        assert grid.n_paths == n_paths
         assert np.array_equal(grid.values, direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0))
+
+    def test_mc_sample_count_must_be_positive(self):
+        with pytest.raises(EstimationError, match="at least 1"):
+            sweep(small_template(), [0.8], [0.1], m=5.0, estimator="mc", k=0)
+
+    def test_uncertain_ex53_sweep_holds_no_path_matrix(self):
+        # 160 000 paths of 50 points would take 64 MB on their own; the
+        # eps-by-path uint8 count matrix is 16 MB of the peak.
+        template, _ = build_sweep_template(_poly_config(2, "uncertain", 0))
+        gammas, epsilons = sweep_axes()
+        sweep(small_template(), gammas, epsilons, m=5.0)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            grid = sweep(template, gammas, epsilons, m=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_paths == 160_000
+        assert peak <= 32e6
 
     def test_monotone_axes(self):
         grid = sweep(small_template(), np.linspace(0.5, 1.0, 6), np.linspace(0, 1.5, 16), m=5.0)

@@ -471,6 +471,19 @@ class TestEvidence:
         assert res.ess == 10.0
         assert res.max_weight_share == pytest.approx(0.1, rel=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_is_rejected(self, bad):
+        # NaN data would be blamed on the model; infinite data would read
+        # as zero evidence.
+        with pytest.raises(ValueError, match="data_y must be finite"):
+            GaussianLikelihoodSpec(0.5, np.array([bad, 1.0]), InputGrid(np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200, math.inf, math.nan, 0.0, -1.0])
+    def test_sigma_without_a_positive_finite_square_is_rejected(self, sigma):
+        # 1e-200 squares to 0 and 1e200 to inf, so log(2 pi sigma^2) fails.
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            GaussianLikelihoodSpec(sigma, np.array([0.7]), InputGrid(np.array([0.0])))
+
     def test_collapse_onto_few_draws_warns(self):
         # A wide prior and a sharp likelihood: only the few draws within a
         # few hundredths of the datum carry weight.
