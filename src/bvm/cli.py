@@ -143,14 +143,16 @@ def _write_record(record: RunRecord, out: str | None, fmt: str = "json"):
 
 
 def _run_configured_scenario(doc: dict, seed_override=None, samples_override=None):
-    built = build_scenario(doc)
+    """Build and estimate the scenario of a document ``load_config`` has
+    already schema-checked."""
+    built = build_scenario(doc, checked=True)
     est_cfg = built.estimator
     seed = seed_override if seed_override is not None else est_cfg["seed"]
     samples = samples_override if samples_override is not None else est_cfg["samples"]
     if est_cfg["method"] == "mc":
         est = estimate_bvm_mc(built.scenario, samples, seed)
     else:
-        template, _ = build_sweep_template(doc)
+        template, _ = build_sweep_template(doc, checked=True, scenario=built.scenario)
         paths, weights = weighted_paths(
             template,
             "grid",
@@ -260,7 +262,7 @@ def cmd_sweep(args) -> int:
     grids = []
     for path in args.configs:
         doc = load_config(path)
-        template, estimator = build_sweep_template(doc)
+        template, estimator = build_sweep_template(doc, checked=True)
         seed = args.seed if args.seed is not None else estimator.get("seed", 0)
         grid = sweep(
             template,

@@ -264,6 +264,9 @@ _BAND = {
 
 
 def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
+    """A band's (lo, hi) arrays: given in the document, or the model's
+    per-point quantiles over ``samples`` draws of its paths, both edges
+    taken in one quantile pass."""
     if "lo" in doc:
         return np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
     if model_dist is None or model_dist.kind != "path":
@@ -273,7 +276,10 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
     seed = doc.get("seed", 0)
     paths = model_dist.sample(seed, n_draws, stream=BAND_STREAM)
     a = (1.0 - level) / 2.0
-    return np.quantile(paths, a, axis=0), np.quantile(paths, 1.0 - a, axis=0)
+    # ``sample`` returns a fresh array that nothing else holds, so the
+    # pass may partition it in place.
+    lo, hi = np.quantile(paths, [a, 1.0 - a], axis=0, overwrite_input=True)
+    return lo, hi
 
 
 def _epsilon_beta_from_config(doc: dict, model_dist: dist.Distribution | None) -> ag.EpsilonBeta:
@@ -729,9 +735,13 @@ class BuiltScenario:
     resolved: dict
 
 
-def build_scenario(doc: dict) -> BuiltScenario:
-    """Validate and build a runnable scenario from a config document."""
-    validate_config(doc)
+def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
+    """Validate and build a runnable scenario from a config document.
+
+    ``checked=True`` skips the schema check, for a document that
+    :func:`load_config` or :func:`validate_config` has already checked."""
+    if not checked:
+        validate_config(doc)
     for section in ("model", "data", "agreement", "estimator"):
         if section not in doc:
             raise ConfigError(f"config field $.{section}: section is required for a scenario run")
@@ -749,24 +759,36 @@ def build_scenario(doc: dict) -> BuiltScenario:
     )
 
 
-def build_sweep_template(doc: dict) -> tuple[SweepTemplate, dict]:
+def build_sweep_template(
+    doc: dict, *, checked: bool = False, scenario: Scenario | None = None
+) -> tuple[SweepTemplate, dict]:
     """Build a sweep template: the model section must use a model function
-    with a prior, and the data section must resolve to a certain path."""
-    validate_config(doc)
+    with a prior, and the data section must resolve to a certain path.
+
+    ``checked`` is as for :func:`build_scenario`. Given the ``scenario``
+    already built from the same document, the template takes that
+    scenario's push-forward model and data instead of building them again."""
+    if not checked:
+        validate_config(doc)
     for section in ("model", "data"):
         if section not in doc:
             raise ConfigError(f"config field $.{section}: section is required for a sweep")
     mdoc = doc["model"]
     if "model_function" not in mdoc:
         raise ConfigError("config field $.model: a sweep needs model_function + prior + grid")
-    grid = grid_from_config(mdoc["grid"])
-    data_dist = _data_dist_from_section(doc["data"])
+    push = None if scenario is None else scenario.model_dist
+    grid = grid_from_config(mdoc["grid"]) if push is None else push.grid
+    data_dist = _data_dist_from_section(doc["data"]) if push is None else scenario.data_dist
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep needs a certain data path")
+    # The model and prior are built after the data check, so a document
+    # with several faults reports the data one first.
+    model = model_function_from_config(mdoc["model_function"]) if push is None else push.model
+    prior = distribution_from_config(mdoc["prior"]) if push is None else push.prior
     estimator = dict(doc.get("estimator", {"method": "grid", "seed": 0}))
     template = SweepTemplate(
-        model=model_function_from_config(mdoc["model_function"]),
-        prior=distribution_from_config(mdoc["prior"]),
+        model=model,
+        prior=prior,
         grid=grid,
         data_path=np.asarray(data_dist.value, dtype=float),
         grid_points_per_param=estimator.get("points_per_param", 20),

@@ -71,10 +71,20 @@ class Distribution:
 
     def sample(self, seed: int, n: int, stream: int = 0) -> np.ndarray:
         """Draw *n* values; deterministic in ``(seed, stream)`` with the
-        prefix property: the first k of n draws equal ``sample(seed, k)``."""
+        prefix property: the first k of n draws equal ``sample(seed, k)``.
+
+        Each chunk is copied into one output array as it is drawn, so a
+        call holds that array and one chunk, never a list of chunks. The
+        returned array is always a fresh one the caller owns."""
         if n < 1:
             raise ValueError("sample count must be at least 1")
-        return np.concatenate([self.draw_chunk(seed, stream, c, m) for c, m in _chunks(n)])
+        out = None
+        for c, m in _chunks(n):
+            chunk = self.draw_chunk(seed, stream, c, m)
+            if out is None:  # the first chunk gives the trailing shape and dtype
+                out = np.empty((n, *chunk.shape[1:]), dtype=chunk.dtype)
+            out[c * CHUNK_SIZE : c * CHUNK_SIZE + m] = chunk
+        return out
 
     def draw_chunk(self, seed: int, stream: int, c: int, m: int) -> np.ndarray:
         """The first *m* values of chunk *c* of a stream: values

@@ -94,6 +94,19 @@ def damped_oscillator_model() -> ModelFunction:
 
     def _fn(theta, x):
         a, b, c, d, f, g = (theta[:, i : i + 1] for i in range(6))
-        return a + b * x * np.exp(-c * np.cos(d * x)) + f * np.sin(g * x)
+        # The ufuncs of the expression above, on the same operands in the
+        # same order, written into two reused buffers instead of ten
+        # temporaries. tests/test_golden.py pins the bits of this order.
+        y = np.multiply(d, x)
+        np.cos(y, out=y)
+        np.multiply(-c, y, out=y)
+        np.exp(y, out=y)
+        t = np.multiply(b, x)
+        np.multiply(t, y, out=y)
+        np.add(a, y, out=y)
+        np.multiply(g, x, out=t)
+        np.sin(t, out=t)
+        np.multiply(f, t, out=t)
+        return np.add(y, t, out=y)
 
     return ModelFunction(name="damped_oscillator", param_names=("a", "b", "c", "d", "f", "g"), _fn=_fn)

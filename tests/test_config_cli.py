@@ -228,6 +228,25 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="certain data path"):
             build_sweep_template(doc)
 
+    def test_model_band_leaves_the_model_samples_untouched(self):
+        # The band partitions its path draws in place; an Empirical model's
+        # draws are copies, so the recorded samples must keep their bytes.
+        paths = np.random.default_rng(5).normal(size=(300, 8))
+        doc = scenario_doc(
+            model={"distribution": {"type": "empirical", "samples": paths.tolist()}},
+            data={"distribution": {"type": "dirac", "value": [0.0] * 8}},
+            agreement={
+                "type": "epsilon_beta",
+                "mean_tol": 1.0,
+                "band": {"source": "model", "level": 0.9, "samples": 5000, "seed": 2},
+            },
+        )
+        built = build_scenario(doc)
+        model = built.scenario.model_dist
+        again = rule_from_config(doc["agreement"], model)
+        assert model.samples.tobytes() == paths.tobytes()
+        assert [a.tobytes() for a in again.band] == [a.tobytes() for a in built.scenario.rule.band]
+
 
 @pytest.fixture()
 def tmp_config(tmp_path):
@@ -314,6 +333,44 @@ def sweep_doc(powers, prior_components):
         "agreement": {"type": "gamma_epsilon", "gamma": 0.9, "eps": 0.1, "m": 5.0},
         "estimator": {"method": "grid", "seed": 0, "points_per_param": 9},
     }
+
+
+class TestOneSchemaCheckPerDocument:
+    """``load_config`` schema-checks each document a command reads, and the
+    builders it feeds do not check it again."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        calls = []
+        real = bvm.config.validate_config
+
+        def counting(doc):
+            calls.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(bvm.config, "validate_config", counting)
+        return calls
+
+    def test_validate_mc(self, tmp_config, checks):
+        assert main(["validate", "--config", tmp_config(scenario_doc())]) == EXIT_OK
+        assert len(checks) == 1
+
+    def test_validate_grid(self, tmp_config, checks):
+        doc = sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
+        assert len(checks) == 1
+
+    def test_sweep(self, tmp_config, tmp_path, checks):
+        a = tmp_config(sweep_doc([0, 2], [{"type": "dirac", "value": 1.0}, {"type": "dirac", "value": -0.5}]), "a.json")
+        b = tmp_config(sweep_doc([0], [{"type": "dirac", "value": 1.0}]), "b.json")
+        argv = ["sweep", a, b, "--gamma", "0.9:1.0:0.1", "--eps", "0:0.5:0.25", "--out-prefix", str(tmp_path / "s")]
+        assert main(argv) == EXIT_OK
+        assert len(checks) == 2
+
+    def test_ratio(self, tmp_config, checks):
+        cfg = tmp_config(scenario_doc())
+        assert main(["ratio", cfg, cfg]) == EXIT_OK
+        assert len(checks) == 2
 
 
 class TestSweepCli:

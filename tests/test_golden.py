@@ -33,7 +33,7 @@ from bvm import (
     polynomial_model,
     sweep,
 )
-from bvm.config import build_scenario, build_sweep_template
+from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
 from bvm.metrics import (
     GaussianLikelihoodSpec,
     area_metric_validation,
@@ -175,3 +175,56 @@ GOLDEN = {
 def test_golden_bits(case, threads, monkeypatch):
     monkeypatch.setenv("BVM_THREADS", threads)
     assert CASES[case]() == GOLDEN[case]
+
+
+# Output bytes of the band, sampling and oscillator code. ``sample`` and
+# the band's quantiles write into arrays they own, and the oscillator
+# evaluates into reused buffers. These sha256s were recorded from the
+# plain concatenate / two-quantile / expression forms, so they pin that
+# each still produces those bits. String labels are hashed by value (an object array's bytes are
+# pointers).
+OSC_MODEL = distribution_from_config({"type": "push_forward", **builtin_configs(0)["oscillator-uncertain-compound"]["model"]})
+OSC_PRIOR = IndependentProduct([Normal(p, s) for p, s in zip(_OSC_PARAMS, _OSC_SIGMAS)])
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes() if a.dtype != object else "\n".join(a).encode())
+    return h.hexdigest()
+
+
+def _band(n, level):
+    doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": level, "samples": n, "seed": 4}}
+    return _sha(*rule_from_config(doc, OSC_MODEL).band)
+
+
+BYTES_CASES = {
+    **{f"band-{n}-{level}": (lambda n=n, level=level: _band(n, level)) for n in (100, 4_097, 20_000) for level in (0.95, 0.5)},
+    "sample-normal-4097": lambda: _sha(MODEL.sample(41, 4_097)),
+    "sample-product-100": lambda: _sha(IndependentProduct([Normal(0.01 * i, 1.0 + 0.01 * i) for i in range(100)]).sample(42, 4_097)),
+    "sample-oscillator-push-forward": lambda: _sha(OSC_MODEL.sample(43, 4_097, stream=5)),
+    "sample-categorical-labels": lambda: _sha(LABELS_M.sample(44, 4_097)),
+    "oscillator-evaluate-chunk": lambda: _sha(damped_oscillator_model().evaluate(OSC_PRIOR.sample(45, 4_096), InputGrid(OSC_X))),
+    "oscillator-evaluate-single": lambda: _sha(damped_oscillator_model().evaluate(np.asarray(_OSC_PARAMS), InputGrid(OSC_X))),
+}
+
+BYTES_GOLDEN = {
+    "band-100-0.5": "873d7e0352a4023bd963ef3228f9703ec967e4e0a329a72e660a91800e5acbe0",
+    "band-100-0.95": "ccbf15d4bf299d21dfb9dc070531a382c7d0e915e90b46d4154c26bb63ce693b",
+    "band-20000-0.5": "bbc58d078c9af9cea4b7c358a40fdc346431e666d5aadb09b8f2fd5cf457f879",
+    "band-20000-0.95": "94f24aef461ba7ee88739ed35eb98644b892e93191a60f83dd17bbee5b134a13",
+    "band-4097-0.5": "44201b43618c1590844ce9baa37a9e1076a5a456b03639ffde078709200d09c2",
+    "band-4097-0.95": "b8b1d9801fc5be4e51f61d8cbcba0935b0b5611619a91818b9111eae19b6416a",
+    "oscillator-evaluate-chunk": "ef882770a8eaeba7eb9d4e50c2374b6d998a5db1f8715be24d61f24a99543595",
+    "oscillator-evaluate-single": "512d849f5af77cb3fd1997da8158d1909f5ebeb6bf973aec4ad316237bbce90b",
+    "sample-categorical-labels": "663079a113db157fca0afce4ded8d7b025d2a947e9d513137356289779cd1a6f",
+    "sample-normal-4097": "f6f003437846f2560b658501c0d829559294199bcc26bdc500c7a333eb06beaf",
+    "sample-oscillator-push-forward": "74cc7bac5c39300aad540b7b96a5ec6f86621c56242ed839e8faa05834978545",
+    "sample-product-100": "786db2d7734785bd903fa0b023baa56e44ac2100b3dfdffaa9860838b44fb0f2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTES_CASES))
+def test_golden_bytes(case):
+    assert BYTES_CASES[case]() == BYTES_GOLDEN[case]
