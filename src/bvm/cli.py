@@ -152,7 +152,7 @@ def _run_configured_scenario(doc: dict, seed_override=None, samples_override=Non
     if est_cfg["method"] == "mc":
         est = estimate_bvm_mc(built.scenario, samples, seed)
     else:
-        template, _ = build_sweep_template(doc, checked=True, scenario=built.scenario)
+        template, _ = build_sweep_template(doc, checked=True)
         paths, weights = weighted_paths(
             template,
             "grid",

@@ -759,15 +759,11 @@ def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
     )
 
 
-def build_sweep_template(
-    doc: dict, *, checked: bool = False, scenario: Scenario | None = None
-) -> tuple[SweepTemplate, dict]:
+def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemplate, dict]:
     """Build a sweep template: the model section must use a model function
     with a prior, and the data section must resolve to a certain path.
 
-    ``checked`` is as for :func:`build_scenario`. Given the ``scenario``
-    already built from the same document, the template takes that
-    scenario's push-forward model and data instead of building them again."""
+    ``checked`` is as for :func:`build_scenario`."""
     if not checked:
         validate_config(doc)
     for section in ("model", "data"):
@@ -776,19 +772,14 @@ def build_sweep_template(
     mdoc = doc["model"]
     if "model_function" not in mdoc:
         raise ConfigError("config field $.model: a sweep needs model_function + prior + grid")
-    push = None if scenario is None else scenario.model_dist
-    grid = grid_from_config(mdoc["grid"]) if push is None else push.grid
-    data_dist = _data_dist_from_section(doc["data"]) if push is None else scenario.data_dist
+    grid = grid_from_config(mdoc["grid"])
+    data_dist = _data_dist_from_section(doc["data"])
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep needs a certain data path")
-    # The model and prior are built after the data check, so a document
-    # with several faults reports the data one first.
-    model = model_function_from_config(mdoc["model_function"]) if push is None else push.model
-    prior = distribution_from_config(mdoc["prior"]) if push is None else push.prior
     estimator = dict(doc.get("estimator", {"method": "grid", "seed": 0}))
     template = SweepTemplate(
-        model=model,
-        prior=prior,
+        model=model_function_from_config(mdoc["model_function"]),
+        prior=distribution_from_config(mdoc["prior"]),
         grid=grid,
         data_path=np.asarray(data_dist.value, dtype=float),
         grid_points_per_param=estimator.get("points_per_param", 20),
