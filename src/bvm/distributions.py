@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, poch, stdtr, stdtrit
 
 from .models import InputGrid, ModelFunction
 from .rng import CHUNK_SIZE, QUANTILE_STREAM, REGION_STREAM, _chunks, chunk_rng
@@ -55,6 +54,14 @@ def _float_if_scalar(values):
 # scipy.stats.norm and scipy.stats.t, composed in the same order, so each
 # result has the same bits as the scipy.stats call.
 _SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _special():
+    """``scipy.special``, imported on first use: it is most of the package's
+    import time, and sampling, sweeps and path rules never call it."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _standardise(x, loc, scale):
@@ -183,12 +190,12 @@ class Normal(Distribution):
         return _float_if_scalar(_std_normal_pdf(_standardise(x, self.mean, self.std)) / self.std)
 
     def cdf(self, x):
-        return _float_if_scalar(ndtr(_standardise(x, self.mean, self.std)))
+        return _float_if_scalar(_special().ndtr(_standardise(x, self.mean, self.std)))
 
     def quantile(self, q):
         """Quantile at *q*: a float for scalar *q*, else an array of its
         shape; -inf at q = 0, +inf at q = 1 and NaN outside [0, 1]."""
-        return _float_if_scalar(ndtri(q) * self.std + self.mean)
+        return _float_if_scalar(_special().ndtri(q) * self.std + self.mean)
 
 
 @dataclass(frozen=True)
@@ -215,19 +222,19 @@ class StudentT(Distribution):
         if df == np.inf:  # the poch form is NaN here; the limit is the normal
             pdf = _std_normal_pdf(z)
         else:
-            log_norm = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+            log_norm = np.log(_special().poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
             pdf = np.exp(log_norm - (df + 1) / 2 * np.log1p(z * z / df))
         return _float_if_scalar(pdf / self.scale)
 
     def cdf(self, x):
-        return _float_if_scalar(stdtr(self.dof, _standardise(x, self.location, self.scale)))
+        return _float_if_scalar(_special().stdtr(self.dof, _standardise(x, self.location, self.scale)))
 
     def quantile(self, q):
         """Quantile at *q*: a float for scalar *q*, else an array of its
         shape; -inf at q = 0, +inf at q = 1 and NaN outside [0, 1]."""
         q = np.asarray(q, dtype=float)
         # stdtrit(dof, 0) is +inf; the quantile there is the lower support end.
-        z = np.where(q == 0.0, -np.inf, np.where(q == 1.0, np.inf, stdtrit(self.dof, q)))
+        z = np.where(q == 0.0, -np.inf, np.where(q == 1.0, np.inf, _special().stdtrit(self.dof, q)))
         return _float_if_scalar(z * self.scale + self.location)
 
 

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .agreement import AgreementRule, GammaEpsilon, Threshold
 from .comparison import BinnedPdf, _paired_masses, area_metric, area_metric_many, divergence
@@ -28,6 +27,7 @@ from .distributions import (
     ShiftedExponential,
     StudentT,
     Uniform,
+    _special,
     confidence_interval,
     confidence_set,
     probability_in_region,
@@ -152,6 +152,7 @@ def reliability(
         if sd == 0.0:
             p = 1.0 if abs(mu) <= eps else 0.0
         else:
+            ndtr = _special().ndtr
             p = float(ndtr((eps - mu) / sd) - ndtr((-eps - mu) / sd))
         return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
     continuous = (Normal, StudentT, Uniform, ShiftedExponential)
@@ -236,9 +237,11 @@ def _breakpoints(rule: AgreementRule):
 # Quantile-panel edges for the quadrature: graded in the tails, where a
 # heavy-tailed density spreads each probability decade over a long stretch
 # of the axis, and equal in probability in the body. Only 1e-13 of mass is
-# cut off on each side.
+# cut off on each side. Duplicates are dropped after the sort by hand:
+# np.unique would give the same values but imports numpy.ma in numpy 2.
 _TAIL_Q = np.logspace(-13.0, -2.0, 23)
-_PANEL_Q = np.unique(np.concatenate([_TAIL_Q, np.linspace(0.01, 0.99, 99), 1.0 - _TAIL_Q]))
+_PANEL_Q = np.sort(np.concatenate([_TAIL_Q, np.linspace(0.01, 0.99, 99), 1.0 - _TAIL_Q]))
+_PANEL_Q = _PANEL_Q[np.concatenate([[True], _PANEL_Q[1:] != _PANEL_Q[:-1]])]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 

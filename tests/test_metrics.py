@@ -35,6 +35,7 @@ from bvm import (
     polynomial_model,
     push_forward,
 )
+from bvm import metrics
 from bvm.comparison import area_metric, divergence
 from bvm.engine import EstimationError
 from bvm.metrics import (
@@ -116,6 +117,13 @@ class TestImprovedReliability:
 
 
 class TestFrequentist:
+    def test_panel_quantiles_equal_np_unique(self):
+        # The panel is built without np.unique (which imports numpy.ma) but
+        # must hold the same values: sorted, each once.
+        want = np.unique(np.concatenate([metrics._TAIL_Q, np.linspace(0.01, 0.99, 99), 1.0 - metrics._TAIL_Q]))
+        assert metrics._PANEL_Q.size == 143
+        assert metrics._PANEL_Q.tobytes() == want.tobytes()
+
     def test_always_true(self):
         est = frequentist(0.0, DataSummary(0.0, 1.0, 10), AlwaysTrue())
         assert est.p_hat == pytest.approx(1.0, abs=1e-8)
