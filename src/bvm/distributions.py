@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, QUANTILE_STREAM, REGION_STREAM, _chunks, chunk_rng
+from .rng import CHUNK_SIZE, QUANTILE_STREAM, REGION_STREAM, _chunks, _draw_chunk
 
 __all__ = [
     "DensityUnsupported",
@@ -98,9 +98,13 @@ class Distribution:
         ``c * CHUNK_SIZE`` onwards of ``sample(seed, n, stream)``.
 
         The chunk is drawn in full and then sliced, which is what makes
-        every prefix of a stream independent of the request size.
+        every prefix of a stream independent of the request size. The
+        draw re-keys the calling thread's own generator (see
+        :mod:`bvm.rng`), so ``_draw`` must not keep the generator.
         """
-        return self._draw(chunk_rng(seed, stream, c), CHUNK_SIZE)[:m]
+        if not 1 <= m <= CHUNK_SIZE:
+            raise ValueError(f"a chunk draws 1 to {CHUNK_SIZE} values, not {m}")
+        return _draw_chunk(seed, stream, c, self._draw, CHUNK_SIZE)[:m]
 
     def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         raise NotImplementedError

@@ -234,14 +234,22 @@ def _breakpoints(rule: AgreementRule):
     return None
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """``np.unique`` of a 1-d float array, by the same sort and the same
+    adjacent-duplicate mask, without the ``numpy.ma`` import that
+    ``np.unique`` makes in numpy 2."""
+    values = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 # Quantile-panel edges for the quadrature: graded in the tails, where a
 # heavy-tailed density spreads each probability decade over a long stretch
 # of the axis, and equal in probability in the body. Only 1e-13 of mass is
-# cut off on each side. Duplicates are dropped after the sort by hand:
-# np.unique would give the same values but imports numpy.ma in numpy 2.
+# cut off on each side.
 _TAIL_Q = np.logspace(-13.0, -2.0, 23)
-_PANEL_Q = np.sort(np.concatenate([_TAIL_Q, np.linspace(0.01, 0.99, 99), 1.0 - _TAIL_Q]))
-_PANEL_Q = _PANEL_Q[np.concatenate([[True], _PANEL_Q[1:] != _PANEL_Q[:-1]])]
+_PANEL_Q = _sorted_unique(np.concatenate([_TAIL_Q, np.linspace(0.01, 0.99, 99), 1.0 - _TAIL_Q]))
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
@@ -267,7 +275,7 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
 
     breaks = _breakpoints(rule)
     # E = model_mean - mu is linear, so value-axis kinks map directly.
-    cuts = np.unique([model_mean - b for b in breaks or () if math.isfinite(b)])
+    cuts = _sorted_unique([model_mean - b for b in breaks or () if math.isfinite(b)])
     if not rule.is_soft and breaks is not None:
         # One probe per gap; the two unbounded end gaps are probed 1 beyond
         # the outermost cut; a rule without cuts is constant, probed at 0.
@@ -278,7 +286,7 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
         p = float(weights(probes) @ mass)
     else:
         edges = t.quantile(_PANEL_Q)
-        edges = np.unique(np.concatenate([edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])]]))
+        edges = _sorted_unique(np.concatenate([edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])]]))
         half = 0.5 * np.diff(edges)
         mu = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
         p = float(np.sum(weights(mu) * t.density(mu) * (half[:, None] * _GL_WEIGHTS).ravel()))

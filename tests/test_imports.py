@@ -5,9 +5,13 @@ The package's only scipy functions are the normal and Student-t cdf, pdf
 and quantile ufuncs of ``scipy.special``. ``bvm.distributions._special``
 imports it on first use, since it is about half of what importing
 ``bvm.cli`` costs otherwise. Sweeps, ``reproduce ex-5.3`` and Monte Carlo
-``validate`` never load it. ``scipy.stats`` alone costs about a second to
-import, so a stray import of it (or of ``scipy.integrate`` or
-``scipy.optimize``, which it pulls in) is caught here.
+``validate`` never load it, and they leave ``numpy.ma`` unloaded too
+(``np.unique`` imports it in numpy 2, so the package sorts and masks
+instead). ``frequentist`` loads ``numpy.ma`` only through
+``scipy.special``, which imports it in scipy 1.17. ``scipy.stats`` alone
+costs about a second to import, so a stray import of it (or of
+``scipy.integrate`` or ``scipy.optimize``, which it pulls in) is caught
+here.
 
 Each check runs in a fresh interpreter, which prints one JSON line last.
 """
@@ -23,7 +27,8 @@ import pytest
 from scipy import stats
 
 from bvm import Normal, StudentT
-from bvm.metrics import reliability
+from bvm.agreement import And, Interval, SoftExponential, Threshold  # noqa: F401  (FREQUENTIST_RULES names them)
+from bvm.metrics import DataSummary, frequentist, reliability
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
@@ -100,6 +105,43 @@ def test_command_never_loads_scipy_special(argv, tmp_path, numpy_loads_ma):
         f"    assert bvm.cli.main({argv!r}) == 0\n" + loaded("scipy.special", "numpy.ma")
     )
     assert fresh(code, cwd=tmp_path) == {"scipy.special": False, "numpy.ma": numpy_loads_ma}
+
+
+@pytest.fixture(scope="module")
+def scipy_special_loads_ma():
+    """scipy 1.17's ``scipy.special`` imports numpy.ma through its array-API layer."""
+    return fresh("import scipy.special\n" + loaded("numpy.ma"))["numpy.ma"]
+
+
+def test_sorted_unique_leaves_numpy_ma_unloaded_and_gives_np_unique_bits(numpy_loads_ma):
+    cases = ([3.5, -0.0, 1.0, 3.5, 0.0, -2.0, 1.0, 1e-300, 3.5], [], [2.0])
+    got = fresh(
+        "import json, sys\nfrom bvm.metrics import _sorted_unique\n"
+        f"out = [_sorted_unique(v).tobytes().hex() for v in {cases!r}]\n"
+        "print(json.dumps([out, 'numpy.ma' in sys.modules]))"
+    )
+    want = [np.unique(np.array(v, dtype=float)).tobytes().hex() for v in cases]
+    assert got == [want, numpy_loads_ma]
+
+
+FREQUENTIST_RULES = [
+    'Threshold("abs_value", 0.3)',  # exact cdf sum over the gaps between its cuts
+    'And([Threshold("abs_value", 0.5), Interval("identity", -0.2, 0.9)])',
+    'SoftExponential("abs_value", 0.3, 2.0)',  # panel quadrature with pinned cuts
+]
+
+
+def test_frequentist_loads_numpy_ma_only_through_scipy_special(scipy_special_loads_ma):
+    code = (
+        "import json, sys\n"
+        "from bvm.agreement import And, Interval, SoftExponential, Threshold\n"
+        "from bvm.metrics import DataSummary, frequentist\n"
+        f"rules = [{', '.join(FREQUENTIST_RULES)}]\n"
+        "p = [frequentist(0.1, DataSummary(0.05, 0.8, 12), r).p_hat.hex() for r in rules]\n"
+        "print(json.dumps([p, 'numpy.ma' in sys.modules]))"
+    )
+    warm = [frequentist(0.1, DataSummary(0.05, 0.8, 12), eval(r)).p_hat.hex() for r in FREQUENTIST_RULES]
+    assert fresh(code) == [warm, scipy_special_loads_ma]
 
 
 # Each call is the first use of scipy.special in its interpreter. It must

@@ -1,13 +1,30 @@
-"""Chunked streams: stream ids, chunk draw counts, and the chunk map."""
+"""Chunked streams: stream ids, chunk keys, chunk draws, and the chunk map.
+
+The package derives chunk keys without ``np.random.SeedSequence``;
+:func:`fresh_rng` keeps the ``SeedSequence`` formula as the oracle that
+every key and every draw must reproduce.
+"""
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from bvm import rng
-from bvm.distributions import Categorical, Normal
-from bvm.rng import CHUNK_SIZE, map_chunks
+from bvm.distributions import Categorical, Distribution, Empirical, Normal, StudentT
+from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, chunk_rng, map_chunks
+
+STREAMS = sorted(v for name, v in vars(rng).items() if name.endswith("_STREAM"))
+
+
+def fresh_rng(seed, stream, chunk):
+    """A chunk's generator as numpy spawns it from a SeedSequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream, chunk))))
+
+
+def fresh_chunk(dist, seed, stream, chunk, m=CHUNK_SIZE):
+    return dist._draw(fresh_rng(seed, stream, chunk), CHUNK_SIZE)[:m]
 
 
 def test_stream_ids_are_distinct():
@@ -49,3 +66,105 @@ def test_map_chunks_raises_lowest_failing_chunk(threads, monkeypatch):
 
     with pytest.raises(ValueError, match="chunk 2"):
         map_chunks(fn, 6 * CHUNK_SIZE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+def test_chunk_keys_equal_seed_sequence_keys(seed):
+    chunks = [*range(_KEY_BLOCK + 2), 2**32 - 1, 2**32]
+    for stream in STREAMS + [2**33]:
+        for c in chunks:
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(stream, c)).generate_state(2, np.uint64)
+            assert np.array_equal(rng._chunk_key(seed, stream, c), want), (seed, stream, c)
+            # The whole state: key, counter, buffer and the buffered uint32.
+            assert repr(chunk_rng(seed, stream, c).bit_generator.state) == repr(
+                fresh_rng(seed, stream, c).bit_generator.state
+            ), (seed, stream, c)
+
+
+@pytest.mark.parametrize(
+    "seed, stream, chunk", [(1.5, 0, 0), (-1, 0, 0), (0, -2, 0), (0, 0, -3), (0, 0.5, 0), (0, 0, 2.25)]
+)
+def test_non_integral_or_negative_ids_are_rejected(seed, stream, chunk):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        chunk_rng(seed, stream, chunk)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        Normal(0.0, 1.0).draw_chunk(seed, stream, chunk, 10)
+
+
+@pytest.mark.parametrize("m", [0, -3, CHUNK_SIZE + 1, 5000])
+def test_draw_chunk_rejects_a_count_outside_one_chunk(m):
+    with pytest.raises(ValueError, match="chunk draws"):
+        Normal(0.0, 1.0).draw_chunk(1, 0, 0, m)
+
+
+@dataclass(frozen=True)
+class _OddWords(Distribution):
+    """Draws an odd number of 32-bit words, so half of a 64-bit Philox
+    output stays buffered in the generator afterwards."""
+
+    def _draw(self, rng, m):
+        out = rng.integers(0, 7, size=m, dtype=np.int32)
+        rng.integers(0, 7, dtype=np.int32)
+        return out
+
+
+KINDS = [Normal(0.3, 2.0), _OddWords(), Empirical(np.arange(17.0)), Categorical([1.0, 2.0, 5.0], [0.2, 0.5, 0.3]),
+         StudentT(0.0, 3.0, 1.5), Categorical(["a", "b"], [0.4, 0.6])]
+
+
+def test_reused_generator_draws_what_a_fresh_one_draws():
+    # Each kind leaves different state behind (a buffered 32-bit word, a
+    # partly used Philox block); the next chunk must not see any of it.
+    for i in range(3 * len(KINDS)):
+        dist, c, m = KINDS[i % len(KINDS)], (7 * i) % (_KEY_BLOCK + 3), 1 + (997 * i) % CHUNK_SIZE
+        got = dist.draw_chunk(11, 1 + i % 2, c, m)
+        assert np.array_equal(got, fresh_chunk(dist, 11, 1 + i % 2, c, m)), (dist, c, m)
+
+
+@dataclass(frozen=True)
+class _Nested(Distribution):
+    """Draws from its generator, then another distribution's chunk, then
+    its generator again."""
+
+    inner: Distribution
+
+    def _draw(self, rng, m):
+        head = rng.normal(size=m // 2)
+        inner = self.inner.draw_chunk(5, 3, 1, m - m // 2)
+        return np.concatenate([head, inner + rng.normal(size=m - m // 2)])
+
+
+def test_nested_draw_keeps_both_draws_bits():
+    inner = Categorical([0.0, 1.0], [0.5, 0.5])
+    got = _Nested(inner).draw_chunk(4, 2, 0, CHUNK_SIZE)
+    outer = fresh_rng(4, 2, 0)
+    head = outer.normal(size=CHUNK_SIZE // 2)
+    want = np.concatenate([head, fresh_chunk(inner, 5, 3, 1, CHUNK_SIZE // 2) + outer.normal(size=CHUNK_SIZE // 2)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(inner.draw_chunk(5, 3, 1, 9), fresh_chunk(inner, 5, 3, 1, 9))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_sample_bits_do_not_depend_on_threads(threads, monkeypatch):
+    monkeypatch.setenv("BVM_THREADS", threads)
+    model, data = Normal(0.2, 1.0), StudentT(0.0, 4.0, 0.5)
+
+    def chunk(c, m):  # one chunk of a stream, and a whole sample, on each worker
+        return model.draw_chunk(9, 0, c, m), data.sample(9 + c, 100, stream=1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        got = map_chunks(chunk, (_KEY_BLOCK + 5) * CHUNK_SIZE - 7)  # crosses a key block; ends part-way
+    finally:
+        sys.setswitchinterval(interval)
+    for c, (draws, sample) in enumerate(got):
+        assert np.array_equal(draws, fresh_chunk(model, 9, 0, c, draws.size)), c
+        assert np.array_equal(sample, fresh_chunk(data, 9 + c, 1, 0, 100)), c
+
+
+def test_a_thread_drawing_from_many_streams_keeps_few_key_blocks():
+    dist = Normal(0.0, 1.0)
+    for stream in range(100, 140):
+        assert np.array_equal(dist.draw_chunk(2, stream, 3, 5), fresh_chunk(dist, 2, stream, 3, 5)), stream
+    assert 1 <= len(rng._local.keys) <= rng._KEY_STREAMS
