@@ -196,8 +196,8 @@ class GammaEpsilon(AgreementRule):
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.m < 1.0:
-            raise ValueError("m must be at least 1")
+        if not (np.isfinite(self.m) and self.m >= 1.0):
+            raise ValueError(f"m must be finite and at least 1, got {self.m!r}")
         eps = np.asarray(self.eps, dtype=float)
         if np.any(eps < 0):
             raise ValueError("eps must be nonnegative")

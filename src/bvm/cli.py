@@ -39,18 +39,19 @@ from .config import (
     build_sweep_template,
     load_config,
     rule_to_config,
+    sweep_template,
 )
 from .engine import (
     EstimationError,
     RatioResult,
+    _grid_estimate,
+    _path_blocks,
     averaged_boolean_ratio,
     bvm_factor,
     bvm_ratio,
-    estimate_bvm_grid,
     estimate_bvm_mc,
     ratio_grid,
     sweep,
-    weighted_paths,
 )
 from .metrics import EvidenceResult
 from .rng import CHUNK_SIZE, _max_workers
@@ -152,16 +153,8 @@ def _run_configured_scenario(doc: dict, seed_override=None, samples_override=Non
     if est_cfg["method"] == "mc":
         est = estimate_bvm_mc(built.scenario, samples, seed)
     else:
-        template, _ = build_sweep_template(doc, checked=True)
-        paths, weights = weighted_paths(
-            template,
-            "grid",
-            k=samples,
-            seed=seed,
-        )
-        est = estimate_bvm_grid(
-            built.scenario, (paths, weights), ([template.data_path], [1.0])
-        )
+        template = sweep_template(built.scenario.model_dist, built.scenario.data_dist, est_cfg)
+        est = _grid_estimate(built.scenario.rule, _path_blocks(template, "grid", 0, 0), ([template.data_path], [1.0]))
     return built, est
 
 
@@ -259,6 +252,8 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     gammas = _parse_axis(args.gamma)
     epsilons = _parse_axis(args.eps)
+    if not (math.isfinite(args.m) and args.m >= 1.0):
+        raise ConfigError(f"--m {args.m!r}: the worst-point multiplier must be finite and at least 1")
     grids = []
     for path in args.configs:
         doc = load_config(path)

@@ -49,6 +49,7 @@ __all__ = [
     "load_config",
     "build_scenario",
     "build_sweep_template",
+    "sweep_template",
     "distribution_from_config",
     "rule_from_config",
     "rule_to_config",
@@ -760,8 +761,8 @@ def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
 
 
 def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemplate, dict]:
-    """Build a sweep template: the model section must use a model function
-    with a prior, and the data section must resolve to a certain path.
+    """Build the model and data sections of a sweep config and make them a
+    :func:`sweep_template`; returns it with the estimator section.
 
     ``checked`` is as for :func:`build_scenario`."""
     if not checked:
@@ -769,20 +770,23 @@ def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemp
     for section in ("model", "data"):
         if section not in doc:
             raise ConfigError(f"config field $.{section}: section is required for a sweep")
-    mdoc = doc["model"]
-    if "model_function" not in mdoc:
-        raise ConfigError("config field $.model: a sweep needs model_function + prior + grid")
-    grid = grid_from_config(mdoc["grid"])
-    data_dist = _data_dist_from_section(doc["data"])
-    if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
-        raise ConfigError("config field $.data: a sweep needs a certain data path")
     estimator = dict(doc.get("estimator", {"method": "grid", "seed": 0}))
-    template = SweepTemplate(
-        model=model_function_from_config(mdoc["model_function"]),
-        prior=distribution_from_config(mdoc["prior"]),
-        grid=grid,
-        data_path=np.asarray(data_dist.value, dtype=float),
+    template = sweep_template(_model_dist_from_section(doc["model"]), _data_dist_from_section(doc["data"]), estimator)
+    return template, estimator
+
+
+def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, estimator: dict) -> SweepTemplate:
+    """The template a sweep or a grid estimate runs on: a push-forward
+    model, a certain data path, and the estimator section's grid settings."""
+    if not isinstance(model_dist, dist.PushForward):
+        raise ConfigError("config field $.model: a sweep or a grid estimate needs model_function + prior + grid")
+    if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
+        raise ConfigError("config field $.data: a sweep or a grid estimate needs a certain data path")
+    return SweepTemplate(
+        model=model_dist.model,
+        prior=model_dist.prior,
+        grid=model_dist.grid,
+        data_path=data_dist.value,
         grid_points_per_param=estimator.get("points_per_param", 20),
         span_sigmas=estimator.get("span_sigmas", 3.0),
     )
-    return template, estimator

@@ -199,31 +199,42 @@ def estimate_bvm_grid(scenario: Scenario, model_grid, data_grid) -> BvmEstimate:
     """Exact double sum over weighted value lists.
 
     Each grid is ``(values, weights)``; a certain data path is the
-    one-element grid with weight 1.
+    one-element grid with weight 1. The model values are one block of
+    :func:`_grid_estimate`.
     """
     model_values, model_weights = model_grid
+    model_values = list(model_values) if not isinstance(model_values, np.ndarray) else model_values
+    return _grid_estimate(scenario.rule, (len(model_values), model_weights, [model_values]), data_grid)
+
+
+def _grid_estimate(rule: AgreementRule, model_blocks, data_grid) -> BvmEstimate:
+    """sum_j wd_j * dot(wm, K(model values, z_j)) over the z_j with nonzero
+    weight, in data order. The n model values come as ``(n, weights,
+    blocks)``, as from :func:`_path_blocks`; each block is scored into one
+    length-n weight row per z_j and dropped, so no block split moves a bit."""
+    n_values, model_weights, blocks = model_blocks
     data_values, data_weights = data_grid
     wm = _check_weights(model_weights, "model grid")
     wd = _check_weights(data_weights, "data grid")
-    model_values = list(model_values) if not isinstance(model_values, np.ndarray) else model_values
+    live = [(zv, wz) for zv, wz in zip(data_values, wd) if wz != 0.0]
+    w = np.empty((len(live), n_values))
+    start = 0
+    for block in blocks:
+        rows = len(block)
+        for row, (zv, _) in zip(w, live):
+            row[start : start + rows] = rule.kernel_many(block, _broadcast_value(zv, rows))
+        start += rows
     total = 0.0
-    for zv, wz in zip(data_values, wd):
-        if wz == 0.0:
-            continue
-        batch_z = _broadcast_value(zv, len(model_values))
-        w = np.asarray(scenario.rule.kernel_many(model_values, batch_z), dtype=float)
-        total += wz * float(np.dot(wm, w))
+    for row, (_, wz) in zip(w, live):
+        total += wz * float(np.dot(wm, row))
     p = min(1.0, max(0.0, total))
-    return BvmEstimate(p_hat=p, std_error=0.0, n_samples=len(model_values) * len(data_values), seed=0, method="grid")
+    return BvmEstimate(p_hat=p, std_error=0.0, n_samples=n_values * len(data_values), seed=0, method="grid")
 
 
 def _broadcast_value(value, n: int):
     arr = np.asarray(value)
-    if arr.ndim == 0:
-        dtype = float if arr.dtype.kind in "fiub" else object
-        return np.full(n, value, dtype=dtype)
-    if arr.dtype == object:
-        return np.full(n, value, dtype=object)
+    if arr.ndim == 0 or arr.dtype == object:
+        return np.full(n, value, dtype=float if arr.dtype.kind in "fiub" else object)
     return np.tile(arr, (n, 1))
 
 
@@ -375,9 +386,9 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepTemplate:
-    """Everything a sweep needs except the (gamma, eps) axes: the model,
-    its parameter prior, the comparison grid, the certain data path, and
-    the worst-point multiplier m.
+    """What a sweep or a grid estimate reads: a model, its parameter prior,
+    the comparison grid, a certain data path, and how finely the prior is
+    discretised. ``config.sweep_template`` makes one from built sections.
     """
 
     model: ModelFunction
@@ -413,13 +424,13 @@ def discretize_distribution(dist: Distribution, n: int, span_sigmas: float = 3.0
 def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
     """``(n_paths, weights, blocks)`` of the model paths under an estimator.
 
-    ``weights`` holds one normalised weight per path, and ``blocks``
-    yields the paths in order, ``SWEEP_BLOCK`` rows at a time, so no more
-    than one block of paths is held (plus, for "mc", the chunk it is
-    sliced from). A grid block takes its rows of the parameter mesh by
-    flat index and evaluates the model on them alone; an "mc" block is a
-    slice of a ``PushForward.draw_chunk``. Both give the bits of one
-    evaluation over every path.
+    ``weights`` holds one normalised weight per path, and ``blocks`` yields
+    the paths in order, ``SWEEP_BLOCK`` rows at a time, so no more than one
+    block of paths is held (plus, for "mc", the chunk it is sliced from).
+    A grid block takes its rows of the parameter mesh by flat index and
+    evaluates the model on them alone; an "mc" block is a slice of a
+    ``PushForward.draw_chunk``. Both give the bits of one evaluation over
+    every path. :func:`sweep` and grid ``bvm validate`` read no other paths.
     """
     if estimator == "grid":
         if isinstance(template.prior, IndependentProduct):
@@ -458,18 +469,6 @@ def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
     raise EstimationError(f"unknown sweep estimator '{estimator}'")
 
 
-def weighted_paths(template: SweepTemplate, estimator: str, k: int = 10_000, seed: int = 0):
-    """Every model output path, with its weight, under the requested
-    estimator; :func:`sweep` reads the same paths one block at a time."""
-    n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
-    paths = np.empty((n_paths, len(template.grid)))
-    start = 0
-    for block in blocks:
-        paths[start : start + block.shape[0]] = block
-        start += block.shape[0]
-    return paths, weights
-
-
 def sweep(
     template: SweepTemplate,
     gammas,
@@ -503,6 +502,8 @@ def sweep(
     epsilons = np.asarray(epsilons, dtype=float)
     if gammas.size == 0 or epsilons.size == 0:
         raise EstimationError("sweep axes must be nonempty")
+    if not (math.isfinite(m) and m >= 1.0):
+        raise EstimationError(f"worst-point multiplier m must be finite and at least 1, got {m!r}")
     n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
     n = len(template.grid)
     n_eps = epsilons.size

@@ -28,6 +28,7 @@ from bvm.config import (
     rule_to_config,
     validate_config,
 )
+from bvm.engine import EstimationError
 from bvm.studies import builtin_configs
 
 
@@ -373,6 +374,35 @@ class TestOneSchemaCheckPerDocument:
         assert len(checks) == 2
 
 
+def test_grid_validate_builds_the_model_once(tmp_config, monkeypatch):
+    calls = []
+    real = bvm.config.model_function_from_config
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(bvm.config, "model_function_from_config", counting)
+    doc = sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
+    assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
+    assert len(calls) == 1
+
+
+class TestGridValidateNeeds:
+    """Grid ``validate`` runs on a sweep template; its errors name both uses."""
+
+    def test_a_push_forward_model(self, tmp_config, capsys):
+        doc = scenario_doc(estimator={"method": "grid", "seed": 0})
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert "a sweep or a grid estimate needs model_function + prior + grid" in capsys.readouterr().err
+
+    def test_a_certain_data_path(self, tmp_config, capsys):
+        doc = sweep_doc([0], [{"type": "normal", "mean": 1.0, "std": 0.2}])
+        doc["data"] = {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert "a sweep or a grid estimate needs a certain data path" in capsys.readouterr().err
+
+
 class TestSweepCli:
     def test_two_model_sweep_outputs(self, tmp_config, tmp_path, capsys):
         a = tmp_config(
@@ -454,6 +484,19 @@ class TestSweepCli:
             sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
         )
         assert main(["sweep", a, "--gamma", "nope"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("m", ["0.5", "-1", "nan", "inf"])
+    def test_worst_point_multiplier_must_be_finite_and_at_least_one(self, m, tmp_config, tmp_path, capsys):
+        a = tmp_config(sweep_doc([0], [{"type": "dirac", "value": 1.0}]))
+        prefix = str(tmp_path / "bad")
+        assert main(["sweep", a, f"--m={m}", "--out-prefix", prefix]) == EXIT_CONFIG
+        assert "--m" in capsys.readouterr().err
+        assert not (tmp_path / "bad_model1.csv").exists()
+        template, _ = build_sweep_template(json.load(open(a)))
+        with pytest.raises(EstimationError, match="at least 1"):
+            bvm.sweep(template, [0.9], [0.1], m=float(m))
+        with pytest.raises(ValueError, match="at least 1"):
+            bvm.GammaEpsilon(0.9, 0.1, m=float(m))
 
     def test_step_that_does_not_divide_the_range_is_rejected(self, tmp_config, tmp_path, capsys):
         a = tmp_config(

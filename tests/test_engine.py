@@ -41,9 +41,9 @@ from bvm.engine import (
     SWEEP_BLOCK,
     EstimationError,
     RatioResult,
+    _grid_estimate,
     _path_blocks,
     discretize_distribution,
-    weighted_paths,
 )
 from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM, TOLERANCE_STREAM
 from bvm.studies import _poly_config, sweep_axes
@@ -229,6 +229,26 @@ class TestGridEstimator:
         assert abs(mc.p_hat - 0.6) <= 3 * mc.std_error
 
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            GammaEpsilon(0.6, 0.2, 5.0),
+            Threshold("mean_abs_error", 0.15),
+            And([Threshold("max_abs_error", 0.6), SoftExponential("mean_abs_error", 0.1, 10.0)]),
+        ],
+    )
+    def test_path_blocks_give_the_bits_of_one_block(self, rule):
+        # A 33 x 33 mesh is one full block plus 65 rows; the second data
+        # value has weight 0 and is skipped.
+        template = small_template(points_per_param=33)
+        paths, weights = all_paths(template, "grid")
+        data = ([template.data_path, template.data_path + 0.03, template.data_path], [0.25, 0.0, 0.75])
+        one_block = estimate_bvm_grid(Scenario(DiracDelta(paths[0]), DiracDelta(template.data_path), rule), (paths, weights), data)
+        streamed = _grid_estimate(rule, _path_blocks(template, "grid", 0, 0), data)
+        assert streamed == one_block
+        assert 0.0 < streamed.p_hat < 1.0 and streamed.n_samples == 33 * 33 * 3
+
+
 class TestComparisonDensity:
     def test_dirac_pair_single_bin(self):
         sc = Scenario(DiracDelta(2.0), DiracDelta(3.5), AlwaysTrue())
@@ -328,7 +348,7 @@ def assert_matches_cellwise_grid(template, gammas, epsilons, m):
     # Dual route: the optimised sweep must equal running the plain grid
     # estimator with the (gamma, eps) rule at every cell.
     grid = sweep(template, gammas, epsilons, m=m)
-    paths, weights = weighted_paths(template, "grid")
+    paths, weights = all_paths(template, "grid")
     data_grid = ([template.data_path], [1.0])
     for i, g in enumerate(gammas):
         for j, e in enumerate(epsilons):
@@ -356,13 +376,14 @@ def direct_count_sweep(paths, weights, data_path, gammas, epsilons, m):
     return np.clip(values, 0.0, 1.0)
 
 
-def assert_blocks_concatenate_to(template, estimator, k, seed, paths, weights):
-    n_paths, block_weights, blocks = _path_blocks(template, estimator, k, seed)
+def all_paths(template, estimator, k=0, seed=0):
+    # Every path of _path_blocks at once, checking the block sizes.
+    n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
     blocks = list(blocks)
-    assert n_paths == paths.shape[0]
     assert all(b.shape[0] == SWEEP_BLOCK for b in blocks[:-1]) and 0 < blocks[-1].shape[0] <= SWEEP_BLOCK
-    assert np.array_equal(np.concatenate(blocks), paths)
-    assert np.array_equal(block_weights, weights)
+    paths = np.concatenate(blocks)
+    assert paths.shape[0] == n_paths == weights.size
+    return paths, weights
 
 
 class TestSweep:
@@ -393,10 +414,10 @@ class TestSweep:
         # The second k crosses a chunk boundary and ends on a partial block.
         template = small_template()
         for k in (2 * SWEEP_BLOCK + 37, CHUNK_SIZE + SWEEP_BLOCK + 37):
-            paths, weights = weighted_paths(template, "mc", k, 9)
+            paths, weights = all_paths(template, "mc", k, 9)
             reference = PushForward(template.prior, template.model, template.grid).sample(9, k, stream=MODEL_STREAM)
             assert np.array_equal(paths, reference)
-            assert_blocks_concatenate_to(template, "mc", k, 9, paths, weights)
+            assert np.array_equal(weights, np.full(k, 1.0 / k))
             # Every error of the last path is also an eps: an error equal to
             # eps is in tolerance.
             gammas = np.linspace(0.05, 1.0, 20)
@@ -411,7 +432,7 @@ class TestSweep:
         template = small_template(points_per_param=33)
         n_paths = 33 * 33
         assert n_paths % SWEEP_BLOCK
-        paths, weights = weighted_paths(template, "grid")
+        paths, weights = all_paths(template, "grid")
         # Reference: one evaluation over the full meshgrid of supports.
         (x0, w0), (x1, w1) = (discretize_distribution(c, 33) for c in template.prior.components)
         mesh = np.meshgrid(x0, x1, indexing="ij")
@@ -420,7 +441,6 @@ class TestSweep:
         w_mesh = np.meshgrid(w0, w1, indexing="ij")
         w_ref = w_mesh[0].ravel() * w_mesh[1].ravel()
         assert np.array_equal(weights, w_ref / w_ref.sum())
-        assert_blocks_concatenate_to(template, "grid", 0, 0, paths, weights)
         gammas = np.linspace(0.05, 1.0, 20)
         epsilons = np.concatenate([np.linspace(0.0, 0.6, 13), np.abs(paths[-1] - template.data_path)])
         grid = sweep(template, gammas, epsilons, m=3.0)

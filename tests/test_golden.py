@@ -9,6 +9,7 @@ outputs and has to say so.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from bvm import (
     polynomial_model,
     sweep,
 )
+from bvm.cli import EXIT_OK, main
 from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
 from bvm.metrics import (
     GaussianLikelihoodSpec,
@@ -228,3 +230,44 @@ BYTES_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(BYTES_CASES))
 def test_golden_bytes(case):
     assert BYTES_CASES[case]() == BYTES_GOLDEN[case]
+
+
+# Grid ``bvm validate`` end to end: the ``p_hat`` its record holds for
+# three bundled polynomial configs, each under its own gamma_epsilon rule,
+# a hard mean-error threshold and a hard/soft compound. Recorded from the
+# route that held every model path at once.
+GRID_RULES = {
+    "own": None,
+    "mean-threshold": {"type": "threshold", "fn": "mean_abs_error", "eps": 0.05},
+    "and-soft": {
+        "type": "and",
+        "children": [
+            {"type": "threshold", "fn": "max_abs_error", "eps": 0.3},
+            {"type": "soft_exponential", "fn": "mean_abs_error", "eps_prime": 0.02, "rate": 30},
+        ],
+    },
+}
+
+GRID_GOLDEN = {
+    "poly-deterministic-model2/and-soft": "0x1.b060e64d5ae71p-1",
+    "poly-deterministic-model2/mean-threshold": "0x1.0000000000000p+0",
+    "poly-deterministic-model2/own": "0x1.0000000000000p+0",
+    "poly-uncertain-model1/and-soft": "0x1.b19e9dd8582cep-8",
+    "poly-uncertain-model1/mean-threshold": "0x1.231fb1e424406p-8",
+    "poly-uncertain-model1/own": "0x1.1a7b4c47fba7ep-7",
+    "poly-uncertain-model2/and-soft": "0x1.af2ab4f27a686p-5",
+    "poly-uncertain-model2/mean-threshold": "0x1.6e218475c924ep-5",
+    "poly-uncertain-model2/own": "0x1.ea10c34c57902p-5",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(GRID_RULES))
+@pytest.mark.parametrize("config", ["poly-uncertain-model2", "poly-uncertain-model1", "poly-deterministic-model2"])
+def test_grid_validate_bits(config, rule, tmp_path):
+    doc = builtin_configs(0)[config]
+    if GRID_RULES[rule] is not None:
+        doc = {**doc, "agreement": GRID_RULES[rule]}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "record.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["estimates"][0]["p_hat"].hex() == GRID_GOLDEN[f"{config}/{rule}"]

@@ -1,4 +1,4 @@
-"""Peak traced memory of sampling and of the model band.
+"""Peak traced memory of sampling, of the model band and of grid ``validate``.
 
 ``Distribution.sample`` copies each chunk into one output array as it is
 drawn, and the band takes both quantiles in one pass that partitions that
@@ -7,11 +7,18 @@ working set. The bounds were set before that change, between the old
 peaks (a list of chunks plus their concatenation, then a copy per
 quantile call: 32.4 MB for the band, 16.1 MB for the normal draws) and
 the new ones (26.2 MB and 8.1 MB).
+
+Grid ``bvm validate`` scores its model paths one block at a time, as a
+sweep reads them. Its bound was set before that change, when the call
+held all 160 000 paths of the uncertain ex-5.3 model 2 (50 points each)
+and the data path tiled to as many rows: 257.3 MB.
 """
 
+import json
 import tracemalloc
 
 from bvm import Normal
+from bvm.cli import EXIT_OK, main
 from bvm.config import distribution_from_config, rule_from_config
 from bvm.studies import builtin_configs
 
@@ -39,3 +46,13 @@ def test_oscillator_band_peak():
 def test_normal_sample_peak():
     Normal(0.0, 1.0).sample(3, 10)
     assert _peak_mb(lambda: Normal(0.0, 1.0).sample(3, 1_000_000)) <= 10.0
+
+
+def test_grid_validate_peak(tmp_path):
+    def validate(name):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(builtin_configs(0)[name]))
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+
+    validate("poly-deterministic-model2")  # warm-up
+    assert _peak_mb(lambda: validate("poly-uncertain-model2")) <= 16.0

@@ -57,7 +57,6 @@ def test_tracer_installs_on_every_patch_point_and_restores_the_originals():
             ("Scenario", "draw_pairs"),
             ("Distribution", "sample"),
             ("ModelFunction", "evaluate"),
-            ("bvm.engine", "weighted_paths"),
             *(("registry", name) for name in comparison._REGISTRY),
         ]:
             assert during[key] is not before[key], key
