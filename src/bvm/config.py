@@ -266,12 +266,30 @@ _BAND = {
 
 def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
     """A band's (lo, hi) arrays: given in the document, or the model's
-    per-point quantiles over ``samples`` draws of its paths, both edges
-    taken in one quantile pass."""
+    per-point quantiles over ``samples`` draws of its paths.
+
+    A given band is checked here: no NaN edge, lo <= hi at every point,
+    and, when the model's path length is known, one point per path point.
+    Infinite edges are allowed.
+
+    A certain model (:meth:`PushForward.certain_chunk`) gives every draw
+    from its kept chunk. When that chunk's rows are all equal and finite,
+    the band is that row at both edges, which is what the quantiles of a
+    constant finite column are (a ``-0.0`` may come back as ``+0.0``,
+    which compares equal), and no path is drawn. Otherwise both edges are
+    taken in one quantile pass (a constant column of ±inf gives NaN there).
+    """
     if "lo" in doc:
-        return np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
+        lo, hi = np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
+        _check_band(lo, hi, model_dist)
+        return lo, hi
     if model_dist is None or model_dist.kind != "path":
         raise ConfigError("band with source 'model' needs a path-valued model distribution")
+    chunk = model_dist.certain_chunk() if isinstance(model_dist, dist.PushForward) else None
+    if chunk is not None:
+        row = chunk[0]
+        if np.isfinite(row).all() and (chunk == row).all():
+            return row.copy(), row.copy()
     level = doc["level"]
     n_draws = doc.get("samples", 20_000)
     seed = doc.get("seed", 0)
@@ -281,6 +299,22 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
     # pass may partition it in place.
     lo, hi = np.quantile(paths, [a, 1.0 - a], axis=0, overwrite_input=True)
     return lo, hi
+
+
+def _check_band(lo: np.ndarray, hi: np.ndarray, model_dist: dist.Distribution | None):
+    n = model_dist.path_length if model_dist is not None else None
+    if lo.shape != hi.shape:
+        raise ConfigError(f"band: lo has {lo.size} points and hi {hi.size}")
+    if n is not None and lo.size != n:
+        raise ConfigError(f"band: {lo.size} points, but the model's paths have {n}")
+    for name, edge in (("lo", lo), ("hi", hi)):
+        if np.isnan(edge).any():
+            raise ConfigError(f"band: {name} is NaN at point {int(np.argmax(np.isnan(edge)))}")
+    above = lo > hi
+    if above.any():
+        raise ConfigError(
+            f"band: lo exceeds hi at {int(above.sum())} of {lo.size} points, first at point {int(np.argmax(above))}"
+        )
 
 
 def _epsilon_beta_from_config(doc: dict, model_dist: dist.Distribution | None) -> ag.EpsilonBeta:

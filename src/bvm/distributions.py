@@ -10,6 +10,7 @@ caller falls back to the sampling path.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -424,12 +425,25 @@ class IndependentProduct(Distribution):
         return len(self.components)
 
 
+# Held while a certain model's chunk is evaluated, so that two workers
+# reaching its first draw at once evaluate it once.
+_CERTAIN_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class PushForward(Distribution):
     """Distribution over output paths induced by a parameter prior.
 
     Sampling draws a parameter vector from ``prior`` and evaluates ``model``
     on ``grid``. There is no evaluable density; use the sampling path.
+
+    A certain model - a prior that is a :class:`DiracDelta`, or an
+    :class:`IndependentProduct` of them - draws no random numbers, so every
+    chunk of every stream is the same ``CHUNK_SIZE`` rows. That chunk is
+    evaluated once, on first use, and kept (:meth:`certain_chunk`); each
+    draw returns a copy of it. Its rows are not always bit-equal to each
+    other or to a one-row evaluation (a BLAS matrix product may round them
+    differently), so the whole chunk is kept, not one path.
     """
 
     prior: Distribution
@@ -443,12 +457,33 @@ class PushForward(Distribution):
                 f"prior dimension {prior_dim} does not match "
                 f"{len(self.model.param_names)} model parameters"
             )
+        parts = self.prior.components if isinstance(self.prior, IndependentProduct) else (self.prior,)
+        object.__setattr__(self, "_certain", all(isinstance(p, DiracDelta) for p in parts))
+        object.__setattr__(self, "_kept", None)
 
     def _draw(self, rng, m):
+        if self._certain:
+            return self.certain_chunk().copy()
+        return self._evaluate(rng, m)
+
+    def _evaluate(self, rng, m):
         theta = self.prior._draw(rng, m)
         if theta.ndim == 1:
             theta = theta[:, None]
         return self.model.evaluate(theta, self.grid)
+
+    def certain_chunk(self) -> np.ndarray | None:
+        """The one full chunk of paths of a certain model, read-only, or
+        None when some prior component is not a point mass."""
+        if not self._certain:
+            return None
+        if self._kept is None:
+            with _CERTAIN_LOCK:
+                if self._kept is None:
+                    kept = self._evaluate(None, CHUNK_SIZE)  # point masses ignore the generator
+                    kept.flags.writeable = False
+                    object.__setattr__(self, "_kept", kept)
+        return self._kept
 
     @property
     def kind(self) -> str:

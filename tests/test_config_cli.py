@@ -248,6 +248,20 @@ class TestBuilders:
         assert model.samples.tobytes() == paths.tobytes()
         assert [a.tobytes() for a in again.band] == [a.tobytes() for a in built.scenario.rule.band]
 
+    def test_certain_band_of_an_infinite_path_takes_the_quantile_pass(self):
+        # The quantiles of a constant +inf column are NaN (inf - inf), not
+        # inf, so a certain model's band is its one path only when finite.
+        model = bvm.PushForward(
+            bvm.IndependentProduct([bvm.DiracDelta(np.inf), bvm.DiracDelta(1.0)]),
+            bvm.polynomial_model([0, 1]),
+            bvm.InputGrid.linspace(0.0, 1.0, 3),
+        )
+        doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": 0.9, "samples": 100}}
+        with np.errstate(invalid="ignore"):
+            assert np.isinf(model.certain_chunk()).all()
+            lo, hi = rule_from_config(doc, model).band
+        assert np.isnan(lo).all() and np.isnan(hi).all()
+
 
 @pytest.fixture()
 def tmp_config(tmp_path):
@@ -386,6 +400,38 @@ def test_grid_validate_builds_the_model_once(tmp_config, monkeypatch):
     doc = sweep_doc([0, 2], [{"type": "normal", "mean": 1.0, "std": 0.2}, {"type": "normal", "mean": -0.5, "std": 0.1}])
     assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
     assert len(calls) == 1
+
+
+class TestExplicitBand:
+    """A band given in the document is checked when the rule is built: a
+    config error naming the band, before anything is drawn."""
+
+    @staticmethod
+    def doc_with_band(lo, hi):
+        doc = builtin_configs(0)["oscillator-deterministic-compound"]
+        doc["agreement"]["band"] = {"lo": lo, "hi": hi}
+        return doc
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            ([1.0] * 100, [0.0] * 100, "band: lo exceeds hi at 100 of 100 points, first at point 0"),
+            ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], "band: 3 points, but the model's paths have 100"),
+            ([float("nan")] * 100, [1.0] * 100, "band: lo is NaN at point 0"),
+            ([0.0] * 100, [1.0] * 99 + [float("nan")], "band: hi is NaN at point 99"),
+        ],
+        ids=["lo-above-hi", "short", "nan-lo", "nan-hi"],
+    )
+    def test_bad_band_is_a_config_error(self, lo, hi, message, tmp_config, capsys):
+        assert main(["validate", "--config", tmp_config(self.doc_with_band(lo, hi))]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_infinite_edges_are_allowed(self, tmp_config, tmp_path):
+        out = tmp_path / "record.json"
+        doc = self.doc_with_band([float("-inf")] * 100, [float("inf")] * 100)
+        doc["agreement"]["coverage_hi"] = 1.0  # full coverage is over-coverage below 1
+        assert main(["validate", "--config", tmp_config(doc), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["estimates"][0]["p_hat"] > 0.0
 
 
 class TestGridValidateNeeds:

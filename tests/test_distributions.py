@@ -1,5 +1,7 @@
 """Distribution sampling, densities, quantiles, and region construction."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -11,6 +13,7 @@ from bvm import (
     Empirical,
     IndependentProduct,
     InputGrid,
+    ModelFunction,
     Normal,
     PushForward,
     ShiftedExponential,
@@ -22,6 +25,7 @@ from bvm import (
     probability_in_region,
     push_forward,
 )
+from bvm.rng import CHUNK_SIZE, map_chunks
 
 
 def all_variants():
@@ -155,6 +159,41 @@ class TestPushForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             push_forward(DiracDelta([1.0, 2.0]), polynomial_model([0]), InputGrid.linspace(0, 1, 3))
+
+    def test_certain_model_is_evaluated_once_from_two_workers(self, monkeypatch):
+        # Two map_chunks workers reach the first draw together; the slow
+        # model widens the window in which both could evaluate it.
+        calls = []
+
+        def slow(theta, x):
+            calls.append(theta.shape)
+            time.sleep(0.05)
+            return theta @ np.stack([x**0, x**2])
+
+        pf = push_forward(
+            IndependentProduct([DiracDelta(1.0), DiracDelta(-0.5)]),
+            ModelFunction("slow", ("c0", "c2"), slow),
+            InputGrid.linspace(0, 1, 5),
+        )
+        monkeypatch.setenv("BVM_THREADS", "2")
+        chunks = map_chunks(lambda c, m: pf.draw_chunk(3, 0, c, m), 4 * CHUNK_SIZE)
+        assert calls == [(CHUNK_SIZE, 2)]
+        assert all(np.array_equal(c, chunks[0]) for c in chunks)
+        assert np.allclose(chunks[0], 1.0 - 0.5 * pf.grid.points**2, rtol=0, atol=1e-15)
+
+    def test_certain_draws_are_copies(self):
+        pf = push_forward(DiracDelta([1.0, -0.5]), polynomial_model([0, 2]), InputGrid.linspace(0, 1, 3))
+        first = pf.draw_chunk(0, 0, 0, 2)
+        first[:] = np.nan
+        assert np.isfinite(pf.draw_chunk(0, 0, 1, 2)).all()
+        assert np.isfinite(pf.sample(0, 5)).all()
+
+    def test_only_point_mass_priors_are_certain(self):
+        grid = InputGrid.linspace(0, 1, 3)
+        assert push_forward(DiracDelta([1.0, 2.0]), polynomial_model([0, 1]), grid).certain_chunk() is not None
+        assert push_forward(DiracDelta(1.0), polynomial_model([0]), grid).certain_chunk() is not None
+        mixed = IndependentProduct([DiracDelta(1.0), Normal(0.0, 1.0)])
+        assert push_forward(mixed, polynomial_model([0, 1]), grid).certain_chunk() is None
 
 
 class TestConfidenceInterval:

@@ -19,11 +19,14 @@ from bvm import (
     And,
     BinnedPdf,
     Categorical,
+    DiracDelta,
     IndependentProduct,
     InputGrid,
     Interval,
+    ModelFunction,
     Normal,
     Or,
+    PushForward,
     Scenario,
     SetMembership,
     SoftExponential,
@@ -43,7 +46,7 @@ from bvm.metrics import (
     binned_pdf_metric,
     divergence_validation,
 )
-from bvm.studies import _OSC_PARAMS, _OSC_SIGMAS, _poly_config, builtin_configs, sweep_axes
+from bvm.studies import _OSC_PARAMS, _OSC_SIGMAS, _TAYLOR, _poly_config, builtin_configs, sweep_axes
 
 MODEL, DATA = Normal(0.3, 1.1), Normal(-0.2, 0.7)
 HARD = Threshold("abs_diff", 0.9)
@@ -119,6 +122,54 @@ def _sweep(order, variant, estimator="grid", k=10_000, seed=0):
     return hashlib.sha256(grid.values.tobytes()).hexdigest()
 
 
+def _certain(name):
+    """A fresh push-forward whose prior is all point masses, so each case
+    reaches the model's first evaluation itself."""
+    if name == "oscillator":
+        model, params, grid = damped_oscillator_model(), _OSC_PARAMS, InputGrid.linspace(0.0, 1.0, 100)
+    else:
+        powers, n = {"poly50": ([0, 2, 4], 50), "poly193": ([0, 2, 4, 6], 193)}[name]
+        model, params, grid = polynomial_model(powers), _TAYLOR[: len(powers)], InputGrid.linspace(0.0, float(np.pi), n)
+    return PushForward(IndependentProduct([DiracDelta(p) for p in params]), model, grid)
+
+
+def _certain_oscillator(agreement):
+    doc = {**builtin_configs(0)["oscillator-deterministic-mean_error"], "agreement": agreement}
+    return estimate_bvm_mc(build_scenario(doc).scenario, 10_000, 9).p_hat.hex()
+
+
+def _certain_bytes(name, what):
+    model = _certain(name)
+    if what == "band":
+        doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": 0.95, "samples": 20_000, "seed": 4}}
+        out = np.concatenate(rule_from_config(doc, model).band)
+    elif what == "draw-chunk":
+        out = model.draw_chunk(6, 0, 2, 4_096)
+    elif what == "draw-chunk-prefix":
+        out = model.draw_chunk(6, 3, 0, 1_000)
+    else:
+        out = model.sample(8, 4_097, stream=5)
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
+# Certain models, recorded when every chunk evaluated its rows: one full
+# chunk, a prefix of another stream's first chunk, and a sample across a
+# chunk boundary. The 193-point polynomial's chunk rows differ from each
+# other in the last bits (BLAS), so its band is a quantile pass over
+# distinct rows; the other two bands are one repeated path.
+CERTAIN_CASES = {
+    **{
+        f"certain-{name}-{what}": (lambda name=name, what=what: _certain_bytes(name, what))
+        for name in ("oscillator", "poly50", "poly193")
+        for what in ("draw-chunk", "draw-chunk-prefix", "sample-4097", "band")
+    },
+    "certain-oscillator-mean-error-1e4": lambda: _certain_oscillator({"type": "threshold", "fn": "mean_abs_error", "eps": 0.36}),
+    "certain-oscillator-soft-1e4": lambda: _certain_oscillator(
+        {"type": "soft_exponential", "fn": "mean_abs_error", "eps_prime": 0.3, "rate": 20}
+    ),
+}
+
+
 # k = 10^6 is 244 full chunks plus a 576-draw tail. Every metric case
 # resamples more than one 4096-draw chunk. The evidence cases pin
 # log_evidence, std_error_log, ess and max_weight_share; the oscillator
@@ -145,6 +196,7 @@ CASES = {
     "sweep-ex53-uncertain-model1": lambda: _sweep(1, "uncertain"),
     "sweep-ex53-uncertain-model2": lambda: _sweep(2, "uncertain"),
     "sweep-mc-uncertain-model2": lambda: _sweep(2, "uncertain", "mc", k=20_000, seed=11),
+    **CERTAIN_CASES,
 }
 
 GOLDEN = {
@@ -169,6 +221,20 @@ GOLDEN = {
     "sweep-ex53-uncertain-model1": "36f20bb20164e8f323e7a4ff830bd8c3bed91c037dbf13befed8ac53b1dd27e6",
     "sweep-ex53-uncertain-model2": "45274784e52264cbe1ccee84a245bdaac047fdd0cab050ecd432a2f1c40dfe86",
     "sweep-mc-uncertain-model2": "ab2e9f995171ed2e16babaa3707c84337619585a9d8f39b9ad0fc1c839f55a25",
+    "certain-oscillator-draw-chunk": "624e2fc418675fd8913bdd68dc2116723804e6418571f21e6e778e2d5f689268",
+    "certain-oscillator-draw-chunk-prefix": "79e662608fb27554fd05cd2d61909bc4159a4829d16528df24223a675ecfcc02",
+    "certain-oscillator-sample-4097": "21a0b41abcc70f37f755446eb99ccfc5c73c49250abc115edabb9fca5dda1470",
+    "certain-oscillator-band": "bdf948def8b0fc92d16f8723995d6630d227b61512968e28d058299d55f2d7dc",
+    "certain-poly50-draw-chunk": "750eec232224a37ccc614d83e383a8ec6e2983cfe12168a1ad2bc88e1eafa24d",
+    "certain-poly50-draw-chunk-prefix": "c22f46be0d214c0683ef3d31487c06f89f3b27d360f2ae785ff2d6e8fba1b969",
+    "certain-poly50-sample-4097": "a8ef256b566ab727703c2ca75a7d6685727a2a9332d4f5495153ed87304a0bcb",
+    "certain-poly50-band": "460d6ba34a85d5659e11b76489d9d6d6753f72693432d45205911d3538f5872c",
+    "certain-poly193-draw-chunk": "77fde9f68f92cf26b0c67708b8e98fe40115eddf77fdf048b09b4bed857805c9",
+    "certain-poly193-draw-chunk-prefix": "b2c073c10fe3e4eaf726007b2a524f1840672d8564e759b2ba770a07ed6be2ca",
+    "certain-poly193-sample-4097": "fe4a63a0bfde8b0e35e9c16536227e53bb3b43403c5559ee851b4be9291e88c3",
+    "certain-poly193-band": "298ca33d4652bbf987fd2db6e2897efebd31e78da9d8d10b8f2df601b9e5cc3c",
+    "certain-oscillator-mean-error-1e4": "0x1.a0ded288ce704p-1",
+    "certain-oscillator-soft-1e4": "0x1.ba93842a1e527p-2",
 }
 
 
@@ -271,3 +337,21 @@ def test_grid_validate_bits(config, rule, tmp_path):
     cfg.write_text(json.dumps(doc))
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["estimates"][0]["p_hat"].hex() == GRID_GOLDEN[f"{config}/{rule}"]
+
+
+def test_certain_compound_validate_evaluates_the_model_twice(tmp_path, monkeypatch):
+    # Once for the data instance, once for the kept chunk that both the
+    # band and the Monte Carlo chunk read (7 when the band drew 20 000
+    # paths in 5 chunks and the estimate drew its own).
+    calls = []
+    real = ModelFunction.evaluate
+
+    def counting(self, params, grid):
+        calls.append(np.shape(params))
+        return real(self, params, grid)
+
+    monkeypatch.setattr(ModelFunction, "evaluate", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(builtin_configs(0)["oscillator-deterministic-compound"]))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    assert calls == [(6,), (4_096, 6)]

@@ -7,7 +7,9 @@ imports it on first use, since it is about half of what importing
 ``bvm.cli`` costs otherwise. Sweeps, ``reproduce ex-5.3`` and Monte Carlo
 ``validate`` never load it, and they leave ``numpy.ma`` unloaded too
 (``np.unique`` imports it in numpy 2, so the package sorts and masks
-instead). ``frequentist`` loads ``numpy.ma`` only through
+instead). That holds for a compound rule's model band when the model is
+certain: its band is the model's one path, with no ``np.quantile`` call,
+which imports ``numpy.ma`` in numpy 2. ``frequentist`` loads ``numpy.ma`` only through
 ``scipy.special``, which imports it in scipy 1.17. ``scipy.stats`` alone
 costs about a second to import, so a stray import of it (or of
 ``scipy.integrate`` or ``scipy.optimize``, which it pulls in) is caught
@@ -29,6 +31,7 @@ from scipy import stats
 from bvm import Normal, StudentT
 from bvm.agreement import And, Interval, SoftExponential, Threshold  # noqa: F401  (FREQUENTIST_RULES names them)
 from bvm.metrics import DataSummary, frequentist, reliability
+from bvm.studies import builtin_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
@@ -91,13 +94,15 @@ POLY_MC = {
     "argv",
     [
         ["validate", "--config", "scalar.json"],
+        ["validate", "--config", "certain_compound.json"],
         ["sweep", "poly.json", "--gamma", "0.9:1.0:0.1", "--eps", "0:0.5:0.25", "--out-prefix", "s"],
         ["reproduce", "ex-5.3"],
     ],
-    ids=lambda argv: argv[0] if argv[0] != "reproduce" else argv[1],
+    ids=["validate", "validate-certain-compound", "sweep", "ex-5.3"],
 )
 def test_command_never_loads_scipy_special(argv, tmp_path, numpy_loads_ma):
     (tmp_path / "scalar.json").write_text(json.dumps(SCALAR_MC))
+    (tmp_path / "certain_compound.json").write_text(json.dumps(builtin_configs(0)["oscillator-deterministic-compound"]))
     (tmp_path / "poly.json").write_text(json.dumps(POLY_MC))
     code = (
         "import contextlib, io, bvm.cli\n"

@@ -12,6 +12,12 @@ Grid ``bvm validate`` scores its model paths one block at a time, as a
 sweep reads them. Its bound was set before that change, when the call
 held all 160 000 paths of the uncertain ex-5.3 model 2 (50 points each)
 and the data path tiled to as many rows: 257.3 MB.
+
+A certain oscillator (every prior component a point mass) evaluates one
+chunk of paths and keeps it, and its band is that chunk's one row. Its
+bound of 10 MB was set before that change, when the band drew and
+partitioned 20 000 copies of the path: 26.2 MB. The first evaluation
+runs inside the trace.
 """
 
 import json
@@ -41,6 +47,17 @@ def test_oscillator_band_peak():
 
     band(100)  # warm-up: lazy imports and caches stay out of the measurement
     assert _peak_mb(lambda: band(20_000)) <= 28.0
+
+
+def test_certain_oscillator_band_peak():
+    doc = builtin_configs(0)["oscillator-deterministic-compound"]
+
+    def band():
+        model = distribution_from_config({"type": "push_forward", **doc["model"]})
+        return rule_from_config(doc["agreement"], model)
+
+    band()  # warm-up on another model object: lazy imports stay out of the measurement
+    assert _peak_mb(band) <= 10.0
 
 
 def test_normal_sample_peak():
