@@ -41,6 +41,15 @@ def _resolve_fn(fn) -> ComparisonFn:
     return fn if isinstance(fn, ComparisonFn) else get_comparison_fn(fn)
 
 
+def _reject_nan(**tolerances):
+    """A NaN tolerance compares false with every value, so a hard rule
+    would silently reject every pair and the soft rule weigh it NaN; ±inf
+    is a real bound."""
+    for name, value in tolerances.items():
+        if np.isnan(value).any():
+            raise ValueError(f"{name} is NaN")
+
+
 class AgreementRule:
     """Base class. Subclasses implement ``kernel_many`` only: the weights
     of a batch of (model value, data value) pairs, one per pair.
@@ -89,6 +98,7 @@ class Threshold(AgreementRule):
     eps: float
 
     def __post_init__(self):
+        _reject_nan(eps=self.eps)
         object.__setattr__(self, "fn", _resolve_fn(self.fn))
 
     def kernel_many(self, zhat_batch, z_batch):
@@ -104,6 +114,7 @@ class Interval(AgreementRule):
     hi: float
 
     def __post_init__(self):
+        _reject_nan(lo=self.lo, hi=self.hi)
         if self.lo > self.hi:
             raise ValueError("Interval requires lo <= hi")
         object.__setattr__(self, "fn", _resolve_fn(self.fn))
@@ -166,6 +177,7 @@ class SoftExponential(AgreementRule):
     is_soft = True
 
     def __post_init__(self):
+        _reject_nan(eps_prime=self.eps_prime)
         if not self.lam > 0:
             raise ValueError("SoftExponential rate must be positive")
         object.__setattr__(self, "fn", _resolve_fn(self.fn))
@@ -199,6 +211,7 @@ class GammaEpsilon(AgreementRule):
         if not (np.isfinite(self.m) and self.m >= 1.0):
             raise ValueError(f"m must be finite and at least 1, got {self.m!r}")
         eps = np.asarray(self.eps, dtype=float)
+        _reject_nan(eps=eps)
         if np.any(eps < 0):
             raise ValueError("eps must be nonnegative")
         object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
@@ -231,6 +244,7 @@ class EpsilonBeta(AgreementRule):
     def __init__(self, mean_tol, band, coverage_lo=0.91, coverage_hi=0.99):
         if not 0.0 <= coverage_lo <= coverage_hi <= 1.0:
             raise ValueError("coverage bounds must satisfy 0 <= lo <= hi <= 1")
+        _reject_nan(mean_tol=mean_tol)
         n = len(band[0]) if isinstance(band, tuple) and np.ndim(band[0]) == 1 else len(band)
         lo, hi = band_arrays(band, n)
         object.__setattr__(self, "mean_tol", float(mean_tol))

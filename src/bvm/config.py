@@ -4,7 +4,10 @@ A scenario document bundles the four estimator inputs (model, data,
 comparison, agreement) plus estimator and output settings as tagged
 records. Documents are schema-validated before anything runs; unknown
 keys are rejected so that typos fail loudly rather than silently using
-defaults.
+defaults. The check is the module's own: it reads ``SCENARIO_SCHEMA`` and
+knows exactly the JSON Schema 2020-12 keywords that schema uses. A
+boolean pass runs on every document; only a rejected document gets a
+second pass, which names its deepest failing field.
 
 Each tagged record kind has one table, keyed by its tag, and a tag is
 defined nowhere else: ``DISTRIBUTIONS`` and ``RULES`` by ``type``,
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Number
 from typing import Callable, NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import agreement as ag
 from . import distributions as dist
@@ -272,12 +275,13 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
     and, when the model's path length is known, one point per path point.
     Infinite edges are allowed.
 
-    A certain model (:meth:`PushForward.certain_chunk`) gives every draw
-    from its kept chunk. When that chunk's rows are all equal and finite,
-    the band is that row at both edges, which is what the quantiles of a
-    constant finite column are (a ``-0.0`` may come back as ``+0.0``,
-    which compares equal), and no path is drawn. Otherwise both edges are
-    taken in one quantile pass (a constant column of ±inf gives NaN there).
+    A certain model (a ``dirac`` path, or :meth:`PushForward.certain_chunk`)
+    gives every draw from one path or one kept chunk. When its rows are all
+    equal and finite, the band is that row at both edges, which is what the
+    quantiles of a constant finite column are (a ``-0.0`` may come back as
+    ``+0.0``, which compares equal), and no path is drawn. Otherwise both
+    edges are taken in one quantile pass (a constant column of ±inf gives
+    NaN there).
     """
     if "lo" in doc:
         lo, hi = np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
@@ -285,7 +289,12 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
         return lo, hi
     if model_dist is None or model_dist.kind != "path":
         raise ConfigError("band with source 'model' needs a path-valued model distribution")
-    chunk = model_dist.certain_chunk() if isinstance(model_dist, dist.PushForward) else None
+    if isinstance(model_dist, dist.DiracDelta):
+        chunk = model_dist.value[np.newaxis]
+    elif isinstance(model_dist, dist.PushForward):
+        chunk = model_dist.certain_chunk()
+    else:
+        chunk = None
     if chunk is not None:
         row = chunk[0]
         if np.isfinite(row).all() and (chunk == row).all():
@@ -687,18 +696,217 @@ SCENARIO_SCHEMA = {
     "$defs": {"distribution": _one_of("type", DISTRIBUTIONS), "rule": _one_of("type", RULES)},
 }
 
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+# ---------------------------------------------------------------------------
+# Schema checking
+#
+# The checker reads SCENARIO_SCHEMA itself and knows exactly the keywords
+# it uses, with JSON Schema 2020-12 semantics: ``integer`` accepts 1.0,
+# booleans are neither numbers nor integers, and NaN and ±inf are numbers
+# (a band or tolerance check reports them with its own message). Every
+# ``const`` and ``enum`` value in the schema is a string, so equality is
+# Python's ``==`` and True never equals 1; tests/test_schema_check.py holds
+# the schema to that. A keyword outside ``_CHECKS`` raises KeyError
+# rather than being ignored.
+
+
+def _is_number(v) -> bool:
+    return type(v) in (float, int) or (isinstance(v, Number) and not isinstance(v, bool))
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _type(t, v, s) -> bool:
+    return _TYPES[t](v) if isinstance(t, str) else any(_TYPES[x](v) for x in t)
+
+
+def _properties(props, v, s) -> bool:
+    if isinstance(v, dict):
+        for key, sub in props.items():
+            if key in v and not _valid(sub, v[key]):
+                return False
+    return True
+
+
+def _additional(extra, v, s) -> bool:
+    if isinstance(v, dict):
+        props = s.get("properties", {})
+        for key in v:
+            if key not in props and (extra is False or not _valid(extra, v[key])):
+                return False
+    return True
+
+
+def _items(sub, v, s) -> bool:
+    if isinstance(v, list):
+        for x in v:
+            if not _valid(sub, x):
+                return False
+    return True
+
+
+def _bound(fails):
+    """A bound's check: NaN fails no comparison, so it passes every bound."""
+    return lambda limit, v, s: not (_is_number(v) and fails(v, limit))
+
+
+# Each keyword's check of one value against one schema node ``s``: true
+# when ``v`` passes it. A keyword applies only to values of its own type.
+_CHECKS: dict[str, Callable] = {
+    "$schema": lambda uri, v, s: True,
+    "$defs": lambda defs, v, s: True,
+    "$ref": lambda ref, v, s: _valid(_REFS[ref], v),
+    "type": _type,
+    "properties": _properties,
+    "required": lambda keys, v, s: not isinstance(v, dict) or all(k in v for k in keys),
+    "additionalProperties": _additional,
+    # The branches' tags are distinct constants, so a wrong branch fails on
+    # its tag, and counting every branch costs little more than stopping early.
+    "oneOf": lambda branches, v, s: sum(_valid(b, v) for b in branches) == 1,
+    "const": lambda c, v, s: v == c,
+    "enum": lambda values, v, s: v in values,
+    "items": _items,
+    "minItems": lambda n, v, s: not isinstance(v, list) or len(v) >= n,
+    "maxItems": lambda n, v, s: not isinstance(v, list) or len(v) <= n,
+    "minimum": _bound(lambda v, limit: v < limit),
+    "maximum": _bound(lambda v, limit: v > limit),
+    "exclusiveMinimum": _bound(lambda v, limit: v <= limit),
+    "exclusiveMaximum": _bound(lambda v, limit: v >= limit),
+}
+
+
+def _valid(s: dict, v) -> bool:
+    """Whether ``v`` passes schema node ``s``."""
+    for key, arg in s.items():
+        if not _CHECKS[key](arg, v, s):
+            return False
+    return True
+
+
+def _nodes(s: dict):
+    """Schema node ``s`` and every node under it, by keyword
+    (``additionalProperties: false`` is a flag, not a node)."""
+    yield s
+    for key, arg in s.items():
+        if key in ("properties", "$defs"):
+            for sub in arg.values():
+                yield from _nodes(sub)
+        elif key == "oneOf":
+            for sub in arg:
+                yield from _nodes(sub)
+        elif key in ("items", "additionalProperties") and arg is not False:
+            yield from _nodes(arg)
+
+
+def _resolve(ref: str):
+    """The node a local JSON pointer ``#/...`` names in SCENARIO_SCHEMA."""
+    if not ref.startswith("#/"):
+        raise ValueError(f"schema reference {ref!r} is not local")
+    node = SCENARIO_SCHEMA
+    for part in ref[2:].split("/"):
+        node = node[part]
+    return node
+
+
+_REFS = {n["$ref"]: _resolve(n["$ref"]) for n in _nodes(SCENARIO_SCHEMA) if "$ref" in n}
+
+
+def _names(t) -> list:
+    """A ``type`` keyword's type names."""
+    return [t] if isinstance(t, str) else list(t)
+
+
+def _short(v) -> str:
+    text = repr(v)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _tag(branches: list):
+    """The tag of a tagged ``oneOf`` (``type``, ``name`` or ``family``):
+    its branches' first property, when every branch fixes it with a
+    ``const``. None for any other ``oneOf``."""
+    props = [b.get("properties", {}) for b in branches]
+    tag = next(iter(props[0]), None)
+    return tag if tag is not None and all("const" in p.get(tag, {}) for p in props) else None
+
+
+def _one_of_error(branches: list, v, path: list):
+    tag = _tag(branches)
+    if tag is not None and isinstance(v, dict):
+        tags = [b["properties"][tag]["const"] for b in branches]
+        if tag not in v:
+            return path + [tag], f"is missing; one of {tags}"
+        for b, name in zip(branches, tags):
+            if v[tag] == name:
+                return _error(b, v, path)
+        return path + [tag], f"{_short(v[tag])} is not one of {tags}"
+    passing = sum(_valid(b, v) for b in branches)
+    if passing > 1:
+        return path, f"{_short(v)} is valid under {passing} of the given forms"
+    # The form whose type takes v and that names the most of its keys.
+    fits = [b for b in branches if _type(b.get("type", list(_TYPES)), v, b)]
+    if not fits:
+        types = [t for b in branches for t in _names(b.get("type", []))]
+        return path, _MESSAGES["type"](list(dict.fromkeys(types)), v)
+    keys = v if isinstance(v, dict) else ()
+    best = max(fits, key=lambda b: sum(k in b.get("properties", {}) for k in keys))
+    return _error(best, v, path)
+
+
+def _error(s: dict, v, path: list):
+    """The deepest ``(path, message)`` where ``v`` fails ``s``, or None.
+    Among errors equally deep, the first in schema order; a tagged
+    record's errors are those of the branch its tag names."""
+    found = []
+    for key, arg in s.items():
+        if _CHECKS[key](arg, v, s):
+            continue
+        if key == "$ref":
+            found.append(_error(_REFS[arg], v, path))
+        elif key == "properties":
+            found += [_error(sub, v[k], path + [k]) for k, sub in arg.items() if k in v]
+        elif key == "items":
+            found += [_error(arg, x, path + [i]) for i, x in enumerate(v)]
+        elif key == "additionalProperties":
+            extra = [k for k in v if k not in s.get("properties", {})]
+            if arg is False:
+                found.append((path, f"unknown {'key' if len(extra) == 1 else 'keys'} {', '.join(map(_short, extra))}"))
+            else:
+                found += [_error(arg, v[k], path + [k]) for k in extra]
+        elif key == "oneOf":
+            found.append(_one_of_error(arg, v, path))
+        else:
+            found.append((path, _MESSAGES[key](arg, v)))
+    found = [e for e in found if e is not None]
+    return max(found, key=lambda e: len(e[0])) if found else None
+
+
+_MESSAGES = {
+    "type": lambda t, v: f"{_short(v)} is not of type {' or '.join(map(repr, _names(t)))}",
+    "required": lambda keys, v: f"{', '.join(repr(k) for k in keys if k not in v)} is required",
+    "const": lambda c, v: f"{_short(v)} is not {c!r}",
+    "enum": lambda values, v: f"{_short(v)} is not one of {values}",
+    "minItems": lambda n, v: f"has {len(v)} items, fewer than {n}",
+    "maxItems": lambda n, v: f"has {len(v)} items, more than {n}",
+    "minimum": lambda limit, v: f"{v!r} is less than the minimum of {limit!r}",
+    "maximum": lambda limit, v: f"{v!r} is greater than the maximum of {limit!r}",
+    "exclusiveMinimum": lambda limit, v: f"{v!r} is not greater than {limit!r}",
+    "exclusiveMaximum": lambda limit, v: f"{v!r} is not less than {limit!r}",
+}
 
 
 def validate_config(doc: dict) -> dict:
     """Schema-check a config document; raises ConfigError naming the field."""
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: len(e.absolute_path), reverse=True)
-    if errors:
-        err = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise ConfigError(f"config field {path}: {err.message}")
+    if not _valid(SCENARIO_SCHEMA, doc):
+        path, message = _error(SCENARIO_SCHEMA, doc, [])
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ConfigError(f"config field {where}: {message}")
     return doc
 
 

@@ -234,3 +234,32 @@ class TestComposition:
             batch = rule.kernel_many(zh, z)
             single = [rule.kernel(a, b) for a, b in zip(zh, z)]
             assert np.allclose(batch, single, atol=0)
+
+
+NAN, INF = float("nan"), float("inf")
+BAND = (np.zeros(3), np.ones(3))
+# Each tolerance a rule takes, as (name, build); a NaN there compares false
+# with every comparison value.
+TOLERANCES = [
+    ("eps", lambda x: Threshold("abs_diff", x)),
+    ("lo", lambda x: Interval("identity", x, INF)),
+    ("hi", lambda x: Interval("identity", -INF, x)),
+    ("eps_prime", lambda x: SoftExponential("abs_diff", x, 2.0)),
+    ("eps", lambda x: GammaEpsilon(0.9, x)),
+    ("eps", lambda x: GammaEpsilon(0.9, np.array([0.1, x, 0.2]))),
+    ("mean_tol", lambda x: EpsilonBeta(x, BAND)),
+]
+TOLERANCE_IDS = ["threshold", "interval-lo", "interval-hi", "soft", "gamma-eps", "gamma-eps-vector", "epsilon-beta"]
+
+
+@pytest.mark.parametrize("name, build", TOLERANCES, ids=TOLERANCE_IDS)
+def test_nan_tolerance_is_rejected(name, build):
+    with pytest.raises(ValueError, match=f"{name} is NaN"):
+        build(NAN)
+
+
+@pytest.mark.parametrize("name, build", TOLERANCES, ids=TOLERANCE_IDS)
+def test_infinite_tolerance_is_a_real_bound(name, build):
+    # +inf accepts every finite comparison value, so each rule still builds.
+    rule = build(INF)
+    assert isinstance(rule, AgreementRule)

@@ -43,6 +43,13 @@ def scenario_doc(**overrides):
     return doc
 
 
+def hundred_components(bad):
+    """A data section: a product of 100 normals, the 58th with ``std`` = bad."""
+    comps = [{"type": "normal", "mean": 0.01 * i, "std": 0.2} for i in range(100)]
+    comps[57] = {**comps[57], "std": bad}
+    return {"data": {"distribution": {"type": "product", "components": comps}}}
+
+
 class TestSchema:
     def test_valid_doc_passes(self):
         validate_config(scenario_doc())
@@ -62,6 +69,41 @@ class TestSchema:
         doc["agreement"] = {"type": "threshold", "fn": "abs_diff"}  # eps missing
         with pytest.raises(ConfigError, match=r"\$\.agreement"):
             validate_config(doc)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                hundred_components("wide"),
+                r"config field \$\.data\.distribution\.components\[57\]\.std: 'wide' is not of type 'number'$",
+            ),
+            ({"agreement": {"type": "threshold", "fn": "abs_diff"}}, r"config field \$\.agreement: 'eps' is required$"),
+            (
+                {"agreement": {"type": "thresh", "fn": "abs_diff", "eps": 1.0}},
+                r"config field \$\.agreement\.type: 'thresh' is not one of \['always_true', .*'threshold', .*'not'\]$",
+            ),
+            (
+                {"data": {"distribution": {"mean": 0.0, "std": 1.0}}},
+                r"config field \$\.data\.distribution\.type: is missing; one of \['dirac', 'normal', .*\]$",
+            ),
+            (
+                {"agreement": {"type": "threshold", "fn": "abs_diff", "eps": True}},
+                r"config field \$\.agreement\.eps: True is not of type 'number'$",
+            ),
+            ({"extra": 1}, r"config field \$: unknown key 'extra'$"),
+            (
+                {"model": {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0, "mystery": 1}}},
+                r"config field \$\.model\.distribution: unknown key 'mystery'$",
+            ),
+        ],
+        ids=["hundred-components", "missing-eps", "unknown-rule", "missing-tag", "boolean-number", "unknown-key", "nested-key"],
+    )
+    def test_error_names_the_deepest_field(self, overrides, message):
+        # A tagged record's errors are those of the branch its tag names;
+        # a oneOf of untagged forms descends into the form the value fits.
+        with pytest.raises(ConfigError, match=message) as err:
+            validate_config(scenario_doc(**overrides))
+        assert len(str(err.value)) < 300
 
     def test_every_builtin_config_validates(self):
         for name, doc in builtin_configs(seed=1).items():
@@ -248,6 +290,25 @@ class TestBuilders:
         assert model.samples.tobytes() == paths.tobytes()
         assert [a.tobytes() for a in again.band] == [a.tobytes() for a in built.scenario.rule.band]
 
+    @pytest.mark.parametrize("path", [[0.5, -1.0, 2.0], [0.5, np.inf, 2.0]], ids=["finite", "infinite"])
+    def test_band_of_a_dirac_path(self, path, monkeypatch):
+        # A finite path is its own band and draws nothing; an infinite one
+        # takes the quantile pass, whose constant ±inf column gives NaN.
+        model, drawn, sample = bvm.DiracDelta(path), [], bvm.DiracDelta.sample
+
+        def counting(self, *args, **kwargs):
+            drawn.append(args)
+            return sample(self, *args, **kwargs)
+
+        monkeypatch.setattr(bvm.DiracDelta, "sample", counting)
+        doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": 0.9, "samples": 100}}
+        with np.errstate(invalid="ignore"):
+            lo, hi = rule_from_config(doc, model).band
+        if np.isfinite(path).all():
+            assert lo.tobytes() == hi.tobytes() == model.value.tobytes() and not drawn
+        else:
+            assert np.isnan(lo[1]) and np.isnan(hi[1]) and len(drawn) == 1
+
     def test_certain_band_of_an_infinite_path_takes_the_quantile_pass(self):
         # The quantiles of a constant +inf column are NaN (inf - inf), not
         # inf, so a certain model's band is its one path only when finite.
@@ -300,6 +361,12 @@ class TestCli:
         code = main(["validate", "--config", tmp_config(scenario_doc(extra=1))])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_nan_tolerance_exit_code(self, tmp_config, capsys):
+        # JSON's NaN is a number to the schema; the rule rejects it.
+        doc = scenario_doc(agreement={"type": "threshold", "fn": "abs_diff", "eps": float("nan")})
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert "bad agreement rule type 'threshold': eps is NaN" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         assert main(["validate", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG

@@ -262,13 +262,16 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
-def _band(n, level):
+def _band(n, level, model=OSC_MODEL):
     doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": level, "samples": n, "seed": 4}}
-    return _sha(*rule_from_config(doc, OSC_MODEL).band)
+    return _sha(*rule_from_config(doc, model).band)
 
 
 BYTES_CASES = {
     **{f"band-{n}-{level}": (lambda n=n, level=level: _band(n, level)) for n in (100, 4_097, 20_000) for level in (0.95, 0.5)},
+    # A certain path given as a ``dirac`` model, recorded when its band was
+    # the quantile pass over 20 000 tiled rows.
+    **{f"band-dirac-path-{level}": (lambda level=level: _band(20_000, level, DiracDelta(OSC_Y))) for level in (0.95, 0.5)},
     "sample-normal-4097": lambda: _sha(MODEL.sample(41, 4_097)),
     "sample-product-100": lambda: _sha(IndependentProduct([Normal(0.01 * i, 1.0 + 0.01 * i) for i in range(100)]).sample(42, 4_097)),
     "sample-oscillator-push-forward": lambda: _sha(OSC_MODEL.sample(43, 4_097, stream=5)),
@@ -284,6 +287,8 @@ BYTES_GOLDEN = {
     "band-20000-0.95": "94f24aef461ba7ee88739ed35eb98644b892e93191a60f83dd17bbee5b134a13",
     "band-4097-0.5": "44201b43618c1590844ce9baa37a9e1076a5a456b03639ffde078709200d09c2",
     "band-4097-0.95": "b8b1d9801fc5be4e51f61d8cbcba0935b0b5611619a91818b9111eae19b6416a",
+    "band-dirac-path-0.5": "21c4a541af30c94c22c43a18fd9defc9862b96094ad6b567fc38e3ae417dec7c",
+    "band-dirac-path-0.95": "21c4a541af30c94c22c43a18fd9defc9862b96094ad6b567fc38e3ae417dec7c",
     "oscillator-evaluate-chunk": "ef882770a8eaeba7eb9d4e50c2374b6d998a5db1f8715be24d61f24a99543595",
     "oscillator-evaluate-single": "512d849f5af77cb3fd1997da8158d1909f5ebeb6bf973aec4ad316237bbce90b",
     "sample-categorical-labels": "663079a113db157fca0afce4ded8d7b025d2a947e9d513137356289779cd1a6f",

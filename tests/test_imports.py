@@ -13,7 +13,8 @@ which imports ``numpy.ma`` in numpy 2. ``frequentist`` loads ``numpy.ma`` only t
 ``scipy.special``, which imports it in scipy 1.17. ``scipy.stats`` alone
 costs about a second to import, so a stray import of it (or of
 ``scipy.integrate`` or ``scipy.optimize``, which it pulls in) is caught
-here.
+here. Config documents are checked by the package itself, so no command
+loads ``jsonschema`` either.
 
 Each check runs in a fresh interpreter, which prints one JSON line last.
 """
@@ -110,6 +111,28 @@ def test_command_never_loads_scipy_special(argv, tmp_path, numpy_loads_ma):
         f"    assert bvm.cli.main({argv!r}) == 0\n" + loaded("scipy.special", "numpy.ma")
     )
     assert fresh(code, cwd=tmp_path) == {"scipy.special": False, "numpy.ma": numpy_loads_ma}
+
+
+# The package checks config documents itself; jsonschema, and the attrs,
+# referencing and rpds it imports, are test dependencies only.
+JSONSCHEMA = ("jsonschema", "referencing", "attrs", "rpds")
+
+
+def test_config_commands_never_load_jsonschema(tmp_path):
+    (tmp_path / "scalar.json").write_text(json.dumps(SCALAR_MC))
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"def seen(): return [m for m in {JSONSCHEMA!r} if m in sys.modules]\n"
+        "import bvm.cli\n"
+        "out = {'import': seen()}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert bvm.cli.main(['validate', '--config', 'scalar.json']) == 0\n"
+        "    out['validate'] = seen()\n"
+        "    assert bvm.cli.main(['reproduce', 'ex-5.3']) == 0\n"
+        "    out['ex-5.3'] = seen()\n"
+        "print(json.dumps(out))"
+    )
+    assert fresh(code, cwd=tmp_path) == {"import": [], "validate": [], "ex-5.3": []}
 
 
 @pytest.fixture(scope="module")
