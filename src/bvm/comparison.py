@@ -315,10 +315,8 @@ _register(ComparisonFn("mean_abs_error", mean_abs_error, mean_abs_error))
 _register(ComparisonFn("max_abs_error", max_abs_error, max_abs_error))
 _register(ComparisonFn("per_point_abs_error", per_point_abs_error, per_point_abs_error))
 _register(ComparisonFn("area_metric", area_metric, area_metric_many))
-_register(ComparisonFn("kl", kl_divergence, kl_divergence), "kl_divergence")
-_register(ComparisonFn("sym_kl", symmetrized_kl, symmetrized_kl), "symmetrized_kl")
-_register(ComparisonFn("js", js_divergence, js_divergence), "js_divergence")
-_register(ComparisonFn("hellinger", hellinger, hellinger))
+for _name, _fn in _DIVERGENCES.items():  # each also under its function's name
+    _register(ComparisonFn(_name, _fn, _fn), *{_fn.__name__} - {_name})
 _register(ComparisonFn("identity", identity_statistic, identity_statistic))
 _register(ComparisonFn("abs_value", _abs_value, _abs_value))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import agreement as ag
 from . import distributions as dist
-from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
+from .comparison import _DIVERGENCES, BinnedPdf, ComparisonFn, get_comparison_fn
 from .engine import Scenario, SweepTemplate
 from .metrics import (
     DataSummary,
@@ -44,7 +44,7 @@ from .metrics import (
     statistical_power_bvm,
 )
 from .models import InputGrid, ModelFunction, damped_oscillator_model, polynomial_model
-from .rng import BAND_STREAM, INSTANCE_STREAM, chunk_rng
+from .rng import BAND_STREAM, INSTANCE_STREAM, _draw_chunk
 
 __all__ = [
     "ConfigError",
@@ -437,8 +437,8 @@ def _function_instance(gen: dict) -> dist.Distribution:
     truth = model_function_from_config(gen["function"]).evaluate(np.asarray(gen["params"], dtype=float), grid)
     inst = truth
     if gen["aleatoric_std"] > 0:
-        rng = chunk_rng(gen["instance_seed"], INSTANCE_STREAM, 0)
-        inst = truth + rng.normal(0.0, gen["aleatoric_std"], len(grid))
+        inst = truth + _draw_chunk(gen["instance_seed"], INSTANCE_STREAM, 0, np.random.Generator.normal,
+                                   0.0, gen["aleatoric_std"], len(grid))
     eps_e = gen["epistemic_std"]
     if eps_e > 0:
         return dist.IndependentProduct([dist.Normal(float(y), eps_e) for y in inst])
@@ -669,7 +669,7 @@ METRICS: dict[str, Metric] = {
     ),
     "divergence": Metric(
         {
-            "kind": {"enum": ["kl", "sym_kl", "js", "hellinger"]},
+            "kind": {"enum": list(_DIVERGENCES)},
             "edges": _NUM_ARRAY,
             "model_masses": _NUM_ARRAY,
             "data_masses": _NUM_ARRAY,

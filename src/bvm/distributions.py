@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, QUANTILE_STREAM, REGION_STREAM, _chunks, _draw_chunk
+from .rng import CHUNK_SIZE, REGION_STREAM, _chunks, _draw_chunk
 
 __all__ = [
     "DensityUnsupported",
@@ -41,10 +41,6 @@ __all__ = [
 
 class DensityUnsupported(Exception):
     """Raised when a distribution has no evaluable density; sample instead."""
-
-
-class _NoQuantile(Exception):
-    """Internal: the variant has no closed-form quantile function."""
 
 
 def _float_if_scalar(values):
@@ -118,12 +114,12 @@ class Distribution:
     def cdf(self, x):
         """P(X <= x): a float for scalar *x*; the continuous variants and
         :class:`Empirical` also take an array and return one of its shape."""
-        raise _NoQuantile(f"{type(self).__name__} has no closed-form cdf")
+        raise ValueError(f"{type(self).__name__} has no closed-form cdf")
 
     def quantile(self, q: float) -> float:
         """Inverse cdf at *q*; :class:`Normal` and :class:`StudentT` also
         take an array and return one of its shape."""
-        raise _NoQuantile(f"{type(self).__name__} has no closed-form quantiles")
+        raise ValueError(f"{type(self).__name__} has no closed-form quantiles")
 
     @property
     def kind(self) -> str:
@@ -145,6 +141,8 @@ class DiracDelta(Distribution):
         v = np.asarray(self.value, dtype=float)
         if v.ndim > 1:
             raise ValueError("DiracDelta value must be a scalar or 1-d vector")
+        if np.isnan(v).any():
+            raise ValueError("DiracDelta value must not be NaN")
         object.__setattr__(self, "value", float(v) if v.ndim == 0 else v)
 
     def _draw(self, rng, m):
@@ -184,6 +182,8 @@ class Normal(Distribution):
     std: float
 
     def __post_init__(self):
+        if np.isnan(self.mean):
+            raise ValueError("Normal mean must not be NaN")
         if not self.std > 0:
             raise ValueError("Normal std must be positive")
 
@@ -212,6 +212,8 @@ class StudentT(Distribution):
     scale: float
 
     def __post_init__(self):
+        if np.isnan(self.location):
+            raise ValueError("StudentT location must not be NaN")
         if not self.dof > 0:
             raise ValueError("StudentT dof must be positive")
         if not self.scale > 0:
@@ -275,6 +277,8 @@ class ShiftedExponential(Distribution):
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("ShiftedExponential rate must be positive")
+        if np.isnan(self.shift):
+            raise ValueError("ShiftedExponential shift must not be NaN")
 
     def _draw(self, rng, m):
         return self.shift + rng.standard_exponential(m) / self.rate
@@ -333,12 +337,12 @@ class Categorical(Distribution):
 
     def cdf(self, x) -> float:
         if not self.is_numeric:
-            raise _NoQuantile("categorical labels are unordered")
+            raise ValueError("Categorical labels are unordered")
         return float(sum(p for v, p in zip(self.values, self.probs) if v <= x))
 
     def quantile(self, q: float) -> float:
         if not self.is_numeric:
-            raise _NoQuantile("categorical labels are unordered")
+            raise ValueError("Categorical labels are unordered")
         order = np.argsort(np.asarray(self.values, dtype=float), kind="stable")
         cum = 0.0
         for i in order:
@@ -556,46 +560,25 @@ class ConfidenceRegion:
         return bool(inside) if inside.ndim == 0 else inside
 
 
-def _scalar_quantile(dist: Distribution, q: float, seed: int, n: int) -> float:
-    try:
-        return dist.quantile(q)
-    except _NoQuantile:
-        x = np.asarray(dist.sample(seed, max(n, 1000), stream=QUANTILE_STREAM), dtype=float)
-        return float(np.quantile(x, q, method="linear"))
-
-
-def confidence_interval(dist: Distribution, level: float, *, seed: int = 0, n: int = 10_000) -> ConfidenceRegion:
-    """Central interval ``[q(a/2), q(1-a/2)]`` with ``a = 1 - level``.
-
-    Closed-form quantiles are used where the variant has them; otherwise
-    the interval comes from linearly interpolated empirical quantiles
-    (*n* draws, at least 1000).
-    """
+def confidence_interval(dist: Distribution, level: float) -> ConfidenceRegion:
+    """Central interval ``[q(a/2), q(1-a/2)]`` with ``a = 1 - level``, from
+    the variant's own quantiles."""
     if dist.kind != "scalar":
         raise ValueError("confidence_interval requires a scalar distribution")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
     a = 1.0 - level
-    lo = _scalar_quantile(dist, a / 2.0, seed, n)
-    hi = _scalar_quantile(dist, 1.0 - a / 2.0, seed, n)
+    lo, hi = dist.quantile(a / 2.0), dist.quantile(1.0 - a / 2.0)
     return ConfidenceRegion(kind="interval", level=level, intervals=((lo, hi),))
 
 
-def confidence_set(
-    dist: Distribution,
-    level: float,
-    bins: int = 512,
-    *,
-    seed: int = 0,
-    n: int = 10_000,
-) -> ConfidenceRegion:
+def confidence_set(dist: Distribution, level: float, bins: int = 512) -> ConfidenceRegion:
     """Highest-density region: greedily add the most probable bins (or
     categorical labels) until their mass reaches *level*.
 
     For continuous variants the histogram covers the [0.001, 0.999]
     quantile window with equal-width bins; bin masses are the differences
-    of one array call of the cdf at all bin edges when the variant has a
-    cdf, and histogram fractions of *n* samples otherwise.
+    of one array call of the cdf at all bin edges.
     """
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
@@ -615,19 +598,12 @@ def confidence_set(
     if dist.kind != "scalar":
         raise ValueError("confidence_set requires a scalar distribution")
 
-    if isinstance(dist, Empirical) and dist.samples.shape[0] < 1000:
-        raise ValueError("confidence_set needs at least 1000 samples without a closed-form density")
-
-    lo = _scalar_quantile(dist, 0.001, seed, n)
-    hi = _scalar_quantile(dist, 0.999, seed, n)
+    lo = dist.quantile(0.001)
+    hi = dist.quantile(0.999)
     if not hi > lo:
         return ConfidenceRegion(kind="set", level=level, intervals=((lo, hi),))
     edges = np.linspace(lo, hi, bins + 1)
-    try:
-        masses = np.diff(dist.cdf(edges))
-    except _NoQuantile:
-        x = np.asarray(dist.sample(seed, max(n, 10_000), stream=QUANTILE_STREAM), dtype=float)
-        masses = np.histogram(x, bins=edges)[0] / x.shape[0]
+    masses = np.diff(dist.cdf(edges))
     if masses.sum() <= 0:
         raise ValueError("no histogram mass inside the quantile window")
     # Masses are left unnormalised: the window itself misses ~0.2% of the
@@ -663,24 +639,12 @@ def probability_in_region(
 ) -> float:
     """Probability mass the distribution assigns to a region.
 
-    Exact through the cdf / pmf when available, otherwise the fraction of
-    *n* reproducible samples falling inside.
+    Exact through the cdf, or the masses of a :class:`Categorical`. A
+    label region on any other variant takes the fraction of *n*
+    reproducible samples that fall inside it.
     """
-    if region.labels:
-        if isinstance(dist, Categorical):
-            return float(sum(p for v, p in zip(dist.values, dist.probs) if v in region.labels))
-        vals = dist.sample(seed, n, stream=REGION_STREAM)
-        return float(np.mean([v in region.labels for v in vals]))
     if isinstance(dist, Categorical):
-        return float(
-            sum(
-                p
-                for v, p in zip(dist.values, dist.probs)
-                if any(lo <= v <= hi for lo, hi in region.intervals)
-            )
-        )
-    try:
-        return float(sum(dist.cdf(hi) - dist.cdf(lo) for lo, hi in region.intervals))
-    except _NoQuantile:
-        x = np.asarray(dist.sample(seed, n, stream=REGION_STREAM), dtype=float)
-        return float(np.mean(region.contains(x)))
+        return float(sum(p for v, p in zip(dist.values, dist.probs) if region.contains(v)))
+    if region.labels:
+        return float(np.mean(region.contains(dist.sample(seed, n, stream=REGION_STREAM))))
+    return float(sum(dist.cdf(hi) - dist.cdf(lo) for lo, hi in region.intervals))

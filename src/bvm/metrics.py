@@ -34,7 +34,7 @@ from .distributions import (
 )
 from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, _mc_estimate, estimate_bvm_mc
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, chunk_rng, map_chunks
+from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, _draw_chunk, map_chunks
 
 __all__ = [
     "DataSummary",
@@ -101,7 +101,8 @@ def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int)
     """Mean kernel weight of n resampled comparison values.
 
     ``values_of_chunk(rng, m)`` returns the m comparison values of one
-    chunk, drawn from that chunk's RESAMPLE_STREAM generator. The rule
+    chunk, drawn from that chunk's RESAMPLE_STREAM generator, which it
+    must not keep (see :func:`bvm.rng._draw_chunk`). The rule
     reads each value on both of its sides, so it must compare through a
     value comparison ('identity' or 'abs_value'). The chunks are reduced
     as :func:`estimate_bvm_mc` reduces its own: the standard error is
@@ -112,7 +113,7 @@ def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int)
         raise ValueError("sample count must be at least 1")
 
     def chunk_weights(c: int, m: int):
-        v = values_of_chunk(chunk_rng(seed, RESAMPLE_STREAM, c), m)
+        v = _draw_chunk(seed, RESAMPLE_STREAM, c, values_of_chunk, m)
         return rule.kernel_many(v, v)
 
     return _mc_estimate(chunk_weights, n, seed, rule.is_soft)
@@ -363,7 +364,8 @@ def divergence_validation(
     ``sampler(rng) -> (model_pdf, data_pdf)`` the pdfs themselves are
     uncertain and the indicator is averaged over r draws. Chunks of draws
     may run on several threads (``BVM_THREADS``), so the sampler must be
-    a pure function of the generator it is given.
+    a pure function of the generator it is given, and must not keep that
+    generator: it is re-keyed for the worker's next chunk.
     """
     if sampler is None:
         g = divergence(kind, p_data, p_model)
@@ -437,9 +439,9 @@ def statistical_power_bvm(
 
     def region(dist, level):
         if region_kind == "interval":
-            return confidence_interval(dist, level, seed=seed)
+            return confidence_interval(dist, level)
         if region_kind == "set":
-            return confidence_set(dist, level, bins, seed=seed)
+            return confidence_set(dist, level, bins)
         raise ValueError("region_kind must be 'interval' or 'set'")
 
     data_region = region(data_dist, 1.0 - alpha)

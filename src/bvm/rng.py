@@ -24,11 +24,15 @@ spawn_key=(stream, chunk)).generate_state(2, np.uint64)`` gives, but no
 ``SeedSequence`` is built: :func:`_philox_keys` runs numpy's entropy
 mixing in ``uint32`` arithmetic for a block of ``_KEY_BLOCK`` consecutive
 chunk ids at once, mixing the seed's words once for the whole block. Each
-thread keeps the block it last drew from, one per stream. :func:`chunk_rng`
-builds a fresh generator from the key. ``Distribution.draw_chunk``
-instead re-keys the calling thread's own Philox in place (the key,
-counter 0, an empty buffer), which gives the bits of a fresh generator
-at a small part of the cost of building one.
+thread keeps the block it last drew from, one per stream.
+
+:func:`_draw_chunk` is the one way to a chunk's generator: every draw in
+the package - ``Distribution.draw_chunk``, the metrics' resampling loops
+and a generated data instance's noise - runs on it. It re-keys the
+calling thread's own Philox in place (the key, counter 0, an empty
+buffer), which gives the bits of a fresh generator at a small part of
+the cost of building one. A draw must therefore not keep the generator
+it is given: the thread's next chunk re-keys it.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ TOLERANCE_STREAM = 2
 RESAMPLE_STREAM = 3
 BAND_STREAM = 7
 INSTANCE_STREAM = 11  # the noise of a generated data instance
-QUANTILE_STREAM = 17  # empirical quantiles and histograms without a cdf
-REGION_STREAM = 19  # region mass without a cdf
+REGION_STREAM = 19  # the mass of a label region on a distribution without labels
 
 
 # Chunk ids whose keys are derived together. A power of two, so every id
@@ -169,12 +172,6 @@ def _chunk_key(seed, stream, chunk) -> np.ndarray:
             blocks.clear()  # so a thread that draws from many streams holds few blocks
         block = blocks[stream] = (seed, first, _philox_keys(seed, stream, first, _KEY_BLOCK))
     return block[2][chunk - first]
-
-
-def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    """Fresh generator for one chunk of one named stream under a master seed:
-    the state of ``Philox(SeedSequence(entropy=seed, spawn_key=(stream, chunk)))``."""
-    return np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, chunk)))
 
 
 def _draw_chunk(seed: int, stream: int, chunk: int, draw, *args):

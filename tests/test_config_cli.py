@@ -29,7 +29,7 @@ from bvm.config import (
     validate_config,
 )
 from bvm.engine import EstimationError
-from bvm.studies import builtin_configs
+from bvm.studies import builtin_configs, run_study
 
 
 def scenario_doc(**overrides):
@@ -367,6 +367,19 @@ class TestCli:
         doc = scenario_doc(agreement={"type": "threshold", "fn": "abs_diff", "eps": float("nan")})
         assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
         assert "bad agreement rule type 'threshold': eps is NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, distribution, message",
+        [
+            ("model", {"type": "normal", "mean": float("nan"), "std": 1.0}, "'normal': Normal mean must not be NaN"),
+            ("data", {"type": "dirac", "value": float("nan")}, "'dirac': DiracDelta value must not be NaN"),
+        ],
+        ids=["normal-mean", "dirac-value"],
+    )
+    def test_nan_location_exit_code(self, section, distribution, message, tmp_config, capsys):
+        doc = scenario_doc(**{section: {"distribution": distribution}})
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         assert main(["validate", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
@@ -772,6 +785,33 @@ class TestReproduceCli:
 
     def test_alias(self, capsys):
         assert main(["reproduce", "power"]) == EXIT_OK
+
+    def test_oscillator_study_gives_the_bits_of_validate_on_its_configs(self, tmp_config, tmp_path):
+        report = run_study("ex-5.2")
+        assert report.passed, report.checks
+        configs = builtin_configs()
+        for variant in ("deterministic", "uncertain"):
+            for rule in ("mean_error", "compound"):
+                out = str(tmp_path / f"{variant}-{rule}.json")
+                cfg = tmp_config(configs[f"oscillator-{variant}-{rule}"])
+                assert main(["validate", "--config", cfg, "--out", out]) == EXIT_OK
+                p_hat = json.loads(open(out).read())["estimates"][0]["p_hat"]
+                assert p_hat == report.values[f"{variant}_{rule}_p"], (variant, rule)
+
+    def test_out_prefix_writes_the_sweeps_and_a_passing_record(self, tmp_path, capsys):
+        prefix = str(tmp_path / "ex53")
+        assert main(["reproduce", "ex-5.3", "--out-prefix", prefix]) == EXIT_OK
+        assert f"wrote 4 sweep CSVs with prefix {prefix}_" in capsys.readouterr().out
+        for name in ("deterministic-model1", "deterministic-model2", "uncertain-model1", "uncertain-model2"):
+            with open(f"{prefix}_{name}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["gamma", "epsilon", "p_agree"]
+            assert len(rows) == 1 + 26 * 101, name
+        record = json.loads(open(f"{prefix}_record.json").read())
+        assert record["command"] == "reproduce"
+        assert (record["config"]["example"], record["config"]["seed"]) == ("ex-5.3", 0)
+        checks = record["config"]["checks"]
+        assert len(checks) == 5 and all(check["passed"] for check in checks), checks
 
     def test_target_failure_exit_code(self, monkeypatch, capsys):
         from bvm.studies import StudyReport

@@ -1,6 +1,7 @@
 """Distribution sampling, densities, quantiles, and region construction."""
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy import integrate, stats
 
 from bvm import (
     Categorical,
+    ConfidenceRegion,
     DensityUnsupported,
     DiracDelta,
+    Distribution,
     Empirical,
     IndependentProduct,
     InputGrid,
@@ -25,7 +28,7 @@ from bvm import (
     probability_in_region,
     push_forward,
 )
-from bvm.rng import CHUNK_SIZE, map_chunks
+from bvm.rng import CHUNK_SIZE, REGION_STREAM, map_chunks
 
 
 def all_variants():
@@ -119,6 +122,23 @@ class TestDensity:
         assert DiracDelta(4.0).density(4.0) == 1.0
         assert DiracDelta(4.0).density(4.1) == 0.0
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: Normal(v, 1.0),
+            lambda v: StudentT(v, 3.0, 1.0),
+            lambda v: ShiftedExponential(1.0, v),
+            lambda v: DiracDelta(v),
+            lambda v: DiracDelta([0.0, v]),
+        ],
+        ids=["Normal", "StudentT", "ShiftedExponential", "DiracDelta", "DiracDelta-path"],
+    )
+    def test_location_may_be_infinite_but_not_nan(self, make):
+        for v in (np.inf, -np.inf):
+            make(v)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            make(np.nan)
+
     def test_categorical_invariants(self):
         with pytest.raises(ValueError):
             Categorical([0, 1], [0.6, 0.5])
@@ -196,6 +216,31 @@ class TestPushForward:
         assert push_forward(mixed, polynomial_model([0, 1]), grid).certain_chunk() is None
 
 
+@dataclass(frozen=True)
+class _NoClosedForms(Distribution):
+    """A scalar variant with neither a cdf nor quantiles."""
+
+    def _draw(self, rng, m):
+        return rng.random(m)
+
+
+class TestNumericCategorical:
+    DIST = Categorical([2.0, 0.0, 1.0], [0.5, 0.2, 0.3])
+
+    def test_cdf_sums_the_masses_at_or_below(self):
+        assert [self.DIST.cdf(x) for x in (-1.0, 0.0, 0.5, 1.0, 2.0)] == [0.0, 0.2, 0.2, 0.5, 1.0]
+
+    def test_quantile_is_the_first_value_reaching_q(self):
+        assert [self.DIST.quantile(q) for q in (0.0, 0.2, 0.21, 0.5, 0.51, 1.0)] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+
+    def test_labels_have_neither(self):
+        labels = Categorical(["a", "b"], [0.5, 0.5])
+        with pytest.raises(ValueError, match="Categorical labels are unordered"):
+            labels.cdf("a")
+        with pytest.raises(ValueError, match="Categorical labels are unordered"):
+            labels.quantile(0.5)
+
+
 class TestConfidenceInterval:
     def test_standard_normal(self):
         region = confidence_interval(Normal(0, 1), 0.95)
@@ -219,6 +264,12 @@ class TestConfidenceInterval:
     def test_non_scalar_rejected(self):
         with pytest.raises(ValueError):
             confidence_interval(DiracDelta([1.0, 2.0]), 0.9)
+
+    def test_a_variant_without_quantiles_is_named(self):
+        with pytest.raises(ValueError, match="_NoClosedForms has no closed-form quantiles"):
+            confidence_interval(_NoClosedForms(), 0.9)
+        with pytest.raises(ValueError, match="_NoClosedForms has no closed-form quantiles"):
+            confidence_set(_NoClosedForms(), 0.9)
 
     @pytest.mark.parametrize("dist", [Normal(0.3, 1.7), StudentT(0, 10, 1.75)], ids=("normal", "student_t"))
     def test_containment_fraction(self, dist):
@@ -294,6 +345,12 @@ class TestConfidenceSet:
         region = confidence_set(Categorical([0], [1.0]), 0.5)
         assert region.labels == (0,)
 
+    def test_point_mass_is_its_own_set(self):
+        region = confidence_set(DiracDelta(2.5), 0.9)
+        assert (region.kind, region.intervals, region.labels) == ("set", ((2.5, 2.5),), ())
+        with pytest.raises(ValueError):
+            confidence_set(DiracDelta([1.0, 2.0]), 0.9)
+
     def test_unimodal_matches_central_interval(self):
         level, bins = 0.95, 512
         hdr = confidence_set(Normal(0, 1), level, bins)
@@ -348,3 +405,28 @@ class TestProbabilityInRegion:
         region = confidence_interval(Normal(0, 1), 0.5)
         emp = Empirical(Normal(0, 1).sample(9, 50_000))
         assert probability_in_region(emp, region) == pytest.approx(0.5, abs=0.02)
+
+    def test_contains_with_labels(self):
+        region = ConfidenceRegion(kind="set", level=0.7, labels=(2.0, "b"))
+        assert region.contains(2.0) and region.contains("b") and not region.contains(1.0)
+        got = region.contains(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        assert got.tolist() == [[True, False], [False, True]]
+
+    def test_label_region_on_a_point_mass(self):
+        region = ConfidenceRegion(kind="set", level=0.7, labels=(2.0, 1.0))
+        assert probability_in_region(DiracDelta(1.0), region) == 1.0
+        assert probability_in_region(DiracDelta(0.0), region) == 0.0
+
+    def test_label_region_on_an_empirical_is_a_reproducible_fraction(self):
+        region = ConfidenceRegion(kind="set", level=0.5, labels=(1.0,))
+        emp = Empirical(np.array([0.0, 1.0, 1.0, 2.0]))
+        p = probability_in_region(emp, region, seed=3, n=20_000)
+        assert p == probability_in_region(emp, region, seed=3, n=20_000)
+        assert p == np.mean(emp.sample(3, 20_000, stream=REGION_STREAM) == 1.0)
+        assert p == pytest.approx(0.5, abs=0.02)
+
+    def test_interval_region_on_a_categorical_sums_the_masses_inside(self):
+        dist = Categorical([2.0, 0.0, 1.0], [0.5, 0.2, 0.3])
+        region = ConfidenceRegion(kind="set", level=0.8, intervals=((-1.0, 0.0), (1.5, 2.0)))
+        assert probability_in_region(dist, region) == 0.7
+        assert probability_in_region(dist, ConfidenceRegion(kind="interval", level=0.3, intervals=((1.0, 1.0),))) == 0.3

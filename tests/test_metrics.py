@@ -454,6 +454,24 @@ class TestStatisticalPower:
         res = statistical_power_bvm(model, data, 0.05, 0.05, region_kind="set")
         assert res.power_model_in_data == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "region_kind, value, power_model, power_data",
+        [("interval", 1.0, 0.3, 1.0), ("interval", 2.0, 0.5, 1.0),
+         ("set", 0.0, 0.2, 0.0), ("set", 1.0, 0.3, 1.0), ("set", 2.0, 0.5, 1.0)],
+    )
+    def test_numeric_categorical_model_against_a_point_value(self, region_kind, value, power_model, power_data):
+        # The model's 0.7 region is [0, 2] as an interval, and the labels
+        # {2, 1} as a set. The data's region is the value itself.
+        model = Categorical([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+        res = statistical_power_bvm(model, DiracDelta(value), 0.05, 0.3, region_kind=region_kind)
+        if region_kind == "interval":
+            assert res.model_region.intervals == ((0.0, 2.0),)
+        else:
+            assert res.model_region.labels == (2.0, 1.0)
+        assert res.data_region.intervals == ((value, value),)
+        assert (res.power_model_in_data, res.power_data_in_model) == (power_model, power_data)
+        assert res.estimate.p_hat == power_model * power_data
+
 
 def conjugate_closed_form(y, sigma, tau):
     return stats.norm.pdf(y, 0.0, math.hypot(sigma, tau))

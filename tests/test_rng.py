@@ -5,15 +5,17 @@ The package derives chunk keys without ``np.random.SeedSequence``;
 every key and every draw must reproduce.
 """
 
+import ast
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bvm import rng
 from bvm.distributions import Categorical, Distribution, Empirical, Normal, StudentT
-from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, chunk_rng, map_chunks
+from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, _draw_chunk, map_chunks
 
 STREAMS = sorted(v for name, v in vars(rng).items() if name.endswith("_STREAM"))
 
@@ -29,8 +31,46 @@ def fresh_chunk(dist, seed, stream, chunk, m=CHUNK_SIZE):
 
 def test_stream_ids_are_distinct():
     ids = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
-    assert len(ids) >= 8
+    assert set(ids) == {"MODEL_STREAM", "DATA_STREAM", "TOLERANCE_STREAM", "RESAMPLE_STREAM", "BAND_STREAM",
+                        "INSTANCE_STREAM", "REGION_STREAM"}
     assert len(set(ids.values())) == len(ids), ids
+
+
+def _generator_sites(source: str) -> list:
+    """(enclosing function, name) of every code use of a numpy generator
+    constructor: a call of ``Philox`` or ``Generator``, or any reference to
+    ``default_rng`` or ``SeedSequence``. Docstrings and comments may name them."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            names, wanted = [getattr(node.func, "attr", getattr(node.func, "id", None))], {"Philox", "Generator"}
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            names, wanted = [getattr(node, "attr", getattr(node, "id", None))], {"default_rng", "SeedSequence"}
+        elif isinstance(node, ast.ImportFrom):
+            names, wanted = [alias.name for alias in node.names], {"default_rng", "SeedSequence"}
+        else:
+            names, wanted = [], set()
+        sites.extend((where, name) for name in names if name in wanted)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_generators_are_built_only_in_draw_chunk():
+    src = Path(rng.__file__).parent
+    found = {path.name: _generator_sites(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "rng.py": [("_draw_chunk", "Generator"), ("_draw_chunk", "Philox")]
+    }
+    # The scan sees what it must reject.
+    assert _generator_sites("def f():\n    return np.random.default_rng(0)\n") == [("f", "default_rng")]
+    assert _generator_sites("from numpy.random import SeedSequence\n") == [(None, "SeedSequence")]
+    assert _generator_sites("g = Generator(Philox(1))\nx: np.random.Generator\n") == [(None, "Generator"), (None, "Philox")]
 
 
 @pytest.mark.parametrize("dist", [Normal(0.0, 1.0), Categorical(["a", "b"], [0.3, 0.7])])
@@ -76,7 +116,7 @@ def test_chunk_keys_equal_seed_sequence_keys(seed):
             want = np.random.SeedSequence(entropy=seed, spawn_key=(stream, c)).generate_state(2, np.uint64)
             assert np.array_equal(rng._chunk_key(seed, stream, c), want), (seed, stream, c)
             # The whole state: key, counter, buffer and the buffered uint32.
-            assert repr(chunk_rng(seed, stream, c).bit_generator.state) == repr(
+            assert _draw_chunk(seed, stream, c, lambda g: repr(g.bit_generator.state)) == repr(
                 fresh_rng(seed, stream, c).bit_generator.state
             ), (seed, stream, c)
 
@@ -86,7 +126,7 @@ def test_chunk_keys_equal_seed_sequence_keys(seed):
 )
 def test_non_integral_or_negative_ids_are_rejected(seed, stream, chunk):
     with pytest.raises(ValueError, match="nonnegative integer"):
-        chunk_rng(seed, stream, chunk)
+        _draw_chunk(seed, stream, chunk, lambda g: None)
     with pytest.raises(ValueError, match="nonnegative integer"):
         Normal(0.0, 1.0).draw_chunk(seed, stream, chunk, 10)
 
