@@ -301,9 +301,13 @@ class Or(AgreementRule):
 
     def kernel_many(self, zhat_batch, z_batch):
         miss = np.ones(len(zhat_batch))
+        best = np.zeros(len(zhat_batch))
         for c in self.children:
-            miss *= 1.0 - c.kernel_many(zhat_batch, z_batch)
-        return 1.0 - miss
+            w = c.kernel_many(zhat_batch, z_batch)
+            miss *= 1.0 - w
+            np.maximum(best, w, out=best)
+        # 1 - (1 - w) can round below w; the union is never below a child.
+        return np.maximum(1.0 - miss, best)
 
 
 @dataclass(frozen=True)

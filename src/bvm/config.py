@@ -578,7 +578,6 @@ def _run_power(doc, metric, samples, seed):
         alpha=metric["alpha"],
         alpha_hat=metric["alpha_hat"],
         region_kind=metric.get("region", "interval"),
-        seed=seed,
     )
     extras = {
         "power_model_in_data": res.power_model_in_data,

@@ -2,10 +2,11 @@
 
 A :class:`Distribution` describes one uncertain comparison value - a scalar,
 a vector path over an input grid, or a categorical label. All variants can
-draw reproducible samples through the chunked streams in :mod:`bvm.rng`;
-density evaluation is available for every variant except :class:`Empirical`
-and :class:`PushForward`, which signal :class:`DensityUnsupported` so the
-caller falls back to the sampling path.
+draw reproducible samples through the chunked streams in :mod:`bvm.rng`.
+Density evaluation is available for every variant except :class:`Empirical`
+and :class:`PushForward`, which raise :class:`DensityUnsupported`; nothing
+in the package asks them for one, and a caller that needs their density
+has to estimate it from samples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, REGION_STREAM, _chunks, _draw_chunk
+from .rng import CHUNK_SIZE, _chunks, _draw_chunk
 
 __all__ = [
     "DensityUnsupported",
@@ -607,44 +608,36 @@ def confidence_set(dist: Distribution, level: float, bins: int = 512) -> Confide
     if masses.sum() <= 0:
         raise ValueError("no histogram mass inside the quantile window")
     # Masses are left unnormalised: the window itself misses ~0.2% of the
-    # total, which is the documented tolerance on the contained level.
+    # total, which is the documented tolerance on the contained level. Bins
+    # are taken by falling mass until their running sum reaches the level.
     order = np.argsort(-masses, kind="stable")
-    picked = np.zeros(bins, dtype=bool)
-    cum = 0.0
-    for i in order:
-        picked[i] = True
-        cum += masses[i]
-        if cum >= level - 1e-12:
-            break
-    # Merge adjacent selected bins into disjoint intervals.
-    intervals = []
-    i = 0
-    while i < bins:
-        if picked[i]:
-            j = i
-            while j + 1 < bins and picked[j + 1]:
-                j += 1
-            intervals.append((edges[i], edges[j + 1]))
-            i = j + 1
-        i += 1
-    return ConfidenceRegion(kind="set", level=level, intervals=tuple(intervals))
+    reached = np.flatnonzero(np.cumsum(masses[order]) >= level - 1e-12)
+    picked = np.zeros(bins, dtype=np.int8)
+    picked[order[: reached[0] + 1 if reached.size else bins]] = 1
+    # A run of picked bins spans the edges where the padded mask rises and falls.
+    step = np.diff(picked, prepend=0, append=0)
+    intervals = tuple(zip(edges[step == 1], edges[step == -1]))
+    return ConfidenceRegion(kind="set", level=level, intervals=intervals)
 
 
-def probability_in_region(
-    dist: Distribution,
-    region: ConfidenceRegion,
-    *,
-    seed: int = 0,
-    n: int = 100_000,
-) -> float:
-    """Probability mass the distribution assigns to a region.
+def probability_in_region(dist: Distribution, region: ConfidenceRegion) -> float:
+    """Exact probability mass the distribution assigns to a closed region.
 
-    Exact through the cdf, or the masses of a :class:`Categorical`. A
-    label region on any other variant takes the fraction of *n*
-    reproducible samples that fall inside it.
+    An atom of a :class:`Categorical`, :class:`DiracDelta` or
+    :class:`Empirical` counts when ``region.contains`` holds it (the test
+    :class:`bvm.agreement.InRegion` applies to a draw), so an atom on an
+    edge is inside. A continuous variant sums ``cdf(hi) - cdf(lo)`` over
+    the intervals and gives a label set mass 0. A path-valued distribution
+    raises ValueError.
     """
+    if dist.kind == "path":
+        raise ValueError(f"a region holds scalars or labels, not the paths of {type(dist).__name__}")
     if isinstance(dist, Categorical):
         return float(sum(p for v, p in zip(dist.values, dist.probs) if region.contains(v)))
+    if isinstance(dist, DiracDelta):
+        return 1.0 if region.contains(dist.value) else 0.0
+    if isinstance(dist, Empirical):
+        return np.count_nonzero(region.contains(dist.samples)) / dist.samples.shape[0]
     if region.labels:
-        return float(np.mean(region.contains(dist.sample(seed, n, stream=REGION_STREAM))))
+        return 0.0
     return float(sum(dist.cdf(hi) - dist.cdf(lo) for lo, hi in region.intervals))

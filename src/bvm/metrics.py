@@ -17,7 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agreement import AgreementRule, GammaEpsilon, Threshold
+from .agreement import (
+    AgreementRule,
+    AlwaysFalse,
+    AlwaysTrue,
+    And,
+    GammaEpsilon,
+    InRegion,
+    Interval,
+    Not,
+    Or,
+    SoftExponential,
+    Threshold,
+)
 from .comparison import BinnedPdf, _paired_masses, area_metric, area_metric_many, divergence
 from .distributions import (
     ConfidenceRegion,
@@ -193,18 +205,6 @@ def _breakpoints(rule: AgreementRule):
     Returns None when the tree contains a comparison whose kink structure
     is unknown; callers then fall back to blind panels.
     """
-    from .agreement import (
-        AlwaysFalse,
-        AlwaysTrue,
-        And,
-        InRegion,
-        Interval,
-        Not,
-        Or,
-        SoftExponential,
-        Threshold,
-    )
-
     def of_fn(fn_name, points):
         if fn_name == "identity":
             return set(points)
@@ -423,14 +423,14 @@ def statistical_power_bvm(
     alpha: float,
     alpha_hat: float,
     region_kind: str = "interval",
-    bins: int = 512,
-    seed: int = 0,
 ) -> PowerResult:
     """Agreement as mutual containment: the model statistic must land in
     the data's 1-alpha region and the data statistic in the model's
     1-alpha_hat region. The probability factorises into the product of
     the two statistical powers. Regions are central intervals or
-    highest-density sets.
+    highest-density sets over 512 bins, and each power is the exact mass
+    of a closed region (:func:`probability_in_region`), so an atom on an
+    edge lies inside. Nothing is sampled; the estimate carries seed 0.
     """
     if model_dist.kind != "scalar" or data_dist.kind != "scalar":
         raise ValueError("power metric needs scalar statistic distributions")
@@ -441,15 +441,15 @@ def statistical_power_bvm(
         if region_kind == "interval":
             return confidence_interval(dist, level)
         if region_kind == "set":
-            return confidence_set(dist, level, bins)
+            return confidence_set(dist, level)
         raise ValueError("region_kind must be 'interval' or 'set'")
 
     data_region = region(data_dist, 1.0 - alpha)
     model_region = region(model_dist, 1.0 - alpha_hat)
-    power_model = probability_in_region(model_dist, data_region, seed=seed)
-    power_data = probability_in_region(data_dist, model_region, seed=seed)
+    power_model = probability_in_region(model_dist, data_region)
+    power_data = probability_in_region(data_dist, model_region)
     product = power_model * power_data
-    est = BvmEstimate(p_hat=product, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
+    est = BvmEstimate(p_hat=product, std_error=0.0, n_samples=0, seed=0, method="closedForm")
     return PowerResult(
         estimate=est,
         power_model_in_data=power_model,
@@ -481,10 +481,6 @@ class EvidenceResult:
     seed: int
     ess: float
     max_weight_share: float
-
-    @property
-    def evidence(self) -> float:
-        return math.exp(self.log_evidence)
 
 
 def bayesian_evidence(

@@ -55,7 +55,6 @@ TOLERANCE_STREAM = 2
 RESAMPLE_STREAM = 3
 BAND_STREAM = 7
 INSTANCE_STREAM = 11  # the noise of a generated data instance
-REGION_STREAM = 19  # the mass of a label region on a distribution without labels
 
 
 # Chunk ids whose keys are derived together. A power of two, so every id

@@ -694,6 +694,17 @@ class TestMetricCli:
         out = capsys.readouterr().out
         assert "power_model_in_data" in out
 
+    @pytest.mark.parametrize("region", ["interval", "set"])
+    def test_power_of_a_point_mass_against_itself(self, tmp_config, capsys, region):
+        # Each region is the closed [1, 1], which holds the other side's atom.
+        doc = {
+            "metric": {"name": "power", "alpha": 0.05, "alpha_hat": 0.05, "region": region},
+            "model": {"distribution": {"type": "dirac", "value": 1.0}},
+            "data": {"distribution": {"type": "dirac", "value": 1.0}},
+        }
+        assert main(["power", "--config", tmp_config(doc)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("P(agree) = 1.0 +/- 0.0 [closedForm, n=0, seed=0]\n")
+
     def test_evidence_subcommand(self, tmp_config, capsys):
         doc = {
             "metric": {"name": "evidence", "sigma": 0.5, "data_y": [0.7]},

@@ -28,7 +28,7 @@ from bvm import (
     probability_in_region,
     push_forward,
 )
-from bvm.rng import CHUNK_SIZE, REGION_STREAM, map_chunks
+from bvm.rng import CHUNK_SIZE, map_chunks
 
 
 def all_variants():
@@ -391,6 +391,42 @@ class TestConfidenceSet:
         with pytest.raises(ValueError):
             confidence_set(Empirical(np.arange(100.0)), 0.9)
 
+    @staticmethod
+    def _greedy_loop(dist, level, bins):
+        """The set built bin by bin: add the most probable bins one at a
+        time until the running mass reaches the level, then merge runs."""
+        lo, hi = dist.quantile(0.001), dist.quantile(0.999)
+        edges = np.linspace(lo, hi, bins + 1)
+        masses = np.diff(dist.cdf(edges))
+        picked = np.zeros(bins, dtype=bool)
+        cum = 0.0
+        for i in np.argsort(-masses, kind="stable"):
+            picked[i] = True
+            cum += masses[i]
+            if cum >= level - 1e-12:
+                break
+        intervals, i = [], 0
+        while i < bins:
+            if picked[i]:
+                j = i
+                while j + 1 < bins and picked[j + 1]:
+                    j += 1
+                intervals.append((float(edges[i]), float(edges[j + 1])))
+                i = j
+            i += 1
+        return tuple(intervals)
+
+    @pytest.mark.parametrize("bins", [7, 64, 512])
+    def test_same_bits_as_the_greedy_loop(self, bins):
+        bimodal = Empirical(np.concatenate([Normal(-3, 0.5).sample(2, 3000), Normal(2, 1.0).sample(3, 2000)]))
+        dists = [Normal(0.4, 1.3), StudentT(-1.0, 2.5, 0.7), Uniform(-1.0, 3.0), ShiftedExponential(2.0, 0.5), bimodal]
+        for dist in dists:
+            for level in (0.3, 0.5, 0.9, 0.95, 0.999, 1.0):  # 0.999 and 1.0 exceed the window's mass
+                got = confidence_set(dist, level, bins).intervals
+                want = self._greedy_loop(dist, level, bins)
+                assert [tuple(map(float.hex, iv)) for iv in got] == [tuple(map(float.hex, iv)) for iv in want], (
+                    dist, level)
+
 
 class TestProbabilityInRegion:
     def test_interval_mass(self):
@@ -420,10 +456,23 @@ class TestProbabilityInRegion:
     def test_label_region_on_an_empirical_is_a_reproducible_fraction(self):
         region = ConfidenceRegion(kind="set", level=0.5, labels=(1.0,))
         emp = Empirical(np.array([0.0, 1.0, 1.0, 2.0]))
-        p = probability_in_region(emp, region, seed=3, n=20_000)
-        assert p == probability_in_region(emp, region, seed=3, n=20_000)
-        assert p == np.mean(emp.sample(3, 20_000, stream=REGION_STREAM) == 1.0)
-        assert p == pytest.approx(0.5, abs=0.02)
+        assert probability_in_region(emp, region) == 0.5
+
+    def test_empirical_atoms_on_closed_edges(self):
+        # Atoms 0, 1 and 2 with weights 0.4, 0.3 and 0.3: both edges of
+        # [0, 1] hold an atom, and both count.
+        emp = Empirical(np.array([0.0] * 4 + [1.0] * 3 + [2.0] * 3))
+        assert probability_in_region(emp, ConfidenceRegion(kind="interval", level=0.7, intervals=((0.0, 1.0),))) == 0.7
+
+    def test_label_region_on_a_continuous_variant_has_no_mass(self):
+        region = ConfidenceRegion(kind="set", level=0.5, labels=(0.0, "a"))
+        assert probability_in_region(Normal(0, 1), region) == 0.0
+
+    def test_path_distribution_rejected(self):
+        region = ConfidenceRegion(kind="interval", level=0.5, intervals=((0.0, 1.0),))
+        for dist in (DiracDelta([0.5, 0.5]), Empirical(np.zeros((3, 2)))):
+            with pytest.raises(ValueError):
+                probability_in_region(dist, region)
 
     def test_interval_region_on_a_categorical_sums_the_masses_inside(self):
         dist = Categorical([2.0, 0.0, 1.0], [0.5, 0.2, 0.3])

@@ -104,7 +104,7 @@ CASES = {
             "estimator": {"method": "mc", "seed": 2},
         },
         (
-            "P(agree) = 0.7981477049398097 +/- 0.0 [closedForm, n=0, seed=2]\n"
+            "P(agree) = 0.7981477049398097 +/- 0.0 [closedForm, n=0, seed=0]\n"
             "power_model_in_data = 0.9894278073143998\n"
             "power_data_in_model = 0.8066760394638787\n"
             "systematic_error = 0.14500000000000002\n"
@@ -117,7 +117,7 @@ CASES = {
             "p_hat": 0.7981477049398097,
             "power_data_in_model": 0.8066760394638787,
             "power_model_in_data": 0.9894278073143998,
-            "seed": 2,
+            "seed": 0,
             "std_error": 0.0,
             "systematic_error": 0.14500000000000002,
         },

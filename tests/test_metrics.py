@@ -83,6 +83,19 @@ class TestReliability:
         assert est.p_hat == pytest.approx(oracle, rel=1e-12)
 
 
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_certain_inputs_agree_up_to_a_closed_tolerance(self, step):
+        # Zero spread on both sides: the estimate is the indicator
+        # |mu| <= eps, exactly as a Monte Carlo run of the same rule reads it.
+        model, data = DiracDelta(0.3), DiracDelta(0.1)
+        eps = abs(0.3 - 0.1)
+        eps = {-1: np.nextafter(eps, 0.0), 0: eps, 1: np.nextafter(eps, 1.0)}[step]
+        est = reliability(model, data, eps)
+        assert est.method == "closedForm"
+        assert est.p_hat == (0.0 if step < 0 else 1.0)
+        assert est.p_hat == estimate_bvm_mc(Scenario(model, data, Threshold("abs_diff", eps)), 1000, 0).p_hat
+
+
 class TestImprovedReliability:
     def test_identical_certain_paths(self):
         path = np.array([1.0, 2.0, 3.0])
@@ -453,6 +466,16 @@ class TestStatisticalPower:
         model = Categorical([0.0, 10.0], [0.5, 0.5])
         res = statistical_power_bvm(model, data, 0.05, 0.05, region_kind="set")
         assert res.power_model_in_data == pytest.approx(1.0)
+
+    def test_point_value_on_the_lower_edge_of_the_model_interval(self):
+        # The model's 0.7 interval is the closed [0, 2], so the data's atom
+        # at 0 lies inside it; the data's region [0, 0] holds the model's
+        # atom at 0, of mass 0.2.
+        model = Categorical([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+        res = statistical_power_bvm(model, DiracDelta(0.0), 0.05, 0.3)
+        assert res.power_data_in_model == 1.0
+        assert res.power_model_in_data == 0.2
+        assert res.estimate.seed == 0
 
     @pytest.mark.parametrize(
         "region_kind, value, power_model, power_data",

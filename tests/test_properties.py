@@ -1,0 +1,297 @@
+"""Properties over generated inputs (hypothesis, derandomized).
+
+Each property runs a fixed number of examples from a fixed derivation, so
+the suite is as repeatable as the rest of tier-1; together they take a few
+seconds. The bounds were written down before the first run:
+
+- Region mass: over ``N_DRAWS`` = 4000 draws, the fraction that
+  ``region.contains`` holds lies within ``5 sqrt(p (1 - p) / N_DRAWS) +
+  1 / N_DRAWS`` of ``probability_in_region``'s p. That is five binomial
+  standard errors plus one draw's weight; a mass that differs by one atom
+  of weight 1/30 or more (the largest Empirical here has 30 samples) is
+  outside it.
+- Comparisons: a batch equals the concatenation of its one-row batches bit
+  for bit (NaN and inf included).
+- Rule kernels: every weight lies in [0, 1], and a hard rule's in {0, 1};
+  ``And`` is at most, and ``Or`` at least, each child's weight, exactly;
+  a hard rule's weight does not fall as its tolerance widens.
+- Config forms: ``rule_to_config(rule_from_config(doc))`` is a fixed point
+  of one more round trip, and survives ``json``.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from bvm import (
+    AlwaysFalse,
+    AlwaysTrue,
+    And,
+    Categorical,
+    ConfidenceRegion,
+    DiracDelta,
+    Empirical,
+    GammaEpsilon,
+    InRegion,
+    Interval,
+    Normal,
+    Not,
+    Or,
+    SoftExponential,
+    Threshold,
+    Uniform,
+    probability_in_region,
+)
+from bvm.comparison import _REGISTRY, get_comparison_fn
+from bvm.config import rule_from_config, rule_to_config
+
+
+def _settings(n):
+    return settings(max_examples=n, derandomize=True, database=None, deadline=None)
+
+
+N_DRAWS = 4000
+ATOM = st.integers(-4, 4).map(float)  # a coarse grid, so atoms repeat and edges meet them
+REAL = st.floats(-6.0, 6.0, allow_nan=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Region masses
+
+
+@st.composite
+def scalar_dists(draw):
+    """A distribution and the points its regions may put edges on: its
+    atoms, or the mean of a Normal and the ends of a Uniform."""
+    kind = draw(st.sampled_from(["normal", "uniform", "dirac", "categorical", "empirical"]))
+    if kind == "normal":
+        mean = draw(REAL)
+        return Normal(mean, draw(st.floats(0.05, 3.0))), (mean,)
+    if kind == "uniform":
+        lo = draw(REAL)
+        hi = lo + draw(st.floats(0.01, 5.0))
+        return Uniform(lo, hi), (lo, hi)
+    if kind == "dirac":
+        v = draw(ATOM)
+        return DiracDelta(v), (v,)
+    if kind == "categorical":
+        values = draw(st.lists(ATOM, min_size=1, max_size=5, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+        return Categorical(values, [w / sum(weights) for w in weights]), tuple(values)
+    samples = draw(st.lists(ATOM, min_size=1, max_size=30))
+    return Empirical(np.array(samples)), tuple(samples)
+
+
+@st.composite
+def regions(draw, anchors):
+    """Half the regions take every edge (or label) from *anchors*; a
+    quarter are label sets, the rest one to three closed intervals."""
+    point = st.sampled_from(anchors) if draw(st.booleans()) else REAL
+    if draw(st.integers(0, 3)) == 0:
+        labels = draw(st.lists(point, min_size=1, max_size=3, unique=True))
+        return ConfidenceRegion(kind="set", level=0.5, labels=tuple(labels))
+    pairs = sorted(tuple(sorted(draw(st.tuples(point, point)))) for _ in range(draw(st.integers(1, 3))))
+    merged = [list(pairs[0])]
+    for lo, hi in pairs[1:]:  # overlapping or touching intervals merge
+        if lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    kind = "interval" if len(merged) == 1 else "set"
+    return ConfidenceRegion(kind=kind, level=0.5, intervals=tuple(map(tuple, merged)))
+
+
+@_settings(200)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_region_mass_is_the_fraction_of_draws_inside(data, seed):
+    dist, anchors = data.draw(scalar_dists())
+    region = data.draw(regions(anchors))
+    p = probability_in_region(dist, region)
+    inside = np.count_nonzero(region.contains(dist.sample(seed, N_DRAWS))) / N_DRAWS
+    bound = 5.0 * math.sqrt(max(p * (1.0 - p), 0.0) / N_DRAWS) + 1.0 / N_DRAWS
+    assert abs(inside - p) <= bound, (dist, region, p, inside)
+
+
+# ---------------------------------------------------------------------------
+# Comparison functions: a batch is its rows
+
+
+SCALAR_FNS = ("abs_diff", "sq_diff", "identity", "abs_value")
+PATH_FNS = ("mean_abs_error", "max_abs_error", "per_point_abs_error")
+MASS_FNS = ("kl", "kl_divergence", "sym_kl", "symmetrized_kl", "js", "js_divergence", "hellinger")
+SAMPLE_FNS = ("area_metric",)
+FINITE = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+def test_every_registered_comparison_is_generated():
+    assert set(_REGISTRY) == {*SCALAR_FNS, *PATH_FNS, *MASS_FNS, *SAMPLE_FNS}
+
+
+def _masses(draw, m, n):
+    w = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 1.0)))
+    w[:, 0] += w.sum(axis=1) == 0  # every row has some mass
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@_settings(150)
+@given(data=st.data())
+def test_batch_equals_its_one_row_batches(data):
+    name = data.draw(st.sampled_from([*SCALAR_FNS, *PATH_FNS, *MASS_FNS, *SAMPLE_FNS, "binned_prob_diff"]))
+    m, n, b = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    if name == "binned_prob_diff":
+        fn = get_comparison_fn(name, bins=data.draw(st.integers(1, 20)))
+    else:
+        fn = _REGISTRY[name]
+    if name in SCALAR_FNS:
+        zh, z = (data.draw(hnp.arrays(float, (m,), elements=FINITE)) for _ in range(2))
+    elif name in MASS_FNS:
+        zh, z = _masses(data.draw, m, n), _masses(data.draw, m, n)
+    else:  # paths, or two samples of sizes n and b for the area metric
+        zh = data.draw(hnp.arrays(float, (m, n), elements=FINITE))
+        z = data.draw(hnp.arrays(float, (m, b if name in SAMPLE_FNS else n), elements=FINITE))
+    rows = np.concatenate([fn.on_batch(zh[i : i + 1], z[i : i + 1]) for i in range(m)])
+    np.testing.assert_array_equal(fn.on_batch(zh, z), rows)
+
+
+# ---------------------------------------------------------------------------
+# Rule kernels
+
+
+VALUE_FNS = st.sampled_from(["identity", "abs_value", "abs_diff"])
+TOL = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def rules(draw, depth=0, hard=False):
+    kinds = ["threshold", "interval", "in_region", "always_true", "always_false"]
+    kinds += [] if hard else ["soft"]
+    kinds += ["and", "or", "not"] if depth < 2 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "threshold":
+        return Threshold(draw(VALUE_FNS), draw(TOL))
+    if kind == "interval":
+        lo, hi = sorted((draw(TOL), draw(TOL)))
+        return Interval(draw(VALUE_FNS), lo, hi)
+    if kind == "soft":
+        return SoftExponential(draw(VALUE_FNS), draw(TOL), draw(st.floats(0.01, 50.0)))
+    if kind == "in_region":
+        lo, hi = sorted((draw(TOL), draw(TOL)))
+        region = ConfidenceRegion(kind="interval", level=0.5, intervals=((lo, hi),))
+        return InRegion(region, draw(st.sampled_from(["model", "data"])))
+    if kind == "always_true":
+        return AlwaysTrue()
+    if kind == "always_false":
+        return AlwaysFalse()
+    if kind == "not":
+        return Not(draw(rules(depth + 1, hard=True)))
+    children = draw(st.lists(rules(depth + 1, hard), min_size=1, max_size=3))
+    return And(children) if kind == "and" else Or(children)
+
+
+VALUES = hnp.arrays(float, st.integers(1, 12), elements=st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@_settings(150)
+@given(rule=rules(), zh=VALUES, data=st.data())
+def test_kernel_weights_lie_in_the_unit_interval(rule, zh, data):
+    z = data.draw(hnp.arrays(float, zh.shape, elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    w = rule.kernel_many(zh, z)
+    assert np.all((w >= 0.0) & (w <= 1.0)), (rule, w)
+    if not rule.is_soft:
+        assert set(np.unique(w)) <= {0.0, 1.0}, (rule, w)
+
+
+@_settings(150)
+@given(children=st.lists(rules(depth=1), min_size=1, max_size=3), zh=VALUES, data=st.data())
+def test_and_is_at_most_and_or_at_least_every_child(children, zh, data):
+    z = data.draw(hnp.arrays(float, zh.shape, elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    each = np.array([c.kernel_many(zh, z) for c in children])
+    assert np.all(And(children).kernel_many(zh, z) <= each.min(axis=0))
+    assert np.all(Or(children).kernel_many(zh, z) >= each.max(axis=0))
+
+
+@_settings(100)
+@given(fn=VALUE_FNS, a=TOL, b=TOL, widen=st.floats(0.0, 2.0), zh=VALUES, data=st.data())
+def test_hard_rules_are_monotone_in_their_tolerance(fn, a, b, widen, zh, data):
+    z = data.draw(hnp.arrays(float, zh.shape, elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    lo, hi = sorted((a, b))
+    pairs = [
+        (Threshold(fn, lo), Threshold(fn, hi)),
+        (Interval(fn, lo, hi), Interval(fn, lo - widen, hi + widen)),
+    ]
+    paths = np.stack([zh, zh[::-1]])
+    data_paths = np.stack([z, z[::-1]])
+    gamma, m = data.draw(UNIT), data.draw(st.floats(1.0, 4.0))
+    tight, loose = (GammaEpsilon(gamma, e, m) for e in (abs(lo), abs(lo) + widen))
+    for narrow, wide in pairs:
+        assert np.all(narrow.kernel_many(zh, z) <= wide.kernel_many(zh, z)), (narrow, wide)
+    assert np.all(tight.kernel_many(paths, data_paths) <= loose.kernel_many(paths, data_paths)), (tight, loose)
+
+
+# ---------------------------------------------------------------------------
+# Rule config forms
+
+
+NUM = st.floats(-1e6, 1e6, allow_nan=False)
+LABEL = st.one_of(st.integers(-5, 5), st.text("abc", min_size=1, max_size=3))
+FN_NAMES = st.sampled_from(sorted(_REGISTRY))
+
+
+@st.composite
+def rule_docs(draw, depth=0, hard=False):
+    kinds = ["always_true", "always_false", "threshold", "binned", "interval", "set_membership", "in_region",
+             "gamma_epsilon", "epsilon_beta"]
+    kinds += [] if hard else ["soft_exponential"]
+    kinds += ["and", "or", "not"] if depth < 2 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("always_true", "always_false"):
+        return {"type": kind}
+    if kind == "threshold":
+        return {"type": "threshold", "fn": draw(FN_NAMES), "eps": draw(NUM)}
+    if kind == "binned":
+        doc = {"type": "threshold", "fn": "binned_prob_diff", "eps": draw(NUM)}
+        return {**doc, "bins": draw(st.integers(1, 40))} if draw(st.booleans()) else doc
+    if kind == "interval":
+        lo, hi = sorted((draw(NUM), draw(NUM)))
+        return {"type": "interval", "fn": draw(FN_NAMES), "lo": lo, "hi": hi}
+    if kind == "soft_exponential":
+        return {"type": kind, "fn": draw(FN_NAMES), "eps_prime": draw(NUM), "rate": draw(st.floats(1e-3, 1e3))}
+    if kind == "set_membership":
+        keys = st.text("xyz", min_size=1, max_size=2)
+        return {"type": kind, "synonyms": draw(st.dictionaries(keys, st.lists(LABEL, max_size=3), max_size=3))}
+    if kind == "in_region":
+        region = {"kind": "set", "level": draw(st.floats(0.01, 1.0))}
+        if draw(st.booleans()):
+            region["labels"] = draw(st.lists(LABEL, min_size=1, max_size=3))
+        else:
+            edges = sorted(draw(st.lists(NUM, min_size=2, max_size=6, unique=True)))
+            region["intervals"] = [edges[i : i + 2] for i in range(0, len(edges) - 1, 2)]
+            if len(region["intervals"]) == 1:
+                region["kind"] = "interval"
+        return {"type": kind, "side": draw(st.sampled_from(["model", "data"])), "region": region}
+    if kind == "gamma_epsilon":
+        eps = draw(st.one_of(st.floats(0.0, 10.0), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4)))
+        return {"type": kind, "gamma": draw(UNIT), "eps": eps, "m": draw(st.floats(1.0, 10.0))}
+    if kind == "epsilon_beta":
+        n = draw(st.integers(1, 4))
+        lo = [draw(NUM) for _ in range(n)]
+        hi = [x + draw(st.floats(0.0, 5.0)) for x in lo]
+        c_lo, c_hi = sorted((draw(UNIT), draw(UNIT)))
+        return {"type": kind, "mean_tol": draw(NUM), "coverage_lo": c_lo, "coverage_hi": c_hi,
+                "band": {"lo": lo, "hi": hi}}
+    if kind == "not":
+        return {"type": "not", "child": draw(rule_docs(depth + 1, hard=True))}
+    return {"type": kind, "children": draw(st.lists(rule_docs(depth + 1, hard), min_size=1, max_size=3))}
+
+
+@_settings(150)
+@given(doc=rule_docs())
+def test_rule_config_round_trip_is_a_fixed_point(doc):
+    once = rule_to_config(rule_from_config(doc))
+    assert rule_to_config(rule_from_config(once)) == once
+    assert json.loads(json.dumps(once)) == once
