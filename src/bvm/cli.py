@@ -228,24 +228,31 @@ def _parse_axis(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
+def _axis_labels(grid):
+    """Each gamma and each eps of a sweep grid, formatted once."""
+    return [_fmt(g) for g in grid.gammas.tolist()], [_fmt(e) for e in grid.epsilons.tolist()]
+
+
 def _write_sweep_csv(path: str, grid):
+    gammas, epsilons = _axis_labels(grid)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "epsilon", "p_agree"])
-        for i, g in enumerate(grid.gammas):
-            for j, e in enumerate(grid.epsilons):
-                writer.writerow([_fmt(g), _fmt(e), _fmt(grid.values[i, j])])
+        writer.writerows(
+            (g, e, repr(v)) for g, row in zip(gammas, grid.values.tolist()) for e, v in zip(epsilons, row)
+        )
 
 
 def _write_ratio_csv(path: str, grid1, cells):
+    gammas, epsilons = _axis_labels(grid1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "epsilon", "ratio", "status"])
-        for i, g in enumerate(grid1.gammas):
-            for j, e in enumerate(grid1.epsilons):
-                cell = cells[i][j]
-                value = _fmt(cell.value) if cell.status == "ok" else ""
-                writer.writerow([_fmt(g), _fmt(e), value, cell.status])
+        writer.writerows(
+            (g, e, _fmt(cell.value) if cell.status == "ok" else "", cell.status)
+            for g, row in zip(gammas, cells)
+            for e, cell in zip(epsilons, row)
+        )
 
 
 def cmd_sweep(args) -> int:

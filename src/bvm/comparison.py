@@ -230,11 +230,17 @@ def binned_prob_diff(p, q):
 
 
 def kl_divergence(p, q):
-    """KL(p || q) in nats with 0*ln(0) := 0; +inf when q misses p's support."""
+    """KL(p || q) in nats with 0*ln(0) := 0; +inf when q misses p's support.
+
+    Where ``p_i / q_i`` overflows (``q_i`` subnormal), its log is taken as
+    ``ln p_i - ln q_i``; every finite ratio keeps ``ln(p_i / q_i)``.
+    """
     pm, qm = _paired_masses(p, q)
     support = pm > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(support, pm * np.log(pm / qm), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = pm / qm
+        log_ratio = np.where(np.isinf(ratio) & (qm > 0), np.log(pm) - np.log(qm), np.log(ratio))
+        terms = np.where(support, pm * log_ratio, 0.0)
     missed = np.any(support & (qm == 0), axis=-1)
     return _per_row(np.where(missed, np.inf, np.sum(terms, axis=-1)))
 

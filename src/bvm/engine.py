@@ -483,7 +483,12 @@ def sweep(
     The model is evaluated one block of ``SWEEP_BLOCK`` parameter rows at
     a time, and each block's paths are counted and dropped before the
     next is evaluated: the in-tolerance count of every path at every eps
-    comes from one pass over the blocks. Each absolute error is placed by
+    comes from one pass over the blocks. Only each path's r largest
+    absolute errors are counted, where ``r = n + 1 - min(needed)`` (at
+    least 1) and ``needed`` holds the fewest in-tolerance points of each
+    gamma: ``partition`` picks them, and the other ``n - r`` are counted
+    as in tolerance at every eps. Past r = n/2 the pick costs more than
+    it saves, and r is n. Each counted error is placed by
     ``searchsorted`` into the sorted eps axis, which gives the first
     column that tolerates it; a row-offset ``bincount`` and a ``cumsum``
     along eps then turn those positions into the block's counts for
@@ -493,15 +498,26 @@ def sweep(
     one block of paths; neither the path matrix nor the full error
     matrix is ever held. Each eps column then costs one weighted
     histogram over the paths, and every gamma row reads the same tail
-    sums. The counts are exact integers and the histogram adds each
+    sums.
+
+    A count is exact from the smallest need up and clamped below it. A
+    path reaches that need at eps exactly when the smallest of its r
+    counted errors is within eps, and then its ``n - r`` smaller errors
+    are too; otherwise both its true and its counted number fall short
+    of every need, and no cell reads a bin below the smallest need. The
+    counts that are read are exact integers and the histogram adds each
     bin's weights in path order, so the cells are bit for bit those of a
     direct per-eps count, whatever the block size or the order of the
-    eps axis.
+    eps axis. A NaN on either axis raises :class:`EstimationError`.
     """
     gammas = np.asarray(gammas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
     if gammas.size == 0 or epsilons.size == 0:
         raise EstimationError("sweep axes must be nonempty")
+    for name, axis in (("gamma", gammas), ("eps", epsilons)):
+        nan = np.flatnonzero(np.isnan(axis))
+        if nan.size:
+            raise EstimationError(f"sweep {name} axis holds NaN at position {int(nan[0])}")
     if not (math.isfinite(m) and m >= 1.0):
         raise EstimationError(f"worst-point multiplier m must be finite and at least 1, got {m!r}")
     n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
@@ -510,24 +526,35 @@ def sweep(
     order = np.argsort(epsilons, kind="stable")
     eps_sorted = epsilons[order]
 
-    # counts[q, p]: how many of path p's n errors are <= eps_sorted[q].
+    # Smallest in-tolerance count c with c/n >= gamma, matching the float
+    # comparison used by GammaEpsilon exactly.
+    fractions = np.arange(n + 1) / n
+    needed = np.asarray([int(np.searchsorted(fractions >= g, True)) for g in gammas])
+    # Each path's r largest errors decide every count that a gamma reads.
+    # Selecting them costs about a third of placing all n errors, so the
+    # sweep selects only when that drops at least half of them.
+    r = max(1, n + 1 - int(needed.min()))
+    if 2 * r > n:
+        r = n
+
+    # counts[q, p]: how many of path p's n errors are <= eps_sorted[q],
+    # exact from min(needed) up and clamped to n - r below it.
     counts = np.empty((n_eps, n_paths), dtype=np.min_scalar_type(n))
     max_err = np.empty(n_paths)
     start = 0
     for block in blocks:
         err = np.abs(block - template.data_path)
+        if r < n:
+            err.partition(n - r, axis=1)  # NaN sorts last
+            err = err[:, n - r :]
         rows = err.shape[0]
         max_err[start : start + rows] = err.max(axis=1)
         first_ok = np.searchsorted(eps_sorted, err, side="left")
         first_ok += np.arange(rows)[:, None] * (n_eps + 1)
         hist = np.bincount(first_ok.ravel(), minlength=rows * (n_eps + 1)).reshape(rows, n_eps + 1)
+        hist[:, 0] += n - r
         np.cumsum(hist.T[:n_eps], axis=0, dtype=counts.dtype, out=counts[:, start : start + rows])
         start += rows
-
-    # Smallest in-tolerance count c with c/n >= gamma, matching the float
-    # comparison used by GammaEpsilon exactly.
-    fractions = np.arange(n + 1) / n
-    needed = np.asarray([int(np.searchsorted(fractions >= g, True)) for g in gammas])
 
     values = np.empty((gammas.size, n_eps))
     for q, j in enumerate(order):

@@ -1,6 +1,7 @@
 """Comparison value functions against hand values and brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bvm.comparison import (
     kl_divergence,
     max_abs_error,
     mean_abs_error,
+    symmetrized_kl,
 )
 
 
@@ -207,6 +209,17 @@ class TestDivergences:
 
     def test_kl_infinite_on_missing_support(self):
         assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+
+    def test_kl_with_a_subnormal_mass_does_not_overflow(self):
+        # 0.5 / 1e-310 overflows; the divergence is 356.2..., not inf.
+        p, q = [0.5, 0.5], [1 - 1e-310, 1e-310]
+        forward = sum(a * (math.log(a) - math.log(b)) for a, b in zip(p, q))
+        backward = sum(b * (math.log(b) - math.log(a)) for a, b in zip(p, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kl_divergence(p, q) == pytest.approx(356.2075422335172, rel=1e-12)
+            assert kl_divergence(p, q) == pytest.approx(forward, rel=1e-12)
+            assert symmetrized_kl(p, q) == pytest.approx(forward + backward, rel=1e-12)
 
     def test_js_bounded_by_ln2(self):
         rng = np.random.default_rng(8)

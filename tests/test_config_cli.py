@@ -15,6 +15,8 @@ from bvm.cli import (
     EXIT_OK,
     EXIT_RULE_MISMATCH,
     _parse_axis,
+    _write_ratio_csv,
+    _write_sweep_csv,
     main,
 )
 from bvm.config import (
@@ -28,7 +30,7 @@ from bvm.config import (
     rule_to_config,
     validate_config,
 )
-from bvm.engine import EstimationError
+from bvm.engine import EstimationError, SweepGrid, ratio_grid
 from bvm.studies import builtin_configs, run_study
 
 
@@ -837,7 +839,53 @@ class TestReproduceCli:
         assert "[FAIL]" in capsys.readouterr().out
 
 
+def _reference_sweep_csv(path, grid):
+    # The per-cell writer the sweep CSVs were first written with.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["gamma", "epsilon", "p_agree"])
+        for i, g in enumerate(grid.gammas):
+            for j, e in enumerate(grid.epsilons):
+                writer.writerow([repr(float(g)), repr(float(e)), repr(float(grid.values[i, j]))])
+
+
+def _reference_ratio_csv(path, grid1, cells):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["gamma", "epsilon", "ratio", "status"])
+        for i, g in enumerate(grid1.gammas):
+            for j, e in enumerate(grid1.epsilons):
+                cell = cells[i][j]
+                value = repr(float(cell.value)) if cell.status == "ok" else ""
+                writer.writerow([repr(float(g)), repr(float(e)), value, cell.status])
+
+
 class TestOutputFormats:
+    def test_sweep_and_ratio_csvs_keep_their_bytes(self, tmp_path):
+        below_one = np.nextafter(1.0, 0.0)
+        tiny = 5e-324
+        gammas = np.array([0.75, 0.1 + 0.2, 1.0, below_one])
+        epsilons = np.array([0.0, tiny, 1e-310, 0.01, 1 / 3])
+        values = np.array(
+            [
+                [0.0, 1.0, tiny, 2.2e-308, below_one],
+                [1.0, 0.0, 0.1 + 0.2, below_one, 1e-310],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [1.0, below_one, 0.5, 1e-17, 2 / 3],
+            ]
+        )
+        g1 = SweepGrid(gammas, epsilons, values)
+        g2 = SweepGrid(gammas, epsilons, values[::-1])
+        cells = ratio_grid(g1, g2)
+        assert {c.status for row in cells for c in row} == {"ok", "indeterminate", "infinite"}
+        for name, write, reference, args in [
+            ("sweep", _write_sweep_csv, _reference_sweep_csv, (g1,)),
+            ("ratio", _write_ratio_csv, _reference_ratio_csv, (g1, cells)),
+        ]:
+            new, old = tmp_path / f"{name}_new.csv", tmp_path / f"{name}_old.csv"
+            write(str(new), *args)
+            reference(str(old), *args)
+            assert new.read_bytes() == old.read_bytes(), name
     def test_validate_csv_format(self, tmp_config, tmp_path):
         out = str(tmp_path / "est.csv")
         code = main(["validate", "--config", tmp_config(scenario_doc()), "--out", out, "--format", "csv"])

@@ -490,6 +490,17 @@ class TestSweep:
         with pytest.raises(EstimationError):
             sweep(small_template(), [], [0.1], m=5.0)
 
+    @pytest.mark.parametrize(
+        "gammas, epsilons, where",
+        [
+            ([0.8, math.nan], [0.1, 0.5], "gamma axis holds NaN at position 1"),
+            ([0.8], [0.1, math.nan, 0.5], "eps axis holds NaN at position 1"),
+        ],
+    )
+    def test_nan_axis_rejected(self, gammas, epsilons, where):
+        with pytest.raises(EstimationError, match=where):
+            sweep(small_template(), gammas, epsilons, m=5.0)
+
 
 class TestGridRatios:
     def test_identical_grids(self):

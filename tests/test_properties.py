@@ -17,6 +17,11 @@ seconds. The bounds were written down before the first run:
   a hard rule's weight does not fall as its tolerance widens.
 - Config forms: ``rule_to_config(rule_from_config(doc))`` is a fixed point
   of one more round trip, and survives ``json``.
+- Sweeps: ``sweep`` equals ``direct_count_sweep``, which counts every
+  error of every path, bit for bit: over gamma axes that need anything
+  from 0 to more than n points, unsorted eps axes with repeats, negative
+  values and values equal to path errors, and paths with NaN and +-inf
+  points, under both estimators.
 """
 
 import json
@@ -36,18 +41,24 @@ from bvm import (
     DiracDelta,
     Empirical,
     GammaEpsilon,
+    InputGrid,
     InRegion,
     Interval,
+    ModelFunction,
     Normal,
     Not,
     Or,
     SoftExponential,
+    SweepTemplate,
     Threshold,
     Uniform,
     probability_in_region,
+    sweep,
 )
 from bvm.comparison import _REGISTRY, get_comparison_fn
 from bvm.config import rule_from_config, rule_to_config
+from bvm.engine import _path_blocks
+from test_engine import direct_count_sweep
 
 
 def _settings(n):
@@ -295,3 +306,73 @@ def test_rule_config_round_trip_is_a_fixed_point(doc):
     once = rule_to_config(rule_from_config(doc))
     assert rule_to_config(rule_from_config(once)) == once
     assert json.loads(json.dumps(once)) == once
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: counting only the errors a gamma can read changes no bit
+
+
+def _table_template(table, data):
+    """A sweep template whose paths are the rows of ``table``: its one
+    parameter is a row index, which the grid estimator spreads over
+    0..rows-1 and an "mc" draw rounds to the nearest row."""
+    rows = table.shape[0]
+
+    def fn(theta, x):
+        return table[np.clip(np.rint(theta[:, 0]).astype(int), 0, rows - 1)]
+
+    prior = DiracDelta(0.0) if rows == 1 else Normal((rows - 1) / 2, (rows - 1) / 6)
+    grid = InputGrid.linspace(0.0, 1.0, table.shape[1])
+    return SweepTemplate(ModelFunction("table", ("row",), fn), prior, grid, data, grid_points_per_param=rows)
+
+
+@_settings(150)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sweep_equals_a_count_of_every_error(data, seed):
+    n = data.draw(st.sampled_from([50, 7, 300, 2, 1]))
+    rows = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(seed)
+    # Quarter steps off a quarter-step data path make many errors equal.
+    data_path = rng.integers(-4, 5, n) * 0.25
+    table = data_path + np.where(
+        rng.random((rows, n)) < data.draw(UNIT),
+        rng.integers(-4, 5, (rows, n)) * 0.25,
+        rng.normal(0.0, 0.5, (rows, n)),
+    )
+    special = rng.random((rows, n)) < data.draw(st.sampled_from([0.0, 0.02, 0.3, 0.9]))
+    table[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+    errors = np.abs(table - data_path)
+
+    gammas = data.draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.5, 0.0, 1.0]),
+                st.floats(0.0, 1.0),
+                st.floats(1.0, 2.0, exclude_min=True),
+                st.integers(0, n).map(lambda c: c / n),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    if data.draw(st.booleans()):
+        # Every gamma at or above a floor past one half, so that for most
+        # n the sweep counts at most half of each path's errors.
+        floor = data.draw(st.integers(n // 2 + 1, n + 1)) / n
+        gammas = [g for g in gammas if g >= floor] + [floor]
+    eps_values = st.one_of(st.floats(-0.5, 2.0), st.just(np.inf))
+    finite = errors[np.isfinite(errors)].tolist()
+    if finite:
+        eps_values = st.one_of(eps_values, st.sampled_from(finite))
+    epsilons = data.draw(st.lists(eps_values, min_size=1, max_size=8))
+    epsilons += epsilons[: data.draw(st.integers(0, len(epsilons)))]
+    m = data.draw(st.floats(1.0, 6.0))
+    estimator = data.draw(st.sampled_from(["grid", "mc"]))
+    k = data.draw(st.integers(1, 300))
+
+    template = _table_template(table, data_path)
+    grid = sweep(template, gammas, epsilons, m=m, estimator=estimator, k=k, seed=seed)
+    _, weights, blocks = _path_blocks(template, estimator, k, seed)
+    paths = np.concatenate(list(blocks))
+    expected = direct_count_sweep(paths, weights, data_path, gammas, epsilons, m)
+    assert np.array_equal(grid.values, expected)
