@@ -35,6 +35,7 @@ from .config import (
     DEFAULT_SAMPLES,
     METRICS,
     ConfigError,
+    _section,
     build_scenario,
     build_sweep_template,
     load_config,
@@ -143,13 +144,20 @@ def _write_record(record: RunRecord, out: str | None, fmt: str = "json"):
         fh.write(record.to_json() + "\n")
 
 
-def _run_configured_scenario(doc: dict, seed_override=None, samples_override=None):
+def _seed_and_samples(args, estimator: dict) -> tuple:
+    """``--seed`` and ``--samples`` when given, else the estimator
+    section's values, else seed 0 and ``DEFAULT_SAMPLES``."""
+    seed = args.seed if args.seed is not None else estimator.get("seed", 0)
+    samples = args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES)
+    return seed, samples
+
+
+def _run_configured_scenario(doc: dict, args):
     """Build and estimate the scenario of a document ``load_config`` has
     already schema-checked."""
     built = build_scenario(doc, checked=True)
     est_cfg = built.estimator
-    seed = seed_override if seed_override is not None else est_cfg["seed"]
-    samples = samples_override if samples_override is not None else est_cfg["samples"]
+    seed, samples = _seed_and_samples(args, est_cfg)
     if est_cfg["method"] == "mc":
         est = estimate_bvm_mc(built.scenario, samples, seed)
     else:
@@ -161,7 +169,7 @@ def _run_configured_scenario(doc: dict, seed_override=None, samples_override=Non
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
     doc = load_config(args.config)
-    built, est = _run_configured_scenario(doc, args.seed, args.samples)
+    built, est = _run_configured_scenario(doc, args)
     rule_doc = rule_to_config(built.scenario.rule)
     record = RunRecord(
         command="validate",
@@ -192,10 +200,10 @@ def cmd_ratio(args) -> int:
         raise RuleMismatch(
             "the two configs must share identical data and agreement sections"
         )
-    if args.prior_m <= 0 or args.prior_m2 <= 0:
-        raise ConfigError("model priors must be positive")
-    built_m, est_m = _run_configured_scenario(doc_m, args.seed, args.samples)
-    _, est_m2 = _run_configured_scenario(doc_m2, args.seed, args.samples)
+    if not (0 < args.prior_m < math.inf and 0 < args.prior_m2 < math.inf):
+        raise ConfigError("model priors must be positive and finite")
+    built_m, est_m = _run_configured_scenario(doc_m, args)
+    _, est_m2 = _run_configured_scenario(doc_m2, args)
     factor = bvm_factor(est_m, est_m2)
     ratio = bvm_ratio(factor, args.prior_m, args.prior_m2)
     record = RunRecord(
@@ -265,15 +273,9 @@ def cmd_sweep(args) -> int:
     for path in args.configs:
         doc = load_config(path)
         template, estimator = build_sweep_template(doc, checked=True)
-        seed = args.seed if args.seed is not None else estimator.get("seed", 0)
+        seed, samples = _seed_and_samples(args, estimator)
         grid = sweep(
-            template,
-            gammas,
-            epsilons,
-            m=args.m,
-            estimator=estimator.get("method", "grid"),
-            k=args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES),
-            seed=seed,
+            template, gammas, epsilons, m=args.m, estimator=estimator.get("method", "grid"), k=samples, seed=seed
         )
         grids.append(grid)
         out_csv = f"{args.out_prefix}_model{len(grids)}.csv"
@@ -333,14 +335,10 @@ def cmd_metric(args) -> int:
     t0 = time.perf_counter()
     doc = load_config(args.config)
     name = args.metric_name
-    section = doc.get("metric")
-    if not section:
-        raise ConfigError("config field $.metric: section is required for this command")
+    section = _section(doc, "metric")
     if section["name"] != name:
         raise ConfigError(f"config field $.metric.name: expected '{name}', got '{section['name']}'")
-    estimator = doc.get("estimator", {})
-    samples = args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES)
-    seed = args.seed if args.seed is not None else estimator.get("seed", 0)
+    seed, samples = _seed_and_samples(args, doc.get("estimator", {}))
     result, extras = METRICS[name].run(doc, section, samples, seed)
     record = RunRecord(
         command=name,

@@ -5,9 +5,9 @@ comparison, agreement) plus estimator and output settings as tagged
 records. Documents are schema-validated before anything runs; unknown
 keys are rejected so that typos fail loudly rather than silently using
 defaults. The check is the module's own: it reads ``SCENARIO_SCHEMA`` and
-knows exactly the JSON Schema 2020-12 keywords that schema uses. A
-boolean pass runs on every document; only a rejected document gets a
-second pass, which names its deepest failing field.
+knows exactly the JSON Schema 2020-12 keywords that schema uses. One walk
+over the document gives the verdict and, for a rejected document, names
+its deepest failing field.
 
 Each tagged record kind has one table, keyed by its tag, and a tag is
 defined nowhere else: ``DISTRIBUTIONS`` and ``RULES`` by ``type``,
@@ -33,6 +33,7 @@ from .engine import Scenario, SweepTemplate
 from .metrics import (
     DataSummary,
     GaussianLikelihoodSpec,
+    _check_value_rule,
     area_metric_validation,
     bayesian_evidence,
     binned_pdf_metric,
@@ -555,7 +556,13 @@ def _data_dist(doc: dict) -> dist.Distribution:
 
 
 def _rule(doc: dict) -> ag.AgreementRule:
-    return rule_from_config(_section(doc, "agreement"))
+    """The agreement rule of a metric that scores a single value."""
+    rule = rule_from_config(_section(doc, "agreement"))
+    try:
+        _check_value_rule(rule)
+    except ValueError as exc:
+        raise ConfigError(f"config field $.agreement: {exc}") from None
+    return rule
 
 
 def _run_reliability(doc, metric, samples, seed):
@@ -698,14 +705,15 @@ SCENARIO_SCHEMA = {
 # ---------------------------------------------------------------------------
 # Schema checking
 #
-# The checker reads SCENARIO_SCHEMA itself and knows exactly the keywords
-# it uses, with JSON Schema 2020-12 semantics: ``integer`` accepts 1.0,
-# booleans are neither numbers nor integers, and NaN and ±inf are numbers
-# (a band or tolerance check reports them with its own message). Every
-# ``const`` and ``enum`` value in the schema is a string, so equality is
-# Python's ``==`` and True never equals 1; tests/test_schema_check.py holds
-# the schema to that. A keyword outside ``_CHECKS`` raises KeyError
-# rather than being ignored.
+# One walk, ``_error``, checks a document against SCENARIO_SCHEMA and names
+# its deepest failing field. It knows exactly the keywords the schema uses,
+# with JSON Schema 2020-12 semantics: ``integer`` accepts 1.0, booleans are
+# neither numbers nor integers, and NaN and ±inf are numbers (a band or
+# tolerance check reports them with its own message). Every ``const`` and
+# ``enum`` value in the schema is a string, so equality is Python's ``==``
+# and True never equals 1; tests/test_schema_check.py holds the schema to
+# that. A keyword that ``_error`` neither walks nor finds in ``_CHECKS``
+# raises KeyError rather than being ignored.
 
 
 def _is_number(v) -> bool:
@@ -721,71 +729,49 @@ _TYPES = {
 }
 
 
-def _type(t, v, s) -> bool:
+def _names(t) -> list:
+    """A ``type`` keyword's type names."""
+    return [t] if isinstance(t, str) else list(t)
+
+
+def _short(v) -> str:
+    text = repr(v)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _type(t, v) -> bool:
     return _TYPES[t](v) if isinstance(t, str) else any(_TYPES[x](v) for x in t)
 
 
-def _properties(props, v, s) -> bool:
-    if isinstance(v, dict):
-        for key, sub in props.items():
-            if key in v and not _valid(sub, v[key]):
-                return False
-    return True
+def _bound(fails, text: str) -> tuple:
+    """A bound's (check, message). NaN fails no comparison, so it passes every bound."""
+    return lambda limit, v: not (_is_number(v) and fails(v, limit)), lambda limit, v: f"{v!r} {text} {limit!r}"
 
 
-def _additional(extra, v, s) -> bool:
-    if isinstance(v, dict):
-        props = s.get("properties", {})
-        for key in v:
-            if key not in props and (extra is False or not _valid(extra, v[key])):
-                return False
-    return True
-
-
-def _items(sub, v, s) -> bool:
-    if isinstance(v, list):
-        for x in v:
-            if not _valid(sub, x):
-                return False
-    return True
-
-
-def _bound(fails):
-    """A bound's check: NaN fails no comparison, so it passes every bound."""
-    return lambda limit, v, s: not (_is_number(v) and fails(v, limit))
-
-
-# Each keyword's check of one value against one schema node ``s``: true
-# when ``v`` passes it. A keyword applies only to values of its own type.
-_CHECKS: dict[str, Callable] = {
-    "$schema": lambda uri, v, s: True,
-    "$defs": lambda defs, v, s: True,
-    "$ref": lambda ref, v, s: _valid(_REFS[ref], v),
-    "type": _type,
-    "properties": _properties,
-    "required": lambda keys, v, s: not isinstance(v, dict) or all(k in v for k in keys),
-    "additionalProperties": _additional,
-    # The branches' tags are distinct constants, so a wrong branch fails on
-    # its tag, and counting every branch costs little more than stopping early.
-    "oneOf": lambda branches, v, s: sum(_valid(b, v) for b in branches) == 1,
-    "const": lambda c, v, s: v == c,
-    "enum": lambda values, v, s: v in values,
-    "items": _items,
-    "minItems": lambda n, v, s: not isinstance(v, list) or len(v) >= n,
-    "maxItems": lambda n, v, s: not isinstance(v, list) or len(v) <= n,
-    "minimum": _bound(lambda v, limit: v < limit),
-    "maximum": _bound(lambda v, limit: v > limit),
-    "exclusiveMinimum": _bound(lambda v, limit: v <= limit),
-    "exclusiveMaximum": _bound(lambda v, limit: v >= limit),
+# Each value keyword's (check, message) for one value: the check is true
+# when ``v`` passes the keyword's argument, and the message says why it
+# does not. A keyword applies only to values of its own type.
+_CHECKS: dict[str, tuple] = {
+    "type": (_type, lambda t, v: f"{_short(v)} is not of type {' or '.join(map(repr, _names(t)))}"),
+    "required": (
+        lambda keys, v: not isinstance(v, dict) or all(k in v for k in keys),
+        lambda keys, v: f"{', '.join(repr(k) for k in keys if k not in v)} is required",
+    ),
+    "const": (lambda c, v: v == c, lambda c, v: f"{_short(v)} is not {c!r}"),
+    "enum": (lambda values, v: v in values, lambda values, v: f"{_short(v)} is not one of {values}"),
+    "minItems": (
+        lambda n, v: not isinstance(v, list) or len(v) >= n,
+        lambda n, v: f"has {len(v)} items, fewer than {n}",
+    ),
+    "maxItems": (
+        lambda n, v: not isinstance(v, list) or len(v) <= n,
+        lambda n, v: f"has {len(v)} items, more than {n}",
+    ),
+    "minimum": _bound(lambda v, limit: v < limit, "is less than the minimum of"),
+    "maximum": _bound(lambda v, limit: v > limit, "is greater than the maximum of"),
+    "exclusiveMinimum": _bound(lambda v, limit: v <= limit, "is not greater than"),
+    "exclusiveMaximum": _bound(lambda v, limit: v >= limit, "is not less than"),
 }
-
-
-def _valid(s: dict, v) -> bool:
-    """Whether ``v`` passes schema node ``s``."""
-    for key, arg in s.items():
-        if not _CHECKS[key](arg, v, s):
-            return False
-    return True
 
 
 def _nodes(s: dict):
@@ -803,27 +789,7 @@ def _nodes(s: dict):
             yield from _nodes(arg)
 
 
-def _resolve(ref: str):
-    """The node a local JSON pointer ``#/...`` names in SCENARIO_SCHEMA."""
-    if not ref.startswith("#/"):
-        raise ValueError(f"schema reference {ref!r} is not local")
-    node = SCENARIO_SCHEMA
-    for part in ref[2:].split("/"):
-        node = node[part]
-    return node
-
-
-_REFS = {n["$ref"]: _resolve(n["$ref"]) for n in _nodes(SCENARIO_SCHEMA) if "$ref" in n}
-
-
-def _names(t) -> list:
-    """A ``type`` keyword's type names."""
-    return [t] if isinstance(t, str) else list(t)
-
-
-def _short(v) -> str:
-    text = repr(v)
-    return text if len(text) <= 60 else text[:57] + "..."
+_REFS = {f"#/$defs/{name}": node for name, node in SCENARIO_SCHEMA["$defs"].items()}
 
 
 def _tag(branches: list):
@@ -838,6 +804,9 @@ def _tag(branches: list):
 def _one_of_error(branches: list, v, path: list):
     tag = _tag(branches)
     if tag is not None and isinstance(v, dict):
+        # The tags are distinct string constants, so every branch but the
+        # one the tag names fails on its tag: v passes the oneOf exactly
+        # when it passes that branch.
         tags = [b["properties"][tag]["const"] for b in branches]
         if tag not in v:
             return path + [tag], f"is missing; one of {tags}"
@@ -845,65 +814,59 @@ def _one_of_error(branches: list, v, path: list):
             if v[tag] == name:
                 return _error(b, v, path)
         return path + [tag], f"{_short(v[tag])} is not one of {tags}"
-    passing = sum(_valid(b, v) for b in branches)
+    errors = [_error(b, v, path) for b in branches]
+    passing = errors.count(None)
+    if passing == 1:
+        return None
     if passing > 1:
         return path, f"{_short(v)} is valid under {passing} of the given forms"
     # The form whose type takes v and that names the most of its keys.
-    fits = [b for b in branches if _type(b.get("type", list(_TYPES)), v, b)]
+    fits = [i for i, b in enumerate(branches) if _type(b.get("type", list(_TYPES)), v)]
     if not fits:
         types = [t for b in branches for t in _names(b.get("type", []))]
-        return path, _MESSAGES["type"](list(dict.fromkeys(types)), v)
+        return path, _CHECKS["type"][1](list(dict.fromkeys(types)), v)
     keys = v if isinstance(v, dict) else ()
-    best = max(fits, key=lambda b: sum(k in b.get("properties", {}) for k in keys))
-    return _error(best, v, path)
+    return errors[max(fits, key=lambda i: sum(k in branches[i].get("properties", {}) for k in keys))]
 
 
 def _error(s: dict, v, path: list):
-    """The deepest ``(path, message)`` where ``v`` fails ``s``, or None.
-    Among errors equally deep, the first in schema order; a tagged
-    record's errors are those of the branch its tag names."""
+    """The deepest ``(path, message)`` where ``v`` fails schema node ``s``,
+    or None when ``v`` passes it. Among errors equally deep, the first in
+    schema order; a tagged record's errors are those of the branch its tag
+    names."""
     found = []
     for key, arg in s.items():
-        if _CHECKS[key](arg, v, s):
-            continue
-        if key == "$ref":
-            found.append(_error(_REFS[arg], v, path))
-        elif key == "properties":
-            found += [_error(sub, v[k], path + [k]) for k, sub in arg.items() if k in v]
-        elif key == "items":
-            found += [_error(arg, x, path + [i]) for i, x in enumerate(v)]
+        if key == "properties":
+            if isinstance(v, dict):
+                found += [_error(sub, v[k], path + [k]) for k, sub in arg.items() if k in v]
         elif key == "additionalProperties":
-            extra = [k for k in v if k not in s.get("properties", {})]
-            if arg is False:
-                found.append((path, f"unknown {'key' if len(extra) == 1 else 'keys'} {', '.join(map(_short, extra))}"))
-            else:
-                found += [_error(arg, v[k], path + [k]) for k in extra]
+            if isinstance(v, dict):
+                extra = [k for k in v if k not in s.get("properties", {})]
+                if arg is not False:
+                    found += [_error(arg, v[k], path + [k]) for k in extra]
+                elif extra:
+                    keys = "key" if len(extra) == 1 else "keys"
+                    found.append((path, f"unknown {keys} {', '.join(map(_short, extra))}"))
+        elif key == "items":
+            if isinstance(v, list):
+                found += [_error(arg, x, path + [i]) for i, x in enumerate(v)]
+        elif key == "$ref":
+            found.append(_error(_REFS[arg], v, path))
         elif key == "oneOf":
             found.append(_one_of_error(arg, v, path))
-        else:
-            found.append((path, _MESSAGES[key](arg, v)))
+        elif key not in ("$schema", "$defs"):
+            check, message = _CHECKS[key]
+            if not check(arg, v):
+                found.append((path, message(arg, v)))
     found = [e for e in found if e is not None]
     return max(found, key=lambda e: len(e[0])) if found else None
 
 
-_MESSAGES = {
-    "type": lambda t, v: f"{_short(v)} is not of type {' or '.join(map(repr, _names(t)))}",
-    "required": lambda keys, v: f"{', '.join(repr(k) for k in keys if k not in v)} is required",
-    "const": lambda c, v: f"{_short(v)} is not {c!r}",
-    "enum": lambda values, v: f"{_short(v)} is not one of {values}",
-    "minItems": lambda n, v: f"has {len(v)} items, fewer than {n}",
-    "maxItems": lambda n, v: f"has {len(v)} items, more than {n}",
-    "minimum": lambda limit, v: f"{v!r} is less than the minimum of {limit!r}",
-    "maximum": lambda limit, v: f"{v!r} is greater than the maximum of {limit!r}",
-    "exclusiveMinimum": lambda limit, v: f"{v!r} is not greater than {limit!r}",
-    "exclusiveMaximum": lambda limit, v: f"{v!r} is not less than {limit!r}",
-}
-
-
 def validate_config(doc: dict) -> dict:
     """Schema-check a config document; raises ConfigError naming the field."""
-    if not _valid(SCENARIO_SCHEMA, doc):
-        path, message = _error(SCENARIO_SCHEMA, doc, [])
+    error = _error(SCENARIO_SCHEMA, doc, [])
+    if error is not None:
+        path, message = error
         where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         raise ConfigError(f"config field {where}: {message}")
     return doc

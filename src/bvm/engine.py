@@ -342,8 +342,8 @@ def bvm_ratio(factor: RatioResult, prior_m: float, prior_m_other: float) -> Rati
     posterior odds of the two models: Bayesian model testing as a special
     case of the BVM ratio.
     """
-    if prior_m <= 0 or prior_m_other <= 0:
-        raise ValueError("model priors must be positive")
+    if not (0 < prior_m < math.inf and 0 < prior_m_other < math.inf):
+        raise ValueError("model priors must be positive and finite")
     return factor.scaled(prior_m / prior_m_other)
 
 

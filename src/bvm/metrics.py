@@ -22,15 +22,17 @@ from .agreement import (
     AlwaysFalse,
     AlwaysTrue,
     And,
+    EpsilonBeta,
     GammaEpsilon,
     InRegion,
     Interval,
     Not,
     Or,
+    SetMembership,
     SoftExponential,
     Threshold,
 )
-from .comparison import BinnedPdf, _paired_masses, area_metric, area_metric_many, divergence
+from .comparison import BinnedPdf, ComparisonFn, _paired_masses, area_metric, area_metric_many, divergence
 from .distributions import (
     ConfidenceRegion,
     DiracDelta,
@@ -109,14 +111,34 @@ class GaussianLikelihoodSpec:
         object.__setattr__(self, "data_y", y)
 
 
+def _check_value_rule(rule: AgreementRule):
+    """Raise ValueError unless ``rule`` can score one value v as
+    ``kernel(v, v)``, as the single-value metrics do: every comparison in
+    its tree must read one side only ('identity' or 'abs_value'), and no
+    part of it may be a path or label rule. A comparison of the two sides,
+    such as 'abs_diff', would compare v with itself and always accept."""
+    if isinstance(rule, (And, Or)):
+        for child in rule.children:
+            _check_value_rule(child)
+    elif isinstance(rule, Not):
+        _check_value_rule(rule.child)
+    elif isinstance(rule, (GammaEpsilon, EpsilonBeta, SetMembership)):
+        raise ValueError(f"{type(rule).__name__} does not score a single value; use a value rule")
+    elif isinstance(getattr(rule, "fn", None), ComparisonFn) and rule.fn.name not in ("identity", "abs_value"):
+        raise ValueError(
+            f"{type(rule).__name__} compares through '{rule.fn.name}', but a single-value metric reads its "
+            "value on both sides; use 'identity' or 'abs_value'"
+        )
+
+
 def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int) -> BvmEstimate:
     """Mean kernel weight of n resampled comparison values.
 
     ``values_of_chunk(rng, m)`` returns the m comparison values of one
     chunk, drawn from that chunk's RESAMPLE_STREAM generator, which it
     must not keep (see :func:`bvm.rng._draw_chunk`). The rule
-    reads each value on both of its sides, so it must compare through a
-    value comparison ('identity' or 'abs_value'). The chunks are reduced
+    reads each value on both of its sides, so its callers check it with
+    :func:`_check_value_rule`. The chunks are reduced
     as :func:`estimate_bvm_mc` reduces its own: the standard error is
     binomial (with a Wilson interval) for a hard rule, and std(weights) /
     sqrt(n) for a soft one.
@@ -268,6 +290,7 @@ def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> Bv
     panel; 2e-13 of tail mass is truncated. A hard rule whose breakpoints
     are unknown may jump inside a panel, which limits the accuracy there.
     """
+    _check_value_rule(rule)
     t = StudentT(data.sample_mean, data.dof, data.sample_std / math.sqrt(data.n))
 
     def weights(mu):
@@ -311,6 +334,7 @@ def area_metric_validation(
     the indicator is averaged over that many resamples of the data, and
     each chunk of resamples is scored by one :func:`area_metric_many` call.
     """
+    _check_value_rule(rule)
     xm = np.asarray(samples_m, dtype=float)
     xd = np.asarray(samples_d, dtype=float)
     if xm.size == 0 or xd.size == 0:
@@ -335,6 +359,7 @@ def binned_pdf_metric(
 ) -> BvmEstimate:
     """Binned probability-difference acceptance under Dirichlet-uncertain
     data bin probabilities (uniform prior plus observed counts)."""
+    _check_value_rule(rule)
     counts = np.asarray(data_counts, dtype=float)
     if counts.shape != model_pdf.masses.shape:
         raise ValueError("data counts must match the model's bins")
@@ -367,6 +392,7 @@ def divergence_validation(
     a pure function of the generator it is given, and must not keep that
     generator: it is re-keyed for the worker's next chunk.
     """
+    _check_value_rule(rule)
     if sampler is None:
         g = divergence(kind, p_data, p_model)
         return BvmEstimate(p_hat=rule.kernel(g, g), std_error=0.0, n_samples=0, seed=seed, method="closedForm")

@@ -51,7 +51,6 @@ CHUNK_SIZE = 4096
 # computations should pick ids well clear of these.
 MODEL_STREAM = 0
 DATA_STREAM = 1
-TOLERANCE_STREAM = 2
 RESAMPLE_STREAM = 3
 BAND_STREAM = 7
 INSTANCE_STREAM = 11  # the noise of a generated data instance

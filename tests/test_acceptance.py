@@ -41,7 +41,7 @@ from bvm.metrics import (
     frequentist,
     reliability,
 )
-from bvm.rng import DATA_STREAM, TOLERANCE_STREAM
+from bvm.rng import DATA_STREAM
 from bvm.studies import _oscillator_config, run_study
 
 
@@ -253,7 +253,7 @@ class TestCriterion10Properties:
             Scenario(model, data, SoftExponential("abs_diff", eps_prime, lam)), k, seed
         )
         f = np.abs(model.sample(seed, k, stream=0) - data.sample(seed, k, stream=DATA_STREAM))
-        eps_draws = ShiftedExponential(lam, eps_prime).sample(seed, k, stream=TOLERANCE_STREAM)
+        eps_draws = ShiftedExponential(lam, eps_prime).sample(seed, k, stream=2)
         p_nested = float(np.mean(f <= eps_draws))
         se_nested = math.sqrt(p_nested * (1 - p_nested) / k)
         gap = abs(soft.p_hat - p_nested)

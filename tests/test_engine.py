@@ -45,7 +45,7 @@ from bvm.engine import (
     _path_blocks,
     discretize_distribution,
 )
-from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM, TOLERANCE_STREAM
+from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM
 from bvm.studies import _poly_config, sweep_axes
 
 
@@ -129,7 +129,7 @@ class TestMonteCarlo:
         k, seed = 120_000, 21
         soft = estimate_bvm_mc(Scenario(model, data, SoftExponential("abs_diff", eps_prime, lam)), k, seed)
         f = np.abs(model.sample(seed, k, stream=0) - data.sample(seed, k, stream=DATA_STREAM))
-        eps_draws = ShiftedExponential(lam, eps_prime).sample(seed, k, stream=TOLERANCE_STREAM)
+        eps_draws = ShiftedExponential(lam, eps_prime).sample(seed, k, stream=2)
         nested = (f <= eps_draws).astype(float)
         p_nested = nested.mean()
         se_nested = math.sqrt(p_nested * (1 - p_nested) / k)
@@ -316,6 +316,11 @@ class TestRatios:
         assert bvm_ratio(bvm_factor(0.0, 0.0), 1.0, 2.0).status == "indeterminate"
         with pytest.raises(ValueError):
             bvm_ratio(k, 0.0, 1.0)
+
+    @pytest.mark.parametrize("prior, prior_other", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf), (1.0, math.inf)])
+    def test_ratio_needs_finite_priors(self, prior, prior_other):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bvm_ratio(bvm_factor(0.5, 0.25), prior, prior_other)
 
     @pytest.mark.parametrize("num, den", [(math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5), (0.5, -0.1), (math.inf, 0.5)])
     def test_non_finite_or_negative_terms_raise(self, num, den):

@@ -18,6 +18,8 @@ from bvm import (
     ConfidenceRegion,
     DiracDelta,
     Empirical,
+    EpsilonBeta,
+    GammaEpsilon,
     IndependentProduct,
     InputGrid,
     InRegion,
@@ -27,6 +29,7 @@ from bvm import (
     Not,
     Or,
     Scenario,
+    SetMembership,
     SoftExponential,
     StudentT,
     Threshold,
@@ -247,6 +250,43 @@ class TestFrequentist:
         t = stats.t(data.dof, loc=data.sample_mean, scale=data.sample_std / math.sqrt(data.n))
         oracle = self._soft_mass_by_quad(model_mean, t, lambda e: special.expit((0.3 - abs(e)) / 0.05), [0.0])
         assert frequentist(model_mean, data, Logistic()).p_hat == pytest.approx(oracle, abs=1e-9)
+
+
+class TestSingleValueRules:
+    """The four metrics that score one value v as ``kernel(v, v)`` refuse a
+    rule that compares the two sides or reads paths or labels: it would
+    compare v with itself."""
+
+    PDF = BinnedPdf([0.0, 0.5, 1.0], [1.0, 0.0])
+    METRICS = {
+        "frequentist": lambda rule: frequentist(0.0, DataSummary(0.0, 1.0, 10), rule),
+        "area": lambda rule: area_metric_validation([0.0, 1.0, 2.0], [10.0, 11.0], rule),
+        "area-bootstrap": lambda rule: area_metric_validation([0.0, 1.0], [10.0, 11.0], rule, bootstrap=10),
+        "binned_pdf": lambda rule: binned_pdf_metric(TestSingleValueRules.PDF, [0, 5], rule, r=10),
+        "divergence": lambda rule: divergence_validation(TestSingleValueRules.PDF, TestSingleValueRules.PDF, "js", rule),
+    }
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize(
+        "rule, named",
+        [
+            (Threshold("abs_diff", 0.5), "Threshold compares through 'abs_diff'"),
+            (Interval("sq_diff", 0.0, 1.0), "Interval compares through 'sq_diff'"),
+            (SoftExponential("abs_diff", 0.1, 2.0), "SoftExponential compares through 'abs_diff'"),
+            (And([Threshold("identity", 1.0), Not(Threshold("abs_diff", 0.5))]), "Threshold compares"),
+            (Or([AlwaysFalse(), GammaEpsilon(0.9, 0.1)]), "GammaEpsilon"),
+            (EpsilonBeta(0.5, ([0.0], [1.0])), "EpsilonBeta"),
+            (SetMembership({"a": ("b",)}), "SetMembership"),
+        ],
+    )
+    def test_two_sided_path_and_label_rules_raise(self, metric, rule, named):
+        with pytest.raises(ValueError, match=named):
+            self.METRICS[metric](rule)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_value_rules_pass(self, metric):
+        rule = And([Threshold("abs_value", 1e9), Not(Interval("identity", 1e9, 2e9)), AlwaysTrue()])
+        assert self.METRICS[metric](rule).p_hat == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAreaValidation:

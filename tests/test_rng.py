@@ -31,8 +31,7 @@ def fresh_chunk(dist, seed, stream, chunk, m=CHUNK_SIZE):
 
 def test_stream_ids_are_distinct():
     ids = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
-    assert set(ids) == {"MODEL_STREAM", "DATA_STREAM", "TOLERANCE_STREAM", "RESAMPLE_STREAM", "BAND_STREAM",
-                        "INSTANCE_STREAM"}
+    assert set(ids) == {"MODEL_STREAM", "DATA_STREAM", "RESAMPLE_STREAM", "BAND_STREAM", "INSTANCE_STREAM"}
     assert len(set(ids.values())) == len(ids), ids
 
 

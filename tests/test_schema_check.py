@@ -11,7 +11,7 @@ to each object. jsonschema is only a test dependency (the ``test`` extra).
 
 import pytest
 
-from bvm.config import _CHECKS, _TYPES, SCENARIO_SCHEMA, ConfigError, _nodes, _valid, validate_config
+from bvm.config import _CHECKS, _TYPES, SCENARIO_SCHEMA, ConfigError, _error, _nodes, validate_config
 from bvm.studies import builtin_configs
 
 NAN, INF = float("nan"), float("inf")
@@ -203,7 +203,7 @@ def test_checker_accepts_exactly_what_jsonschema_accepts(corpus):
     unmutated, mutated = corpus
     docs = unmutated + mutated
     want = [reference.is_valid(doc) for doc in docs]
-    got = [_valid(SCENARIO_SCHEMA, doc) for doc in docs]
+    got = [_error(SCENARIO_SCHEMA, doc, []) is None for doc in docs]
     assert all(want[: len(unmutated)])
     wrong = [doc for doc, w, g in zip(docs, want, got) if w != g]
     assert not wrong, wrong[:3]
@@ -215,23 +215,28 @@ def test_checker_accepts_exactly_what_jsonschema_accepts(corpus):
 
 
 def test_every_rejected_mutation_gets_a_short_message(corpus):
-    # The reporting pass runs only on failure; here on every 10th rejected
-    # mutation.
+    # On every 10th rejected mutation.
     _, mutated = corpus
-    for doc in [doc for doc in mutated if not _valid(SCENARIO_SCHEMA, doc)][::10]:
+    for doc in [doc for doc in mutated if _error(SCENARIO_SCHEMA, doc, []) is not None][::10]:
         with pytest.raises(ConfigError, match=r"^config field \$") as err:
             validate_config(doc)
         assert len(str(err.value)) < 300
+
+
+# The keywords ``_error`` walks itself; every other one is a value check.
+WALKED = {"$schema", "$defs", "$ref", "properties", "additionalProperties", "items", "oneOf"}
 
 
 def test_schema_uses_only_keywords_the_checker_supports():
     for node in _nodes(SCENARIO_SCHEMA):
         # A boolean schema is supported only as ``additionalProperties: false``.
         assert isinstance(node, dict), node
-        assert set(node) <= set(_CHECKS), sorted(set(node) - set(_CHECKS))
+        assert set(node) <= set(_CHECKS) | WALKED, sorted(set(node) - set(_CHECKS) - WALKED)
         types = node.get("type", [])
         assert set([types] if isinstance(types, str) else types) <= set(_TYPES)
         # Equality is Python's ``==`` only for string constants.
         constants = ([node["const"]] if "const" in node else []) + node.get("enum", [])
         assert all(isinstance(c, str) for c in constants), constants
-    assert len(_CHECKS) == 17
+    assert len(_CHECKS) == 10 and len(set(_CHECKS) | WALKED) == 17
+    with pytest.raises(KeyError):
+        _error({"mystery": 1}, 0, [])
