@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comparison import ComparisonFn, band_arrays, get_comparison_fn
+from .comparison import ComparisonFn, band_arrays, get_comparison_fn, mean_abs_error
 from .distributions import ConfidenceRegion
 
 __all__ = [
@@ -258,7 +258,7 @@ class EpsilonBeta(AgreementRule):
         lo, hi = self.band
         if yhat.shape[-1] != y.shape[-1] or y.shape[-1] != lo.shape[0]:
             raise ValueError("band, model path and data path lengths must match")
-        mae_ok = np.mean(np.abs(yhat - y), axis=-1) <= self.mean_tol
+        mae_ok = mean_abs_error(yhat, y) <= self.mean_tol
         cov = np.mean((y >= lo) & (y <= hi), axis=-1)
         cov_ok = (cov >= self.coverage_lo) & (cov <= self.coverage_hi)
         return (mae_ok & cov_ok).astype(float)

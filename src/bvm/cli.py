@@ -119,7 +119,9 @@ def _result_line(result) -> str:
 
 
 def _ratio_dict(label: str, r: RatioResult) -> dict:
-    return {"label": label, "status": r.status, "value": r.value}
+    """A ratio's record entry; ``log_value`` only when the ratio has one."""
+    logged = {} if r.log_value is None else {"log_value": r.log_value}
+    return {"label": label, "status": r.status, "value": r.value, **logged}
 
 
 def _write_record(record: RunRecord, out: str | None, fmt: str = "json"):
@@ -219,7 +221,8 @@ def cmd_ratio(args) -> int:
     _write_record(record, args.out or built_m.output.get("path"), fmt)
     for label, r in (("K", factor), ("R", ratio)):
         shown = _fmt(r.value) if r.status == "ok" else r.status
-        print(f"{label} = {shown} [status={r.status}]")
+        logged = "" if r.log_value is None else f", log={_fmt(r.log_value)}"
+        print(f"{label} = {shown} [status={r.status}{logged}]")
     return EXIT_OK
 
 

@@ -57,7 +57,8 @@ def _check_paths(yhat, y):
 def mean_abs_error(yhat, y):
     """(1/N) * sum_i |yhat_i - y_i| along the last axis."""
     yhat, y = _check_paths(yhat, y)
-    return np.mean(np.abs(yhat - y), axis=-1)
+    err = yhat - y
+    return np.mean(np.abs(err, out=err), axis=-1)
 
 
 def max_abs_error(yhat, y):

@@ -45,7 +45,7 @@ from .metrics import (
     statistical_power_bvm,
 )
 from .models import InputGrid, ModelFunction, damped_oscillator_model, polynomial_model
-from .rng import BAND_STREAM, INSTANCE_STREAM, _draw_chunk
+from .rng import BAND_STREAM, INSTANCE_STREAM, _chunks, _draw_chunk
 
 __all__ = [
     "ConfigError",
@@ -280,9 +280,9 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
     gives every draw from one path or one kept chunk. When its rows are all
     equal and finite, the band is that row at both edges, which is what the
     quantiles of a constant finite column are (a ``-0.0`` may come back as
-    ``+0.0``, which compares equal), and no path is drawn. Otherwise both
-    edges are taken in one quantile pass (a constant column of ±inf gives
-    NaN there).
+    ``+0.0``, which compares equal), and no path is drawn. Otherwise the
+    edges are :func:`_streamed_quantiles` of the drawn paths (a constant
+    column of ±inf gives NaN there).
     """
     if "lo" in doc:
         lo, hi = np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
@@ -300,15 +300,49 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
         row = chunk[0]
         if np.isfinite(row).all() and (chunk == row).all():
             return row.copy(), row.copy()
-    level = doc["level"]
-    n_draws = doc.get("samples", 20_000)
-    seed = doc.get("seed", 0)
-    paths = model_dist.sample(seed, n_draws, stream=BAND_STREAM)
-    a = (1.0 - level) / 2.0
-    # ``sample`` returns a fresh array that nothing else holds, so the
-    # pass may partition it in place.
-    lo, hi = np.quantile(paths, [a, 1.0 - a], axis=0, overwrite_input=True)
-    return lo, hi
+    a = (1.0 - doc["level"]) / 2.0
+    return _streamed_quantiles(model_dist, doc.get("seed", 0), doc.get("samples", 20_000), a)
+
+
+def _streamed_quantiles(model_dist: dist.Distribution, seed: int, n: int, a: float):
+    """``np.quantile(model_dist.sample(seed, n, BAND_STREAM), [a, 1 - a],
+    axis=0)``, bit for bit, holding one chunk of paths at a time.
+
+    numpy's ``linear`` rule reads two order statistics per quantile and
+    point: ranks ``floor(v)`` and ``floor(v) + 1`` at ``v = (n - 1) q``,
+    both clipped to the top rank when ``v >= n - 1``. So each point keeps
+    only its ``floor((n - 1) a) + 2`` smallest and ``n - floor((n - 1)(1 -
+    a))`` largest values seen so far; each chunk is concatenated to them
+    and partitioned back down. The ranks are then interpolated with
+    numpy's arithmetic, and a point whose column held a NaN is NaN, as
+    numpy makes it. A rank held by both ``-0.0`` and ``+0.0`` may come back
+    with either sign.
+    """
+    v = (n - 1) * np.array([a, 1.0 - a])
+    prev = np.floor(v)
+    n_lo, n_hi = int(prev[0]) + 2, n - int(prev[1])
+    nxt = prev + 1
+    prev[v >= n - 1] = nxt[v >= n - 1] = -1
+    gamma = (v - prev)[:, np.newaxis]
+    keep = ()
+    for c, m in _chunks(n):
+        # concatenate copies even a lone chunk, so no draw's own array is
+        # partitioned, and no name holds a chunk while the next is drawn.
+        rows = np.concatenate((*keep, model_dist.draw_chunk(seed, BAND_STREAM, c, m)))
+        if len(rows) > n_lo + n_hi:
+            rows.partition([n_lo - 1, len(rows) - n_hi], axis=0)
+            rows = np.concatenate((rows[:n_lo], rows[-n_hi:]))
+        keep = (rows,)
+    # A rank below n_lo is kept at its own row; one above it, at its offset
+    # from the end (as is -1, the clipped top rank).
+    prev, nxt = (np.where(r < n_lo, r, r - n).astype(np.intp) % len(rows) for r in (prev, nxt))
+    rows.partition(np.unique(np.concatenate((prev, nxt, [len(rows) - 1]))), axis=0)
+    left, right = rows[prev], rows[nxt]
+    diff = right - left
+    band = left + diff * gamma
+    np.subtract(right, diff * (1 - gamma), out=band, where=gamma >= 0.5)
+    np.copyto(band, rows[-1], where=np.isnan(rows[-1]))
+    return band[0], band[1]
 
 
 def _check_band(lo: np.ndarray, hi: np.ndarray, model_dist: dist.Distribution | None):

@@ -78,8 +78,9 @@ class Distribution:
         """Draw *n* values; deterministic in ``(seed, stream)`` with the
         prefix property: the first k of n draws equal ``sample(seed, k)``.
 
-        Each chunk is copied into one output array as it is drawn, so a
-        call holds that array and one chunk, never a list of chunks. The
+        Each chunk is copied into one output array as it is drawn and then
+        dropped, so a call holds that array and one chunk's working set,
+        never a list of chunks, nor one chunk while the next is drawn. The
         returned array is always a fresh one the caller owns."""
         if n < 1:
             raise ValueError("sample count must be at least 1")
@@ -89,6 +90,7 @@ class Distribution:
             if out is None:  # the first chunk gives the trailing shape and dtype
                 out = np.empty((n, *chunk.shape[1:]), dtype=chunk.dtype)
             out[c * CHUNK_SIZE : c * CHUNK_SIZE + m] = chunk
+            del chunk
         return out
 
     def draw_chunk(self, seed: int, stream: int, c: int, m: int) -> np.ndarray:

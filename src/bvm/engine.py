@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,12 +320,6 @@ class RatioResult:
             value = math.inf
         return cls("ok", value, log_value)
 
-    def scaled(self, factor: float) -> "RatioResult":
-        if self.status != "ok":
-            return self
-        log_value = None if self.log_value is None else self.log_value + math.log(factor)
-        return RatioResult("ok", self.value * factor, log_value)
-
 
 def _p_of(est) -> float:
     return est.p_hat if isinstance(est, BvmEstimate) else float(est)
@@ -341,10 +336,23 @@ def bvm_ratio(factor: RatioResult, prior_m: float, prior_m_other: float) -> Rati
     Given a Bayes factor (:func:`bvm.metrics.bayes_factor`) it is the
     posterior odds of the two models: Bayesian model testing as a special
     case of the BVM ratio.
+
+    A factor with a ``log_value``, and a product that leaves the normal
+    float range (it overflows to inf or loses bits below ~2.2e-308), are
+    formed in log space as ``log K + log prior_m - log prior_m_other``
+    (:meth:`RatioResult.of_logs`), so ``log_value`` stays exact. Any other
+    product is ``K * (prior_m / prior_m_other)``, with no ``log_value``.
     """
     if not (0 < prior_m < math.inf and 0 < prior_m_other < math.inf):
         raise ValueError("model priors must be positive and finite")
-    return factor.scaled(prior_m / prior_m_other)
+    if factor.status != "ok" or (factor.log_value is None and factor.value in (0.0, math.inf)):
+        return factor  # no prior odds move a 0 or an inf
+    odds = prior_m / prior_m_other
+    value = factor.value * odds
+    if factor.log_value is None and sys.float_info.min <= min(odds, value) and value < math.inf:
+        return RatioResult("ok", value)
+    log_k = math.log(factor.value) if factor.log_value is None else factor.log_value
+    return RatioResult.of_logs(log_k + math.log(prior_m), math.log(prior_m_other))
 
 
 # ---------------------------------------------------------------------------

@@ -89,24 +89,38 @@ def polynomial_model(powers: Sequence[int], name: str | None = None) -> ModelFun
     )
 
 
+# Points per row tile of the oscillator: two float64 tiles of 256 KB each
+# stay in a core's L2 cache between the ufunc passes over them.
+OSCILLATOR_TILE = 32_768
+
+
 def damped_oscillator_model() -> ModelFunction:
     """y(x; a,b,c,d,f,g) = a + b*x*exp(-c*cos(d*x)) + f*sin(g*x)."""
 
     def _fn(theta, x):
-        a, b, c, d, f, g = (theta[:, i : i + 1] for i in range(6))
-        # The ufuncs of the expression above, on the same operands in the
-        # same order, written into two reused buffers instead of ten
-        # temporaries. tests/test_golden.py pins the bits of this order.
-        y = np.multiply(d, x)
-        np.cos(y, out=y)
-        np.multiply(-c, y, out=y)
-        np.exp(y, out=y)
-        t = np.multiply(b, x)
-        np.multiply(t, y, out=y)
-        np.add(a, y, out=y)
-        np.multiply(g, x, out=t)
-        np.sin(t, out=t)
-        np.multiply(f, t, out=t)
-        return np.add(y, t, out=y)
+        out = np.empty((theta.shape[0], x.size))
+        rows = max(1, OSCILLATOR_TILE // x.size)
+        t = np.empty((min(rows, theta.shape[0]), x.size))
+        for start in range(0, theta.shape[0], rows):
+            a, b, c, d, f, g = (theta[start : start + rows, i : i + 1] for i in range(6))
+            y = out[start : start + rows]
+            u = t[: len(y)]
+            # The ufuncs of the expression above, on the same operands in
+            # the same order, written into the tile's rows of the output and
+            # one reused tile instead of ten temporaries; each value passes
+            # through the same ufuncs, so tiling moves no bit.
+            # tests/test_golden.py pins the bits of this order.
+            np.multiply(d, x, out=y)
+            np.cos(y, out=y)
+            np.multiply(-c, y, out=y)
+            np.exp(y, out=y)
+            np.multiply(b, x, out=u)
+            np.multiply(u, y, out=y)
+            np.add(a, y, out=y)
+            np.multiply(g, x, out=u)
+            np.sin(u, out=u)
+            np.multiply(f, u, out=u)
+            np.add(y, u, out=y)
+        return out
 
     return ModelFunction(name="damped_oscillator", param_names=("a", "b", "c", "d", "f", "g"), _fn=_fn)

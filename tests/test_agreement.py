@@ -163,6 +163,23 @@ class TestEpsilonBeta:
         tight = EpsilonBeta(0.05, (lo, hi))
         assert tight.kernel(y, data) == 0.0  # mean error 0.1 > 0.05
 
+    def test_band_of_regions_equals_band_of_arrays(self):
+        lo, hi = np.linspace(-1.0, 0.0, 6), np.linspace(0.5, 2.0, 6)
+        regions = [ConfidenceRegion("interval", 0.95, ((a, b),)) for a, b in zip(lo, hi)]
+        of_regions, of_arrays = EpsilonBeta(0.4, regions), EpsilonBeta(0.4, (lo, hi))
+        assert [e.tobytes() for e in of_regions.band] == [e.tobytes() for e in of_arrays.band]
+        yhat = np.random.default_rng(5).normal(0.3, 0.5, (40, 6))
+        y = np.full((1, 6), 0.25)
+        assert of_regions.kernel_many(yhat, y).tobytes() == of_arrays.kernel_many(yhat, y).tobytes()
+        with pytest.raises(ValueError, match="lengths must match"):
+            EpsilonBeta(0.4, regions[:5]).kernel_many(yhat, y)
+
+    def test_kernel_leaves_its_inputs_unchanged(self):
+        yhat, y = np.linspace(-2.0, 2.0, 12).reshape(3, 4), np.full(4, 0.5)
+        before = yhat.copy(), y.copy()
+        EpsilonBeta(1.0, (np.full(4, -1.0), np.full(4, 1.0))).kernel_many(yhat, y)
+        assert yhat.tobytes() == before[0].tobytes() and y.tobytes() == before[1].tobytes()
+
 
 class TestComposition:
     def test_and_or_basics(self):

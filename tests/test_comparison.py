@@ -32,6 +32,12 @@ class TestPathErrors:
         assert mean_abs_error([1.0, 2.0], [1.0, 2.0]) == 0.0
         assert mean_abs_error([0.0, 0.0], [1.0, 3.0]) == 2.0
 
+    def test_mean_abs_error_leaves_its_inputs_unchanged(self):
+        yhat, y = np.linspace(-2.0, 2.0, 12).reshape(3, 4), np.full(4, 0.5)
+        assert mean_abs_error(yhat, y).tobytes() == np.mean(np.abs(yhat - y), axis=-1).tobytes()
+        assert yhat.tobytes() == np.linspace(-2.0, 2.0, 12).reshape(3, 4).tobytes()
+        assert y.tobytes() == np.full(4, 0.5).tobytes()
+
     def test_translation(self):
         y = np.linspace(-2, 5, 17)
         assert mean_abs_error(y + 0.7, y) == pytest.approx(0.7)

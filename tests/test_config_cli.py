@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -296,13 +297,13 @@ class TestBuilders:
     def test_band_of_a_dirac_path(self, path, monkeypatch):
         # A finite path is its own band and draws nothing; an infinite one
         # takes the quantile pass, whose constant ±inf column gives NaN.
-        model, drawn, sample = bvm.DiracDelta(path), [], bvm.DiracDelta.sample
+        model, drawn, draw_chunk = bvm.DiracDelta(path), [], bvm.DiracDelta.draw_chunk
 
         def counting(self, *args, **kwargs):
             drawn.append(args)
-            return sample(self, *args, **kwargs)
+            return draw_chunk(self, *args, **kwargs)
 
-        monkeypatch.setattr(bvm.DiracDelta, "sample", counting)
+        monkeypatch.setattr(bvm.DiracDelta, "draw_chunk", counting)
         doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": 0.9, "samples": 100}}
         with np.errstate(invalid="ignore"):
             lo, hi = rule_from_config(doc, model).band
@@ -403,6 +404,15 @@ class TestCli:
         cfg = tmp_config(scenario_doc())
         assert main(["ratio", cfg, cfg, "--prior-m", "1", "--prior-m2", "2"]) == EXIT_OK
         assert "R = 0.5" in capsys.readouterr().out
+
+    def test_ratio_beyond_the_float_range_prints_its_log(self, tmp_config, tmp_path, capsys):
+        cfg, record = tmp_config(scenario_doc()), tmp_path / "r.json"
+        assert main(["ratio", cfg, cfg, "--prior-m", "1e308", "--prior-m2", "1e-308", "--out", str(record)]) == EXIT_OK
+        out = capsys.readouterr().out
+        log_r = math.log(1e308) - math.log(1e-308)
+        assert f"R = inf [status=ok, log={log_r!r}]" in out and "K = 1.0 [status=ok]" in out
+        ratio = json.loads(record.read_text())["ratios"][1]
+        assert ratio == {"label": "ratio", "status": "ok", "value": math.inf, "log_value": log_r}
 
     def test_ratio_rule_mismatch_exit_code(self, tmp_config):
         a = tmp_config(scenario_doc(), "a.json")

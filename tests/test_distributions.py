@@ -97,6 +97,17 @@ class TestDensity:
         for x in (-3.0, 0.0, 0.7, 5.0):
             assert d.density(x) == pytest.approx(kernel(x) / z, rel=1e-9)
 
+    def test_independent_product_density_is_the_product_of_its_components(self):
+        components = [Normal(0.5, 2.0), Uniform(-1.0, 3.0), StudentT(0.0, 4.0, 1.5)]
+        x = np.array([0.1, 2.5, -0.8])
+        expected = 1.0
+        for c, xi in zip(components, x):
+            expected *= c.density(float(xi))
+        assert IndependentProduct(components).density(x) == expected
+        assert IndependentProduct(components).density([0.1, 3.5, -0.8]) == 0.0  # outside the uniform
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IndependentProduct(components).density([0.1, 2.5])
+
     def test_unsupported_density_signals(self):
         with pytest.raises(DensityUnsupported):
             Empirical(np.arange(10.0)).density(1.0)

@@ -317,6 +317,22 @@ class TestRatios:
         with pytest.raises(ValueError):
             bvm_ratio(k, 0.0, 1.0)
 
+    @pytest.mark.parametrize("prior, prior_other", [(1e308, 1e-308), (1e-320, 1e300)])
+    def test_ratio_beyond_the_float_range_keeps_an_exact_log(self, prior, prior_other):
+        # The prior odds overflow (or underflow), so the posterior odds are
+        # formed in log space; the value is what a float can hold of them.
+        r = bvm_ratio(bvm_factor(0.5, 0.25), prior, prior_other)
+        assert r.status == "ok"
+        assert r.log_value == pytest.approx(math.log(2.0) + math.log(prior) - math.log(prior_other), rel=1e-15)
+        assert r.value == (math.inf if r.log_value > 0 else 0.0)
+
+    def test_ratio_of_a_log_space_factor_stays_in_log_space(self):
+        k = RatioResult.of_logs(-800.0, 0.0)  # value underflows to 0.0
+        r = bvm_ratio(k, 1e300, 1.0)
+        assert r.log_value == -800.0 + math.log(1e300)
+        assert r.value == pytest.approx(math.exp(-800.0 + math.log(1e300)), rel=1e-12)
+        assert bvm_ratio(bvm_factor(0.0, 0.4), 1e308, 1e-308) == RatioResult("ok", 0.0)
+
     @pytest.mark.parametrize("prior, prior_other", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf), (1.0, math.inf)])
     def test_ratio_needs_finite_priors(self, prior, prior_other):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -1,12 +1,23 @@
-"""Peak traced memory of sampling, of the model band and of grid ``validate``.
+"""Peak traced memory of sampling, of the model band, of the uncertain
+compound rule's Monte Carlo estimate and of grid ``validate``.
 
 ``Distribution.sample`` copies each chunk into one output array as it is
-drawn, and the band takes both quantiles in one pass that partitions that
-array in place. A call therefore holds the output array and one chunk's
-working set. The bounds were set before that change, between the old
-peaks (a list of chunks plus their concatenation, then a copy per
-quantile call: 32.4 MB for the band, 16.1 MB for the normal draws) and
-the new ones (26.2 MB and 8.1 MB).
+drawn and drops it before drawing the next, so a call holds the output
+array and one chunk's working set. The oscillator's 20 000 paths peak
+at 19.9 MB; the 21 MB bound was set before the drop, when the previous
+chunk stayed bound while the next was evaluated: 26.2 MB. The normal
+draws' bound was set before chunks were copied out as drawn (16.1 MB
+then, 8.1 MB now).
+
+The model band draws its paths one chunk at a time and keeps, per point,
+only the order statistics its two quantiles read. Its 10 MB bound was
+set before that change, when it drew all 20 000 paths into one array and
+partitioned it: 26.2 MB (now 8.2 MB).
+
+The oscillator evaluates in row tiles into its output, and the rules
+take |yhat - y| in place, so one chunk of the uncertain compound rule
+holds the model and data chunks and one error array. Its 11 MB bound at
+k = 1e5 was set before those changes, at 13.1 MB (now 9.9 MB).
 
 Grid ``bvm validate`` scores its model paths one block at a time, as a
 sweep reads them. Its bound was set before that change, when the call
@@ -25,7 +36,8 @@ import tracemalloc
 
 from bvm import Normal
 from bvm.cli import EXIT_OK, main
-from bvm.config import distribution_from_config, rule_from_config
+from bvm.config import build_scenario, distribution_from_config, rule_from_config
+from bvm.engine import estimate_bvm_mc
 from bvm.studies import builtin_configs
 
 
@@ -38,15 +50,32 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def _uncertain_oscillator():
+    return distribution_from_config({"type": "push_forward", **builtin_configs(0)["oscillator-uncertain-compound"]["model"]})
+
+
 def test_oscillator_band_peak():
-    model = distribution_from_config({"type": "push_forward", **builtin_configs(0)["oscillator-uncertain-compound"]["model"]})
+    model = _uncertain_oscillator()
 
     def band(n):
         doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": 0.95, "samples": n, "seed": 0}}
         return rule_from_config(doc, model)
 
     band(100)  # warm-up: lazy imports and caches stay out of the measurement
-    assert _peak_mb(lambda: band(20_000)) <= 28.0
+    assert _peak_mb(lambda: band(20_000)) <= 10.0
+
+
+def test_oscillator_sample_peak():
+    model = _uncertain_oscillator()
+    model.sample(0, 10)
+    assert _peak_mb(lambda: model.sample(0, 20_000)) <= 21.0
+
+
+def test_uncertain_compound_mc_peak(monkeypatch):
+    monkeypatch.delenv("BVM_THREADS", raising=False)  # one chunk in flight
+    scenario = build_scenario(builtin_configs(0)["oscillator-uncertain-compound"]).scenario
+    estimate_bvm_mc(scenario, 100, 0)
+    assert _peak_mb(lambda: estimate_bvm_mc(scenario, 100_000, 0)) <= 11.0
 
 
 def test_certain_oscillator_band_peak():

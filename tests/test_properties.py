@@ -22,6 +22,14 @@ seconds. The bounds were written down before the first run:
   from 0 to more than n points, unsorted eps axes with repeats, negative
   values and values equal to path errors, and paths with NaN and +-inf
   points, under both estimators.
+- Model bands: the band a rule draws from the model, one chunk at a time,
+  equals ``np.quantile`` over all its paths, byte for byte, for 100 to
+  3 CHUNK_SIZE + 1 paths and levels in (0, 1], on oscillator paths and on
+  Empirical paths with NaN, +-inf and +-0.0 columns. A point whose rank
+  both -0.0 and +0.0 hold may come back with either sign, so such a
+  column is compared with ``==``.
+- Oscillator tiles: the tiled oscillator equals the one-pass expression
+  byte for byte, at row counts around the tile size.
 """
 
 import json
@@ -34,6 +42,7 @@ from hypothesis.extra import numpy as hnp
 
 from bvm import (
     AlwaysFalse,
+    IndependentProduct,
     AlwaysTrue,
     And,
     Categorical,
@@ -48,6 +57,7 @@ from bvm import (
     Normal,
     Not,
     Or,
+    PushForward,
     SoftExponential,
     SweepTemplate,
     Threshold,
@@ -58,6 +68,8 @@ from bvm import (
 from bvm.comparison import _REGISTRY, get_comparison_fn
 from bvm.config import rule_from_config, rule_to_config
 from bvm.engine import _path_blocks
+from bvm.models import OSCILLATOR_TILE, damped_oscillator_model
+from bvm.rng import BAND_STREAM, CHUNK_SIZE
 from test_engine import direct_count_sweep
 
 
@@ -376,3 +388,73 @@ def test_sweep_equals_a_count_of_every_error(data, seed):
     paths = np.concatenate(list(blocks))
     expected = direct_count_sweep(paths, weights, data_path, gammas, epsilons, m)
     assert np.array_equal(grid.values, expected)
+
+
+# ---------------------------------------------------------------------------
+# Model bands and oscillator tiles
+
+
+def _band_model(data, rng):
+    """A path distribution and, per point, whether its values hold both
+    -0.0 and +0.0."""
+    n_points = data.draw(st.integers(1, 9))
+    if data.draw(st.booleans()):
+        prior = IndependentProduct([Normal(m, 0.3) for m in (1.0, 1.0, 1.0, 10.0, 1.0, 10.0)])
+        grid = InputGrid.linspace(0.0, 1.0, n_points)
+        return PushForward(prior, damped_oscillator_model(), grid), np.zeros(n_points, dtype=bool)
+    rows = data.draw(st.integers(1, 30))
+    samples = rng.normal(0.0, 1.0, (rows, n_points))
+    if data.draw(st.booleans()):
+        samples = np.round(samples)  # ties between draws
+    for j in range(n_points):
+        plant = data.draw(st.sampled_from(["none", "nan", "inf", "-inf", "zeros", "one"]))
+        if plant == "zeros":
+            samples[:, j] = rng.choice([-0.0, 0.0], rows)
+        elif plant == "one":
+            samples[rng.integers(rows), j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif plant != "none":
+            samples[:, j] = float(plant)
+    zeros = samples == 0.0
+    mixed = (zeros & np.signbit(samples)).any(axis=0) & (zeros & ~np.signbit(samples)).any(axis=0)
+    return Empirical(samples), mixed
+
+
+@_settings(60)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_streamed_band_equals_the_quantiles_of_all_paths(data, seed):
+    rng = np.random.default_rng(seed)
+    model, mixed = _band_model(data, rng)
+    n = data.draw(
+        st.one_of(
+            st.sampled_from([3 * CHUNK_SIZE + 1, 100, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 3]),
+            st.integers(100, 3 * CHUNK_SIZE + 1),
+        )
+    )
+    level = data.draw(st.one_of(st.sampled_from([0.95, 1.0, 0.5, 0.99, 1e-9]), st.floats(0.0, 1.0, exclude_min=True)))
+    band_seed = data.draw(st.integers(0, 50))
+    doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": level, "samples": n, "seed": band_seed}}
+    a = (1.0 - level) / 2.0
+    with np.errstate(invalid="ignore"):
+        got = rule_from_config(doc, model).band
+        expected = np.quantile(model.sample(band_seed, n, BAND_STREAM), [a, 1.0 - a], axis=0)
+    for g, e in zip(got, expected):
+        assert g[~mixed].tobytes() == e[~mixed].tobytes()
+        assert np.array_equal(g[mixed], e[mixed], equal_nan=True)
+
+
+@_settings(40)
+@given(
+    points=st.sampled_from([1, 7, 100, 193, 1000]),
+    rows=st.sampled_from(["one", "tile-1", "tile", "tile+1", "chunk"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_oscillator_equals_the_one_pass_expression(points, rows, seed):
+    tile = max(1, OSCILLATOR_TILE // points)
+    k = {"one": 1, "tile-1": max(1, tile - 1), "tile": tile, "tile+1": tile + 1, "chunk": CHUNK_SIZE}[rows]
+    rng = np.random.default_rng(seed)
+    theta = rng.normal([1.0, 1.0, 1.0, 10.0, 1.0, 10.0], 0.5, (k, 6))
+    x = np.linspace(0.0, 1.0, points)
+    a, b, c, d, f, g = (theta[:, i : i + 1] for i in range(6))
+    expected = a + b * x * np.exp(-c * np.cos(d * x)) + f * np.sin(g * x)
+    got = damped_oscillator_model().evaluate(theta, InputGrid(x))
+    assert got.tobytes() == expected.tobytes()
