@@ -50,6 +50,16 @@ def _reject_nan(**tolerances):
             raise ValueError(f"{name} is NaN")
 
 
+def _nonnegative_eps(eps) -> np.ndarray:
+    """A tolerance ``eps`` (one value or per point) as a float array; a NaN
+    or negative entry raises ValueError."""
+    eps = np.asarray(eps, dtype=float)
+    _reject_nan(eps=eps)
+    if np.any(eps < 0):
+        raise ValueError("eps must be nonnegative")
+    return eps
+
+
 class AgreementRule:
     """Base class. Subclasses implement ``kernel_many`` only: the weights
     of a batch of (model value, data value) pairs, one per pair.
@@ -210,10 +220,7 @@ class GammaEpsilon(AgreementRule):
             raise ValueError("gamma must lie in [0, 1]")
         if not (np.isfinite(self.m) and self.m >= 1.0):
             raise ValueError(f"m must be finite and at least 1, got {self.m!r}")
-        eps = np.asarray(self.eps, dtype=float)
-        _reject_nan(eps=eps)
-        if np.any(eps < 0):
-            raise ValueError("eps must be nonnegative")
+        eps = _nonnegative_eps(self.eps)
         object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
 
     def kernel_many(self, yhat_batch, y_batch):

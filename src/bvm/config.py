@@ -599,12 +599,21 @@ def _rule(doc: dict) -> ag.AgreementRule:
     return rule
 
 
+def _metric_eps(metric: dict):
+    """``$.metric.eps``; a NaN or negative tolerance is a config error."""
+    try:
+        ag._nonnegative_eps(metric["eps"])
+    except ValueError as exc:
+        raise ConfigError(f"config field $.metric.eps: {exc}") from None
+    return metric["eps"]
+
+
 def _run_reliability(doc, metric, samples, seed):
-    return reliability(_model_dist(doc), _data_dist(doc), eps=metric["eps"], k=samples, seed=seed), {}
+    return reliability(_model_dist(doc), _data_dist(doc), eps=_metric_eps(metric), k=samples, seed=seed), {}
 
 
 def _run_improved_reliability(doc, metric, samples, seed):
-    return improved_reliability(_model_dist(doc), _data_dist(doc), eps=metric["eps"], k=samples, seed=seed), {}
+    return improved_reliability(_model_dist(doc), _data_dist(doc), eps=_metric_eps(metric), k=samples, seed=seed), {}
 
 
 def _run_frequentist(doc, metric, samples, seed):

@@ -361,6 +361,9 @@ def bvm_ratio(factor: RatioResult, prior_m: float, prior_m_other: float) -> Rati
 # Paths per block when sweep counts in-tolerance errors; small enough
 # that a block's errors and column positions stay in cache.
 SWEEP_BLOCK = 1024
+# (path, eps) cells that sweep counts at once: a block on a long eps
+# axis is counted a few rows at a time.
+_SWEEP_CELLS = SWEEP_BLOCK * 128
 
 
 @dataclass(frozen=True)
@@ -489,9 +492,8 @@ def sweep(
     """P(agree) under the (gamma, eps) rule at every axis combination.
 
     The model is evaluated one block of ``SWEEP_BLOCK`` parameter rows at
-    a time, and each block's paths are counted and dropped before the
-    next is evaluated: the in-tolerance count of every path at every eps
-    comes from one pass over the blocks. Only each path's r largest
+    a time, and each block's paths are counted, added into the sums and
+    dropped before the next is evaluated. Only each path's r largest
     absolute errors are counted, where ``r = n + 1 - min(needed)`` (at
     least 1) and ``needed`` holds the fewest in-tolerance points of each
     gamma: ``partition`` picks them, and the other ``n - r`` are counted
@@ -499,24 +501,27 @@ def sweep(
     it saves, and r is n. Each counted error is placed by
     ``searchsorted`` into the sorted eps axis, which gives the first
     column that tolerates it; a row-offset ``bincount`` and a ``cumsum``
-    along eps then turn those positions into the block's counts for
-    every column. The counts are kept in an eps-by-path matrix of the
-    narrowest unsigned dtype that holds n (one byte per cell for
-    n < 256). So a sweep holds that count matrix, the path weights and
-    one block of paths; neither the path matrix nor the full error
-    matrix is ever held. Each eps column then costs one weighted
-    histogram over the paths, and every gamma row reads the same tail
-    sums.
+    along eps then turn those positions into each path's count at every
+    eps. A path whose largest error exceeds ``m * eps`` (or is NaN) is
+    sent to a spare bin at that eps, and ``np.add.at`` adds each path's
+    weight into one sum per (eps, count) cell. A block is counted in
+    sub-blocks of at most ``_SWEEP_CELLS`` (path, eps) cells, so a sweep
+    holds those sums, the path weights and one block of paths, whatever
+    the length of the eps axis; no path matrix, error matrix or
+    eps-by-path count matrix is ever held. The tails of the sums over
+    the count give every gamma's cell at once.
 
     A count is exact from the smallest need up and clamped below it. A
     path reaches that need at eps exactly when the smallest of its r
     counted errors is within eps, and then its ``n - r`` smaller errors
     are too; otherwise both its true and its counted number fall short
     of every need, and no cell reads a bin below the smallest need. The
-    counts that are read are exact integers and the histogram adds each
-    bin's weights in path order, so the cells are bit for bit those of a
-    direct per-eps count, whatever the block size or the order of the
-    eps axis. A NaN on either axis raises :class:`EstimationError`.
+    counts that are read are exact integers, and ``np.add.at`` adds in
+    index order, so each cell sums its paths' weights in path order,
+    from block to block: the cells are bit for bit those of a direct
+    per-eps count and weighted histogram, whatever the block size or the
+    order of the eps axis. A NaN on either axis raises
+    :class:`EstimationError`.
     """
     gammas = np.asarray(gammas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
@@ -545,32 +550,43 @@ def sweep(
     if 2 * r > n:
         r = n
 
-    # counts[q, p]: how many of path p's n errors are <= eps_sorted[q],
-    # exact from min(needed) up and clamped to n - r below it.
-    counts = np.empty((n_eps, n_paths), dtype=np.min_scalar_type(n))
-    max_err = np.empty(n_paths)
+    # sums[q * (n + 2) + c]: the weight of the paths with c of their n
+    # errors <= eps_sorted[q] (exact from min(needed) up, clamped to n - r
+    # below) whose largest error is <= m * eps_sorted[q]; c = n + 1 takes
+    # the rest. max_err <= m * eps_sorted[q] exactly when q >= gate_from.
+    sums = np.zeros(n_eps * (n + 2))
+    m_eps = m * eps_sorted
+    cell_base = np.arange(n_eps) * (n + 2)
+    sub_rows = max(1, _SWEEP_CELLS // n_eps)
     start = 0
     for block in blocks:
-        err = np.abs(block - template.data_path)
+        block_err = np.abs(block - template.data_path)
         if r < n:
-            err.partition(n - r, axis=1)  # NaN sorts last
-            err = err[:, n - r :]
-        rows = err.shape[0]
-        max_err[start : start + rows] = err.max(axis=1)
-        first_ok = np.searchsorted(eps_sorted, err, side="left")
-        first_ok += np.arange(rows)[:, None] * (n_eps + 1)
-        hist = np.bincount(first_ok.ravel(), minlength=rows * (n_eps + 1)).reshape(rows, n_eps + 1)
-        hist[:, 0] += n - r
-        np.cumsum(hist.T[:n_eps], axis=0, dtype=counts.dtype, out=counts[:, start : start + rows])
-        start += rows
+            block_err.partition(n - r, axis=1)  # NaN sorts last
+            block_err = block_err[:, n - r :]
+        for lo in range(0, len(block_err), sub_rows):
+            err = block_err[lo : lo + sub_rows]
+            rows = err.shape[0]
+            gate_from = np.searchsorted(m_eps, err.max(axis=1), side="left")  # NaN: n_eps
+            # A path's count reads n + 1 (the spare bin) below its gate, and
+            # n - r plus its placed errors from the gate on; an error placed
+            # below the gate is moved up to it, which changes no count read.
+            first_ok = np.maximum(np.searchsorted(eps_sorted, err, side="left"), gate_from[:, None])
+            row = np.arange(rows)
+            first_ok += row[:, None] * (n_eps + 1)
+            hist = np.bincount(first_ok.ravel(), minlength=rows * (n_eps + 1)).reshape(rows, n_eps + 1)
+            hist[:, 0] += n + 1
+            hist[row, gate_from] -= r + 1
+            counts = np.cumsum(hist[:, :n_eps], axis=1)
+            counts += cell_base
+            np.add.at(sums, counts.ravel(), np.repeat(weights[start : start + rows], n_eps))
+            start += rows
 
+    sums = sums.reshape(n_eps, n + 2)
+    sums[:, n + 1] = 0.0  # a gamma above 1 needs n + 1 points and reads 0
+    tails = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
     values = np.empty((gammas.size, n_eps))
-    for q, j in enumerate(order):
-        w_ok = np.where(max_err <= m * epsilons[j], weights, 0.0)
-        hist = np.bincount(counts[q], weights=w_ok, minlength=n + 1)
-        tails = np.cumsum(hist[::-1])[::-1]
-        for i, need in enumerate(needed):
-            values[i, j] = tails[need] if need <= n else 0.0
+    values[:, order] = tails[:, needed].T
     return SweepGrid(gammas=gammas, epsilons=epsilons, values=values, n_paths=n_paths)
 
 

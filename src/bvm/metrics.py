@@ -31,6 +31,7 @@ from .agreement import (
     SetMembership,
     SoftExponential,
     Threshold,
+    _nonnegative_eps,
 )
 from .comparison import BinnedPdf, ComparisonFn, _paired_masses, area_metric, area_metric_many, divergence
 from .distributions import (
@@ -176,8 +177,10 @@ def reliability(
 
     Uses the exact Gaussian-difference mass when both inputs are normal
     (or certain), the data cdf when the model is certain, and Monte Carlo
-    otherwise.
+    otherwise. A NaN or negative eps raises ValueError, as it does in
+    :func:`improved_reliability`.
     """
+    _nonnegative_eps(eps)
     if model_dist.kind != "scalar" or data_dist.kind != "scalar":
         raise ValueError("reliability compares scalar expectation values")
     nm, nd = _normal_like(model_dist), _normal_like(data_dist)

@@ -737,6 +737,24 @@ class TestMetricCli:
         }
         assert main(["reliability", "--config", tmp_config(doc)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("eps", [-0.1, math.nan])
+    @pytest.mark.parametrize(
+        "name, model, data",
+        [
+            ("reliability", {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}, {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}),
+            ("reliability", {"distribution": {"type": "dirac", "value": 0.0}}, {"distribution": {"type": "dirac", "value": 0.0}}),
+            (
+                "improved_reliability",
+                {"distribution": {"type": "dirac", "value": [0.0, 0.0]}},
+                {"distribution": {"type": "dirac", "value": [0.0, 0.0]}},
+            ),
+        ],
+    )
+    def test_nan_or_negative_tolerance_is_a_config_error(self, tmp_config, capsys, name, model, data, eps):
+        doc = {"metric": {"name": name, "eps": eps}, "model": model, "data": data}
+        assert main([name, "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert "$.metric.eps" in capsys.readouterr().err
+
     def test_frequentist_subcommand(self, tmp_config, capsys):
         doc = {
             "metric": {

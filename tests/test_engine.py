@@ -35,7 +35,6 @@ from bvm import (
     ratio_grid,
     sweep,
 )
-from bvm.config import build_sweep_template
 from bvm.distributions import PushForward
 from bvm.engine import (
     SWEEP_BLOCK,
@@ -46,7 +45,6 @@ from bvm.engine import (
     discretize_distribution,
 )
 from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM
-from bvm.studies import _poly_config, sweep_axes
 
 
 def enumeration_oracle(model: Categorical, data: Categorical, rule) -> float:
@@ -426,7 +424,8 @@ class TestSweep:
         assert ordered.values[:, 2:].any()
 
     def test_grid_longer_than_255_points_widens_counts(self):
-        # n = 300: counts above 255 must not wrap; gamma 0.9 needs 270.
+        # n = 300: the cells read count bins above 255 (gamma 0.9 needs
+        # 270), which a one-byte count would wrap.
         template = small_template(n_points=300, points_per_param=5)
         grid = assert_matches_cellwise_grid(template, np.array([0.5, 0.9, 1.0]), np.array([0.0, 0.1, 0.2, 0.4, 1.1]), 3.0)
         assert 0.0 < grid.values[1, 2] < 1.0
@@ -447,6 +446,17 @@ class TestSweep:
             assert grid.n_paths == k
             expected = direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0)
             assert np.array_equal(grid.values, expected), k
+
+    def test_long_eps_axis_splits_blocks(self):
+        # 300 eps: a block of 1024 paths is counted 436 rows at a time,
+        # and the 1089-path mesh ends on a partial block.
+        template = small_template(points_per_param=33)
+        gammas = np.linspace(0.5, 1.0, 11)
+        epsilons = np.random.default_rng(3).permutation(np.linspace(-0.05, 1.0, 300))
+        grid = sweep(template, gammas, epsilons, m=2.0)
+        paths, weights = all_paths(template, "grid")
+        expected = direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 2.0)
+        assert np.array_equal(grid.values, expected)
 
     def test_grid_mesh_with_ragged_tail(self):
         # A 33 x 33 mesh is one full block plus 65 rows.
@@ -471,21 +481,6 @@ class TestSweep:
     def test_mc_sample_count_must_be_positive(self):
         with pytest.raises(EstimationError, match="at least 1"):
             sweep(small_template(), [0.8], [0.1], m=5.0, estimator="mc", k=0)
-
-    def test_uncertain_ex53_sweep_holds_no_path_matrix(self):
-        # 160 000 paths of 50 points would take 64 MB on their own; the
-        # eps-by-path uint8 count matrix is 16 MB of the peak.
-        template, _ = build_sweep_template(_poly_config(2, "uncertain", 0))
-        gammas, epsilons = sweep_axes()
-        sweep(small_template(), gammas, epsilons, m=5.0)  # warm imports and caches outside the trace
-        tracemalloc.start()
-        try:
-            grid = sweep(template, gammas, epsilons, m=5.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert grid.n_paths == 160_000
-        assert peak <= 32e6
 
     def test_monotone_axes(self):
         grid = sweep(small_template(), np.linspace(0.5, 1.0, 6), np.linspace(0, 1.5, 16), m=5.0)

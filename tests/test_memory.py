@@ -29,16 +29,27 @@ chunk of paths and keeps it, and its band is that chunk's one row. Its
 bound of 10 MB was set before that change, when the band drew and
 partitioned 20 000 copies of the path: 26.2 MB. The first evaluation
 runs inside the trace.
+
+A sweep adds each block's path weights straight into its (eps, count)
+sums, so it holds those sums, the path weights and one block of paths,
+with no eps-by-path count matrix and no histogram whose size grows with
+the eps axis past a fixed number of cells. Both bounds were set before
+that change: the uncertain ex-5.3 model-2 sweep (160 000 paths by 101
+eps) peaked at 21.75 MB, and a 10 001-eps sweep over the 8 000 model-1
+paths at 245 MB (now 4.8 and 15.6 MB). The first replaces a 32 MB
+bound on the same sweep.
 """
 
 import json
 import tracemalloc
 
+import numpy as np
+
 from bvm import Normal
 from bvm.cli import EXIT_OK, main
-from bvm.config import build_scenario, distribution_from_config, rule_from_config
-from bvm.engine import estimate_bvm_mc
-from bvm.studies import builtin_configs
+from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
+from bvm.engine import estimate_bvm_mc, sweep
+from bvm.studies import _poly_config, builtin_configs, sweep_axes
 
 
 def _peak_mb(fn) -> float:
@@ -102,3 +113,18 @@ def test_grid_validate_peak(tmp_path):
 
     validate("poly-deterministic-model2")  # warm-up
     assert _peak_mb(lambda: validate("poly-uncertain-model2")) <= 16.0
+
+
+def _sweep_peak_mb(order, epsilons):
+    template, _ = build_sweep_template(_poly_config(order, "uncertain", 0))
+    gammas, _ = sweep_axes()
+    sweep(template, gammas, epsilons[:3], m=5.0)  # warm-up: lazy imports and caches stay out of the measurement
+    return _peak_mb(lambda: sweep(template, gammas, epsilons, m=5.0))
+
+
+def test_uncertain_ex53_sweep_peak():
+    assert _sweep_peak_mb(2, sweep_axes()[1]) <= 8.0
+
+
+def test_long_eps_axis_sweep_peak():
+    assert _sweep_peak_mb(1, np.linspace(0.0, 1.0, 10_001)) <= 24.0

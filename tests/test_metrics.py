@@ -33,6 +33,7 @@ from bvm import (
     SoftExponential,
     StudentT,
     Threshold,
+    Uniform,
     bvm_ratio,
     estimate_bvm_mc,
     polynomial_model,
@@ -97,6 +98,22 @@ class TestReliability:
         assert est.method == "closedForm"
         assert est.p_hat == (0.0 if step < 0 else 1.0)
         assert est.p_hat == estimate_bvm_mc(Scenario(model, data, Threshold("abs_diff", eps)), 1000, 0).p_hat
+
+
+    @pytest.mark.parametrize(
+        "model, data",
+        [
+            (Normal(0.0, 1.0), Normal(0.5, 2.0)),  # normal difference
+            (DiracDelta(0.3), DiracDelta(0.1)),  # normal difference, no spread
+            (DiracDelta(0.3), StudentT(0.0, 10.0, 0.5)),  # certain vs continuous
+            (Uniform(0.0, 1.0), DiracDelta(0.2)),  # continuous vs certain
+            (Uniform(0.0, 1.0), Uniform(0.5, 2.0)),  # Monte Carlo
+        ],
+    )
+    @pytest.mark.parametrize("eps, message", [(-0.1, "eps must be nonnegative"), (math.nan, "eps is NaN")])
+    def test_refuses_a_nan_or_negative_tolerance(self, model, data, eps, message):
+        with pytest.raises(ValueError, match=message):
+            reliability(model, data, eps, k=100)
 
 
 class TestImprovedReliability:

@@ -17,11 +17,18 @@ seconds. The bounds were written down before the first run:
   a hard rule's weight does not fall as its tolerance widens.
 - Config forms: ``rule_to_config(rule_from_config(doc))`` is a fixed point
   of one more round trip, and survives ``json``.
+- Reliability: each closed form of ``reliability`` (normal difference,
+  and a certain value against a continuous distribution, either way
+  round) lies within ``5 sqrt(p (1 - p) / N_DRAWS) + 1 / N_DRAWS`` of a
+  Monte Carlo estimate of the same abs-difference threshold over
+  ``N_DRAWS`` pairs, the region-mass bound above.
 - Sweeps: ``sweep`` equals ``direct_count_sweep``, which counts every
   error of every path, bit for bit: over gamma axes that need anything
   from 0 to more than n points, unsorted eps axes with repeats, negative
   values and values equal to path errors, and paths with NaN and +-inf
-  points, under both estimators.
+  points, under both estimators. It does so again with blocks of 3 paths
+  counted 8 (path, eps) cells at a time, so that each cell's sum carries
+  over from block to block.
 - Model bands: the band a rule draws from the model, one chunk at a time,
   equals ``np.quantile`` over all its paths, byte for byte, for 100 to
   3 CHUNK_SIZE + 1 paths and levels in (0, 1], on oscillator paths and on
@@ -36,6 +43,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -58,16 +66,22 @@ from bvm import (
     Not,
     Or,
     PushForward,
+    Scenario,
+    ShiftedExponential,
     SoftExponential,
+    StudentT,
     SweepTemplate,
     Threshold,
     Uniform,
+    estimate_bvm_mc,
     probability_in_region,
     sweep,
 )
+from bvm import engine
 from bvm.comparison import _REGISTRY, get_comparison_fn
 from bvm.config import rule_from_config, rule_to_config
 from bvm.engine import _path_blocks
+from bvm.metrics import reliability
 from bvm.models import OSCILLATOR_TILE, damped_oscillator_model
 from bvm.rng import BAND_STREAM, CHUNK_SIZE
 from test_engine import direct_count_sweep
@@ -321,6 +335,52 @@ def test_rule_config_round_trip_is_a_fixed_point(doc):
 
 
 # ---------------------------------------------------------------------------
+# Reliability: the closed forms against Monte Carlo
+
+TOLERANCE = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
+
+
+def _assert_near_monte_carlo(model, data, eps, seed):
+    p = reliability(model, data, eps)
+    assert p.method == "closedForm"
+    mc = estimate_bvm_mc(Scenario(model, data, Threshold("abs_diff", eps)), N_DRAWS, seed).p_hat
+    bound = 5.0 * math.sqrt(p.p_hat * (1.0 - p.p_hat) / N_DRAWS) + 1.0 / N_DRAWS
+    assert abs(mc - p.p_hat) <= bound, (model, data, eps, p.p_hat, mc)
+
+
+NORMAL_LIKE = st.one_of(
+    st.builds(Normal, REAL, st.floats(0.05, 3.0)),
+    st.builds(DiracDelta, st.one_of(ATOM, REAL)),
+)
+
+
+@_settings(200)
+@given(model=NORMAL_LIKE, data=NORMAL_LIKE, eps=TOLERANCE, seed=st.integers(0, 2**32 - 1))
+def test_normal_difference_reliability_matches_monte_carlo(model, data, eps, seed):
+    _assert_near_monte_carlo(model, data, eps, seed)
+
+
+CONTINUOUS = st.one_of(
+    st.builds(StudentT, REAL, st.floats(1.0, 30.0), st.floats(0.1, 3.0)),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), REAL, st.floats(0.01, 5.0)),
+    st.builds(ShiftedExponential, st.floats(0.2, 5.0), REAL),
+)
+
+
+@_settings(200)
+@given(
+    value=st.one_of(ATOM, REAL),
+    other=CONTINUOUS,
+    certain_model=st.booleans(),
+    eps=TOLERANCE,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certain_vs_continuous_reliability_matches_monte_carlo(value, other, certain_model, eps, seed):
+    pair = (DiracDelta(value), other) if certain_model else (other, DiracDelta(value))
+    _assert_near_monte_carlo(*pair, eps, seed)
+
+
+# ---------------------------------------------------------------------------
 # Sweeps: counting only the errors a gamma can read changes no bit
 
 
@@ -338,9 +398,7 @@ def _table_template(table, data):
     return SweepTemplate(ModelFunction("table", ("row",), fn), prior, grid, data, grid_points_per_param=rows)
 
 
-@_settings(150)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_sweep_equals_a_count_of_every_error(data, seed):
+def _assert_sweep_equals_a_count_of_every_error(data, seed):
     n = data.draw(st.sampled_from([50, 7, 300, 2, 1]))
     rows = data.draw(st.integers(1, 12))
     rng = np.random.default_rng(seed)
@@ -388,6 +446,21 @@ def test_sweep_equals_a_count_of_every_error(data, seed):
     paths = np.concatenate(list(blocks))
     expected = direct_count_sweep(paths, weights, data_path, gammas, epsilons, m)
     assert np.array_equal(grid.values, expected)
+
+
+@_settings(150)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sweep_equals_a_count_of_every_error(data, seed):
+    _assert_sweep_equals_a_count_of_every_error(data, seed)
+
+
+@_settings(100)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sweep_sums_carry_over_from_block_to_block(data, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SWEEP_BLOCK", 3)
+        patch.setattr(engine, "_SWEEP_CELLS", 8)
+        _assert_sweep_equals_a_count_of_every_error(data, seed)
 
 
 # ---------------------------------------------------------------------------
