@@ -61,7 +61,6 @@ from .distributions import (
 )
 from .engine import (
     BvmEstimate,
-    ComparisonDensity,
     EstimationError,
     RatioResult,
     Scenario,

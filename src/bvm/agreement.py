@@ -341,3 +341,42 @@ def compose(op: str, children: Sequence[AgreementRule]) -> AgreementRule:
             raise ValueError("not takes exactly one child")
         return Not(children[0])
     raise ValueError(f"unknown composition '{op}'")
+
+
+def _value_breakpoints(rule: AgreementRule):
+    """Where a single-value rule can change its weight, on the value axis.
+
+    A single-value metric scores one value v as ``kernel(v, v)``, so every
+    comparison in the tree must read one side only ('identity' or
+    'abs_value'), and no part may be a path or label rule: ValueError
+    otherwise. A comparison of the two sides, such as 'abs_diff', would
+    compare v with itself and always accept. Every child of an And/Or is
+    checked. Returns the set of breakpoints, or None when the tree holds a
+    rule whose breakpoints are unknown; callers then integrate blind.
+    """
+    if isinstance(rule, (And, Or)):
+        children = [_value_breakpoints(child) for child in rule.children]
+        return None if None in children else set().union(*children)
+    if isinstance(rule, Not):
+        return _value_breakpoints(rule.child)
+    if isinstance(rule, (GammaEpsilon, EpsilonBeta, SetMembership)):
+        raise ValueError(f"{type(rule).__name__} does not score a single value; use a value rule")
+    fn = getattr(rule, "fn", None)
+    if isinstance(fn, ComparisonFn) and fn.name not in ("identity", "abs_value"):
+        raise ValueError(
+            f"{type(rule).__name__} compares through '{fn.name}', but a single-value metric reads its "
+            "value on both sides; use 'identity' or 'abs_value'"
+        )
+    if isinstance(rule, (AlwaysTrue, AlwaysFalse)):
+        return set()
+    if isinstance(rule, InRegion) and not rule.region.labels:
+        return {p for interval in rule.region.intervals for p in interval}
+    if isinstance(rule, Threshold):
+        points = [rule.eps]
+    elif isinstance(rule, Interval):
+        points = [rule.lo, rule.hi]
+    elif isinstance(rule, SoftExponential):
+        points = [rule.eps_prime]
+    else:
+        return None
+    return set(points) if fn.name == "identity" else {p for v in points for p in (v, -v)}

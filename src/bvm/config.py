@@ -33,7 +33,6 @@ from .engine import Scenario, SweepTemplate
 from .metrics import (
     DataSummary,
     GaussianLikelihoodSpec,
-    _check_value_rule,
     area_metric_validation,
     bayesian_evidence,
     binned_pdf_metric,
@@ -581,19 +580,26 @@ def _section(doc: dict, name: str) -> dict:
     return doc[name]
 
 
-def _model_dist(doc: dict) -> dist.Distribution:
-    return _model_dist_from_section(_section(doc, "model"))
+def _model_dist(doc: dict, kind: str) -> dist.Distribution:
+    return _of_kind(_model_dist_from_section(_section(doc, "model")), "model", kind)
 
 
-def _data_dist(doc: dict) -> dist.Distribution:
-    return _data_dist_from_section(_section(doc, "data"))
+def _data_dist(doc: dict, kind: str) -> dist.Distribution:
+    return _of_kind(_data_dist_from_section(_section(doc, "data")), "data", kind)
+
+
+def _of_kind(d: dist.Distribution, name: str, kind: str) -> dist.Distribution:
+    """A metric's input must draw the values it compares: 'scalar' or 'path'."""
+    if d.kind != kind:
+        raise ConfigError(f"config field $.{name}: this metric needs {kind} values, not {d.kind} values")
+    return d
 
 
 def _rule(doc: dict) -> ag.AgreementRule:
     """The agreement rule of a metric that scores a single value."""
     rule = rule_from_config(_section(doc, "agreement"))
     try:
-        _check_value_rule(rule)
+        ag._value_breakpoints(rule)
     except ValueError as exc:
         raise ConfigError(f"config field $.agreement: {exc}") from None
     return rule
@@ -609,11 +615,13 @@ def _metric_eps(metric: dict):
 
 
 def _run_reliability(doc, metric, samples, seed):
-    return reliability(_model_dist(doc), _data_dist(doc), eps=_metric_eps(metric), k=samples, seed=seed), {}
+    model, data = _model_dist(doc, "scalar"), _data_dist(doc, "scalar")
+    return reliability(model, data, eps=_metric_eps(metric), k=samples, seed=seed), {}
 
 
 def _run_improved_reliability(doc, metric, samples, seed):
-    return improved_reliability(_model_dist(doc), _data_dist(doc), eps=_metric_eps(metric), k=samples, seed=seed), {}
+    model, data = _model_dist(doc, "path"), _data_dist(doc, "path")
+    return improved_reliability(model, data, eps=_metric_eps(metric), k=samples, seed=seed), {}
 
 
 def _run_frequentist(doc, metric, samples, seed):
@@ -623,8 +631,8 @@ def _run_frequentist(doc, metric, samples, seed):
 
 def _run_power(doc, metric, samples, seed):
     res = statistical_power_bvm(
-        _model_dist(doc),
-        _data_dist(doc),
+        _model_dist(doc, "scalar"),
+        _data_dist(doc, "scalar"),
         alpha=metric["alpha"],
         alpha_hat=metric["alpha_hat"],
         region_kind=metric.get("region", "interval"),
@@ -638,7 +646,7 @@ def _run_power(doc, metric, samples, seed):
 
 
 def _run_classical(doc, metric, samples, seed):
-    res = classical_hypothesis(_data_dist(doc), metric["alpha"])
+    res = classical_hypothesis(_data_dist(doc, "scalar"), metric["alpha"])
     return res.estimate, {"critical_interval": [res.interval.lo, res.interval.hi]}
 
 

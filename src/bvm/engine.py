@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agreement import AgreementRule
-from .comparison import ComparisonFn, get_comparison_fn
+from .agreement import AgreementRule, _value_breakpoints
+from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
 from .models import InputGrid, ModelFunction
 from .rng import DATA_STREAM, MODEL_STREAM, _chunks, map_chunks
@@ -29,7 +29,6 @@ __all__ = [
     "EstimationError",
     "Scenario",
     "BvmEstimate",
-    "ComparisonDensity",
     "SweepGrid",
     "SweepTemplate",
     "RatioResult",
@@ -124,25 +123,6 @@ class BvmEstimate:
             ci_lo=0.0 if p == 0.0 else max(0.0, centre - half),
             ci_hi=1.0 if p == 1.0 else min(1.0, centre + half),
         )
-
-
-@dataclass(frozen=True)
-class ComparisonDensity:
-    """Histogram of the comparison value under joint model/data uncertainty."""
-
-    bin_edges: np.ndarray
-    masses: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        if np.any(masses < 0) or abs(masses.sum() - 1.0) > 1e-9:
-            raise ValueError("masses must be nonnegative and sum to 1 within 1e-9")
-        object.__setattr__(self, "bin_edges", np.asarray(self.bin_edges, dtype=float))
-        object.__setattr__(self, "masses", masses)
-
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
 def _mc_estimate(weights_of_chunk, k: int, seed: int, soft: bool) -> BvmEstimate:
@@ -245,8 +225,11 @@ def comparison_density(
     k: int,
     bins: int,
     seed: int,
-) -> ComparisonDensity:
-    """Histogram of f(model value, data value) over k sampled pairs."""
+) -> BinnedPdf:
+    """Histogram of f(model value, data value) over k sampled pairs, on
+    ``bins`` equal bins from the least value to the largest. A spread too
+    narrow (or too wide) for that many distinct finite edges raises
+    :class:`EstimationError`."""
     if k < bins:
         raise EstimationError("need at least as many samples as bins")
     fn = fn if isinstance(fn, ComparisonFn) else get_comparison_fn(fn)
@@ -262,16 +245,20 @@ def comparison_density(
         edges = np.linspace(lo - pad, hi + pad, bins + 1)
     else:
         edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(np.diff(edges) > 0):
+        raise EstimationError(f"comparison values span [{lo!r}, {hi!r}]: no {bins} distinct finite bins cover it")
     counts, edges = np.histogram(f, bins=edges)
-    return ComparisonDensity(bin_edges=edges, masses=counts / k, n_samples=k)
+    return BinnedPdf(edges, counts / k)
 
 
-def bvm_from_density(density: ComparisonDensity, rule: AgreementRule) -> float:
-    """Accumulate bin mass through a rule defined on the comparison value.
+def bvm_from_density(density: BinnedPdf, rule: AgreementRule) -> float:
+    """Accumulate bin mass through a rule read at the bin midpoints.
 
-    The rule must read the value itself (an 'identity' comparison);
-    kernels are evaluated at bin midpoints.
+    The rule scores the comparison value itself, as a single-value metric
+    does: a rule that compares two sides, or reads paths or labels,
+    raises ValueError (see :func:`bvm.agreement._value_breakpoints`).
     """
+    _value_breakpoints(rule)
     mids = density.midpoints()
     w = np.asarray(rule.kernel_many(mids, mids), dtype=float)
     return float(np.dot(density.masses, w))

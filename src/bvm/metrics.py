@@ -17,23 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agreement import (
-    AgreementRule,
-    AlwaysFalse,
-    AlwaysTrue,
-    And,
-    EpsilonBeta,
-    GammaEpsilon,
-    InRegion,
-    Interval,
-    Not,
-    Or,
-    SetMembership,
-    SoftExponential,
-    Threshold,
-    _nonnegative_eps,
-)
-from .comparison import BinnedPdf, ComparisonFn, _paired_masses, area_metric, area_metric_many, divergence
+from .agreement import AgreementRule, GammaEpsilon, Threshold, _nonnegative_eps, _value_breakpoints
+from .comparison import BinnedPdf, _paired_masses, area_metric, area_metric_many, divergence
 from .distributions import (
     ConfidenceRegion,
     DiracDelta,
@@ -42,7 +27,6 @@ from .distributions import (
     ShiftedExponential,
     StudentT,
     Uniform,
-    _special,
     confidence_interval,
     confidence_set,
     probability_in_region,
@@ -112,26 +96,6 @@ class GaussianLikelihoodSpec:
         object.__setattr__(self, "data_y", y)
 
 
-def _check_value_rule(rule: AgreementRule):
-    """Raise ValueError unless ``rule`` can score one value v as
-    ``kernel(v, v)``, as the single-value metrics do: every comparison in
-    its tree must read one side only ('identity' or 'abs_value'), and no
-    part of it may be a path or label rule. A comparison of the two sides,
-    such as 'abs_diff', would compare v with itself and always accept."""
-    if isinstance(rule, (And, Or)):
-        for child in rule.children:
-            _check_value_rule(child)
-    elif isinstance(rule, Not):
-        _check_value_rule(rule.child)
-    elif isinstance(rule, (GammaEpsilon, EpsilonBeta, SetMembership)):
-        raise ValueError(f"{type(rule).__name__} does not score a single value; use a value rule")
-    elif isinstance(getattr(rule, "fn", None), ComparisonFn) and rule.fn.name not in ("identity", "abs_value"):
-        raise ValueError(
-            f"{type(rule).__name__} compares through '{rule.fn.name}', but a single-value metric reads its "
-            "value on both sides; use 'identity' or 'abs_value'"
-        )
-
-
 def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int) -> BvmEstimate:
     """Mean kernel weight of n resampled comparison values.
 
@@ -139,7 +103,7 @@ def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int)
     chunk, drawn from that chunk's RESAMPLE_STREAM generator, which it
     must not keep (see :func:`bvm.rng._draw_chunk`). The rule
     reads each value on both of its sides, so its callers check it with
-    :func:`_check_value_rule`. The chunks are reduced
+    :func:`bvm.agreement._value_breakpoints`. The chunks are reduced
     as :func:`estimate_bvm_mc` reduces its own: the standard error is
     binomial (with a Wilson interval) for a hard rule, and std(weights) /
     sqrt(n) for a soft one.
@@ -175,14 +139,18 @@ def reliability(
 ) -> BvmEstimate:
     """Probability that the model and data means differ by at most eps.
 
-    Uses the exact Gaussian-difference mass when both inputs are normal
-    (or certain), the data cdf when the model is certain, and Monte Carlo
-    otherwise. A NaN or negative eps raises ValueError, as it does in
+    Exact where a closed form exists: two normal (or certain) inputs are
+    one normal difference, and a certain input against a continuous one
+    is a point against a distribution; both are :func:`_value_mass` of an
+    'abs_value' threshold. Two certain inputs give the indicator
+    ``|difference| <= eps``. Anything else is Monte Carlo. A NaN or
+    negative eps raises ValueError, as it does in
     :func:`improved_reliability`.
     """
     _nonnegative_eps(eps)
     if model_dist.kind != "scalar" or data_dist.kind != "scalar":
         raise ValueError("reliability compares scalar expectation values")
+    within = Threshold("abs_value", eps)
     nm, nd = _normal_like(model_dist), _normal_like(data_dist)
     if nm is not None and nd is not None:
         mu = nm[0] - nd[0]
@@ -190,15 +158,13 @@ def reliability(
         if sd == 0.0:
             p = 1.0 if abs(mu) <= eps else 0.0
         else:
-            ndtr = _special().ndtr
-            p = float(ndtr((eps - mu) / sd) - ndtr((-eps - mu) / sd))
+            p = _value_mass(0.0, Normal(mu, sd), within)
         return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
     continuous = (Normal, StudentT, Uniform, ShiftedExponential)
     for certain, other in ((model_dist, data_dist), (data_dist, model_dist)):
         if isinstance(certain, DiracDelta) and np.ndim(certain.value) == 0 and isinstance(other, continuous):
-            v = float(certain.value)
-            p = other.cdf(v + eps) - other.cdf(v - eps)
-            return BvmEstimate(p_hat=float(p), std_error=0.0, n_samples=0, seed=seed, method="closedForm")
+            p = _value_mass(float(certain.value), other, within)
+            return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=seed, method="closedForm")
     scenario = Scenario(model_dist, data_dist, Threshold("abs_diff", eps))
     return estimate_bvm_mc(scenario, k, seed)
 
@@ -221,43 +187,7 @@ def improved_reliability(
 
 
 # ---------------------------------------------------------------------------
-# Frequentist metric (certain model mean against a Student-t data mean)
-
-
-def _breakpoints(rule: AgreementRule):
-    """Discontinuity locations of a value rule, on the value's own axis.
-
-    Returns None when the tree contains a comparison whose kink structure
-    is unknown; callers then fall back to blind panels.
-    """
-    def of_fn(fn_name, points):
-        if fn_name == "identity":
-            return set(points)
-        if fn_name == "abs_value":
-            return {p for v in points for p in (v, -v)}
-        return None
-
-    if isinstance(rule, (AlwaysTrue, AlwaysFalse)):
-        return set()
-    if isinstance(rule, Threshold):
-        return of_fn(rule.fn.name, [rule.eps])
-    if isinstance(rule, Interval):
-        return of_fn(rule.fn.name, [rule.lo, rule.hi])
-    if isinstance(rule, SoftExponential):
-        return of_fn(rule.fn.name, [rule.eps_prime])
-    if isinstance(rule, InRegion) and not rule.region.labels:
-        return {p for interval in rule.region.intervals for p in interval}
-    if isinstance(rule, Not):
-        return _breakpoints(rule.child)
-    if isinstance(rule, (And, Or)):
-        out = set()
-        for child in rule.children:
-            pts = _breakpoints(child)
-            if pts is None:
-                return None
-            out |= pts
-        return out
-    return None
+# The exact single-value integral, and the frequentist metric on it
 
 
 def _sorted_unique(values) -> np.ndarray:
@@ -279,45 +209,63 @@ _PANEL_Q = _sorted_unique(np.concatenate([_TAIL_Q, np.linspace(0.01, 0.99, 99), 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
+def _value_mass(value: float, dist: Distribution, rule: AgreementRule) -> float:
+    """P(rule accepts value - X) for X ~ ``dist``, which has a cdf.
+
+    The rule reads the value through a one-sided comparison (see
+    :func:`bvm.agreement._value_breakpoints`). For a hard rule with known
+    breakpoints the acceptance set is a union of the gaps between the
+    breakpoints, mapped to the X axis: one batched kernel call at a probe
+    inside each gap classifies them, and the mass is the sum of the
+    accepted gaps' cdf differences, which is exact; the end gaps take the
+    cdf's limits 0 and 1, which hold at an infinite location too. An
+    unbounded end gap is probed max(1, |cut|) beyond its cut, which stays
+    inside the gap at any magnitude. Any other rule is integrated by 20-node Gauss-Legendre
+    on quantile panels graded in the tails, with panel edges pinned at the
+    rule's breakpoints so no kink or acceptance window falls inside a
+    panel; ``dist`` then needs a density and array quantiles, and 2e-13
+    of tail mass is truncated. A hard rule whose breakpoints are unknown
+    may jump inside a panel, which limits the accuracy there.
+    """
+    breaks = _value_breakpoints(rule)
+
+    def weights(x):
+        v = value - x
+        return rule.kernel_many(v, v)
+
+    # value - X is linear in X, so value-axis breakpoints map directly.
+    cuts = _sorted_unique([value - b for b in breaks or () if math.isfinite(b)])
+    if not rule.is_soft and breaks is not None:
+        # One probe per gap; a rule without cuts is constant, probed at 0.
+        reach = np.maximum(1.0, np.abs(cuts))
+        probes = np.concatenate([cuts[:1] - reach[:1], 0.5 * (cuts[:-1] + cuts[1:]), cuts[-1:] + reach[-1:]])
+        if cuts.size == 0:
+            probes = np.zeros(1)
+        mass = np.diff(np.concatenate([[0.0], dist.cdf(cuts), [1.0]]))
+        p = float(weights(probes) @ mass)
+    else:
+        edges = dist.quantile(_PANEL_Q)
+        edges = _sorted_unique(np.concatenate([edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])]]))
+        half = 0.5 * np.diff(edges)
+        x = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+        p = float(np.sum(weights(x) * dist.density(x) * (half[:, None] * _GL_WEIGHTS).ravel()))
+    # A NaN (an infinite location gives inf - inf) stays NaN, and
+    # BvmEstimate refuses it.
+    return float(np.clip(p, 0.0, 1.0))
+
+
 def frequentist(model_mean: float, data: DataSummary, rule: AgreementRule) -> BvmEstimate:
     """Student-t mass of the data mean over the rule's acceptance region.
 
     The rule reads the signed error E = model_mean - mu_y through a value
-    comparison. For a hard rule with known breakpoints the acceptance set
-    is a union of the gaps between the breakpoints (mapped to the mu axis):
-    one batched kernel call at the gap midpoints classifies them, and the
-    mass is the sum of the accepted gaps' Student-t cdf differences, which
-    is exact. Any other rule is integrated by 20-node Gauss-Legendre on
-    quantile panels graded in the tails, with panel edges pinned at the
-    rule's breakpoints so no kink or acceptance window falls inside a
-    panel; 2e-13 of tail mass is truncated. A hard rule whose breakpoints
-    are unknown may jump inside a panel, which limits the accuracy there.
+    comparison, and the data mean mu_y is Student t with n - 1 degrees of
+    freedom around the sample mean, scaled by s / sqrt(n). The mass is
+    :func:`_value_mass`: exact cdf sums for a hard rule with known
+    breakpoints, and quantile-panel quadrature otherwise.
     """
-    _check_value_rule(rule)
     t = StudentT(data.sample_mean, data.dof, data.sample_std / math.sqrt(data.n))
-
-    def weights(mu):
-        v = model_mean - mu
-        return rule.kernel_many(v, v)
-
-    breaks = _breakpoints(rule)
-    # E = model_mean - mu is linear, so value-axis kinks map directly.
-    cuts = _sorted_unique([model_mean - b for b in breaks or () if math.isfinite(b)])
-    if not rule.is_soft and breaks is not None:
-        # One probe per gap; the two unbounded end gaps are probed 1 beyond
-        # the outermost cut; a rule without cuts is constant, probed at 0.
-        probes = np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[:-1] + cuts[1:]), cuts[-1:] + 1.0])
-        if cuts.size == 0:
-            probes = np.zeros(1)
-        mass = np.diff(t.cdf(np.concatenate([[-np.inf], cuts, [np.inf]])))
-        p = float(weights(probes) @ mass)
-    else:
-        edges = t.quantile(_PANEL_Q)
-        edges = _sorted_unique(np.concatenate([edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])]]))
-        half = 0.5 * np.diff(edges)
-        mu = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
-        p = float(np.sum(weights(mu) * t.density(mu) * (half[:, None] * _GL_WEIGHTS).ravel()))
-    return BvmEstimate(p_hat=min(1.0, max(0.0, p)), std_error=0.0, n_samples=0, seed=0, method="closedForm")
+    p = _value_mass(model_mean, t, rule)
+    return BvmEstimate(p_hat=p, std_error=0.0, n_samples=0, seed=0, method="closedForm")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +285,7 @@ def area_metric_validation(
     the indicator is averaged over that many resamples of the data, and
     each chunk of resamples is scored by one :func:`area_metric_many` call.
     """
-    _check_value_rule(rule)
+    _value_breakpoints(rule)
     xm = np.asarray(samples_m, dtype=float)
     xd = np.asarray(samples_d, dtype=float)
     if xm.size == 0 or xd.size == 0:
@@ -362,7 +310,7 @@ def binned_pdf_metric(
 ) -> BvmEstimate:
     """Binned probability-difference acceptance under Dirichlet-uncertain
     data bin probabilities (uniform prior plus observed counts)."""
-    _check_value_rule(rule)
+    _value_breakpoints(rule)
     counts = np.asarray(data_counts, dtype=float)
     if counts.shape != model_pdf.masses.shape:
         raise ValueError("data counts must match the model's bins")
@@ -395,7 +343,7 @@ def divergence_validation(
     a pure function of the generator it is given, and must not keep that
     generator: it is re-keyed for the worker's next chunk.
     """
-    _check_value_rule(rule)
+    _value_breakpoints(rule)
     if sampler is None:
         g = divergence(kind, p_data, p_model)
         return BvmEstimate(p_hat=rule.kernel(g, g), std_error=0.0, n_samples=0, seed=seed, method="closedForm")

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agreement import And, InRegion
-from .config import build_scenario, build_sweep_template
-from .distributions import Normal, StudentT
+from .config import build_scenario, build_sweep_template, distribution_from_config
 from .engine import (
     Scenario,
     averaged_boolean_ratio,
@@ -189,11 +188,12 @@ def sweep_axes():
 
 def _run_power(seed: int, mc_check_samples: int = 100_000) -> StudyReport:
     report = StudyReport(study="ex-5.1", seed=seed)
-    data = StudentT(location=0.0, dof=10.0, scale=1.75)
     products = []
-    for i, std in enumerate(_POWER_MODEL_STDS):
-        model = Normal(0.0, std)
-        res = statistical_power_bvm(model, data, alpha=0.05, alpha_hat=0.05, region_kind="interval")
+    for doc in _power_configs(seed).values():
+        model = distribution_from_config(doc["model"]["distribution"])
+        data = distribution_from_config(doc["data"]["distribution"])
+        metric, std = doc["metric"], model.std
+        res = statistical_power_bvm(model, data, metric["alpha"], metric["alpha_hat"], metric["region"])
         products.append(res.estimate.p_hat)
         report.values[f"power_product_std_{std}"] = res.estimate.p_hat
         report.values[f"power_model_in_data_std_{std}"] = res.power_model_in_data

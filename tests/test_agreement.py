@@ -22,6 +22,7 @@ from bvm import (
     Threshold,
     compose,
 )
+from bvm.agreement import _value_breakpoints
 
 
 class TestBasicKernels:
@@ -43,6 +44,11 @@ class TestBasicKernels:
         rule = SoftExponential("abs_diff", eps_prime, lam)
         f = eps_prime + math.log(2.0) / lam
         assert rule.kernel(f, 0.0) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_soft_exponential_needs_a_positive_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            SoftExponential("abs_diff", 0.1, rate)
 
     def test_soft_continuity_at_tolerance(self):
         rule = SoftExponential("abs_diff", 0.5, 4.0)
@@ -180,6 +186,21 @@ class TestEpsilonBeta:
         EpsilonBeta(1.0, (np.full(4, -1.0), np.full(4, 1.0))).kernel_many(yhat, y)
         assert yhat.tobytes() == before[0].tobytes() and y.tobytes() == before[1].tobytes()
 
+    # Each edge of the compound rule is closed: a path exactly on it passes.
+    def test_mean_error_equal_to_its_tolerance_passes(self):
+        rule = EpsilonBeta(0.5, (np.full(4, -1.0), np.full(4, 1.0)), coverage_lo=0.5, coverage_hi=1.0)
+        assert rule.kernel(np.zeros(4), np.full(4, 0.5)) == 1.0
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_data_on_a_band_edge_is_covered(self, edge):
+        band = (np.full(4, -1.0), np.full(4, 1.0))
+        rule = EpsilonBeta(2.0, band, coverage_lo=1.0, coverage_hi=1.0)
+        assert rule.kernel(np.zeros(4), band[edge]) == 1.0
+
+    def test_coverage_equal_to_its_lower_bound_passes(self):
+        rule = EpsilonBeta(2.0, (np.full(4, -1.0), np.full(4, 1.0)), coverage_lo=0.5, coverage_hi=0.9)
+        assert rule.kernel(np.zeros(4), np.array([0.0, 0.0, 1.5, 1.5])) == 1.0
+
 
 class TestComposition:
     def test_and_or_basics(self):
@@ -216,6 +237,15 @@ class TestComposition:
             compose("not", [t, t])
         with pytest.raises(ValueError):
             compose("xor", [t])
+
+    def test_soft_or_is_the_complement_of_the_product_of_misses(self):
+        class Half(AgreementRule):
+            is_soft = True
+
+            def kernel_many(self, zhat_batch, z_batch):
+                return np.full(len(zhat_batch), 0.5)
+
+        assert Or([Half(), Half()]).kernel(0.0, 0.0) == 0.75
 
     def test_soft_forbidden_under_not(self):
         soft = SoftExponential("abs_diff", 0.1, 1.0)
@@ -280,3 +310,18 @@ def test_infinite_tolerance_is_a_real_bound(name, build):
     # +inf accepts every finite comparison value, so each rule still builds.
     rule = build(INF)
     assert isinstance(rule, AgreementRule)
+
+
+class TestValueBreakpoints:
+    def test_breakpoints_of_a_value_rule_tree(self):
+        rule = And([Threshold("abs_value", 0.5), Not(Interval("identity", 0.0, 2.0)), AlwaysTrue()])
+        assert _value_breakpoints(rule) == {-0.5, 0.5, 0.0, 2.0}
+
+    def test_unknown_rule_gives_none_and_later_children_are_still_checked(self):
+        class Unknown(AgreementRule):
+            def kernel_many(self, zhat_batch, z_batch):
+                return np.ones(len(zhat_batch))
+
+        assert _value_breakpoints(Or([Unknown(), Threshold("identity", 1.0)])) is None
+        with pytest.raises(ValueError, match="compares through 'abs_diff'"):
+            _value_breakpoints(Or([Unknown(), Threshold("abs_diff", 1.0)]))

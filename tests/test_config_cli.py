@@ -668,6 +668,10 @@ class TestSweepCli:
         assert np.count_nonzero(~cells.any(axis=0)) == 4
 
 
+DIRAC_PATH = {"distribution": {"type": "dirac", "value": [0.0, 1.0]}}
+NORMAL = {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}
+
+
 class TestMetricCli:
     def test_subcommands_match_schema_names(self):
         from bvm.cli import build_parser
@@ -754,6 +758,24 @@ class TestMetricCli:
         doc = {"metric": {"name": name, "eps": eps}, "model": model, "data": data}
         assert main([name, "--config", tmp_config(doc)]) == EXIT_CONFIG
         assert "$.metric.eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, metric, model, data, field",
+        [
+            ("reliability", {"eps": 0.5}, DIRAC_PATH, DIRAC_PATH, "$.model"),
+            ("reliability", {"eps": 0.5}, NORMAL, DIRAC_PATH, "$.data"),
+            ("improved_reliability", {"eps": 0.5}, NORMAL, NORMAL, "$.model"),
+            ("power", {"alpha": 0.05, "alpha_hat": 0.05}, DIRAC_PATH, DIRAC_PATH, "$.model"),
+            ("classical", {"alpha": 0.05}, None, DIRAC_PATH, "$.data"),
+        ],
+    )
+    def test_values_of_the_wrong_kind_are_a_config_error(self, tmp_config, capsys, name, metric, model, data, field):
+        doc = {"metric": {"name": name, **metric}, "data": data}
+        if model is not None:
+            doc["model"] = model
+        assert main([name, "--config", tmp_config(doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config field {field}: this metric needs" in err
 
     def test_frequentist_subcommand(self, tmp_config, capsys):
         doc = {

@@ -24,6 +24,7 @@ from bvm import (
     SweepGrid,
     SweepTemplate,
     Threshold,
+    Uniform,
     averaged_boolean_ratio,
     bvm_factor,
     bvm_from_density,
@@ -254,7 +255,7 @@ class TestComparisonDensity:
         assert dens.masses.sum() == pytest.approx(1.0)
         hot = np.flatnonzero(dens.masses)
         assert hot.size == 1
-        lo, hi = dens.bin_edges[hot[0]], dens.bin_edges[hot[0] + 1]
+        lo, hi = dens.edges[hot[0]], dens.edges[hot[0] + 1]
         assert lo <= 1.5 <= hi
 
     def test_identity_statistic_recovers_model_density(self):
@@ -263,7 +264,7 @@ class TestComparisonDensity:
         from scipy.stats import norm
 
         cdf_emp = np.cumsum(dens.masses)
-        cdf_true = norm.cdf(dens.bin_edges[1:])
+        cdf_true = norm.cdf(dens.edges[1:])
         assert np.max(np.abs(cdf_emp - cdf_true)) < 0.02
 
     def test_masses_always_sum_to_one(self):
@@ -276,6 +277,17 @@ class TestComparisonDensity:
         sc = Scenario(Normal(0, 1), Normal(0, 1), AlwaysTrue())
         with pytest.raises(EstimationError):
             comparison_density(sc, "abs_diff", 10, 16, 0)
+
+    def test_as_many_samples_as_bins_is_enough(self):
+        sc = Scenario(Normal(0, 1), Normal(0, 1), AlwaysTrue())
+        dens = comparison_density(sc, "abs_diff", 16, 16, 0)
+        assert dens.masses.size == 16 and dens.masses.sum() == pytest.approx(1.0)
+
+    def test_spread_of_fewer_ulps_than_bins_is_refused(self):
+        # Values 1 to 1 + 4 ulps cannot hold 16 bins of distinct edges.
+        sc = Scenario(Uniform(1.0, 1.0 + 4 * np.spacing(1.0)), DiracDelta(0.0), AlwaysTrue())
+        with pytest.raises(EstimationError, match=r"span \[1\.0, 1\.00000000000000.*no 16 distinct"):
+            comparison_density(sc, "identity", 1000, 16, 0)
 
 
 class TestBvmFromDensity:
@@ -294,7 +306,7 @@ class TestBvmFromDensity:
         direct = estimate_bvm_mc(Scenario(model, data, Threshold("abs_diff", eps)), k, seed)
         dens = comparison_density(Scenario(model, data, AlwaysTrue()), "abs_diff", k, bins, seed)
         via_density = bvm_from_density(dens, Threshold("identity", eps))
-        idx = np.searchsorted(dens.bin_edges, eps) - 1
+        idx = np.searchsorted(dens.edges, eps) - 1
         boundary_mass = dens.masses[max(idx, 0)]
         assert abs(via_density - direct.p_hat) <= boundary_mass + 1e-12
 
@@ -314,6 +326,11 @@ class TestRatios:
         assert bvm_ratio(bvm_factor(0.0, 0.0), 1.0, 2.0).status == "indeterminate"
         with pytest.raises(ValueError):
             bvm_ratio(k, 0.0, 1.0)
+
+    @pytest.mark.parametrize("prior, prior_other", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_ratio_refuses_a_prior_of_zero_by_name(self, prior, prior_other):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bvm_ratio(bvm_factor(0.5, 0.25), prior, prior_other)
 
     @pytest.mark.parametrize("prior, prior_other", [(1e308, 1e-308), (1e-320, 1e300)])
     def test_ratio_beyond_the_float_range_keeps_an_exact_log(self, prior, prior_other):

@@ -30,10 +30,12 @@ from bvm import (
     Or,
     Scenario,
     SetMembership,
+    ShiftedExponential,
     SoftExponential,
     StudentT,
     Threshold,
     Uniform,
+    bvm_from_density,
     bvm_ratio,
     estimate_bvm_mc,
     polynomial_model,
@@ -269,10 +271,135 @@ class TestFrequentist:
         assert frequentist(model_mean, data, Logistic()).p_hat == pytest.approx(oracle, abs=1e-9)
 
 
+class TestExactBits:
+    """The exact routes of reliability and frequentist, pinned to the last
+    ulp: every pair of seven scalar inputs at six tolerances (the pairs
+    without a closed form run Monte Carlo at k = 4000), and seven rules at
+    four model means. Each value is the ``p_hat.hex()`` of one call."""
+
+    DISTS = {
+        "normal": Normal(0.3, 1.2),
+        "normal2": Normal(-2.0, 0.5),
+        "point": DiracDelta(0.1),
+        "point2": DiracDelta(-0.7),
+        "t": StudentT(-0.2, 4.0, 0.7),
+        "uniform": Uniform(-1.0, 2.0),
+        "shifted_exp": ShiftedExponential(1.5, -0.3),
+    }
+    EPS = (0.0, 0.05, 0.4, 1.0, 3.0, math.inf)
+    # "model/data": the hex at each EPS.
+    RELIABILITY = {
+        "normal/normal": "0x0.0p+0 0x1.81190356b8b40p-6 0x1.7d9de0b6b7e38p-3 0x1.c6f941700ea44p-2 0x1.d8865d98abe02p-1 0x1.0000000000000p+0",
+        "normal/normal2": "0x0.0p+0 0x1.a4b163e030070p-8 0x1.b26afe8d8f2dep-5 0x1.39864ea4ce897p-3 0x1.68e1d4d4159cap-1 0x1.0000000000000p+0",
+        "normal/point": "0x0.0p+0 0x1.0c833c6fdf3c8p-5 0x1.07d46e18af6f2p-2 0x1.2d7e09638e32bp-1 0x1.f9036dfa8afabp-1 0x1.0000000000000p+0",
+        "normal/point2": "0x0.0p+0 0x1.80dea0f3b6ca0p-6 0x1.7eb3185393992p-3 0x1.cf100bbfb21dcp-2 0x1.e74fc8ffa652dp-1 0x1.0000000000000p+0",
+        "normal/t": "0x0.0p+0 0x1.d2f1a9fbe76c9p-6 0x1.a0c49ba5e353fp-3 0x1.f6c8b43958106p-2 0x1.e24dd2f1a9fbep-1 0x1.0000000000000p+0",
+        "normal/uniform": "0x0.0p+0 0x1.ae147ae147ae1p-6 0x1.a2d0e56041893p-3 0x1.f47ae147ae148p-2 0x1.e978d4fdf3b64p-1 0x1.0000000000000p+0",
+        "normal/shifted_exp": "0x0.0p+0 0x1.f3b645a1cac08p-6 0x1.fd70a3d70a3d7p-3 0x1.1b4395810624ep-1 0x1.f020c49ba5e35p-1 0x1.0000000000000p+0",
+        "normal2/normal": "0x0.0p+0 0x1.a4b163e030000p-8 0x1.b26afe8d8f2e0p-5 0x1.39864ea4ce898p-3 0x1.68e1d4d4159cap-1 0x1.0000000000000p+0",
+        "normal2/normal2": "0x0.0p+0 0x1.cdcc9b21919c0p-5 0x1.b6ac7c4b20a04p-2 0x1.af767a741088ap-1 0x1.fffd1ac4135fap-1 0x1.0000000000000p+0",
+        "normal2/point": "0x0.0p+0 0x1.9699675f10000p-17 0x1.60fed049d0000p-12 0x1.c79691946d800p-7 0x1.ed9a8a8cf3459p-1 0x1.0000000000000p+0",
+        "normal2/point2": "0x0.0p+0 0x1.677d74c94d000p-9 0x1.2394bfab20760p-5 0x1.18d5416a8e124p-2 0x1.ffd3d687a54cfp-1 0x1.0000000000000p+0",
+        "normal2/t": "0x0.0p+0 0x1.cac083126e979p-8 0x1.c083126e978d5p-5 0x1.8395810624dd3p-3 0x1.c53f7ced91687p-1 0x1.0000000000000p+0",
+        "normal2/uniform": "0x0.0p+0 0x1.0624dd2f1a9fcp-11 0x1.26e978d4fdf3bp-7 0x1.0d4fdf3b645a2p-4 0x1.4d0e560418937p-1 0x1.0000000000000p+0",
+        "normal2/shifted_exp": "0x0.0p+0 0x0.0p+0 0x1.0624dd2f1a9fcp-11 0x1.3333333333333p-6 0x1.9b851eb851eb8p-1 0x1.0000000000000p+0",
+        "point/normal": "0x0.0p+0 0x1.0c833c6fdf3c0p-5 0x1.07d46e18af6f2p-2 0x1.2d7e09638e32cp-1 0x1.f9036dfa8afabp-1 0x1.0000000000000p+0",
+        "point/normal2": "0x0.0p+0 0x1.9699675f19f1fp-17 0x1.60fed049d04f9p-12 0x1.c79691946d816p-7 0x1.ed9a8a8cf3459p-1 0x1.0000000000000p+0",
+        "point/point": "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "point/point2": "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "point/t": "0x0.0p+0 0x1.87fcfc7c68b70p-5 0x1.7730173df9779p-2 0x1.7d3f43c2ff2d6p-1 0x1.f8fc306967504p-1 0x1.0000000000000p+0",
+        "point/uniform": "0x0.0p+0 0x1.1111111111108p-5 0x1.1111111111112p-2 0x1.5555555555556p-1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "point/shifted_exp": "0x0.0p+0 0x1.51818e0abc608p-4 0x1.65c9df4c2f692p-1 0x1.c14d641aefdbap-1 0x1.fce0e321c7397p-1 0x1.0000000000000p+0",
+        "point2/normal": "0x0.0p+0 0x1.80dea0f3b6ca0p-6 0x1.7eb3185393994p-3 0x1.cf100bbfb21dcp-2 0x1.e74fc8ffa652dp-1 0x1.0000000000000p+0",
+        "point2/normal2": "0x0.0p+0 0x1.677d74c94cf57p-9 0x1.2394bfab2075fp-5 0x1.18d5416a8e124p-2 0x1.ffd3d687a54cfp-1 0x1.0000000000000p+0",
+        "point2/point": "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "point2/point2": "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "point2/t": "0x0.0p+0 0x1.4502a3fb83178p-5 0x1.40322cdae507dp-2 0x1.62ff78e627a23p-1 0x1.f81b1c6c2562fp-1 0x1.0000000000000p+0",
+        "point2/uniform": "0x0.0p+0 0x1.1111111111116p-5 0x1.ddddddddddddfp-3 0x1.bbbbbbbbbbbbcp-2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "point2/shifted_exp": "0x0.0p+0 0x0.0p+0 0x1.0000000000000p-53 0x1.2fd619ffbc8f2p-1 0x1.f5a2da28a9da1p-1 0x1.0000000000000p+0",
+        "t/normal": "0x0.0p+0 0x1.645a1cac08312p-6 0x1.947ae147ae148p-3 0x1.de76c8b439581p-2 0x1.ddf3b645a1cacp-1 0x1.0000000000000p+0",
+        "t/normal2": "0x0.0p+0 0x1.0e5604189374cp-7 0x1.072b020c49ba6p-4 0x1.94fdf3b645a1dp-3 0x1.cae147ae147aep-1 0x1.0000000000000p+0",
+        "t/point": "0x0.0p+0 0x1.87fcfc7c68b70p-5 0x1.7730173df9779p-2 0x1.7d3f43c2ff2d6p-1 0x1.f8fc306967504p-1 0x1.0000000000000p+0",
+        "t/point2": "0x0.0p+0 0x1.4502a3fb83178p-5 0x1.40322cdae507dp-2 0x1.62ff78e627a23p-1 0x1.f81b1c6c2562fp-1 0x1.0000000000000p+0",
+        "t/t": "0x0.0p+0 0x1.126e978d4fdf4p-5 0x1.0f1a9fbe76c8bp-2 0x1.2b22d0e560419p-1 0x1.ec6a7ef9db22dp-1 0x1.0000000000000p+0",
+        "t/uniform": "0x0.0p+0 0x1.a9fbe76c8b439p-6 0x1.b0a3d70a3d70ap-3 0x1.fe76c8b439581p-2 0x1.eba5e353f7ceep-1 0x1.0000000000000p+0",
+        "t/shifted_exp": "0x0.0p+0 0x1.70a3d70a3d70ap-5 0x1.26e978d4fdf3bp-2 0x1.370a3d70a3d71p-1 0x1.eb020c49ba5e3p-1 0x1.0000000000000p+0",
+        "uniform/normal": "0x0.0p+0 0x1.ae147ae147ae1p-6 0x1.8ac083126e979p-3 0x1.e10624dd2f1aap-2 0x1.e916872b020c5p-1 0x1.0000000000000p+0",
+        "uniform/normal2": "0x0.0p+0 0x1.89374bc6a7efap-11 0x1.4fdf3b645a1cbp-7 0x1.26e978d4fdf3bp-4 0x1.4c28f5c28f5c3p-1 0x1.0000000000000p+0",
+        "uniform/point": "0x0.0p+0 0x1.1111111111108p-5 0x1.1111111111112p-2 0x1.5555555555556p-1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "uniform/point2": "0x0.0p+0 0x1.1111111111116p-5 0x1.ddddddddddddfp-3 0x1.bbbbbbbbbbbbcp-2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "uniform/t": "0x0.0p+0 0x1.e353f7ced9168p-6 0x1.bb645a1cac083p-3 0x1.004189374bc6ap-1 0x1.ea3d70a3d70a4p-1 0x1.0000000000000p+0",
+        "uniform/uniform": "0x0.0p+0 0x1.126e978d4fdf4p-5 0x1.e6e978d4fdf3bp-3 0x1.1b851eb851eb8p-1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "uniform/shifted_exp": "0x0.0p+0 0x1.e76c8b4395810p-6 0x1.f7ced916872b0p-3 0x1.3c8b439581062p-1 0x1.fbc6a7ef9db23p-1 0x1.0000000000000p+0",
+        "shifted_exp/normal": "0x0.0p+0 0x1.126e978d4fdf4p-5 0x1.d47ae147ae148p-3 0x1.0ced916872b02p-1 0x1.edd2f1a9fbe77p-1 0x1.0000000000000p+0",
+        "shifted_exp/normal2": "0x0.0p+0 0x1.0624dd2f1a9fcp-12 0x1.0624dd2f1a9fcp-11 0x1.6c8b439581062p-6 0x1.999999999999ap-1 0x1.0000000000000p+0",
+        "shifted_exp/point": "0x0.0p+0 0x1.51818e0abc608p-4 0x1.65c9df4c2f692p-1 0x1.c14d641aefdbap-1 0x1.fce0e321c7397p-1 0x1.0000000000000p+0",
+        "shifted_exp/point2": "0x0.0p+0 0x0.0p+0 0x1.0000000000000p-53 0x1.2fd619ffbc8f2p-1 0x1.f5a2da28a9da1p-1 0x1.0000000000000p+0",
+        "shifted_exp/t": "0x0.0p+0 0x1.374bc6a7ef9dbp-5 0x1.2ac083126e979p-2 0x1.3b4395810624ep-1 0x1.ec083126e978dp-1 0x1.0000000000000p+0",
+        "shifted_exp/uniform": "0x0.0p+0 0x1.df3b645a1cac1p-6 0x1.0b020c49ba5e3p-2 0x1.3d916872b020cp-1 0x1.fdd2f1a9fbe77p-1 0x1.0000000000000p+0",
+        "shifted_exp/shifted_exp": "0x0.0p+0 0x1.fbe76c8b43958p-5 0x1.bae147ae147aep-2 0x1.84fdf3b645a1dp-1 0x1.f978d4fdf3b64p-1 0x1.0000000000000p+0",
+    }
+    RULES = {
+        "abs_value": Threshold("abs_value", 0.3),
+        "identity": Threshold("identity", 0.2),
+        "interval": Interval("identity", -0.4, 0.1),
+        "not": Not(Threshold("abs_value", 0.5)),
+        "or": Or([Interval("identity", -0.6, -0.4), Interval("identity", 0.3, 0.45)]),
+        "and-region": And(
+            [InRegion(ConfidenceRegion("set", 0.9, intervals=((-0.2, 0.1), (0.4, 0.7)))), Threshold("abs_value", 0.6)]
+        ),
+        "soft": SoftExponential("abs_value", 0.2, 3.0),
+    }
+    MEANS = (-1.0, 0.0, 0.35, 2.5)
+    # rule: the hex at each model mean, against DataSummary(0.2, 0.9, 12).
+    FREQUENTIST = {
+        "abs_value": "0x1.52de430f25f08p-9 0x1.36398a50e8ce7p-1 0x1.5041649f6ab16p-1 0x1.22c95e1800000p-18",
+        "identity": "0x1.fff18d7cf1bfdp-1 0x1.d91c21ed39b36p-1 0x1.262ba40fa2418p-1 0x1.8d6214cc40000p-19",
+        "interval": "0x1.4a7ff6c7078cfp-8 0x1.450a34ebaedd0p-1 0x1.9606e4aea03f4p-2 0x1.b93ba2d080000p-20",
+        "not": "0x1.faab1e99253b3p-1 0x1.2c985481a5225p-3 0x1.e02071fde7e76p-4 0x1.fffe6388b78d9p-1",
+        "or": "0x1.faaf980dbbcf0p-7 0x1.6d682272cc1dep-3 0x1.62075ea02022ap-3 0x1.5877e5a920000p-18",
+        "and-region": "0x1.340d94b033e32p-10 0x1.842f6d4f93f4bp-2 0x1.c857f4da959b2p-2 0x1.eafc97bbc0000p-17",
+        "soft": "0x1.294e699a79454p-4 0x1.875103525cae0p-1 0x1.978e662abb0f7p-1 0x1.6518491f1835bp-9",
+    }
+
+    @pytest.mark.parametrize("pair", RELIABILITY)
+    def test_reliability(self, pair):
+        model, data = (self.DISTS[name] for name in pair.split("/"))
+        bits = [reliability(model, data, eps, k=4_000, seed=9).p_hat.hex() for eps in self.EPS]
+        assert " ".join(bits) == self.RELIABILITY[pair]
+
+    @pytest.mark.parametrize("rule", FREQUENTIST)
+    def test_frequentist(self, rule):
+        bits = [frequentist(m, DataSummary(0.2, 0.9, 12), self.RULES[rule]).p_hat.hex() for m in self.MEANS]
+        assert " ".join(bits) == self.FREQUENTIST[rule]
+
+    def test_end_gaps_are_probed_inside_at_any_magnitude(self):
+        # At 1e16 a step of 1.0 rounds back onto the cut, so a probe there
+        # reads the rule at the cut itself; the true masses are 1/2 and 0.
+        assert frequentist(1e16, DataSummary(1e16, 1e3, 10), Threshold("identity", 0.0)).p_hat == 0.5
+        assert reliability(DiracDelta(1e16), StudentT(1e16, 9, 1e3), 0.5).p_hat == 0.0
+
+    def test_an_infinite_location_keeps_the_cdf_limits(self):
+        # The means differ by more than the float range: X ~ N(inf, sqrt 2).
+        far = Normal(1e308, 1.0), Normal(-1e308, 1.0)
+        assert reliability(*far, 0.5).p_hat == 0.0
+        assert reliability(*far, math.inf).p_hat == 1.0
+        assert frequentist(0.0, DataSummary(math.inf, 1.0, 10), AlwaysTrue()).p_hat == 1.0
+
+
+class Smooth(AgreementRule):
+    """A soft value rule whose breakpoints the metrics cannot know."""
+
+    is_soft = True
+
+    def kernel_many(self, zhat_batch, z_batch):
+        return special.expit((0.3 - np.abs(np.asarray(zhat_batch, dtype=float))) / 0.05)
+
+
 class TestSingleValueRules:
-    """The four metrics that score one value v as ``kernel(v, v)`` refuse a
-    rule that compares the two sides or reads paths or labels: it would
-    compare v with itself."""
+    """The metrics that score one value v as ``kernel(v, v)``, and
+    :func:`bvm_from_density`, refuse a rule that compares the two sides or
+    reads paths or labels: it would compare v with itself."""
 
     PDF = BinnedPdf([0.0, 0.5, 1.0], [1.0, 0.0])
     METRICS = {
@@ -281,6 +408,7 @@ class TestSingleValueRules:
         "area-bootstrap": lambda rule: area_metric_validation([0.0, 1.0], [10.0, 11.0], rule, bootstrap=10),
         "binned_pdf": lambda rule: binned_pdf_metric(TestSingleValueRules.PDF, [0, 5], rule, r=10),
         "divergence": lambda rule: divergence_validation(TestSingleValueRules.PDF, TestSingleValueRules.PDF, "js", rule),
+        "density": lambda rule: bvm_from_density(TestSingleValueRules.PDF, rule),
     }
 
     @pytest.mark.parametrize("metric", METRICS)
@@ -291,6 +419,7 @@ class TestSingleValueRules:
             (Interval("sq_diff", 0.0, 1.0), "Interval compares through 'sq_diff'"),
             (SoftExponential("abs_diff", 0.1, 2.0), "SoftExponential compares through 'abs_diff'"),
             (And([Threshold("identity", 1.0), Not(Threshold("abs_diff", 0.5))]), "Threshold compares"),
+            (Or([Smooth(), Threshold("abs_diff", 0.5)]), "Threshold compares"),
             (Or([AlwaysFalse(), GammaEpsilon(0.9, 0.1)]), "GammaEpsilon"),
             (EpsilonBeta(0.5, ([0.0], [1.0])), "EpsilonBeta"),
             (SetMembership({"a": ("b",)}), "SetMembership"),
@@ -303,7 +432,8 @@ class TestSingleValueRules:
     @pytest.mark.parametrize("metric", METRICS)
     def test_value_rules_pass(self, metric):
         rule = And([Threshold("abs_value", 1e9), Not(Interval("identity", 1e9, 2e9)), AlwaysTrue()])
-        assert self.METRICS[metric](rule).p_hat == pytest.approx(1.0, abs=1e-9)
+        result = self.METRICS[metric](rule)
+        assert getattr(result, "p_hat", result) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAreaValidation:
