@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .models import OSCILLATOR_TILE
+
 __all__ = [
     "Ecdf",
     "BinnedPdf",
@@ -54,16 +56,49 @@ def _check_paths(yhat, y):
     return yhat, y
 
 
-def mean_abs_error(yhat, y):
-    """(1/N) * sum_i |yhat_i - y_i| along the last axis."""
+def _reduce_abs_error(reduce, yhat, y, *more):
+    """``reduce(|yhat - y|, *more)`` of paths stacked along axis 0, one
+    value per path: the reduction of the broadcast paths along the last
+    axis, taken over row tiles of ``OSCILLATOR_TILE`` points with one
+    reused tile buffer, so no chunk-sized error array is formed. *more*
+    are further operands (a tolerance) that broadcast like the paths.
+
+    Each tile is C-contiguous and each row is reduced on its own, so a
+    row's value depends neither on the tiling nor on the batch size nor
+    on the operands' memory order: it is the one-pass
+    ``reduce(np.abs(yhat - y), *more)`` of C-ordered paths, bit for bit.
+    Operands that broadcast to anything but a 2-D batch (1-D pairs, which
+    give numpy scalars, or 3-D stacks) take that one pass.
+    """
     yhat, y = _check_paths(yhat, y)
-    err = yhat - y
-    return np.mean(np.abs(err, out=err), axis=-1)
+    shape = np.broadcast_shapes(yhat.shape, y.shape, *(np.shape(a) for a in more))
+    if len(shape) != 2:
+        err = yhat - y
+        return reduce(np.abs(err, out=err), *more)
+    k, n = shape
+    rows = max(1, OSCILLATOR_TILE // max(n, 1))
+    out = np.empty(k)
+    tile = np.empty((min(rows, k), n))
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        # An operand of one row (or a 1-D one) serves every tile whole.
+        yh, yv, *extra = (a[start:stop] if np.ndim(a) == 2 and len(a) > 1 else a for a in (yhat, y, *more))
+        err = tile[: stop - start]
+        np.subtract(yh, yv, out=err)
+        out[start:stop] = reduce(np.abs(err, out=err), *extra)
+    return out
+
+
+def mean_abs_error(yhat, y):
+    """(1/N) * sum_i |yhat_i - y_i| along the last axis, in row tiles
+    (see :func:`_reduce_abs_error`)."""
+    return _reduce_abs_error(lambda err: np.mean(err, axis=-1), yhat, y)
 
 
 def max_abs_error(yhat, y):
-    yhat, y = _check_paths(yhat, y)
-    return np.max(np.abs(yhat - y), axis=-1)
+    """max_i |yhat_i - y_i| along the last axis, in row tiles (see
+    :func:`_reduce_abs_error`); NaN where a path holds a NaN."""
+    return _reduce_abs_error(lambda err: np.max(err, axis=-1), yhat, y)
 
 
 def per_point_abs_error(yhat, y):
@@ -72,9 +107,9 @@ def per_point_abs_error(yhat, y):
 
 
 def fraction_within(yhat, y, eps):
-    """Fraction of points with |yhat_i - y_i| <= eps (scalar or per-point)."""
-    yhat, y = _check_paths(yhat, y)
-    return np.mean(np.abs(yhat - y) <= eps, axis=-1)
+    """Fraction of points with |yhat_i - y_i| <= eps (scalar or per-point),
+    in row tiles (see :func:`_reduce_abs_error`)."""
+    return _reduce_abs_error(lambda err, eps: np.mean(err <= eps, axis=-1), yhat, y, eps)
 
 
 def coverage_fraction(y, band) -> float:
@@ -331,6 +366,8 @@ _register(ComparisonFn("abs_value", _abs_value, _abs_value))
 def make_binned_prob_diff_fn(bins: int) -> ComparisonFn:
     """Comparison on raw sample paths: bin both over their pooled range, then
     sum the absolute mass differences; a batch does this row pair by row pair."""
+    if bins < 1:
+        raise ValueError(f"binned_prob_diff needs at least one bin, not {bins}")
 
     def pair(zh, zv):
         zh = np.asarray(zh, dtype=float)
@@ -344,6 +381,8 @@ def make_binned_prob_diff_fn(bins: int) -> ComparisonFn:
         return binned_prob_diff(p, q)
 
     def batch(zh, zv):
+        if len(zh) != len(zv):
+            raise ValueError(f"batch row counts differ: {len(zh)} vs {len(zv)}")
         return np.array([pair(a, b) for a, b in zip(zh, zv)], dtype=float)
 
     return ComparisonFn(f"binned_prob_diff_{bins}", pair, batch)

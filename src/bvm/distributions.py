@@ -398,7 +398,12 @@ class Empirical(Distribution):
 
 @dataclass(frozen=True)
 class IndependentProduct(Distribution):
-    """Vector of independent scalar components, sampled jointly per draw."""
+    """Vector of independent scalar components, sampled jointly per draw.
+
+    A draw of m vectors calls each component's ``_draw`` once, in component
+    order, and writes it into its column of one C-contiguous ``(m, d)``
+    float64 array, so a draw holds that array and one component's values.
+    """
 
     components: tuple
 
@@ -412,7 +417,10 @@ class IndependentProduct(Distribution):
         object.__setattr__(self, "components", components)
 
     def _draw(self, rng, m):
-        return np.column_stack([c._draw(rng, m) for c in self.components])
+        out = np.empty((m, len(self.components)))
+        for j, c in enumerate(self.components):
+            out[:, j] = c._draw(rng, m)
+        return out
 
     def density(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -447,10 +455,12 @@ class PushForward(Distribution):
     A certain model - a prior that is a :class:`DiracDelta`, or an
     :class:`IndependentProduct` of them - draws no random numbers, so every
     chunk of every stream is the same ``CHUNK_SIZE`` rows. That chunk is
-    evaluated once, on first use, and kept (:meth:`certain_chunk`); each
-    draw returns a copy of it. Its rows are not always bit-equal to each
-    other or to a one-row evaluation (a BLAS matrix product may round them
-    differently), so the whole chunk is kept, not one path.
+    evaluated once, on first use (:meth:`certain_chunk`); each draw returns
+    a writable copy of it. When all its rows are bitwise equal, as the
+    oscillator's are, only its first row is kept. They are not always equal
+    to each other or to a one-row evaluation (a BLAS matrix product may
+    round them differently, as it does for a 193-point polynomial), and
+    then the whole chunk is kept.
     """
 
     prior: Distribution
@@ -481,13 +491,17 @@ class PushForward(Distribution):
 
     def certain_chunk(self) -> np.ndarray | None:
         """The one full chunk of paths of a certain model, read-only, or
-        None when some prior component is not a point mass."""
+        None when some prior component is not a point mass. When its rows
+        are bitwise equal it is a broadcast view of the one kept row."""
         if not self._certain:
             return None
         if self._kept is None:
             with _CERTAIN_LOCK:
                 if self._kept is None:
                     kept = self._evaluate(None, CHUNK_SIZE)  # point masses ignore the generator
+                    bits = kept.view(np.uint64)  # unlike ==, tells -0.0 from +0.0 and NaN payloads apart
+                    if (bits == bits[0]).all():
+                        kept = np.broadcast_to(kept[0].copy(), kept.shape)
                     kept.flags.writeable = False
                     object.__setattr__(self, "_kept", kept)
         return self._kept

@@ -145,7 +145,8 @@ def reliability(
     'abs_value' threshold. Two certain inputs give the indicator
     ``|difference| <= eps``. Anything else is Monte Carlo. A NaN or
     negative eps raises ValueError, as it does in
-    :func:`improved_reliability`.
+    :func:`improved_reliability`, and so do two infinite means of one sign,
+    whose difference is undefined.
     """
     _nonnegative_eps(eps)
     if model_dist.kind != "scalar" or data_dist.kind != "scalar":
@@ -154,6 +155,8 @@ def reliability(
     nm, nd = _normal_like(model_dist), _normal_like(data_dist)
     if nm is not None and nd is not None:
         mu = nm[0] - nd[0]
+        if math.isnan(mu):
+            raise ValueError(f"the model mean {nm[0]} and the data mean {nd[0]} have no defined difference")
         sd = math.hypot(nm[1], nd[1])
         if sd == 0.0:
             p = 1.0 if abs(mu) <= eps else 0.0

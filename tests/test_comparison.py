@@ -344,3 +344,10 @@ class TestRegistry:
         assert fn.pair(a, a) == 0.0
         b = rng.normal(3.0, 1.0, size=200)
         assert 0.0 < fn.pair(a, b) <= 2.0
+
+    def test_binned_prob_diff_fn_checks_its_inputs(self):
+        with pytest.raises(ValueError, match="at least one bin"):
+            get_comparison_fn("binned_prob_diff", bins=0)
+        fn = get_comparison_fn("binned_prob_diff", bins=8)
+        with pytest.raises(ValueError, match="row counts differ: 3 vs 2"):
+            fn.batch(np.zeros((3, 5)), np.zeros((2, 5)))

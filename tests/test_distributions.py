@@ -24,11 +24,13 @@ from bvm import (
     Uniform,
     confidence_interval,
     confidence_set,
+    damped_oscillator_model,
     polynomial_model,
     probability_in_region,
     push_forward,
 )
 from bvm.rng import CHUNK_SIZE, map_chunks
+from bvm.studies import _OSC_PARAMS, _TAYLOR
 
 
 def all_variants():
@@ -218,6 +220,27 @@ class TestPushForward:
         first[:] = np.nan
         assert np.isfinite(pf.draw_chunk(0, 0, 1, 2)).all()
         assert np.isfinite(pf.sample(0, 5)).all()
+
+    @pytest.mark.parametrize(
+        "model, params, grid, one_row",
+        [
+            (damped_oscillator_model(), _OSC_PARAMS, InputGrid.linspace(0.0, 1.0, 100), True),
+            # BLAS rounds some rows of this product differently.
+            (polynomial_model([0, 2, 4, 6]), _TAYLOR[:4], InputGrid.linspace(0.0, float(np.pi), 193), False),
+            # Rows equal under == but not bitwise: -0.0 against +0.0; NaNs of either sign.
+            (ModelFunction("signed-zero", ("c",), lambda t, x: np.where(np.arange(len(t))[:, None] % 2, -0.0, 0.0) * x), [1.0], InputGrid([1.0, 2.0]), False),
+            (ModelFunction("nan-payload", ("c",), lambda t, x: np.where(np.arange(len(t))[:, None] % 2, np.nan, -np.nan) + x), [1.0], InputGrid([1.0]), False),
+        ],
+    )
+    def test_a_certain_chunk_keeps_one_row_only_when_all_rows_share_its_bits(self, model, params, grid, one_row):
+        pf = push_forward(IndependentProduct([DiracDelta(p) for p in params]), model, grid)
+        full = model.evaluate(np.tile(params, (CHUNK_SIZE, 1)), grid)
+        kept = pf.certain_chunk()
+        assert kept.shape == full.shape and not kept.flags.writeable
+        assert (kept.strides[0] == 0) == one_row
+        assert kept.tobytes() == full.tobytes()
+        draw = pf.draw_chunk(0, 0, 0, CHUNK_SIZE)
+        assert draw.flags.writeable and draw.flags.c_contiguous and draw.tobytes() == full.tobytes()
 
     def test_only_point_mass_priors_are_certain(self):
         grid = InputGrid.linspace(0, 1, 3)

@@ -20,6 +20,7 @@ from bvm import (
     BinnedPdf,
     Categorical,
     DiracDelta,
+    Empirical,
     IndependentProduct,
     InputGrid,
     Interval,
@@ -29,11 +30,17 @@ from bvm import (
     PushForward,
     Scenario,
     SetMembership,
+    ShiftedExponential,
     SoftExponential,
+    StudentT,
     Threshold,
+    Uniform,
     comparison_density,
     damped_oscillator_model,
     estimate_bvm_mc,
+    fraction_within,
+    max_abs_error,
+    mean_abs_error,
     polynomial_model,
     sweep,
 )
@@ -253,6 +260,17 @@ def test_golden_bits(case, threads, monkeypatch):
 # pointers).
 OSC_MODEL = distribution_from_config({"type": "push_forward", **builtin_configs(0)["oscillator-uncertain-compound"]["model"]})
 OSC_PRIOR = IndependentProduct([Normal(p, s) for p, s in zip(_OSC_PARAMS, _OSC_SIGMAS)])
+MIXED_PRODUCT = IndependentProduct(
+    [
+        Normal(0.3, 1.1),
+        StudentT(-0.5, 4.0, 0.8),
+        Uniform(-1.0, 2.0),
+        ShiftedExponential(1.5, 0.2),
+        DiracDelta(0.7),
+        Categorical([1.0, 2.5, -3.0], [0.2, 0.5, 0.3]),
+        Empirical(XM),
+    ]
+)
 
 
 def _sha(*arrays):
@@ -267,6 +285,14 @@ def _band(n, level, model=OSC_MODEL):
     return _sha(*rule_from_config(doc, model).band)
 
 
+def _path_error(fn, data):
+    """A path error of one uncertain oscillator chunk against the 1-D
+    data path or against another chunk."""
+    yhat = OSC_MODEL.draw_chunk(48, 0, 0, 4_096)
+    y = OSC_Y if data == "path" else OSC_MODEL.draw_chunk(49, 1, 0, 4_096)
+    return fn(yhat, y, 0.5) if fn is fraction_within else fn(yhat, y)
+
+
 BYTES_CASES = {
     **{f"band-{n}-{level}": (lambda n=n, level=level: _band(n, level)) for n in (100, 4_097, 20_000) for level in (0.95, 0.5)},
     # A certain path given as a ``dirac`` model, recorded when its band was
@@ -278,6 +304,19 @@ BYTES_CASES = {
     "sample-categorical-labels": lambda: _sha(LABELS_M.sample(44, 4_097)),
     "oscillator-evaluate-chunk": lambda: _sha(damped_oscillator_model().evaluate(OSC_PRIOR.sample(45, 4_096), InputGrid(OSC_X))),
     "oscillator-evaluate-single": lambda: _sha(damped_oscillator_model().evaluate(np.asarray(_OSC_PARAMS), InputGrid(OSC_X))),
+    # Recorded when a product stacked its component draws with
+    # ``np.column_stack``, a certain model handed out copies of its whole
+    # kept chunk, and the path errors took |yhat - y| of a whole chunk.
+    **{f"draw-chunk-mixed-product-{c}": (lambda c=c: _sha(MIXED_PRODUCT.draw_chunk(46, 2, c, 4_096))) for c in (0, 1)},
+    "draw-chunk-certain-oscillator-257": lambda: _sha(
+        PushForward(IndependentProduct([DiracDelta(p) for p in _OSC_PARAMS]), damped_oscillator_model(), InputGrid.linspace(0.0, 1.0, 257))
+        .draw_chunk(47, 0, 1, 4_096)
+    ),
+    **{
+        f"{fn.__name__}-chunk-{data}": (lambda fn=fn, data=data: _sha(_path_error(fn, data)))
+        for fn in (mean_abs_error, max_abs_error, fraction_within)
+        for data in ("path", "chunk")
+    },
 }
 
 BYTES_GOLDEN = {
@@ -289,6 +328,15 @@ BYTES_GOLDEN = {
     "band-4097-0.95": "b8b1d9801fc5be4e51f61d8cbcba0935b0b5611619a91818b9111eae19b6416a",
     "band-dirac-path-0.5": "21c4a541af30c94c22c43a18fd9defc9862b96094ad6b567fc38e3ae417dec7c",
     "band-dirac-path-0.95": "21c4a541af30c94c22c43a18fd9defc9862b96094ad6b567fc38e3ae417dec7c",
+    "draw-chunk-certain-oscillator-257": "4482daa4961ecf943f4349a907aa687193a42ff08dbc2f1c517b629fae5babc7",
+    "draw-chunk-mixed-product-0": "fa706d593dd45745449bb97fee7a7aa595c5e83ceb9a5411cb9ca581471ed91f",
+    "draw-chunk-mixed-product-1": "c74d19df2487b4b6dac32d6dcb79d6f6773ce522a89e50c21508a7d8f54fa352",
+    "fraction_within-chunk-chunk": "7d662b28bcc8b49e36a034fe1a019aa98207208803f8e963df7a7d5a84ef0a65",
+    "fraction_within-chunk-path": "81f0068dbb02f629e05d94e9722508bc7f465b522d28a3c7ce88aeb9ee105cc5",
+    "max_abs_error-chunk-chunk": "77391bd6eb873adb34bbe7502c022599892e8918cde09888c211347e0837255f",
+    "max_abs_error-chunk-path": "ec787865e1f340d149d996c19dd5e9504a80ffc5aacefddae7485d0f3d7ef37b",
+    "mean_abs_error-chunk-chunk": "daa7f94ed5aab1d94ca0d2ad1643b6c7a729bd77a355aac828aff0dabf4709a0",
+    "mean_abs_error-chunk-path": "ce622522f00c65e98827e10618a70540949146a51d057bb240999019a5ed0c0d",
     "oscillator-evaluate-chunk": "ef882770a8eaeba7eb9d4e50c2374b6d998a5db1f8715be24d61f24a99543595",
     "oscillator-evaluate-single": "512d849f5af77cb3fd1997da8158d1909f5ebeb6bf973aec4ad316237bbce90b",
     "sample-categorical-labels": "663079a113db157fca0afce4ded8d7b025d2a947e9d513137356289779cd1a6f",

@@ -1,5 +1,6 @@
-"""Peak traced memory of sampling, of the model band, of the uncertain
-compound rule's Monte Carlo estimate and of grid ``validate``.
+"""Peak traced memory of sampling, of path errors, of the model band, of
+Monte Carlo estimates on oscillator paths, of grid ``validate`` and of
+sweeps.
 
 ``Distribution.sample`` copies each chunk into one output array as it is
 drawn and drops it before drawing the next, so a call holds the output
@@ -14,10 +15,11 @@ only the order statistics its two quantiles read. Its 10 MB bound was
 set before that change, when it drew all 20 000 paths into one array and
 partitioned it: 26.2 MB (now 8.2 MB).
 
-The oscillator evaluates in row tiles into its output, and the rules
-take |yhat - y| in place, so one chunk of the uncertain compound rule
-holds the model and data chunks and one error array. Its 11 MB bound at
-k = 1e5 was set before those changes, at 13.1 MB (now 9.9 MB).
+The oscillator evaluates in row tiles into its output, and the path
+errors take |yhat - y| over row tiles, so one chunk of the uncertain
+compound rule holds the model and data chunks and one tile of errors.
+Its 11 MB bound at k = 1e5 was set before those changes, at 13.1 MB
+(9.9 MB with |yhat - y| of a whole chunk in place, now 7.5 MB).
 
 Grid ``bvm validate`` scores its model paths one block at a time, as a
 sweep reads them. Its bound was set before that change, when the call
@@ -25,10 +27,18 @@ held all 160 000 paths of the uncertain ex-5.3 model 2 (50 points each)
 and the data path tiled to as many rows: 257.3 MB.
 
 A certain oscillator (every prior component a point mass) evaluates one
-chunk of paths and keeps it, and its band is that chunk's one row. Its
+chunk of paths and keeps its one row, and its band is that row. Its
 bound of 10 MB was set before that change, when the band drew and
-partitioned 20 000 copies of the path: 26.2 MB. The first evaluation
-runs inside the trace.
+partitioned 20 000 copies of the path: 26.2 MB (now 3.9 MB). The first
+evaluation runs inside the trace.
+
+Three bounds were set before a product wrote its component draws into
+one array, a certain model kept one row instead of its whole chunk, and
+the path errors ran over row tiles: a chunk of a 100-normal product
+(6.6 MB then, 3.3 MB now), ``mean_abs_error`` of a 4096 x 100 pair
+(3.3 MB then, 0.3 MB now), and an estimate on one chunk of the certain
+oscillator against 100-normal product data, its first evaluation
+included (13.1 MB then, 6.9 MB now).
 
 A sweep adds each block's path weights straight into its (eps, count)
 sums, so it holds those sums, the path weights and one block of paths,
@@ -45,10 +55,11 @@ import tracemalloc
 
 import numpy as np
 
-from bvm import Normal
+from bvm import IndependentProduct, Normal, mean_abs_error
 from bvm.cli import EXIT_OK, main
 from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
 from bvm.engine import estimate_bvm_mc, sweep
+from bvm.rng import CHUNK_SIZE
 from bvm.studies import _poly_config, builtin_configs, sweep_axes
 
 
@@ -98,6 +109,26 @@ def test_certain_oscillator_band_peak():
 
     band()  # warm-up on another model object: lazy imports stay out of the measurement
     assert _peak_mb(band) <= 10.0
+
+
+def test_product_draw_chunk_peak():
+    product = IndependentProduct([Normal(0.01 * i, 1.0 + 0.01 * i) for i in range(100)])
+    product.draw_chunk(0, 0, 0, 10)
+    assert _peak_mb(lambda: product.draw_chunk(1, 0, 0, CHUNK_SIZE)) <= 4.5
+
+
+def test_mean_abs_error_peak():
+    yhat, y = np.random.default_rng(0).normal(size=(2, CHUNK_SIZE, 100))
+    mean_abs_error(yhat[:5], y[:5])
+    assert _peak_mb(lambda: mean_abs_error(yhat, y)) <= 1.0
+
+
+def test_certain_oscillator_estimate_peak(monkeypatch):
+    monkeypatch.delenv("BVM_THREADS", raising=False)  # one chunk in flight
+    doc = builtin_configs(0)["oscillator-deterministic-mean_error"]
+    estimate_bvm_mc(build_scenario(doc).scenario, 100, 0)  # warm-up on another model object
+    scenario = build_scenario(doc).scenario
+    assert _peak_mb(lambda: estimate_bvm_mc(scenario, CHUNK_SIZE, 0)) <= 8.5
 
 
 def test_normal_sample_peak():

@@ -386,6 +386,18 @@ class TestExactBits:
         assert reliability(*far, math.inf).p_hat == 1.0
         assert frequentist(0.0, DataSummary(math.inf, 1.0, 10), AlwaysTrue()).p_hat == 1.0
 
+    @pytest.mark.parametrize(
+        "model, data",
+        [
+            (Normal(math.inf, 1.0), Normal(math.inf, 1.0)),
+            (DiracDelta(-math.inf), Normal(-math.inf, 2.0)),
+            (DiracDelta(math.inf), DiracDelta(math.inf)),
+        ],
+    )
+    def test_an_undefined_mean_difference_names_both_means(self, model, data):
+        with pytest.raises(ValueError, match=r"the model mean -?inf and the data mean -?inf have no defined difference"):
+            reliability(model, data, 0.5)
+
 
 class Smooth(AgreementRule):
     """A soft value rule whose breakpoints the metrics cannot know."""

@@ -37,6 +37,11 @@ seconds. The bounds were written down before the first run:
   column is compared with ``==``.
 - Oscillator tiles: the tiled oscillator equals the one-pass expression
   byte for byte, at row counts around the tile size.
+- Path-error tiles: ``mean_abs_error``, ``max_abs_error`` and
+  ``fraction_within`` equal their one-pass expressions byte for byte, at
+  the same row counts, on paths with NaN and +-inf points, for a batch
+  against a batch, a batch against one path, one path (1-D or one row)
+  against a batch and one pair of paths.
 """
 
 import json
@@ -74,6 +79,9 @@ from bvm import (
     Threshold,
     Uniform,
     estimate_bvm_mc,
+    fraction_within,
+    max_abs_error,
+    mean_abs_error,
     probability_in_region,
     sweep,
 )
@@ -531,3 +539,63 @@ def test_tiled_oscillator_equals_the_one_pass_expression(points, rows, seed):
     expected = a + b * x * np.exp(-c * np.cos(d * x)) + f * np.sin(g * x)
     got = damped_oscillator_model().evaluate(theta, InputGrid(x))
     assert got.tobytes() == expected.tobytes()
+
+
+TILED_ERRORS = {
+    "mean": (lambda yhat, y, eps: mean_abs_error(yhat, y), lambda err, eps: np.mean(err, axis=-1)),
+    "max": (lambda yhat, y, eps: max_abs_error(yhat, y), lambda err, eps: np.max(err, axis=-1)),
+    "within": (fraction_within, lambda err, eps: np.mean(err <= eps, axis=-1)),
+}
+
+
+@_settings(60)
+@given(
+    points=st.sampled_from([1, 7, 100, 193, 1000]),
+    rows=st.sampled_from(["one", "tile-1", "tile", "tile+1", "chunk"]),
+    shapes=st.sampled_from(["batch-batch", "batch-path", "path-batch", "path-path", "row-batch"]),
+    fn=st.sampled_from(sorted(TILED_ERRORS)),
+    per_point_eps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_path_errors_equal_the_one_pass_expression(points, rows, shapes, fn, per_point_eps, seed):
+    tile = max(1, OSCILLATOR_TILE // points)
+    k = {"one": 1, "tile-1": max(1, tile - 1), "tile": tile, "tile+1": tile + 1, "chunk": CHUNK_SIZE}[rows]
+    rng = np.random.default_rng(seed)
+
+    def paths(kind):
+        out = rng.normal(0.0, 1.0, {"batch": (k, points), "row": (1, points), "path": points}[kind])
+        flat = out.reshape(-1)
+        flat[rng.integers(0, flat.size, 3)] = [np.nan, np.inf, -np.inf]
+        return out
+
+    yhat, y = (paths(kind) for kind in shapes.split("-"))
+    eps = rng.uniform(0.0, 2.0, points) if per_point_eps else 0.7
+    tiled, one_pass = TILED_ERRORS[fn]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        expected = one_pass(np.abs(yhat - y), eps)
+        got = tiled(yhat, y, eps)
+    assert got.tobytes() == np.asarray(expected).tobytes()
+
+
+@_settings(20)
+@given(
+    points=st.sampled_from([9, 100, 193, 1000]),
+    rows=st.sampled_from([1, 2, 5, 40]),
+    fn=st.sampled_from(sorted(TILED_ERRORS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_path_errors_of_a_row_do_not_depend_on_its_batch(points, rows, fn, seed):
+    # Fortran-ordered paths, as a model may return them: a row's error in a
+    # few-row slice equals its error in the whole chunk and the one-pass
+    # expression on C-ordered paths, byte for byte.
+    rng = np.random.default_rng(seed)
+    yhat, y = (np.asfortranarray(rng.normal(0.0, 1.0, (CHUNK_SIZE, points))) for _ in range(2))
+    yhat[rng.integers(0, CHUNK_SIZE, 3), rng.integers(0, points, 3)] = [np.nan, np.inf, -np.inf]
+    start = int(rng.integers(0, CHUNK_SIZE - rows + 1))
+    tiled, one_pass = TILED_ERRORS[fn]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        whole = tiled(yhat, y, 0.7)
+        part = tiled(yhat[start : start + rows], y[start : start + rows], 0.7)
+        expected = one_pass(np.abs(np.ascontiguousarray(yhat) - np.ascontiguousarray(y)), 0.7)
+    assert whole.tobytes() == expected.tobytes()
+    assert part.tobytes() == whole[start : start + rows].tobytes()
