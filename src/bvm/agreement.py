@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comparison import ComparisonFn, band_arrays, get_comparison_fn, mean_abs_error
+from .comparison import ComparisonFn, _reduce_abs_error, band_arrays, get_comparison_fn, mean_abs_error
 from .distributions import ConfidenceRegion
 
 __all__ = [
@@ -224,14 +224,14 @@ class GammaEpsilon(AgreementRule):
         object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else eps)
 
     def kernel_many(self, yhat_batch, y_batch):
-        yhat = np.atleast_2d(np.asarray(yhat_batch, dtype=float))
-        y = np.atleast_2d(np.asarray(y_batch, dtype=float))
-        if yhat.shape[-1] != y.shape[-1]:
-            raise ValueError("path length mismatch")
-        err = np.abs(yhat - y)
-        frac = np.mean(err <= self.eps, axis=-1)
-        worst_ok = np.all(err <= self.m * np.asarray(self.eps), axis=-1)
-        return ((frac >= self.gamma) & worst_ok).astype(float)
+        """1.0 for each path that passes, else 0.0, in row tiles of
+        |yhat - y| (see :func:`bvm.comparison._reduce_abs_error`)."""
+
+        def passes(err, eps, worst):
+            return (np.mean(err <= eps, axis=-1) >= self.gamma) & np.all(err <= worst, axis=-1)
+
+        yhat, y = np.atleast_2d(yhat_batch, y_batch)
+        return _reduce_abs_error(passes, yhat, y, self.eps, self.m * np.asarray(self.eps))
 
 
 @dataclass(frozen=True, eq=False)

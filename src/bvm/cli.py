@@ -148,10 +148,11 @@ def _write_record(record: RunRecord, out: str | None, fmt: str = "json"):
 
 def _seed_and_samples(args, estimator: dict) -> tuple:
     """``--seed`` and ``--samples`` when given, else the estimator
-    section's values, else seed 0 and ``DEFAULT_SAMPLES``."""
+    section's values, else seed 0 and ``DEFAULT_SAMPLES``; ints, as a
+    schema integer may be written ``3.0``."""
     seed = args.seed if args.seed is not None else estimator.get("seed", 0)
     samples = args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES)
-    return seed, samples
+    return int(seed), int(samples)
 
 
 def _run_configured_scenario(doc: dict, args):

@@ -275,13 +275,13 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
     and, when the model's path length is known, one point per path point.
     Infinite edges are allowed.
 
-    A certain model (a ``dirac`` path, or :meth:`PushForward.certain_chunk`)
-    gives every draw from one path or one kept chunk. When its rows are all
-    equal and finite, the band is that row at both edges, which is what the
-    quantiles of a constant finite column are (a ``-0.0`` may come back as
-    ``+0.0``, which compares equal), and no path is drawn. Otherwise the
-    edges are :func:`_streamed_quantiles` of the drawn paths (a constant
-    column of ±inf gives NaN there).
+    A certain model (a ``dirac`` path, or a :class:`PushForward` with a
+    ``certain_path``) has one path. When it is finite the band is that
+    path at both edges, which is what the quantiles of a constant finite
+    column are (a ``-0.0`` may come back as ``+0.0``, which compares
+    equal), and no path is drawn. Otherwise the edges are
+    :func:`_streamed_quantiles` of the drawn paths (a constant column of
+    ±inf gives NaN there).
     """
     if "lo" in doc:
         lo, hi = np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float)
@@ -289,18 +289,15 @@ def _band_from_config(doc: dict, model_dist: dist.Distribution | None):
         return lo, hi
     if model_dist is None or model_dist.kind != "path":
         raise ConfigError("band with source 'model' needs a path-valued model distribution")
+    path = None
     if isinstance(model_dist, dist.DiracDelta):
-        chunk = model_dist.value[np.newaxis]
+        path = model_dist.value
     elif isinstance(model_dist, dist.PushForward):
-        chunk = model_dist.certain_chunk()
-    else:
-        chunk = None
-    if chunk is not None:
-        row = chunk[0]
-        if np.isfinite(row).all() and (chunk == row).all():
-            return row.copy(), row.copy()
+        path = model_dist.certain_path
+    if path is not None and np.isfinite(path).all():
+        return path.copy(), path.copy()
     a = (1.0 - doc["level"]) / 2.0
-    return _streamed_quantiles(model_dist, doc.get("seed", 0), doc.get("samples", 20_000), a)
+    return _streamed_quantiles(model_dist, doc.get("seed", 0), int(doc.get("samples", 20_000)), a)
 
 
 def _streamed_quantiles(model_dist: dist.Distribution, seed: int, n: int, a: float):
@@ -667,14 +664,14 @@ def _run_evidence(doc, metric, samples, seed):
 
 def _run_area(doc, metric, samples, seed):
     est = area_metric_validation(
-        metric["samples_m"], metric["samples_d"], _rule(doc), bootstrap=metric.get("bootstrap", 0), seed=seed
+        metric["samples_m"], metric["samples_d"], _rule(doc), bootstrap=int(metric.get("bootstrap", 0)), seed=seed
     )
     return est, {}
 
 
 def _run_binned_pdf(doc, metric, samples, seed):
     pdf = BinnedPdf(metric["edges"], metric["model_masses"])
-    return binned_pdf_metric(pdf, metric["data_counts"], _rule(doc), r=metric.get("draws", samples), seed=seed), {}
+    return binned_pdf_metric(pdf, metric["data_counts"], _rule(doc), r=int(metric.get("draws", samples)), seed=seed), {}
 
 
 def _run_divergence(doc, metric, samples, seed):
@@ -943,7 +940,7 @@ def load_config(path: str) -> dict:
 def grid_from_config(doc: dict) -> InputGrid:
     if "points" in doc:
         return InputGrid(np.asarray(doc["points"], dtype=float))
-    return InputGrid.linspace(doc["start"], doc["stop"], doc["num"])
+    return InputGrid.linspace(doc["start"], doc["stop"], int(doc["num"]))
 
 
 def model_function_from_config(doc: dict) -> ModelFunction:
@@ -1042,6 +1039,6 @@ def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, 
         prior=model_dist.prior,
         grid=model_dist.grid,
         data_path=data_dist.value,
-        grid_points_per_param=estimator.get("points_per_param", 20),
+        grid_points_per_param=int(estimator.get("points_per_param", 20)),
         span_sigmas=estimator.get("span_sigmas", 3.0),
     )

@@ -11,8 +11,7 @@ has to estimate it from samples.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -440,11 +439,6 @@ class IndependentProduct(Distribution):
         return len(self.components)
 
 
-# Held while a certain model's chunk is evaluated, so that two workers
-# reaching its first draw at once evaluate it once.
-_CERTAIN_LOCK = threading.Lock()
-
-
 @dataclass(frozen=True)
 class PushForward(Distribution):
     """Distribution over output paths induced by a parameter prior.
@@ -453,19 +447,18 @@ class PushForward(Distribution):
     on ``grid``. There is no evaluable density; use the sampling path.
 
     A certain model - a prior that is a :class:`DiracDelta`, or an
-    :class:`IndependentProduct` of them - draws no random numbers, so every
-    chunk of every stream is the same ``CHUNK_SIZE`` rows. That chunk is
-    evaluated once, on first use (:meth:`certain_chunk`); each draw returns
-    a writable copy of it. When all its rows are bitwise equal, as the
-    oscillator's are, only its first row is kept. They are not always equal
-    to each other or to a one-row evaluation (a BLAS matrix product may
-    round them differently, as it does for a 193-point polynomial), and
-    then the whole chunk is kept.
+    :class:`IndependentProduct` of them - has one path, the model's value
+    at its parameters. It is evaluated once, on its one parameter row, when
+    the distribution is built, and kept read-only as ``certain_path``
+    (None for any other prior). A draw tiles it, as a :class:`DiracDelta`
+    path draws, so every row of every chunk has its bits, and no random
+    number is drawn.
     """
 
     prior: Distribution
     model: ModelFunction
     grid: InputGrid
+    certain_path: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prior_dim = self.prior.path_length if self.prior.kind == "path" else 1
@@ -475,12 +468,15 @@ class PushForward(Distribution):
                 f"{len(self.model.param_names)} model parameters"
             )
         parts = self.prior.components if isinstance(self.prior, IndependentProduct) else (self.prior,)
-        object.__setattr__(self, "_certain", all(isinstance(p, DiracDelta) for p in parts))
-        object.__setattr__(self, "_kept", None)
+        path = None
+        if all(isinstance(p, DiracDelta) for p in parts):
+            path = self._evaluate(None, 1)[0]  # point masses ignore the generator
+            path.flags.writeable = False
+        object.__setattr__(self, "certain_path", path)
 
     def _draw(self, rng, m):
-        if self._certain:
-            return self.certain_chunk().copy()
+        if self.certain_path is not None:
+            return np.tile(self.certain_path, (m, 1))
         return self._evaluate(rng, m)
 
     def _evaluate(self, rng, m):
@@ -488,23 +484,6 @@ class PushForward(Distribution):
         if theta.ndim == 1:
             theta = theta[:, None]
         return self.model.evaluate(theta, self.grid)
-
-    def certain_chunk(self) -> np.ndarray | None:
-        """The one full chunk of paths of a certain model, read-only, or
-        None when some prior component is not a point mass. When its rows
-        are bitwise equal it is a broadcast view of the one kept row."""
-        if not self._certain:
-            return None
-        if self._kept is None:
-            with _CERTAIN_LOCK:
-                if self._kept is None:
-                    kept = self._evaluate(None, CHUNK_SIZE)  # point masses ignore the generator
-                    bits = kept.view(np.uint64)  # unlike ==, tells -0.0 from +0.0 and NaN payloads apart
-                    if (bits == bits[0]).all():
-                        kept = np.broadcast_to(kept[0].copy(), kept.shape)
-                    kept.flags.writeable = False
-                    object.__setattr__(self, "_kept", kept)
-        return self._kept
 
     @property
     def kind(self) -> str:

@@ -433,6 +433,8 @@ def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
     if estimator == "grid":
         if isinstance(template.prior, IndependentProduct):
             comps = template.prior.components
+        elif isinstance(template.prior, DiracDelta):  # a certain vector: one point mass per parameter
+            comps = [DiracDelta(v) for v in np.atleast_1d(template.prior.value)]
         else:
             comps = (template.prior,)
         supports = [

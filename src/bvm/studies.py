@@ -65,7 +65,6 @@ class StudyReport:
     values: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     grids: dict = field(default_factory=dict)
-    ratio_cells: dict = field(default_factory=dict)
 
     def check(self, label: str, ok: bool, detail: str):
         self.checks.append((label, bool(ok), detail))
@@ -309,7 +308,6 @@ def _run_poly_sweep(seed: int) -> StudyReport:
         f"ratio = {unc_ratio.value:.4f}",
     )
     cells = ratio_grid(unc1, unc2)
-    report.ratio_cells["uncertain"] = cells
     worst = 0.0
     violations = 0
     for row in cells:

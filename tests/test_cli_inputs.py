@@ -1,12 +1,14 @@
 """Command-line inputs that the library would turn into a meaningless
 result are config errors (exit 2): a two-sided rule given to a metric
-that scores a single value, and a model prior that is not finite."""
+that scores a single value, and a model prior that is not finite. An
+integer field written as an integral float (``40.0``) runs as its
+integer does."""
 
 import json
 
 import pytest
 
-from bvm.cli import EXIT_CONFIG, main
+from bvm.cli import EXIT_CONFIG, EXIT_OK, main
 
 ABS_DIFF = {"type": "threshold", "fn": "abs_diff", "eps": 0.5}
 METRIC_SECTIONS = {
@@ -44,3 +46,46 @@ def test_ratio_refuses_a_prior_that_is_not_finite_and_positive(tmp_path, capsys,
     })
     assert main(["ratio", cfg, cfg, *priors]) == EXIT_CONFIG
     assert "model priors must be positive and finite" in capsys.readouterr().err
+
+
+POLY = {
+    "model": {
+        "model_function": {"family": "polynomial", "powers": [0, 2]},
+        "prior": {"type": "product", "components": [{"type": "normal", "mean": 1.0, "std": 0.2},
+                                                    {"type": "normal", "mean": -0.5, "std": 0.1}]},
+        "grid": {"start": 0.0, "stop": 2.0, "num": 10},
+    },
+    "data": {"generator": {"type": "grid_function", "name": "cos", "grid": {"start": 0.0, "stop": 2.0, "num": 10}}},
+    "agreement": {"type": "gamma_epsilon", "gamma": 0.8, "eps": 0.3, "m": 5.0},
+    "estimator": {"method": "mc", "samples": 300, "seed": 1},
+}
+BAND = {"type": "epsilon_beta", "mean_tol": 0.4, "band": {"source": "model", "level": 0.9, "samples": 200}}
+SOFT = {"type": "soft_exponential", "fn": "identity", "eps_prime": 0.2, "rate": 3.0}
+INTEGRAL_FIELDS = {
+    "grid-num": ("validate", POLY, ("model", "grid", "num")),
+    "points-per-param": ("validate", {**POLY, "estimator": {"method": "grid", "seed": 0, "points_per_param": 5}},
+                         ("estimator", "points_per_param")),
+    "samples": ("validate", POLY, ("estimator", "samples")),
+    "seed": ("validate", POLY, ("estimator", "seed")),
+    "band-samples": ("validate", {**POLY, "agreement": BAND}, ("agreement", "band", "samples")),
+    "binned-pdf-draws": ("binned_pdf", {"metric": {**METRIC_SECTIONS["binned_pdf"], "draws": 40}, "agreement": SOFT},
+                         ("metric", "draws")),
+    "area-bootstrap": ("area", {"metric": {**METRIC_SECTIONS["area"], "bootstrap": 30}, "agreement": SOFT},
+                       ("metric", "bootstrap")),
+}
+
+
+@pytest.mark.parametrize("field", INTEGRAL_FIELDS)
+def test_an_integer_field_may_be_written_as_an_integral_float(tmp_path, capsys, field):
+    # JSON Schema counts 40.0 as an integer; it runs as 40 does.
+    command, doc, path = INTEGRAL_FIELDS[field]
+    printed = []
+    for name, cast in (("int", int), ("float", float)):
+        doc = json.loads(json.dumps(doc))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = cast(section[path[-1]])
+        assert main([command, "--config", write(tmp_path, doc, f"{name}.json")]) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]

@@ -322,7 +322,7 @@ class TestBuilders:
         )
         doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": 0.9, "samples": 100}}
         with np.errstate(invalid="ignore"):
-            assert np.isinf(model.certain_chunk()).all()
+            assert np.isinf(model.certain_path).all()
             lo, hi = rule_from_config(doc, model).band
         assert np.isnan(lo).all() and np.isnan(hi).all()
 
@@ -539,6 +539,27 @@ class TestGridValidateNeeds:
         doc["data"] = {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}
         assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
         assert "a sweep or a grid estimate needs a certain data path" in capsys.readouterr().err
+
+
+def test_a_certain_vector_prior_estimates_as_its_product_of_diracs(tmp_config, tmp_path):
+    vector = sweep_doc([0, 2], [])
+    vector["model"]["prior"] = {"type": "dirac", "value": [1.0, -0.5]}
+    product = sweep_doc([0, 2], [{"type": "dirac", "value": 1.0}, {"type": "dirac", "value": -0.5}])
+    p_hat, cells = [], []
+    for method in ("grid", "mc"):
+        for name, doc in (("vector", vector), ("product", product)):
+            doc["agreement"]["eps"] = 0.6  # 1 - x^2 / 2 is within 0.59 of cos x on [0, 2]
+            doc["estimator"] = {"method": method, "seed": 3, "samples": 500}
+            cfg = tmp_config(doc, f"{method}-{name}.json")
+            out, prefix = tmp_path / f"{method}-{name}.record.json", str(tmp_path / f"{method}-{name}")
+            assert main(["validate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            p_hat.append(json.loads(out.read_text())["estimates"][0]["p_hat"])
+            assert main(["sweep", cfg, "--gamma", "0.5:1.0:0.25", "--eps", "0:0.5:0.05", "--out-prefix", prefix]) == EXIT_OK
+            with open(prefix + "_model1.csv") as fh:
+                cells.append(list(csv.reader(fh)))
+    assert p_hat == [1.0] * 4
+    assert all(c == cells[0] for c in cells)
+    assert {row[2] for row in cells[0][1:]} == {"0.0", "1.0"}
 
 
 class TestSweepCli:

@@ -22,6 +22,7 @@ from bvm import (
     ShiftedExponential,
     StudentT,
     Uniform,
+    basis_model,
     confidence_interval,
     confidence_set,
     damped_oscillator_model,
@@ -194,8 +195,8 @@ class TestPushForward:
             push_forward(DiracDelta([1.0, 2.0]), polynomial_model([0]), InputGrid.linspace(0, 1, 3))
 
     def test_certain_model_is_evaluated_once_from_two_workers(self, monkeypatch):
-        # Two map_chunks workers reach the first draw together; the slow
-        # model widens the window in which both could evaluate it.
+        # Once, on its one parameter row, when it is built; two map_chunks
+        # workers then draw from that path and never call the slow model.
         calls = []
 
         def slow(theta, x):
@@ -208,9 +209,10 @@ class TestPushForward:
             ModelFunction("slow", ("c0", "c2"), slow),
             InputGrid.linspace(0, 1, 5),
         )
+        assert calls == [(1, 2)]
         monkeypatch.setenv("BVM_THREADS", "2")
         chunks = map_chunks(lambda c, m: pf.draw_chunk(3, 0, c, m), 4 * CHUNK_SIZE)
-        assert calls == [(CHUNK_SIZE, 2)]
+        assert calls == [(1, 2)]
         assert all(np.array_equal(c, chunks[0]) for c in chunks)
         assert np.allclose(chunks[0], 1.0 - 0.5 * pf.grid.points**2, rtol=0, atol=1e-15)
 
@@ -222,32 +224,37 @@ class TestPushForward:
         assert np.isfinite(pf.sample(0, 5)).all()
 
     @pytest.mark.parametrize(
-        "model, params, grid, one_row",
+        "model, params, grid",
         [
-            (damped_oscillator_model(), _OSC_PARAMS, InputGrid.linspace(0.0, 1.0, 100), True),
-            # BLAS rounds some rows of this product differently.
-            (polynomial_model([0, 2, 4, 6]), _TAYLOR[:4], InputGrid.linspace(0.0, float(np.pi), 193), False),
-            # Rows equal under == but not bitwise: -0.0 against +0.0; NaNs of either sign.
-            (ModelFunction("signed-zero", ("c",), lambda t, x: np.where(np.arange(len(t))[:, None] % 2, -0.0, 0.0) * x), [1.0], InputGrid([1.0, 2.0]), False),
-            (ModelFunction("nan-payload", ("c",), lambda t, x: np.where(np.arange(len(t))[:, None] % 2, np.nan, -np.nan) + x), [1.0], InputGrid([1.0]), False),
+            (damped_oscillator_model(), _OSC_PARAMS, InputGrid.linspace(0.0, 1.0, 100)),
+            # Matrix products: BLAS may round a row of a many-row product
+            # apart from the same row evaluated alone.
+            (polynomial_model([0, 2, 4]), _TAYLOR[:3], InputGrid.linspace(0.0, float(np.pi), 50)),
+            (polynomial_model([0, 2, 4, 6]), _TAYLOR[:4], InputGrid.linspace(0.0, float(np.pi), 193)),
+            (basis_model("trig", ("a", "b", "c"), [np.sin, np.cos, np.exp]), [0.7, -1.3, 0.01], InputGrid.linspace(0.0, 3.0, 97)),
         ],
+        ids=["oscillator", "poly50", "poly193", "basis"],
     )
-    def test_a_certain_chunk_keeps_one_row_only_when_all_rows_share_its_bits(self, model, params, grid, one_row):
+    def test_every_certain_draw_is_the_model_at_its_parameters(self, model, params, grid):
         pf = push_forward(IndependentProduct([DiracDelta(p) for p in params]), model, grid)
-        full = model.evaluate(np.tile(params, (CHUNK_SIZE, 1)), grid)
-        kept = pf.certain_chunk()
-        assert kept.shape == full.shape and not kept.flags.writeable
-        assert (kept.strides[0] == 0) == one_row
-        assert kept.tobytes() == full.tobytes()
-        draw = pf.draw_chunk(0, 0, 0, CHUNK_SIZE)
-        assert draw.flags.writeable and draw.flags.c_contiguous and draw.tobytes() == full.tobytes()
+        path = model.evaluate(np.asarray(params), grid).view(np.uint64)  # tells -0.0 and NaN payloads apart
+        for out in (pf.draw_chunk(0, 0, 1, CHUNK_SIZE), pf.sample(2, CHUNK_SIZE + 3, stream=5)):
+            assert out.flags.writeable and out.flags.c_contiguous
+            assert (out.view(np.uint64) == path).all()
+
+    def test_a_failing_certain_model_raises_when_built(self):
+        bad = ModelFunction("wrong-shape", ("c",), lambda theta, x: theta)
+        with pytest.raises(ValueError, match="model output shape"):
+            push_forward(DiracDelta(1.0), bad, InputGrid.linspace(0, 1, 3))
 
     def test_only_point_mass_priors_are_certain(self):
         grid = InputGrid.linspace(0, 1, 3)
-        assert push_forward(DiracDelta([1.0, 2.0]), polynomial_model([0, 1]), grid).certain_chunk() is not None
-        assert push_forward(DiracDelta(1.0), polynomial_model([0]), grid).certain_chunk() is not None
+        vector = push_forward(DiracDelta([1.0, 2.0]), polynomial_model([0, 1]), grid)
+        assert not vector.certain_path.flags.writeable
+        assert vector.certain_path.tobytes() == (1.0 + 2.0 * grid.points).tobytes()
+        assert push_forward(DiracDelta(1.0), polynomial_model([0]), grid).certain_path is not None
         mixed = IndependentProduct([DiracDelta(1.0), Normal(0.0, 1.0)])
-        assert push_forward(mixed, polynomial_model([0, 1]), grid).certain_chunk() is None
+        assert push_forward(mixed, polynomial_model([0, 1]), grid).certain_path is None
 
 
 @dataclass(frozen=True)

@@ -159,11 +159,11 @@ def _certain_bytes(name, what):
     return hashlib.sha256(out.tobytes()).hexdigest()
 
 
-# Certain models, recorded when every chunk evaluated its rows: one full
-# chunk, a prefix of another stream's first chunk, and a sample across a
-# chunk boundary. The 193-point polynomial's chunk rows differ from each
-# other in the last bits (BLAS), so its band is a quantile pass over
-# distinct rows; the other two bands are one repeated path.
+# Certain models: one full chunk, a prefix of another stream's first
+# chunk, a sample across a chunk boundary, and the model band. The
+# oscillator's were recorded when every chunk evaluated its rows; the
+# polynomials' are the model's one path at its parameters, repeated (a
+# BLAS product of a full chunk rounds their rows apart from it).
 CERTAIN_CASES = {
     **{
         f"certain-{name}-{what}": (lambda name=name, what=what: _certain_bytes(name, what))
@@ -232,14 +232,14 @@ GOLDEN = {
     "certain-oscillator-draw-chunk-prefix": "79e662608fb27554fd05cd2d61909bc4159a4829d16528df24223a675ecfcc02",
     "certain-oscillator-sample-4097": "21a0b41abcc70f37f755446eb99ccfc5c73c49250abc115edabb9fca5dda1470",
     "certain-oscillator-band": "bdf948def8b0fc92d16f8723995d6630d227b61512968e28d058299d55f2d7dc",
-    "certain-poly50-draw-chunk": "750eec232224a37ccc614d83e383a8ec6e2983cfe12168a1ad2bc88e1eafa24d",
-    "certain-poly50-draw-chunk-prefix": "c22f46be0d214c0683ef3d31487c06f89f3b27d360f2ae785ff2d6e8fba1b969",
-    "certain-poly50-sample-4097": "a8ef256b566ab727703c2ca75a7d6685727a2a9332d4f5495153ed87304a0bcb",
-    "certain-poly50-band": "460d6ba34a85d5659e11b76489d9d6d6753f72693432d45205911d3538f5872c",
-    "certain-poly193-draw-chunk": "77fde9f68f92cf26b0c67708b8e98fe40115eddf77fdf048b09b4bed857805c9",
-    "certain-poly193-draw-chunk-prefix": "b2c073c10fe3e4eaf726007b2a524f1840672d8564e759b2ba770a07ed6be2ca",
-    "certain-poly193-sample-4097": "fe4a63a0bfde8b0e35e9c16536227e53bb3b43403c5559ee851b4be9291e88c3",
-    "certain-poly193-band": "298ca33d4652bbf987fd2db6e2897efebd31e78da9d8d10b8f2df601b9e5cc3c",
+    "certain-poly50-draw-chunk": "470f9180f87598c2a58c5e2ac654628a4e2878e600957a1c364cfb32cf87fc0e",
+    "certain-poly50-draw-chunk-prefix": "dce3d1abf48033970f225a081683bedeaa8e53df1f211eff258a095239c00122",
+    "certain-poly50-sample-4097": "754c50a067145e34b06c087d706a97db190960e2e825bf52780046f348f4787b",
+    "certain-poly50-band": "fdce5b3b4b504685d59411246b8ec84b93bf7f5a8a664c597f55a5d81e6df6a0",
+    "certain-poly193-draw-chunk": "d769ea15eb84dbfb8d1479b5e2b819b5e61b5d0b1c35caf1d67dc0677bbf55e4",
+    "certain-poly193-draw-chunk-prefix": "e0cc55184a77110e4b5e51bbe30313a04f291836b4199240afa6ea2b7abe50a1",
+    "certain-poly193-sample-4097": "33493a14826881a79521672e21388b534768dfa347366da3952fe916c091ab67",
+    "certain-poly193-band": "a42a7863c6eedfea182be05762a330a4ba3f6527c03a23a38d62e6805b517c4d",
     "certain-oscillator-mean-error-1e4": "0x1.a0ded288ce704p-1",
     "certain-oscillator-soft-1e4": "0x1.ba93842a1e527p-2",
 }
@@ -392,9 +392,28 @@ def test_grid_validate_bits(config, rule, tmp_path):
     assert json.loads(out.read_text())["estimates"][0]["p_hat"].hex() == GRID_GOLDEN[f"{config}/{rule}"]
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_grid_and_mc_validate_of_a_certain_polynomial_agree(order, tmp_path):
+    # The hard rule's per-point tolerance is the model path's own error, so
+    # a path rounded apart from the model's value can fail it.
+    doc = builtin_configs(0)[f"poly-deterministic-model{order}"]
+    powers = doc["model"]["model_function"]["powers"]
+    path = polynomial_model(powers).evaluate(np.asarray(_TAYLOR[: len(powers)]), InputGrid.linspace(0.0, float(np.pi), 50))
+    err = np.abs(path - build_scenario(doc).scenario.data_dist.value)
+    rule = {"type": "gamma_epsilon", "gamma": 1.0, "eps": err.tolist(), "m": 1.0}
+    p_hat = []
+    for estimator in ({"method": "grid", "seed": 0}, {"method": "mc", "samples": 5_000, "seed": 2}):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "record.json"
+        cfg.write_text(json.dumps({**doc, "agreement": rule, "estimator": estimator}))
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        p_hat.append(json.loads(out.read_text())["estimates"][0]["p_hat"])
+    assert p_hat == [1.0, 1.0]
+
+
 def test_certain_compound_validate_evaluates_the_model_twice(tmp_path, monkeypatch):
-    # Once for the data instance, once for the kept chunk that both the
-    # band and the Monte Carlo chunk read (7 when the band drew 20 000
+    # Once on the model's one parameter row, when the model section is
+    # built, for the path that both the band and the Monte Carlo chunk
+    # read; then once for the data instance (7 when the band drew 20 000
     # paths in 5 chunks and the estimate drew its own).
     calls = []
     real = ModelFunction.evaluate
@@ -407,4 +426,4 @@ def test_certain_compound_validate_evaluates_the_model_twice(tmp_path, monkeypat
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(builtin_configs(0)["oscillator-deterministic-compound"]))
     assert main(["validate", "--config", str(cfg)]) == EXIT_OK
-    assert calls == [(6,), (4_096, 6)]
+    assert calls == [(1, 6), (6,)]

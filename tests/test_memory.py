@@ -26,19 +26,24 @@ sweep reads them. Its bound was set before that change, when the call
 held all 160 000 paths of the uncertain ex-5.3 model 2 (50 points each)
 and the data path tiled to as many rows: 257.3 MB.
 
-A certain oscillator (every prior component a point mass) evaluates one
-chunk of paths and keeps its one row, and its band is that row. Its
-bound of 10 MB was set before that change, when the band drew and
-partitioned 20 000 copies of the path: 26.2 MB (now 3.9 MB). The first
-evaluation runs inside the trace.
+A certain oscillator (every prior component a point mass) evaluates its
+one path, on its one parameter row, when it is built, and its band is
+that path. Its bound of 10 MB was set before its band was one path, when
+the band drew and partitioned 20 000 copies of the path: 26.2 MB (3.9 MB
+when it kept one row of an evaluated chunk, now 0.01 MB). The model is
+built, and so evaluated, inside the trace.
 
 Three bounds were set before a product wrote its component draws into
 one array, a certain model kept one row instead of its whole chunk, and
 the path errors ran over row tiles: a chunk of a 100-normal product
 (6.6 MB then, 3.3 MB now), ``mean_abs_error`` of a 4096 x 100 pair
 (3.3 MB then, 0.3 MB now), and an estimate on one chunk of the certain
-oscillator against 100-normal product data, its first evaluation
-included (13.1 MB then, 6.9 MB now).
+oscillator against 100-normal product data (13.1 MB then, with its first
+chunk evaluated inside the trace; 6.9 MB now, its one path evaluated
+when the scenario is built). ``GammaEpsilon.kernel_many`` on a
+4096 x 100 pair takes its errors in the same row tiles; its 1.0 MB bound
+was set before, when it formed the whole |yhat - y| (6.6 MB then, 0.4 MB
+now).
 
 A sweep adds each block's path weights straight into its (eps, count)
 sums, so it holds those sums, the path weights and one block of paths,
@@ -55,7 +60,7 @@ import tracemalloc
 
 import numpy as np
 
-from bvm import IndependentProduct, Normal, mean_abs_error
+from bvm import GammaEpsilon, IndependentProduct, Normal, mean_abs_error
 from bvm.cli import EXIT_OK, main
 from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
 from bvm.engine import estimate_bvm_mc, sweep
@@ -121,6 +126,13 @@ def test_mean_abs_error_peak():
     yhat, y = np.random.default_rng(0).normal(size=(2, CHUNK_SIZE, 100))
     mean_abs_error(yhat[:5], y[:5])
     assert _peak_mb(lambda: mean_abs_error(yhat, y)) <= 1.0
+
+
+def test_gamma_epsilon_kernel_many_peak():
+    yhat, y = np.random.default_rng(0).normal(size=(2, CHUNK_SIZE, 100))
+    rule = GammaEpsilon(gamma=0.9, eps=np.full(100, 0.5), m=5.0)
+    rule.kernel_many(yhat[:5], y[:5])
+    assert _peak_mb(lambda: rule.kernel_many(yhat, y)) <= 1.0
 
 
 def test_certain_oscillator_estimate_peak(monkeypatch):

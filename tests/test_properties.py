@@ -599,3 +599,23 @@ def test_tiled_path_errors_of_a_row_do_not_depend_on_its_batch(points, rows, fn,
         expected = one_pass(np.abs(np.ascontiguousarray(yhat) - np.ascontiguousarray(y)), 0.7)
     assert whole.tobytes() == expected.tobytes()
     assert part.tobytes() == whole[start : start + rows].tobytes()
+
+
+@pytest.mark.parametrize("per_point_eps", [False, True], ids=["scalar-eps", "per-point-eps"])
+@pytest.mark.parametrize("data", ["batch", "path"])
+@pytest.mark.parametrize("rows", ["one", "tile-1", "tile", "tile+1", "chunk"])
+@pytest.mark.parametrize("points", [7, 100, 193])
+def test_tiled_gamma_epsilon_equals_the_one_pass_expression(points, rows, data, per_point_eps):
+    tile = max(1, OSCILLATOR_TILE // points)
+    k = {"one": 1, "tile-1": max(1, tile - 1), "tile": tile, "tile+1": tile + 1, "chunk": CHUNK_SIZE}[rows]
+    rng = np.random.default_rng([points, k])
+    y = rng.normal(0.0, 1.0, (k, points) if data == "batch" else points)
+    yhat = y + rng.normal(0.0, 0.3, (k, points))
+    yhat.reshape(-1)[rng.integers(0, yhat.size, 3)] = [np.nan, np.inf, -np.inf]
+    eps = rng.uniform(0.4, 1.0, points) if per_point_eps else 0.7
+    rule = GammaEpsilon(gamma=0.95, eps=eps, m=2.0)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        err = np.abs(yhat - y)
+        expected = ((np.mean(err <= eps, axis=-1) >= 0.95) & np.all(err <= 2.0 * np.asarray(eps), axis=-1)).astype(float)
+        got = rule.kernel_many(yhat, y)
+    assert got.tobytes() == expected.tobytes()
