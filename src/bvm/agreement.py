@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comparison import ComparisonFn, _reduce_abs_error, band_arrays, get_comparison_fn, mean_abs_error
+from .comparison import ComparisonFn, _reduce_abs_error, band_arrays, get_comparison_fn
 from .distributions import ConfidenceRegion
 
 __all__ = [
@@ -260,15 +260,20 @@ class EpsilonBeta(AgreementRule):
         object.__setattr__(self, "coverage_hi", float(coverage_hi))
 
     def kernel_many(self, yhat_batch, y_batch):
-        yhat = np.atleast_2d(np.asarray(yhat_batch, dtype=float))
-        y = np.atleast_2d(np.asarray(y_batch, dtype=float))
+        """1.0 for each path that passes, else 0.0. The mean error and the
+        coverage are taken in one pass of row tiles, and the data rows
+        reach each tile as a further operand (see
+        :func:`bvm.comparison._reduce_abs_error`)."""
+        yhat, y = np.atleast_2d(np.asarray(yhat_batch, dtype=float), np.asarray(y_batch, dtype=float))
         lo, hi = self.band
         if yhat.shape[-1] != y.shape[-1] or y.shape[-1] != lo.shape[0]:
             raise ValueError("band, model path and data path lengths must match")
-        mae_ok = mean_abs_error(yhat, y) <= self.mean_tol
-        cov = np.mean((y >= lo) & (y <= hi), axis=-1)
-        cov_ok = (cov >= self.coverage_lo) & (cov <= self.coverage_hi)
-        return (mae_ok & cov_ok).astype(float)
+
+        def passes(err, y):
+            cov = np.mean((y >= lo) & (y <= hi), axis=-1)
+            return (np.mean(err, axis=-1) <= self.mean_tol) & (cov >= self.coverage_lo) & (cov <= self.coverage_hi)
+
+        return _reduce_abs_error(passes, yhat, y, y)
 
 
 @dataclass(frozen=True)

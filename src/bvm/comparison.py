@@ -61,7 +61,8 @@ def _reduce_abs_error(reduce, yhat, y, *more):
     value per path: the reduction of the broadcast paths along the last
     axis, taken over row tiles of ``OSCILLATOR_TILE`` points with one
     reused tile buffer, so no chunk-sized error array is formed. *more*
-    are further operands (a tolerance) that broadcast like the paths.
+    are further operands that broadcast like the paths: a tolerance, or
+    the data paths again, so that each tile reads its own data rows.
 
     Each tile is C-contiguous and each row is reduced on its own, so a
     row's value depends neither on the tiling nor on the batch size nor

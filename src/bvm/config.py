@@ -33,6 +33,7 @@ from .engine import Scenario, SweepTemplate
 from .metrics import (
     DataSummary,
     GaussianLikelihoodSpec,
+    _dirichlet_alpha,
     area_metric_validation,
     bayesian_evidence,
     binned_pdf_metric,
@@ -307,12 +308,17 @@ def _streamed_quantiles(model_dist: dist.Distribution, seed: int, n: int, a: flo
     numpy's ``linear`` rule reads two order statistics per quantile and
     point: ranks ``floor(v)`` and ``floor(v) + 1`` at ``v = (n - 1) q``,
     both clipped to the top rank when ``v >= n - 1``. So each point keeps
-    only its ``floor((n - 1) a) + 2`` smallest and ``n - floor((n - 1)(1 -
-    a))`` largest values seen so far; each chunk is concatenated to them
-    and partitioned back down. The ranks are then interpolated with
-    numpy's arithmetic, and a point whose column held a NaN is NaN, as
-    numpy makes it. A rank held by both ``-0.0`` and ``+0.0`` may come back
-    with either sign.
+    only its ``n_lo = floor((n - 1) a) + 2`` smallest and ``n_hi = n -
+    floor((n - 1)(1 - a))`` largest values seen so far. Each drawn chunk
+    is partitioned in place down to its own n_lo smallest and n_hi largest
+    (a draw is a fresh array the caller owns), and only those rows are
+    copied next to the kept ones, in one buffer of at most ``2 (n_lo +
+    n_hi)`` rows that is partitioned back down in place. The n_lo smallest
+    values of two sets are among the n_lo smallest of each, so the kept
+    values are the same as if every path were held. The ranks are then
+    interpolated with numpy's arithmetic, and a point whose column held a
+    NaN is NaN, as numpy makes it. A rank held by both ``-0.0`` and
+    ``+0.0`` may come back with either sign.
     """
     v = (n - 1) * np.array([a, 1.0 - a])
     prev = np.floor(v)
@@ -320,15 +326,16 @@ def _streamed_quantiles(model_dist: dist.Distribution, seed: int, n: int, a: flo
     nxt = prev + 1
     prev[v >= n - 1] = nxt[v >= n - 1] = -1
     gamma = (v - prev)[:, np.newaxis]
-    keep = ()
+    buf, held = None, 0
     for c, m in _chunks(n):
-        # concatenate copies even a lone chunk, so no draw's own array is
-        # partitioned, and no name holds a chunk while the next is drawn.
-        rows = np.concatenate((*keep, model_dist.draw_chunk(seed, BAND_STREAM, c, m)))
-        if len(rows) > n_lo + n_hi:
-            rows.partition([n_lo - 1, len(rows) - n_hi], axis=0)
-            rows = np.concatenate((rows[:n_lo], rows[-n_hi:]))
-        keep = (rows,)
+        chunk = model_dist.draw_chunk(seed, BAND_STREAM, c, m)
+        kept = _keep_extremes(chunk, n_lo, n_hi)
+        if buf is None:  # the first chunk is the longest
+            buf = np.empty((min(n, n_lo + n_hi + kept), *chunk.shape[1:]), dtype=chunk.dtype)
+        buf[held : held + kept] = chunk[:kept]
+        del chunk  # no name holds a chunk while the next is drawn
+        held = _keep_extremes(buf[: held + kept], n_lo, n_hi)
+    rows = buf[:held]
     # A rank below n_lo is kept at its own row; one above it, at its offset
     # from the end (as is -1, the clipped top rank).
     prev, nxt = (np.where(r < n_lo, r, r - n).astype(np.intp) % len(rows) for r in (prev, nxt))
@@ -339,6 +346,23 @@ def _streamed_quantiles(model_dist: dist.Distribution, seed: int, n: int, a: flo
     np.subtract(right, diff * (1 - gamma), out=band, where=gamma >= 0.5)
     np.copyto(band, rows[-1], where=np.isnan(rows[-1]))
     return band[0], band[1]
+
+
+def _keep_extremes(rows: np.ndarray, n_lo: int, n_hi: int) -> int:
+    """Partition *rows* in place along axis 0 so that its first rows hold,
+    per column, its n_lo smallest and then its n_hi largest values, and
+    return how many rows that is: ``n_lo + n_hi``, or all of them when
+    there are no more."""
+    m = len(rows)
+    if m <= n_lo + n_hi:
+        return m
+    rows.partition([n_lo - 1, m - n_hi], axis=0)
+    # Move the n_hi largest down behind the n_lo smallest. Those already
+    # in place stay, so the rows that move and the rows they overwrite
+    # do not overlap.
+    start = max(m - n_hi, n_lo + n_hi)
+    rows[n_lo : n_lo + m - start] = rows[start:]
+    return n_lo + n_hi
 
 
 def _check_band(lo: np.ndarray, hi: np.ndarray, model_dist: dist.Distribution | None):
@@ -602,13 +626,28 @@ def _rule(doc: dict) -> ag.AgreementRule:
     return rule
 
 
+def _metric_field(name: str, build: Callable, *args):
+    """``build(*args)``, run before the metric; a ValueError it raises is a
+    config error naming ``$.metric.<name>``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config field $.metric.{name}: {exc}") from None
+
+
 def _metric_eps(metric: dict):
     """``$.metric.eps``; a NaN or negative tolerance is a config error."""
-    try:
-        ag._nonnegative_eps(metric["eps"])
-    except ValueError as exc:
-        raise ConfigError(f"config field $.metric.eps: {exc}") from None
+    _metric_field("eps", ag._nonnegative_eps, metric["eps"])
     return metric["eps"]
+
+
+def _binned_pdf(metric: dict, masses: str) -> BinnedPdf:
+    """The histogram of ``$.metric.edges`` and ``$.metric.<masses>``. Edges
+    that do not increase are a config error on the edges; any other fault
+    BinnedPdf finds is one on the masses."""
+    if not np.all(np.diff(metric["edges"]) > 0):
+        raise ConfigError("config field $.metric.edges: edges must be strictly increasing")
+    return _metric_field(masses, BinnedPdf, metric["edges"], metric[masses])
 
 
 def _run_reliability(doc, metric, samples, seed):
@@ -670,13 +709,13 @@ def _run_area(doc, metric, samples, seed):
 
 
 def _run_binned_pdf(doc, metric, samples, seed):
-    pdf = BinnedPdf(metric["edges"], metric["model_masses"])
+    pdf = _binned_pdf(metric, "model_masses")
+    _metric_field("data_counts", _dirichlet_alpha, pdf, metric["data_counts"])
     return binned_pdf_metric(pdf, metric["data_counts"], _rule(doc), r=int(metric.get("draws", samples)), seed=seed), {}
 
 
 def _run_divergence(doc, metric, samples, seed):
-    model_pdf = BinnedPdf(metric["edges"], metric["model_masses"])
-    data_pdf = BinnedPdf(metric["edges"], metric["data_masses"])
+    model_pdf, data_pdf = _binned_pdf(metric, "model_masses"), _binned_pdf(metric, "data_masses")
     return divergence_validation(model_pdf, data_pdf, metric["kind"], _rule(doc), seed=seed), {}
 
 

@@ -100,12 +100,20 @@ class Distribution:
         every prefix of a stream independent of the request size. The
         draw re-keys the calling thread's own generator (see
         :mod:`bvm.rng`), so ``_draw`` must not keep the generator.
+
+        The returned array is fresh and belongs to the caller: it shares
+        no memory with the distribution or with any other draw, and the
+        caller may write to it (the model band partitions its chunks in
+        place).
         """
         if not 1 <= m <= CHUNK_SIZE:
             raise ValueError(f"a chunk draws 1 to {CHUNK_SIZE} values, not {m}")
         return _draw_chunk(seed, stream, c, self._draw, CHUNK_SIZE)[:m]
 
     def _draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """*m* values drawn with *rng*, in a fresh writable array that
+        shares no memory with the distribution: :meth:`draw_chunk` hands
+        it to its caller to own."""
         raise NotImplementedError
 
     def density(self, x) -> float:

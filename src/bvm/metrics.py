@@ -304,6 +304,17 @@ def area_metric_validation(
     return _resampled_estimate(rule, areas, bootstrap, seed)
 
 
+def _dirichlet_alpha(model_pdf: BinnedPdf, data_counts) -> np.ndarray:
+    """The Dirichlet parameters of the data's bin probabilities: a uniform
+    prior plus the observed counts, one per model bin."""
+    counts = np.asarray(data_counts, dtype=float)
+    if counts.shape != model_pdf.masses.shape:
+        raise ValueError("data counts must match the model's bins")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    return counts + 1.0
+
+
 def binned_pdf_metric(
     model_pdf: BinnedPdf,
     data_counts,
@@ -314,12 +325,7 @@ def binned_pdf_metric(
     """Binned probability-difference acceptance under Dirichlet-uncertain
     data bin probabilities (uniform prior plus observed counts)."""
     _value_breakpoints(rule)
-    counts = np.asarray(data_counts, dtype=float)
-    if counts.shape != model_pdf.masses.shape:
-        raise ValueError("data counts must match the model's bins")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    alpha = counts + 1.0
+    alpha = _dirichlet_alpha(model_pdf, data_counts)
 
     def distances(rng, m):
         draws = rng.dirichlet(alpha, CHUNK_SIZE)[:m]

@@ -44,6 +44,8 @@ class ModelFunction:
 
     ``evaluate`` accepts a single parameter vector ``(p,)`` or a stack
     ``(K, p)`` and returns the matching ``(N,)`` path or ``(K, N)`` paths.
+    ``_fn`` must return a new array on every call: a push-forward hands
+    its paths to a caller that may write to them.
     """
 
     name: str

@@ -16,8 +16,9 @@ number of threads reproduces the single-threaded result bit for bit.
 ``BVM_THREADS`` (default 1) sets the number of workers; it parallelises
 sampling as well as kernels, so any user code a chunk calls (such as a
 divergence ``sampler`` or an evidence model function) must be a pure
-function of its arguments. The memory an estimate holds is
-O(CHUNK_SIZE x path length x workers), not O(k).
+function of its arguments. An estimate holds one chunk per worker, and
+each chunk's result until the results are returned in chunk order:
+O(CHUNK_SIZE x path length x workers + k / CHUNK_SIZE) memory.
 
 A chunk's Philox key is the one ``np.random.SeedSequence(entropy=seed,
 spawn_key=(stream, chunk)).generate_state(2, np.uint64)`` gives, but no

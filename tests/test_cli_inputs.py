@@ -1,8 +1,10 @@
 """Command-line inputs that the library would turn into a meaningless
 result are config errors (exit 2): a two-sided rule given to a metric
-that scores a single value, and a model prior that is not finite. An
-integer field written as an integral float (``40.0``) runs as its
-integer does."""
+that scores a single value, a model prior that is not finite, and a
+histogram of ``binned_pdf`` or ``divergence`` that ``BinnedPdf`` or the
+data counts refuse (exit 3 before its pdfs were built ahead of the
+metric). An integer field written as an integral float (``40.0``) runs
+as its integer does."""
 
 import json
 
@@ -89,3 +91,25 @@ def test_an_integer_field_may_be_written_as_an_integral_float(tmp_path, capsys, 
         assert main([command, "--config", write(tmp_path, doc, f"{name}.json")]) == EXIT_OK
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1]
+
+
+BAD_BINS = {
+    "edges-not-increasing": ("binned_pdf", {"edges": [0.0, 2.0, 1.0]}, "$.metric.edges", "edges must be strictly increasing"),
+    "negative-masses": ("binned_pdf", {"model_masses": [1.5, -0.5]}, "$.metric.model_masses", "masses must be nonnegative"),
+    "masses-off-one": ("binned_pdf", {"model_masses": [0.5, 0.4]}, "$.metric.model_masses", "masses must sum to 1"),
+    "masses-length": ("binned_pdf", {"model_masses": [0.2, 0.3, 0.5]}, "$.metric.model_masses", "need len(edges)"),
+    "counts-length": ("binned_pdf", {"data_counts": [1, 2, 3]}, "$.metric.data_counts", "data counts must match"),
+    "negative-counts": ("binned_pdf", {"data_counts": [1, -2]}, "$.metric.data_counts", "counts must be nonnegative"),
+    "divergence-edges": ("divergence", {"edges": [0.0, 0.5, 0.5]}, "$.metric.edges", "edges must be strictly increasing"),
+    "divergence-model-masses": ("divergence", {"model_masses": [-0.5, 1.5]}, "$.metric.model_masses", "masses must be nonnegative"),
+    "divergence-data-masses": ("divergence", {"data_masses": [0.7, 0.7]}, "$.metric.data_masses", "masses must sum to 1"),
+    "divergence-data-length": ("divergence", {"data_masses": [1.0]}, "$.metric.data_masses", "need len(edges)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BINS)
+def test_a_bad_histogram_is_a_config_error_naming_its_field(tmp_path, capsys, case):
+    name, change, field, message = BAD_BINS[case]
+    cfg = write(tmp_path, {"metric": {**METRIC_SECTIONS[name], **change}, "agreement": SOFT})
+    assert main([name, "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config field {field}: {message}")

@@ -182,6 +182,11 @@ class TestBinnedPdf:
         assert pdf.masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert pdf.masses.size == 32
 
+    def test_midpoints_are_the_centres_of_the_bins(self):
+        # comparison_density reads a rule at these points.
+        pdf = BinnedPdf([-1.0, 0.0, 0.5, 2.0], [0.25, 0.25, 0.5])
+        assert pdf.midpoints().tolist() == [-0.5, 0.25, 1.25]
+
     def test_binned_prob_diff_hand_values(self):
         p = BinnedPdf([0, 1, 2], [0.5, 0.5])
         q = BinnedPdf([0, 1, 2], [0.25, 0.75])

@@ -51,7 +51,56 @@ def all_variants():
     ]
 
 
+def _own_arrays(obj) -> list:
+    """Every array a distribution holds, through its components, prior and grid."""
+    found = []
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                found.append(item)
+            elif isinstance(item, (Distribution, InputGrid)):
+                found += _own_arrays(item)
+    return found
+
+
+def ownership_variants():
+    grid, line = InputGrid.linspace(0.0, 1.0, 5), polynomial_model([0, 1])
+    return {
+        "normal": Normal(0.3, 1.1),
+        "student-t": StudentT(0.0, 4.0, 0.8),
+        "uniform": Uniform(-1.0, 3.0),
+        "shifted-exponential": ShiftedExponential(2.0, 0.5),
+        "dirac-scalar": DiracDelta(2.0),
+        "dirac-path": DiracDelta([1.0, -0.5, 3.0]),
+        "categorical": Categorical([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]),
+        "categorical-labels": Categorical(["cat", "dog"], [0.7, 0.3]),
+        "empirical-scalar": Empirical(np.arange(50.0)),
+        "empirical-path": Empirical(np.arange(60.0).reshape(20, 3)),
+        "product": IndependentProduct([Normal(0, 1), Uniform(0, 1), DiracDelta(0.5)]),
+        "push-forward-certain": PushForward(IndependentProduct([DiracDelta(0.5), DiracDelta(2.0)]), line, grid),
+        "push-forward-uncertain": PushForward(IndependentProduct([Normal(0, 0.1), Normal(1, 0.1)]), line, grid),
+    }
+
+
 class TestSampling:
+    @pytest.mark.parametrize("name", sorted(ownership_variants()))
+    def test_a_drawn_chunk_is_fresh_and_belongs_to_the_caller(self, name):
+        # The model band partitions its drawn chunks in place, so a chunk may
+        # share no memory with the distribution or with another draw, and
+        # writing to it changes no later draw.
+        dist = ownership_variants()[name]
+        own = _own_arrays(dist)
+        assert own or not name.endswith(("path", "certain")), "a path variant holds its path"
+        chunk = dist.draw_chunk(3, 0, 1, CHUNK_SIZE)
+        again = dist.draw_chunk(3, 0, 1, 100)
+        expected = again.copy()
+        assert chunk.flags.writeable
+        assert not any(np.shares_memory(chunk, a) for a in [*own, again])
+        chunk[...] = chunk[::-1]
+        chunk[0] = 0.0
+        assert np.array_equal(dist.draw_chunk(3, 0, 1, 100), expected)
+        assert np.array_equal(again, expected)
+
     def test_dirac_exact_values(self):
         assert np.array_equal(DiracDelta(2.0).sample(0, 3), [2.0, 2.0, 2.0])
         paths = DiracDelta([1.0, -0.5]).sample(4, 2)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from bvm import (
     ratio_grid,
     sweep,
 )
+from bvm.agreement import AgreementRule
 from bvm.distributions import PushForward
 from bvm.engine import (
     SWEEP_BLOCK,
@@ -55,6 +57,18 @@ def enumeration_oracle(model: Categorical, data: Categorical, rule) -> float:
         for dv, dp in zip(data.values, data.probs):
             total += mp * dp * rule.kernel(mv, dv)
     return total
+
+
+@dataclass(frozen=True)
+class OneWeight(AgreementRule):
+    """Weight 0.5 for every pair but the first of a chunk, which gets *weight*."""
+
+    weight: float
+
+    def kernel_many(self, zhat_batch, z_batch):
+        w = np.full(len(zhat_batch), 0.5)
+        w[0] = self.weight
+        return w
 
 
 class TestMonteCarlo:
@@ -177,6 +191,14 @@ class TestMonteCarlo:
         with pytest.raises(EstimationError):
             estimate_bvm_mc(Scenario(Normal(0, 1), Normal(0, 1), AlwaysTrue()), 0, 0)
 
+    @pytest.mark.parametrize("edge, outward", [(-1e-12, -np.inf), (1.0 + 1e-12, np.inf)], ids=["low", "high"])
+    def test_a_weight_on_the_escape_guard_passes_and_one_step_past_it_raises(self, edge, outward):
+        # The guard forgives rounding of up to 1e-12 outside [0, 1], edge included.
+        sc = Scenario(Normal(0, 1), Normal(0, 1), OneWeight(edge))
+        assert estimate_bvm_mc(sc, 100, 0).p_hat == (99 * 0.5 + edge) / 100
+        with pytest.raises(EstimationError, match="escaped"):
+            estimate_bvm_mc(Scenario(Normal(0, 1), Normal(0, 1), OneWeight(np.nextafter(edge, outward))), 100, 0)
+
 
 class TestGridEstimator:
     def test_single_certain_pair(self):
@@ -199,6 +221,21 @@ class TestGridEstimator:
         sc = Scenario(DiracDelta(path), DiracDelta(path), AlwaysTrue())
         with pytest.raises(EstimationError):
             estimate_bvm_grid(sc, ([path], [0.7]), ([path], [1.0]))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_weights_summing_just_inside_the_tolerance_pass_and_just_outside_raise(self, side):
+        # No float sum lies exactly 1e-9 from 1 (the floats there are whole
+        # multiples of 2**-52 or 2**-53), so these are the nearest sums on
+        # either side of the edge. The zero weight is allowed.
+        ulp = 2.0**-52 if side > 0 else 2.0**-53
+        inside = 1.0 + side * math.floor(1e-9 / ulp) * ulp
+        outside = np.nextafter(inside, side * np.inf)
+        assert abs(inside - 1.0) <= 1e-9 < abs(outside - 1.0)
+        path = np.zeros(2)
+        sc = Scenario(DiracDelta(path), DiracDelta(path), AlwaysFalse())
+        assert estimate_bvm_grid(sc, ([path, path], [inside, 0.0]), ([path], [1.0])).p_hat == 0.0
+        with pytest.raises(EstimationError, match="sum to 1 within 1e-9"):
+            estimate_bvm_grid(sc, ([path, path], [outside, 0.0]), ([path], [1.0]))
 
     def test_matches_enumeration_for_categoricals(self):
         model = Categorical([0.0, 1.0, 2.0], [0.5, 0.25, 0.25])

@@ -9,6 +9,7 @@ outputs and has to say so.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from bvm import (
     Categorical,
     DiracDelta,
     Empirical,
+    EpsilonBeta,
     IndependentProduct,
     InputGrid,
     Interval,
@@ -53,6 +55,7 @@ from bvm.metrics import (
     binned_pdf_metric,
     divergence_validation,
 )
+from bvm.rng import BAND_STREAM
 from bvm.studies import _OSC_PARAMS, _OSC_SIGMAS, _TAYLOR, _poly_config, builtin_configs, sweep_axes
 
 MODEL, DATA = Normal(0.3, 1.1), Normal(-0.2, 0.7)
@@ -256,8 +259,11 @@ def test_golden_bits(case, threads, monkeypatch):
 # the band's quantiles write into arrays they own, and the oscillator
 # evaluates into reused buffers. These sha256s were recorded from the
 # plain concatenate / two-quantile / expression forms, so they pin that
-# each still produces those bits. String labels are hashed by value (an object array's bytes are
-# pointers).
+# each still produces those bits. The bands at 4 095 and 12 289 samples
+# and of the planted model, and the compound-rule edges, were recorded
+# when the band concatenated its kept rows with each whole chunk and the
+# compound rule took the coverage of a whole chunk at once. String labels
+# are hashed by value (an object array's bytes are pointers).
 OSC_MODEL = distribution_from_config({"type": "push_forward", **builtin_configs(0)["oscillator-uncertain-compound"]["model"]})
 OSC_PRIOR = IndependentProduct([Normal(p, s) for p, s in zip(_OSC_PARAMS, _OSC_SIGMAS)])
 MIXED_PRODUCT = IndependentProduct(
@@ -285,6 +291,64 @@ def _band(n, level, model=OSC_MODEL):
     return _sha(*rule_from_config(doc, model).band)
 
 
+SIGNED_ZEROS = 9
+
+
+def _planted(theta, x):
+    """Oscillator paths with non-finite points planted by the draw of the
+    first parameter (z, a standard normal): NaN in a few rows of one
+    column, +-inf around the 2.5 % ranks of others and in half the rows
+    of one, a column of +inf and one of -inf, and a column of -0.0 and
+    +0.0 (below and above z = 0) whose read ranks hold both."""
+    out = damped_oscillator_model().evaluate(theta, InputGrid(x))
+    z = (theta[:, 0] - _OSC_PARAMS[0]) / _OSC_SIGMAS[0]
+    out[z > 2.5, 1] = np.nan
+    out[z > 1.96, 2] = np.inf
+    out[z < -1.96, 3] = -np.inf
+    out[z > 0.0, 4] = np.inf
+    out[:, 5] = np.inf
+    out[:, 6] = -np.inf
+    out[z > 2.2, 7] = np.inf
+    out[z < -2.2, 7] = -np.inf
+    out[z > 3.5, 8] = np.inf
+    out[:, SIGNED_ZEROS] = np.where(z < 0.0, -0.0, 0.0)
+    return out
+
+
+PLANTED_MODEL = PushForward(OSC_PRIOR, ModelFunction("planted", tuple("abcdfg"), _planted), InputGrid(OSC_X[:20]))
+
+
+def _planted_band(n, level):
+    """The planted model's band bytes, but for its signed-zero column,
+    which :func:`test_planted_band_equals_the_quantiles_by_value` checks."""
+    doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": level, "samples": n, "seed": 4}}
+    with np.errstate(invalid="ignore"):  # inf - inf
+        lo, hi = rule_from_config(doc, PLANTED_MODEL).band
+    return _sha(*(np.delete(edge, SIGNED_ZEROS) for edge in (lo, hi)))
+
+
+# Compound-rule edges: 4-point paths whose data points sit on the band's
+# edges, one step outside or inside them, or between, so that a row's
+# coverage lands on coverage_lo (0.5), on coverage_hi (0.75) or off them;
+# each data row meets three model rows at mean error exactly mean_tol
+# (0.25), just above it and half of it.
+EB_BAND = (np.array([-1.0, -0.5, 0.0, 0.25]), np.array([1.0, 0.5, 0.75, 1.25]))
+EB_RULE = EpsilonBeta(0.25, EB_BAND, coverage_lo=0.5, coverage_hi=0.75)
+
+
+def _epsilon_beta_edges(data):
+    lo, hi = EB_BAND
+    picks = np.stack([lo, hi, lo - 0.25, hi + 0.25, (lo + hi) / 2, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    y = picks[np.array(list(itertools.product(range(len(picks)), repeat=4))), np.arange(4)]
+    if data == "path":  # on lo, on hi, outside, on hi: coverage 0.75
+        y = np.array([lo[0], hi[1], lo[2] - 0.25, hi[3]])
+    steps = np.array([0.25, 0.25 + 2.0**-48, 0.125])[:, None] * [1.0, -1.0, 1.0, -1.0]
+    yhat = (np.atleast_2d(y)[:, None, :] + steps).reshape(-1, 4)
+    if data == "batch":
+        y = np.repeat(y, len(steps), axis=0)
+    return _sha(EB_RULE.kernel_many(yhat, y))
+
+
 def _path_error(fn, data):
     """A path error of one uncertain oscillator chunk against the 1-D
     data path or against another chunk."""
@@ -294,7 +358,17 @@ def _path_error(fn, data):
 
 
 BYTES_CASES = {
-    **{f"band-{n}-{level}": (lambda n=n, level=level: _band(n, level)) for n in (100, 4_097, 20_000) for level in (0.95, 0.5)},
+    **{
+        f"band-{n}-{level}": (lambda n=n, level=level: _band(n, level))
+        for n in (100, 4_095, 4_097, 12_289, 20_000)
+        for level in (0.95, 0.5)
+    },
+    **{
+        f"band-planted-{n}-{level}": (lambda n=n, level=level: _planted_band(n, level))
+        for n in (4_097, 20_000)
+        for level in (0.95, 0.5)
+    },
+    **{f"epsilon-beta-edges-{data}": (lambda data=data: _epsilon_beta_edges(data)) for data in ("batch", "path")},
     # A certain path given as a ``dirac`` model, recorded when its band was
     # the quantile pass over 20 000 tiled rows.
     **{f"band-dirac-path-{level}": (lambda level=level: _band(20_000, level, DiracDelta(OSC_Y))) for level in (0.95, 0.5)},
@@ -322,15 +396,25 @@ BYTES_CASES = {
 BYTES_GOLDEN = {
     "band-100-0.5": "873d7e0352a4023bd963ef3228f9703ec967e4e0a329a72e660a91800e5acbe0",
     "band-100-0.95": "ccbf15d4bf299d21dfb9dc070531a382c7d0e915e90b46d4154c26bb63ce693b",
+    "band-12289-0.5": "4e48d850a580297cdd0b3405b26c33222d6dacf57931e6fbfa6a7dd45bd90481",
+    "band-12289-0.95": "5742a9702a394a94a8ed907254116bc3fd2b7582dd95a1fb3ad4124b83430186",
     "band-20000-0.5": "bbc58d078c9af9cea4b7c358a40fdc346431e666d5aadb09b8f2fd5cf457f879",
     "band-20000-0.95": "94f24aef461ba7ee88739ed35eb98644b892e93191a60f83dd17bbee5b134a13",
+    "band-4095-0.5": "1fd0a441e76563aec6d40d05ab26a6c59d4d6d7fd5f7376cbe89a44173fcec57",
+    "band-4095-0.95": "e2edd8f8ee1a0c642b2b19409332b68f61c3412aee1cc837eced3459542efba9",
     "band-4097-0.5": "44201b43618c1590844ce9baa37a9e1076a5a456b03639ffde078709200d09c2",
     "band-4097-0.95": "b8b1d9801fc5be4e51f61d8cbcba0935b0b5611619a91818b9111eae19b6416a",
     "band-dirac-path-0.5": "21c4a541af30c94c22c43a18fd9defc9862b96094ad6b567fc38e3ae417dec7c",
     "band-dirac-path-0.95": "21c4a541af30c94c22c43a18fd9defc9862b96094ad6b567fc38e3ae417dec7c",
+    "band-planted-20000-0.5": "356b499ecacf39646fc827b9ccf42ba617239947d48fc0e931464b3d188f5c6c",
+    "band-planted-20000-0.95": "92b7087fdc09c76e6218e1371304317670347d9de1ff12beabb21f4ab4a6f47c",
+    "band-planted-4097-0.5": "397b512dac1db43831abaf1158aa6df2373c7dfe41d8869894ac4e2c1db96d69",
+    "band-planted-4097-0.95": "3487a936fa02d4cc43f5dac37c9fef30664cbe065230ddaceac3da8a4fa37852",
     "draw-chunk-certain-oscillator-257": "4482daa4961ecf943f4349a907aa687193a42ff08dbc2f1c517b629fae5babc7",
     "draw-chunk-mixed-product-0": "fa706d593dd45745449bb97fee7a7aa595c5e83ceb9a5411cb9ca581471ed91f",
     "draw-chunk-mixed-product-1": "c74d19df2487b4b6dac32d6dcb79d6f6773ce522a89e50c21508a7d8f54fa352",
+    "epsilon-beta-edges-batch": "7cfb70170ccd86b03a5bf811e4a1281cfc39a4d855a4b9a9e6faeeef23996362",
+    "epsilon-beta-edges-path": "68f962b48b11fe16e782b2e07047abb2dfbfdc78a67e39410e00508331a5d1e7",
     "fraction_within-chunk-chunk": "7d662b28bcc8b49e36a034fe1a019aa98207208803f8e963df7a7d5a84ef0a65",
     "fraction_within-chunk-path": "81f0068dbb02f629e05d94e9722508bc7f465b522d28a3c7ce88aeb9ee105cc5",
     "max_abs_error-chunk-chunk": "77391bd6eb873adb34bbe7502c022599892e8918cde09888c211347e0837255f",
@@ -349,6 +433,21 @@ BYTES_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(BYTES_CASES))
 def test_golden_bytes(case):
     assert BYTES_CASES[case]() == BYTES_GOLDEN[case]
+
+
+@pytest.mark.parametrize("level", [0.95, 0.5])
+def test_planted_band_equals_the_quantiles_by_value(level):
+    # numpy's quantiles of the same paths, by value: the signed-zero
+    # column's ranks may come back as either zero, and it is 0.0 either way.
+    doc = {"type": "epsilon_beta", "mean_tol": 1.0, "band": {"source": "model", "level": level, "samples": 12_289, "seed": 4}}
+    a = (1.0 - level) / 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        band = np.stack(rule_from_config(doc, PLANTED_MODEL).band)
+        expected = np.quantile(PLANTED_MODEL.sample(4, 12_289, BAND_STREAM), [a, 1.0 - a], axis=0)
+    zeros = PLANTED_MODEL.sample(4, 12_289, BAND_STREAM)[:, SIGNED_ZEROS]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert (band[:, SIGNED_ZEROS] == 0.0).all()
+    np.testing.assert_array_equal(band, expected)
 
 
 # Grid ``bvm validate`` end to end: the ``p_hat`` its record holds for

@@ -11,15 +11,23 @@ draws' bound was set before chunks were copied out as drawn (16.1 MB
 then, 8.1 MB now).
 
 The model band draws its paths one chunk at a time and keeps, per point,
-only the order statistics its two quantiles read. Its 10 MB bound was
-set before that change, when it drew all 20 000 paths into one array and
-partitioned it: 26.2 MB (now 8.2 MB).
+only the order statistics its two quantiles read. It partitions each
+chunk in place and merges only that chunk's kept rows with its own, in
+one buffer of twice the kept rows. Its 5.5 MB bound was set before that
+change, when it concatenated its kept rows with each whole chunk: 8.2 MB
+(now 5.47 MB: a chunk and its evaluation's working set, 3.87 MB, and
+the 1.6 MB buffer). A 10 MB bound before it was set when the band drew all
+20 000 paths into one array: 26.2 MB.
 
 The oscillator evaluates in row tiles into its output, and the path
-errors take |yhat - y| over row tiles, so one chunk of the uncertain
-compound rule holds the model and data chunks and one tile of errors.
-Its 11 MB bound at k = 1e5 was set before those changes, at 13.1 MB
-(9.9 MB with |yhat - y| of a whole chunk in place, now 7.5 MB).
+errors and both compound rules take |yhat - y| over row tiles, so one
+chunk of the uncertain compound rule holds the model and data chunks and
+one tile of errors. Its 7.1 MB bound at k = 1e5 was set before
+``EpsilonBeta`` took its coverage in those tiles: 7.45 MB (now 7.0 MB).
+An 11 MB bound before it was set at 13.1 MB, before the tiles (9.9 MB
+with |yhat - y| of a whole chunk in place). ``EpsilonBeta.kernel_many``
+on a 4096 x 100 pair has a 0.5 MB bound, set at 0.89 MB, when it formed
+chunk-sized bool arrays for its coverage (now 0.43 MB).
 
 Grid ``bvm validate`` scores its model paths one block at a time, as a
 sweep reads them. Its bound was set before that change, when the call
@@ -60,7 +68,7 @@ import tracemalloc
 
 import numpy as np
 
-from bvm import GammaEpsilon, IndependentProduct, Normal, mean_abs_error
+from bvm import EpsilonBeta, GammaEpsilon, IndependentProduct, Normal, mean_abs_error
 from bvm.cli import EXIT_OK, main
 from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
 from bvm.engine import estimate_bvm_mc, sweep
@@ -89,7 +97,7 @@ def test_oscillator_band_peak():
         return rule_from_config(doc, model)
 
     band(100)  # warm-up: lazy imports and caches stay out of the measurement
-    assert _peak_mb(lambda: band(20_000)) <= 10.0
+    assert _peak_mb(lambda: band(20_000)) <= 5.5
 
 
 def test_oscillator_sample_peak():
@@ -102,7 +110,7 @@ def test_uncertain_compound_mc_peak(monkeypatch):
     monkeypatch.delenv("BVM_THREADS", raising=False)  # one chunk in flight
     scenario = build_scenario(builtin_configs(0)["oscillator-uncertain-compound"]).scenario
     estimate_bvm_mc(scenario, 100, 0)
-    assert _peak_mb(lambda: estimate_bvm_mc(scenario, 100_000, 0)) <= 11.0
+    assert _peak_mb(lambda: estimate_bvm_mc(scenario, 100_000, 0)) <= 7.1
 
 
 def test_certain_oscillator_band_peak():
@@ -133,6 +141,13 @@ def test_gamma_epsilon_kernel_many_peak():
     rule = GammaEpsilon(gamma=0.9, eps=np.full(100, 0.5), m=5.0)
     rule.kernel_many(yhat[:5], y[:5])
     assert _peak_mb(lambda: rule.kernel_many(yhat, y)) <= 1.0
+
+
+def test_epsilon_beta_kernel_many_peak():
+    yhat, y = np.random.default_rng(0).normal(size=(2, CHUNK_SIZE, 100))
+    rule = EpsilonBeta(0.9, (np.full(100, -1.5), np.full(100, 1.5)))
+    rule.kernel_many(yhat[:5], y[:5])
+    assert _peak_mb(lambda: rule.kernel_many(yhat, y)) <= 0.5
 
 
 def test_certain_oscillator_estimate_peak(monkeypatch):

@@ -41,7 +41,8 @@ seconds. The bounds were written down before the first run:
   ``fraction_within`` equal their one-pass expressions byte for byte, at
   the same row counts, on paths with NaN and +-inf points, for a batch
   against a batch, a batch against one path, one path (1-D or one row)
-  against a batch and one pair of paths.
+  against a batch and one pair of paths. So do the two compound rules,
+  ``GammaEpsilon`` and ``EpsilonBeta``, against a batch or one data path.
 """
 
 import json
@@ -62,6 +63,7 @@ from bvm import (
     ConfidenceRegion,
     DiracDelta,
     Empirical,
+    EpsilonBeta,
     GammaEpsilon,
     InputGrid,
     InRegion,
@@ -617,5 +619,26 @@ def test_tiled_gamma_epsilon_equals_the_one_pass_expression(points, rows, data, 
     with np.errstate(invalid="ignore"):  # inf - inf
         err = np.abs(yhat - y)
         expected = ((np.mean(err <= eps, axis=-1) >= 0.95) & np.all(err <= 2.0 * np.asarray(eps), axis=-1)).astype(float)
+        got = rule.kernel_many(yhat, y)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("data", ["batch", "path"])
+@pytest.mark.parametrize("rows", ["one", "tile-1", "tile", "tile+1", "chunk"])
+@pytest.mark.parametrize("points", [7, 100, 193])
+def test_tiled_epsilon_beta_equals_the_one_pass_expression(points, rows, data):
+    tile = max(1, OSCILLATOR_TILE // points)
+    k = {"one": 1, "tile-1": max(1, tile - 1), "tile": tile, "tile+1": tile + 1, "chunk": CHUNK_SIZE}[rows]
+    rng = np.random.default_rng([points, k, 1])
+    y = rng.normal(0.0, 1.0, (k, points) if data == "batch" else points)
+    yhat = y + rng.normal(0.0, 0.3, (k, points))
+    for paths in (yhat, y):
+        paths.reshape(-1)[rng.integers(0, paths.size, 3)] = [np.nan, np.inf, -np.inf]
+    lo, hi = -rng.uniform(1.0, 2.0, points), rng.uniform(1.0, 2.0, points)
+    rule = EpsilonBeta(0.25, (lo, hi), coverage_lo=0.8, coverage_hi=0.95)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        mean_ok = np.mean(np.abs(yhat - y), axis=-1) <= 0.25
+        cov = np.mean((y >= lo) & (y <= hi), axis=-1)
+        expected = (mean_ok & (cov >= 0.8) & (cov <= 0.95)).astype(float)
         got = rule.kernel_many(yhat, y)
     assert got.tobytes() == expected.tobytes()
