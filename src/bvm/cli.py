@@ -11,7 +11,7 @@ record's estimates hold the fields of the result dataclass
 (``BvmEstimate``, or ``EvidenceResult`` for ``evidence``) plus any
 metric-specific extras.
 
-Exit codes: 0 success, 2 config/schema error, 3 estimation error,
+Exit codes: 0 success, 2 config/schema or flag error, 3 estimation error,
 4 the two ratio configs disagree on data/agreement sections,
 5 reproduction target failure.
 """
@@ -146,12 +146,22 @@ def _write_record(record: RunRecord, out: str | None, fmt: str = "json"):
         fh.write(record.to_json() + "\n")
 
 
+def _flag(args, name: str, least: int, default):
+    """``--<name>`` when given, else ``default``. A flag below ``least``
+    is a config error, as the schema bounds its twin in the estimator
+    section."""
+    value = getattr(args, name)
+    if value is not None and value < least:
+        raise ConfigError(f"--{name} {value}: must be at least {least}")
+    return default if value is None else value
+
+
 def _seed_and_samples(args, estimator: dict) -> tuple:
     """``--seed`` and ``--samples`` when given, else the estimator
     section's values, else seed 0 and ``DEFAULT_SAMPLES``; ints, as a
     schema integer may be written ``3.0``."""
-    seed = args.seed if args.seed is not None else estimator.get("seed", 0)
-    samples = args.samples if args.samples is not None else estimator.get("samples", DEFAULT_SAMPLES)
+    seed = _flag(args, "seed", 0, estimator.get("seed", 0))
+    samples = _flag(args, "samples", 1, estimator.get("samples", DEFAULT_SAMPLES))
     return int(seed), int(samples)
 
 
@@ -278,9 +288,7 @@ def cmd_sweep(args) -> int:
         doc = load_config(path)
         template, estimator = build_sweep_template(doc, checked=True)
         seed, samples = _seed_and_samples(args, estimator)
-        grid = sweep(
-            template, gammas, epsilons, m=args.m, estimator=estimator.get("method", "grid"), k=samples, seed=seed
-        )
+        grid = sweep(template, gammas, epsilons, m=args.m, estimator=estimator["method"], k=samples, seed=seed)
         grids.append(grid)
         out_csv = f"{args.out_prefix}_model{len(grids)}.csv"
         _write_sweep_csv(out_csv, grid)
@@ -303,7 +311,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
-    report = run_study(args.example, seed=args.seed)
+    report = run_study(args.example, seed=_flag(args, "seed", 0, 0))
     for key in sorted(report.values):
         print(f"{key} = {report.values[key]}")
     for label, ok, detail in report.checks:
@@ -343,7 +351,7 @@ def cmd_metric(args) -> int:
     if section["name"] != name:
         raise ConfigError(f"config field $.metric.name: expected '{name}', got '{section['name']}'")
     seed, samples = _seed_and_samples(args, doc.get("estimator", {}))
-    result, extras = METRICS[name].run(doc, section, samples, seed)
+    result, extras = METRICS[name].build(doc, section, samples, seed)
     record = RunRecord(
         command=name,
         config=doc,

@@ -29,7 +29,7 @@ import numpy as np
 from . import agreement as ag
 from . import distributions as dist
 from .comparison import _DIVERGENCES, BinnedPdf, ComparisonFn, get_comparison_fn
-from .engine import Scenario, SweepTemplate
+from .engine import DEFAULT_SAMPLES, Scenario, SweepTemplate
 from .metrics import (
     DataSummary,
     GaussianLikelihoodSpec,
@@ -67,7 +67,6 @@ __all__ = [
     "RULES",
     "GENERATORS",
     "METRICS",
-    "Metric",
 ]
 
 
@@ -84,7 +83,10 @@ class Form(NamedTuple):
     tag, the required ones among them, and ``build``, which makes the
     object from a document of this form. A rule form also names the rule
     class it builds and ``to_config(rule)``, the fields that serialise one
-    besides the tag."""
+    besides the tag. A metric form's ``build(doc, section, samples, seed)``
+    runs the metric and returns ``(result, extras)``: the result dataclass
+    (a ``BvmEstimate``, or an ``EvidenceResult``) and a dict of further
+    named numbers, both written to the run record."""
 
     properties: dict
     required: tuple
@@ -577,24 +579,6 @@ _OUTPUT = {
 # Metric table: each metric subcommand is one entry
 
 
-# Sample count of an estimator section that gives none.
-DEFAULT_SAMPLES = 10_000
-
-
-class Metric(NamedTuple):
-    """One metric subcommand: the fields of its ``metric`` config section
-    besides ``name``, and how it runs.
-
-    ``run(doc, section, samples, seed)`` returns ``(result, extras)``: the
-    result dataclass (a ``BvmEstimate``, or an ``EvidenceResult``) and a
-    dict of further named numbers, both written to the run record.
-    """
-
-    properties: dict
-    required: tuple
-    run: Callable[[dict, dict, int, int], tuple]
-
-
 def _section(doc: dict, name: str) -> dict:
     if not doc.get(name):
         raise ConfigError(f"config field $.{name}: section is required for this command")
@@ -687,14 +671,13 @@ def _run_classical(doc, metric, samples, seed):
 
 
 def _run_evidence(doc, metric, samples, seed):
-    model_sec = doc.get("model", {})
-    if "model_function" not in model_sec:
+    pf = _model_dist_from_section(_section(doc, "model"))
+    if not isinstance(pf, dist.PushForward):
         raise ConfigError("config field $.model: evidence needs model_function + prior + grid")
-    grid = grid_from_config(model_sec["grid"])
     res = bayesian_evidence(
-        model_function_from_config(model_sec["model_function"]),
-        distribution_from_config(model_sec["prior"]),
-        GaussianLikelihoodSpec(metric["sigma"], metric["data_y"], grid),
+        pf.model,
+        pf.prior,
+        GaussianLikelihoodSpec(metric["sigma"], metric["data_y"], pf.grid),
         k=samples,
         seed=seed,
     )
@@ -719,10 +702,10 @@ def _run_divergence(doc, metric, samples, seed):
     return divergence_validation(model_pdf, data_pdf, metric["kind"], _rule(doc), seed=seed), {}
 
 
-METRICS: dict[str, Metric] = {
-    "reliability": Metric({"eps": _NUM}, ("eps",), _run_reliability),
-    "improved_reliability": Metric({"eps": {"oneOf": [_NUM, _NUM_ARRAY]}}, ("eps",), _run_improved_reliability),
-    "frequentist": Metric(
+METRICS: dict[str, Form] = {
+    "reliability": Form({"eps": _NUM}, ("eps",), _run_reliability),
+    "improved_reliability": Form({"eps": {"oneOf": [_NUM, _NUM_ARRAY]}}, ("eps",), _run_improved_reliability),
+    "frequentist": Form(
         {
             "model_mean": _NUM,
             "data_summary": {
@@ -735,7 +718,7 @@ METRICS: dict[str, Metric] = {
         ("model_mean", "data_summary"),
         _run_frequentist,
     ),
-    "power": Metric(
+    "power": Form(
         {
             "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
             "alpha_hat": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
@@ -744,23 +727,23 @@ METRICS: dict[str, Metric] = {
         ("alpha", "alpha_hat"),
         _run_power,
     ),
-    "classical": Metric(
+    "classical": Form(
         {"alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}, ("alpha",), _run_classical
     ),
-    "evidence": Metric(
+    "evidence": Form(
         {"sigma": {"type": "number", "exclusiveMinimum": 0}, "data_y": _NUM_ARRAY}, ("sigma", "data_y"), _run_evidence
     ),
-    "area": Metric(
+    "area": Form(
         {"samples_m": _NUM_ARRAY, "samples_d": _NUM_ARRAY, "bootstrap": {"type": "integer", "minimum": 0}},
         ("samples_m", "samples_d"),
         _run_area,
     ),
-    "binned_pdf": Metric(
+    "binned_pdf": Form(
         {"edges": _NUM_ARRAY, "model_masses": _NUM_ARRAY, "data_counts": _NUM_ARRAY, "draws": {"type": "integer", "minimum": 1}},
         ("edges", "model_masses", "data_counts"),
         _run_binned_pdf,
     ),
-    "divergence": Metric(
+    "divergence": Form(
         {
             "kind": {"enum": list(_DIVERGENCES)},
             "edges": _NUM_ARRAY,
@@ -1068,16 +1051,13 @@ def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemp
 
 def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, estimator: dict) -> SweepTemplate:
     """The template a sweep or a grid estimate runs on: a push-forward
-    model, a certain data path, and the estimator section's grid settings."""
+    model, a certain data path, and the grid settings the estimator
+    section gives (``SweepTemplate``'s defaults stand for the others)."""
     if not isinstance(model_dist, dist.PushForward):
         raise ConfigError("config field $.model: a sweep or a grid estimate needs model_function + prior + grid")
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep or a grid estimate needs a certain data path")
-    return SweepTemplate(
-        model=model_dist.model,
-        prior=model_dist.prior,
-        grid=model_dist.grid,
-        data_path=data_dist.value,
-        grid_points_per_param=int(estimator.get("points_per_param", 20)),
-        span_sigmas=estimator.get("span_sigmas", 3.0),
-    )
+    settings = {key: estimator[key] for key in ("points_per_param", "span_sigmas") if key in estimator}
+    if "points_per_param" in settings:
+        settings["points_per_param"] = int(settings["points_per_param"])  # a schema integer may be written 3.0
+    return SweepTemplate(model_dist, data_dist.value, **settings)

@@ -22,10 +22,10 @@ import numpy as np
 from .agreement import AgreementRule, _value_breakpoints
 from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
-from .models import InputGrid, ModelFunction
 from .rng import DATA_STREAM, MODEL_STREAM, _chunks, map_chunks
 
 __all__ = [
+    "DEFAULT_SAMPLES",
     "EstimationError",
     "Scenario",
     "BvmEstimate",
@@ -43,6 +43,10 @@ __all__ = [
     "averaged_boolean_ratio",
     "discretize_distribution",
 ]
+
+
+# Sample count of a Monte Carlo run that names none.
+DEFAULT_SAMPLES = 10_000
 
 
 class EstimationError(Exception):
@@ -384,25 +388,23 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepTemplate:
-    """What a sweep or a grid estimate reads: a model, its parameter prior,
-    the comparison grid, a certain data path, and how finely the prior is
-    discretised. ``config.sweep_template`` makes one from built sections.
-    """
+    """What a sweep or a grid estimate reads: a model pushed forward from
+    its parameter prior onto the comparison grid, a certain data path, and
+    how finely the prior is discretised. ``config.sweep_template`` makes
+    one from built sections."""
 
-    model: ModelFunction
-    prior: Distribution
-    grid: InputGrid
+    model_dist: PushForward
     data_path: np.ndarray
-    grid_points_per_param: int = 20
+    points_per_param: int = 20
     span_sigmas: float = 3.0
 
     def __post_init__(self):
         object.__setattr__(self, "data_path", np.asarray(self.data_path, dtype=float))
-        if self.data_path.shape != (len(self.grid),):
+        if self.data_path.shape != (self.model_dist.path_length,):
             raise ValueError("data path length must match the grid")
 
 
-def discretize_distribution(dist: Distribution, n: int, span_sigmas: float = 3.0):
+def discretize_distribution(dist: Distribution, n: int, span_sigmas: float):
     """Weighted support points for a scalar prior component.
 
     Normals become n equally spaced points over mean +/- span_sigmas
@@ -430,17 +432,15 @@ def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
     ``PushForward.draw_chunk``. Both give the bits of one evaluation over
     every path. :func:`sweep` and grid ``bvm validate`` read no other paths.
     """
+    pf = template.model_dist
     if estimator == "grid":
-        if isinstance(template.prior, IndependentProduct):
-            comps = template.prior.components
-        elif isinstance(template.prior, DiracDelta):  # a certain vector: one point mass per parameter
-            comps = [DiracDelta(v) for v in np.atleast_1d(template.prior.value)]
+        if isinstance(pf.prior, IndependentProduct):
+            comps = pf.prior.components
+        elif isinstance(pf.prior, DiracDelta):  # a certain vector: one point mass per parameter
+            comps = [DiracDelta(v) for v in np.atleast_1d(pf.prior.value)]
         else:
-            comps = (template.prior,)
-        supports = [
-            discretize_distribution(c, template.grid_points_per_param, template.span_sigmas)
-            for c in comps
-        ]
+            comps = (pf.prior,)
+        supports = [discretize_distribution(c, template.points_per_param, template.span_sigmas) for c in comps]
         values = [s[0] for s in supports]
         shape = tuple(v.size for v in values)
         weights = functools.reduce(np.multiply.outer, [s[1] for s in supports]).ravel()
@@ -451,13 +451,12 @@ def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
             for start in range(0, n_paths, SWEEP_BLOCK):
                 rows = np.unravel_index(np.arange(start, min(start + SWEEP_BLOCK, n_paths)), shape)
                 params = np.column_stack([v[i] for v, i in zip(values, rows)])
-                yield template.model.evaluate(params, template.grid)
+                yield pf.model.evaluate(params, pf.grid)
 
         return n_paths, weights, grid_blocks()
     if estimator == "mc":
         if k < 1:
             raise EstimationError("sample count must be at least 1")
-        pf = PushForward(template.prior, template.model, template.grid)
 
         def mc_blocks():
             for c, m in _chunks(k):
@@ -475,7 +474,7 @@ def sweep(
     epsilons,
     m: float,
     estimator: str = "grid",
-    k: int = 10_000,
+    k: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> SweepGrid:
     """P(agree) under the (gamma, eps) rule at every axis combination.
@@ -523,7 +522,7 @@ def sweep(
     if not (math.isfinite(m) and m >= 1.0):
         raise EstimationError(f"worst-point multiplier m must be finite and at least 1, got {m!r}")
     n_paths, weights, blocks = _path_blocks(template, estimator, k, seed)
-    n = len(template.grid)
+    n = template.model_dist.path_length
     n_eps = epsilons.size
     order = np.argsort(epsilons, kind="stable")
     eps_sorted = epsilons[order]

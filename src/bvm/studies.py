@@ -185,7 +185,7 @@ def sweep_axes():
 # ex-5.1
 
 
-def _run_power(seed: int, mc_check_samples: int = 100_000) -> StudyReport:
+def _run_power(seed: int) -> StudyReport:
     report = StudyReport(study="ex-5.1", seed=seed)
     products = []
     for doc in _power_configs(seed).values():
@@ -204,7 +204,8 @@ def _run_power(seed: int, mc_check_samples: int = 100_000) -> StudyReport:
                 InRegion(res.model_region, side="data"),
             ]
         )
-        mc = estimate_bvm_mc(Scenario(model, data, rule), mc_check_samples, seed)
+        est = doc["estimator"]
+        mc = estimate_bvm_mc(Scenario(model, data, rule), est["samples"], est["seed"])
         z = abs(mc.p_hat - res.estimate.p_hat) / max(mc.std_error, 1e-12)
         report.check(
             f"model std={std}: product matches joint MC within 3 standard errors",

@@ -3,8 +3,10 @@ result are config errors (exit 2): a two-sided rule given to a metric
 that scores a single value, a model prior that is not finite, and a
 histogram of ``binned_pdf`` or ``divergence`` that ``BinnedPdf`` or the
 data counts refuse (exit 3 before its pdfs were built ahead of the
-metric). An integer field written as an integral float (``40.0``) runs
-as its integer does."""
+metric), and a ``--seed`` below 0 or a ``--samples`` below 1, bounded as
+the schema bounds ``estimator.seed`` and ``estimator.samples``. An
+integer field written as an integral float (``40.0``) runs as its
+integer does."""
 
 import json
 
@@ -113,3 +115,32 @@ def test_a_bad_histogram_is_a_config_error_naming_its_field(tmp_path, capsys, ca
     cfg = write(tmp_path, {"metric": {**METRIC_SECTIONS[name], **change}, "agreement": SOFT})
     assert main([name, "--config", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: config field {field}: {message}")
+
+
+BAD_FLAGS = {
+    "validate-seed": ("validate", POLY, ["--seed", "-1"]),
+    "validate-samples": ("validate", POLY, ["--samples", "0"]),
+    "grid-validate-samples": ("validate", {**POLY, "estimator": {"method": "grid", "seed": 0}}, ["--samples", "0"]),
+    "ratio-seed": ("ratio", POLY, ["--seed", "-1"]),
+    "ratio-samples": ("ratio", POLY, ["--samples", "-5"]),
+    "mc-sweep-seed": ("sweep", POLY, ["--seed", "-1"]),
+    "mc-sweep-samples": ("sweep", POLY, ["--samples", "0"]),
+    "binned-pdf-samples": ("binned_pdf", {"metric": METRIC_SECTIONS["binned_pdf"], "agreement": SOFT}, ["--samples", "0"]),
+    "binned-pdf-seed": ("binned_pdf", {"metric": METRIC_SECTIONS["binned_pdf"], "agreement": SOFT}, ["--seed", "-2"]),
+    "reproduce-seed": ("reproduce", None, ["--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FLAGS)
+def test_a_bad_seed_or_samples_flag_is_a_config_error_naming_the_flag(tmp_path, capsys, case):
+    command, doc, flags = BAD_FLAGS[case]
+    if command == "reproduce":
+        args = ["reproduce", "ex-5.1"]
+    elif command == "ratio":
+        args = ["ratio", write(tmp_path, doc), write(tmp_path, doc, "other.json")]
+    elif command == "sweep":
+        args = ["sweep", write(tmp_path, doc), "--out-prefix", str(tmp_path / "sweep")]
+    else:
+        args = [command, "--config", write(tmp_path, doc)]
+    assert main([*args, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {flags[0]} {flags[1]}: must be at least ")

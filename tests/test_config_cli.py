@@ -755,6 +755,30 @@ class TestMetricCli:
         assert main(["evidence", "--config", tmp_config(doc)]) == EXIT_OK
         assert "log evidence" in capsys.readouterr().out
 
+    def test_evidence_reads_a_push_forward_model_section(self, tmp_config, tmp_path, capsys):
+        # Evidence builds its model section as every other run does: the
+        # push_forward distribution form prints and records the bits of the
+        # model_function + prior + grid form.
+        fields = {
+            "model_function": {"family": "polynomial", "powers": [0, 1]},
+            "prior": {"type": "product", "components": [{"type": "normal", "mean": 0.0, "std": 1.0},
+                                                        {"type": "normal", "mean": 0.5, "std": 0.3}]},
+            "grid": {"start": 0.0, "stop": 1.0, "num": 3},
+        }
+        runs = []
+        for name, model in (("fields", fields), ("push_forward", {"distribution": {"type": "push_forward", **fields}})):
+            doc = {
+                "metric": {"name": "evidence", "sigma": 0.5, "data_y": [0.1, 0.4, 0.9]},
+                "model": model,
+                "estimator": {"method": "mc", "samples": 5000, "seed": 4},
+            }
+            out = tmp_path / f"{name}-record.json"
+            assert main(["evidence", "--config", tmp_config(doc, f"{name}.json"), "--out", str(out)]) == EXIT_OK
+            record = json.loads(out.read_text())
+            runs.append((capsys.readouterr().out, record["estimates"], record["agreement"]))
+        assert runs[0][0].startswith("log evidence = ")
+        assert runs[0] == runs[1]
+
     def test_metric_name_mismatch(self, tmp_config):
         doc = {
             "metric": {"name": "classical", "alpha": 0.05},

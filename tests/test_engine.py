@@ -47,6 +47,7 @@ from bvm.engine import (
     _path_blocks,
     discretize_distribution,
 )
+from bvm.models import ModelFunction
 from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM
 
 
@@ -414,7 +415,7 @@ def small_template(seed=0, uncertain=True, n_points=12, points_per_param=7):
         prior = IndependentProduct([Normal(1.0, 0.2), Normal(-0.5, 0.1)])
     else:
         prior = IndependentProduct([DiracDelta(1.0), DiracDelta(-0.5)])
-    return SweepTemplate(model, prior, grid, data, grid_points_per_param=points_per_param)
+    return SweepTemplate(PushForward(prior, model, grid), data, points_per_param=points_per_param)
 
 
 def assert_matches_cellwise_grid(template, gammas, epsilons, m):
@@ -489,7 +490,7 @@ class TestSweep:
         template = small_template()
         for k in (2 * SWEEP_BLOCK + 37, CHUNK_SIZE + SWEEP_BLOCK + 37):
             paths, weights = all_paths(template, "mc", k, 9)
-            reference = PushForward(template.prior, template.model, template.grid).sample(9, k, stream=MODEL_STREAM)
+            reference = template.model_dist.sample(9, k, stream=MODEL_STREAM)
             assert np.array_equal(paths, reference)
             assert np.array_equal(weights, np.full(k, 1.0 / k))
             # Every error of the last path is also an eps: an error equal to
@@ -519,9 +520,10 @@ class TestSweep:
         assert n_paths % SWEEP_BLOCK
         paths, weights = all_paths(template, "grid")
         # Reference: one evaluation over the full meshgrid of supports.
-        (x0, w0), (x1, w1) = (discretize_distribution(c, 33) for c in template.prior.components)
+        pf = template.model_dist
+        (x0, w0), (x1, w1) = (discretize_distribution(c, 33, 3.0) for c in pf.prior.components)
         mesh = np.meshgrid(x0, x1, indexing="ij")
-        reference = template.model.evaluate(np.column_stack([a.ravel() for a in mesh]), template.grid)
+        reference = pf.model.evaluate(np.column_stack([a.ravel() for a in mesh]), pf.grid)
         assert np.array_equal(paths, reference)
         w_mesh = np.meshgrid(w0, w1, indexing="ij")
         w_ref = w_mesh[0].ravel() * w_mesh[1].ravel()
@@ -531,6 +533,24 @@ class TestSweep:
         grid = sweep(template, gammas, epsilons, m=3.0)
         assert grid.n_paths == n_paths
         assert np.array_equal(grid.values, direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0))
+
+    def test_mc_sweep_of_a_certain_model_evaluates_it_no_more(self, monkeypatch):
+        # The template's push-forward evaluated the certain model once, when
+        # it was built; an "mc" sweep draws that path and calls it no more.
+        template = small_template(uncertain=False)
+        calls = []
+        evaluate = ModelFunction.evaluate
+        monkeypatch.setattr(ModelFunction, "evaluate", lambda self, *args: calls.append(1) or evaluate(self, *args))
+        grid = sweep(template, [0.8, 1.0], [0.1, 0.5], m=3.0, estimator="mc", k=2 * SWEEP_BLOCK + 37, seed=2)
+        assert grid.n_paths == 2 * SWEEP_BLOCK + 37
+        assert calls == []
+
+    def test_data_path_must_match_the_push_forward(self):
+        pf = small_template().model_dist
+        SweepTemplate(pf, np.zeros(pf.path_length))
+        for n in (pf.path_length - 1, pf.path_length + 1):
+            with pytest.raises(ValueError, match="data path length must match the grid"):
+                SweepTemplate(pf, np.zeros(n))
 
     def test_mc_sample_count_must_be_positive(self):
         with pytest.raises(EstimationError, match="at least 1"):

@@ -405,7 +405,7 @@ def _table_template(table, data):
 
     prior = DiracDelta(0.0) if rows == 1 else Normal((rows - 1) / 2, (rows - 1) / 6)
     grid = InputGrid.linspace(0.0, 1.0, table.shape[1])
-    return SweepTemplate(ModelFunction("table", ("row",), fn), prior, grid, data, grid_points_per_param=rows)
+    return SweepTemplate(PushForward(prior, ModelFunction("table", ("row",), fn), grid), data, points_per_param=rows)
 
 
 def _assert_sweep_equals_a_count_of_every_error(data, seed):
