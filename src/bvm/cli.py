@@ -33,6 +33,7 @@ import scipy
 from . import __version__
 from .config import (
     DEFAULT_SAMPLES,
+    ESTIMATORS,
     METRICS,
     ConfigError,
     _section,
@@ -40,20 +41,8 @@ from .config import (
     build_sweep_template,
     load_config,
     rule_to_config,
-    sweep_template,
 )
-from .engine import (
-    EstimationError,
-    RatioResult,
-    _grid_estimate,
-    _path_blocks,
-    averaged_boolean_ratio,
-    bvm_factor,
-    bvm_ratio,
-    estimate_bvm_mc,
-    ratio_grid,
-    sweep,
-)
+from .engine import EstimationError, RatioResult, averaged_boolean_ratio, bvm_factor, bvm_ratio, ratio_grid, sweep
 from .metrics import EvidenceResult
 from .rng import CHUNK_SIZE, _max_workers
 from .studies import STUDY_ALIASES, run_study, study_ids
@@ -169,14 +158,8 @@ def _run_configured_scenario(doc: dict, args):
     """Build and estimate the scenario of a document ``load_config`` has
     already schema-checked."""
     built = build_scenario(doc, checked=True)
-    est_cfg = built.estimator
-    seed, samples = _seed_and_samples(args, est_cfg)
-    if est_cfg["method"] == "mc":
-        est = estimate_bvm_mc(built.scenario, samples, seed)
-    else:
-        template = sweep_template(built.scenario.model_dist, built.scenario.data_dist, est_cfg)
-        est = _grid_estimate(built.scenario.rule, _path_blocks(template, "grid", 0, 0), ([template.data_path], [1.0]))
-    return built, est
+    seed, samples = _seed_and_samples(args, built.estimator)
+    return built, ESTIMATORS[built.estimator["method"]].build(built, samples, seed)
 
 
 def cmd_validate(args) -> int:
@@ -210,9 +193,7 @@ def cmd_ratio(args) -> int:
     doc_m = load_config(args.config_m)
     doc_m2 = load_config(args.config_m2)
     if not _shared_sections_match(doc_m, doc_m2):
-        raise RuleMismatch(
-            "the two configs must share identical data and agreement sections"
-        )
+        raise RuleMismatch("the two configs must share identical data and agreement sections")
     if not (0 < args.prior_m < math.inf and 0 < args.prior_m2 < math.inf):
         raise ConfigError("model priors must be positive and finite")
     built_m, est_m = _run_configured_scenario(doc_m, args)
@@ -323,17 +304,12 @@ def cmd_reproduce(args) -> int:
             _write_sweep_csv(f"{args.out_prefix}_{name}.csv", grid)
         if report.grids:
             print(f"wrote {len(report.grids)} sweep CSVs with prefix {args.out_prefix}_")
+        checks = [{"label": label, "passed": ok, "detail": detail} for label, ok, detail in report.checks]
         record = RunRecord(
             command="reproduce",
-            config={"example": report.study, "seed": report.seed},
-            estimates=[],
-            ratios=[],
+            config={"example": report.study, "seed": report.seed, "values": report.values, "checks": checks},
             wall_time_s=time.perf_counter() - t0,
         )
-        record.config["values"] = report.values
-        record.config["checks"] = [
-            {"label": label, "passed": ok, "detail": detail} for label, ok, detail in report.checks
-        ]
         _write_record(record, f"{args.out_prefix}_record.json")
     print(f"done in {time.perf_counter() - t0:.2f}s")
     return EXIT_OK if report.passed else EXIT_TARGET_FAILURE

@@ -12,9 +12,10 @@ its deepest failing field.
 Each tagged record kind has one table, keyed by its tag, and a tag is
 defined nowhere else: ``DISTRIBUTIONS`` and ``RULES`` by ``type``,
 ``MODEL_FUNCTIONS`` by ``family``, ``GENERATORS`` (data generators) by
-``type``, and ``METRICS`` by ``name``. An entry holds the fields of its
-schema entry and what builds it (a rule entry also serialises it); the
-schema's ``oneOf`` lists are built from the tables, in table order.
+``type``, ``METRICS`` by ``name``, and ``ESTIMATORS`` by ``method``. An
+entry holds the fields of its schema entry and what builds it (a rule
+entry also serialises it); the schema's ``oneOf`` lists are built from
+the tables, in table order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import agreement as ag
 from . import distributions as dist
 from .comparison import _DIVERGENCES, BinnedPdf, ComparisonFn, get_comparison_fn
-from .engine import DEFAULT_SAMPLES, Scenario, SweepTemplate
+from .engine import DEFAULT_SAMPLES, Scenario, SweepTemplate, _grid_estimate, _path_blocks, estimate_bvm_mc
 from .metrics import (
     DataSummary,
     GaussianLikelihoodSpec,
@@ -67,6 +68,7 @@ __all__ = [
     "RULES",
     "GENERATORS",
     "METRICS",
+    "ESTIMATORS",
 ]
 
 
@@ -86,7 +88,10 @@ class Form(NamedTuple):
     besides the tag. A metric form's ``build(doc, section, samples, seed)``
     runs the metric and returns ``(result, extras)``: the result dataclass
     (a ``BvmEstimate``, or an ``EvidenceResult``) and a dict of further
-    named numbers, both written to the run record."""
+    named numbers, both written to the run record. An estimator form's
+    ``build(built, samples, seed)`` returns the ``BvmEstimate`` of a
+    :class:`BuiltScenario`; only a form with a ``samples`` field reads
+    ``samples``."""
 
     properties: dict
     required: tuple
@@ -125,6 +130,8 @@ def _build(table: dict, kind: str, tag: str, *args):
 _NUM = {"type": "number"}
 _NUM_ARRAY = {"type": "array", "items": _NUM, "minItems": 1}
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_SEED = {"type": "integer", "minimum": 0}
 _FN_NAME = {"type": "string"}
 _DISTRIBUTION = {"$ref": "#/$defs/distribution"}
 _RULE = {"$ref": "#/$defs/rule"}
@@ -261,7 +268,7 @@ _BAND = {
                 "source": {"const": "model"},
                 "level": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "samples": {"type": "integer", "minimum": 100},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": _SEED,
             },
             "required": ["source", "level"],
             "additionalProperties": False,
@@ -447,7 +454,7 @@ RULES: dict[str, Form] = {
         lambda rule: {"side": rule.side, "region": _region_to_config(rule.region)},
     ),
     "soft_exponential": Form(
-        {"fn": _FN_NAME, "eps_prime": _NUM, "rate": {"type": "number", "exclusiveMinimum": 0}},
+        {"fn": _FN_NAME, "eps_prime": _NUM, "rate": _POSITIVE},
         ("fn", "eps_prime", "rate"),
         lambda doc, model_dist: ag.SoftExponential(_fn_from_config(doc), doc["eps_prime"], doc["rate"]),
         ag.SoftExponential,
@@ -510,7 +517,7 @@ GENERATORS: dict[str, Form] = {
             "grid": _GRID,
             "aleatoric_std": {"type": "number", "minimum": 0},
             "epistemic_std": {"type": "number", "minimum": 0},
-            "instance_seed": {"type": "integer", "minimum": 0},
+            "instance_seed": _SEED,
         },
         ("function", "params", "grid", "aleatoric_std", "epistemic_std", "instance_seed"),
         _function_instance,
@@ -556,17 +563,23 @@ _DATA_SECTION = {
     ]
 }
 
-_ESTIMATOR = {
-    "type": "object",
-    "properties": {
-        "method": {"enum": ["mc", "grid"]},
-        "samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "points_per_param": {"type": "integer", "minimum": 1},
-        "span_sigmas": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["method", "seed"],
-    "additionalProperties": False,
+
+def _grid_estimate_of(built, samples, seed):
+    template = sweep_template(built.scenario.model_dist, built.scenario.data_dist, built.estimator)
+    return _grid_estimate(built.scenario.rule, _path_blocks(template, "grid", 0, 0), ([template.data_path], [1.0]))
+
+
+ESTIMATORS: dict[str, Form] = {
+    "mc": Form(
+        {"samples": {"type": "integer", "minimum": 1}, "seed": _SEED},
+        ("seed",),
+        lambda built, samples, seed: estimate_bvm_mc(built.scenario, samples, seed),
+    ),
+    "grid": Form(
+        {"seed": _SEED, "points_per_param": {"type": "integer", "minimum": 1}, "span_sigmas": _POSITIVE},
+        ("seed",),
+        _grid_estimate_of,
+    ),
 }
 
 _OUTPUT = {
@@ -710,7 +723,7 @@ METRICS: dict[str, Form] = {
             "model_mean": _NUM,
             "data_summary": {
                 "type": "object",
-                "properties": {"mean": _NUM, "std": {"type": "number", "exclusiveMinimum": 0}, "n": {"type": "integer", "minimum": 2}},
+                "properties": {"mean": _NUM, "std": _POSITIVE, "n": {"type": "integer", "minimum": 2}},
                 "required": ["mean", "std", "n"],
                 "additionalProperties": False,
             },
@@ -730,9 +743,7 @@ METRICS: dict[str, Form] = {
     "classical": Form(
         {"alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}, ("alpha",), _run_classical
     ),
-    "evidence": Form(
-        {"sigma": {"type": "number", "exclusiveMinimum": 0}, "data_y": _NUM_ARRAY}, ("sigma", "data_y"), _run_evidence
-    ),
+    "evidence": Form({"sigma": _POSITIVE, "data_y": _NUM_ARRAY}, ("sigma", "data_y"), _run_evidence),
     "area": Form(
         {"samples_m": _NUM_ARRAY, "samples_d": _NUM_ARRAY, "bootstrap": {"type": "integer", "minimum": 0}},
         ("samples_m", "samples_d"),
@@ -763,7 +774,7 @@ SCENARIO_SCHEMA = {
         "model": _MODEL_SECTION,
         "data": _DATA_SECTION,
         "agreement": _RULE,
-        "estimator": _ESTIMATOR,
+        "estimator": _one_of("method", ESTIMATORS),
         "output": _OUTPUT,
         "metric": _one_of("name", METRICS),
     },
@@ -1025,7 +1036,8 @@ def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
     rule = rule_from_config(doc["agreement"], model_dist)
     scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
     estimator = dict(doc["estimator"])
-    estimator.setdefault("samples", DEFAULT_SAMPLES)
+    if "samples" in ESTIMATORS[estimator["method"]].properties:
+        estimator.setdefault("samples", DEFAULT_SAMPLES)
     return BuiltScenario(
         scenario=scenario,
         estimator=estimator,
@@ -1052,12 +1064,23 @@ def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemp
 def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, estimator: dict) -> SweepTemplate:
     """The template a sweep or a grid estimate runs on: a push-forward
     model, a certain data path, and the grid settings the estimator
-    section gives (``SweepTemplate``'s defaults stand for the others)."""
+    section gives (``SweepTemplate``'s defaults stand for the others).
+
+    A grid has ``points_per_param`` points on each normal prior component
+    and one path per point of their mesh. That count is taken in Python
+    ints before any point is made, and a grid of more paths than numpy
+    can index is a config error naming ``points_per_param``."""
     if not isinstance(model_dist, dist.PushForward):
         raise ConfigError("config field $.model: a sweep or a grid estimate needs model_function + prior + grid")
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep or a grid estimate needs a certain data path")
-    settings = {key: estimator[key] for key in ("points_per_param", "span_sigmas") if key in estimator}
-    if "points_per_param" in settings:
-        settings["points_per_param"] = int(settings["points_per_param"])  # a schema integer may be written 3.0
-    return SweepTemplate(model_dist, data_dist.value, **settings)
+    points = int(estimator.get("points_per_param", SweepTemplate.points_per_param))  # a schema integer may be 3.0
+    if "points_per_param" in ESTIMATORS[estimator["method"]].properties:
+        prior = model_dist.prior
+        comps = prior.components if isinstance(prior, dist.IndependentProduct) else (prior,)
+        n = sum(isinstance(c, dist.Normal) for c in comps)
+        if points**n > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"config field $.estimator.points_per_param: {n} normal prior components make too many grid paths to index"
+            )
+    return SweepTemplate(model_dist, data_dist.value, points, estimator.get("span_sigmas", SweepTemplate.span_sigmas))

@@ -6,7 +6,9 @@ data counts refuse (exit 3 before its pdfs were built ahead of the
 metric), and a ``--seed`` below 0 or a ``--samples`` below 1, bounded as
 the schema bounds ``estimator.seed`` and ``estimator.samples``. An
 integer field written as an integral float (``40.0``) runs as its
-integer does."""
+integer does. An estimator section takes only its own method's fields,
+and a grid with more paths than numpy can index is refused before any
+point of it is made."""
 
 import json
 
@@ -144,3 +146,43 @@ def test_a_bad_seed_or_samples_flag_is_a_config_error_naming_the_flag(tmp_path, 
         args = [command, "--config", write(tmp_path, doc)]
     assert main([*args, *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {flags[0]} {flags[1]}: must be at least ")
+
+
+def _argv(tmp_path, command, doc):
+    cfg = write(tmp_path, doc)
+    return ["validate", "--config", cfg] if command == "validate" else ["sweep", cfg, "--out-prefix", str(tmp_path / "sweep")]
+
+
+CROSS_METHOD = {
+    "points-per-param-on-mc": ({"method": "mc", "seed": 0, "points_per_param": 5}, "points_per_param"),
+    "span-sigmas-on-mc": ({"method": "mc", "seed": 0, "span_sigmas": 2.0}, "span_sigmas"),
+    "samples-on-grid": ({"method": "grid", "seed": 0, "samples": 300}, "samples"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("case", CROSS_METHOD)
+def test_a_field_of_the_other_estimator_method_is_a_config_error(tmp_path, capsys, case, command):
+    estimator, key = CROSS_METHOD[case]
+    assert main(_argv(tmp_path, command, {**POLY, "estimator": estimator})) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field $.estimator: unknown key '{key}'\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_a_grid_too_large_to_index_is_refused_before_it_is_made(tmp_path, capsys, command):
+    # 1e300 is a schema integer, and more points than numpy's linspace can make.
+    doc = {**POLY, "estimator": {"method": "grid", "seed": 0, "points_per_param": 1e300}}
+    assert main(_argv(tmp_path, command, doc)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: config field $.estimator.points_per_param: 2 normal prior components make too many grid paths to index\n"
+    )
+
+
+def test_the_grid_bound_leaves_an_mc_sweep_alone(tmp_path):
+    # An MC sweep reads no points_per_param: 20 points (the default) on each
+    # of these 16 normal components would make 20**16 > 2**63 grid paths.
+    doc = json.loads(json.dumps(POLY))
+    doc["model"]["model_function"]["powers"] = list(range(16))
+    doc["model"]["prior"]["components"] = [{"type": "normal", "mean": 0.0, "std": 0.01}] * 16
+    doc["estimator"] = {"method": "mc", "samples": 50, "seed": 0}
+    assert main(_argv(tmp_path, "sweep", doc)) == EXIT_OK

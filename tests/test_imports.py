@@ -17,8 +17,12 @@ here. Config documents are checked by the package itself, so no command
 loads ``jsonschema`` either.
 
 Each check runs in a fresh interpreter, which prints one JSON line last.
+The CLI's own imports are read from its source: it reaches the
+estimators through ``config.ESTIMATORS``, never through a private engine
+name.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -231,3 +235,17 @@ def test_first_use_from_several_threads_at_once():
     )
     want = stats.norm(0.4, 1.7).cdf(np.linspace(-9.0, 9.0, 73)).tobytes().hex()
     assert got == [want] * 4
+
+
+def test_cli_reaches_the_estimators_only_through_the_config_table():
+    tree = ast.parse((ROOT / "src" / "bvm" / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("engine", "bvm.engine")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    methods = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in ("mc", "grid")]
+    assert methods == []

@@ -149,7 +149,7 @@ VALIDATE_CASES = {
             "P(agree) = 0.37914276076073744 +/- 0.0 [grid, n=49, seed=0]\n"
             'agreement: {"eps": 0.1, "gamma": 0.9, "m": 5.0, "type": "gamma_epsilon"}\n'
         ),
-        {"method": "grid", "points_per_param": 7, "samples": 10000, "seed": 0, "span_sigmas": 2.5},
+        {"method": "grid", "points_per_param": 7, "seed": 0, "span_sigmas": 2.5},
         {"eps": 0.1, "gamma": 0.9, "m": 5.0, "type": "gamma_epsilon"},
         {
             "ci_hi": 0.37914276076073744,

@@ -5,13 +5,14 @@ which knows exactly the keywords ``SCENARIO_SCHEMA`` uses. Here it must
 accept exactly the documents ``Draft202012Validator(SCENARIO_SCHEMA)``
 accepts: every builtin config, and every mutation of a set of small
 documents that between them hold every tagged form, with each key
-deleted, each value replaced by one of ``LEAVES``, and an unknown key added
-to each object. jsonschema is only a test dependency (the ``test`` extra).
+deleted, each value replaced by one of ``LEAVES``, an unknown key added
+to each object, and each estimator section moved to every other method,
+fields and all. jsonschema is only a test dependency (the ``test`` extra).
 """
 
 import pytest
 
-from bvm.config import _CHECKS, _TYPES, SCENARIO_SCHEMA, ConfigError, _error, _nodes, validate_config
+from bvm.config import _CHECKS, _TYPES, ESTIMATORS, SCENARIO_SCHEMA, ConfigError, _error, _nodes, validate_config
 from bvm.studies import builtin_configs
 
 NAN, INF = float("nan"), float("inf")
@@ -143,6 +144,10 @@ def mutations(doc):
                 yield _replaced(doc, path, leaf)
         if isinstance(node, dict):
             yield _replaced(doc, path, {**node, "mystery": 1})
+    # The estimator section under every other method, with its fields.
+    for method in ESTIMATORS:
+        if "estimator" in doc and method != doc["estimator"]["method"]:
+            yield _replaced(doc, ("estimator", "method"), method)
 
 
 def fast_reference():
