@@ -419,7 +419,7 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
 

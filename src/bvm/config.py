@@ -659,7 +659,8 @@ def _run_improved_reliability(doc, metric, samples, seed):
 
 def _run_frequentist(doc, metric, samples, seed):
     ds = metric["data_summary"]
-    return frequentist(metric["model_mean"], DataSummary(ds["mean"], ds["std"], ds["n"]), _rule(doc)), {}
+    summary = _metric_field("data_summary", DataSummary, ds["mean"], ds["std"], ds["n"])
+    return frequentist(metric["model_mean"], summary, _rule(doc)), {}
 
 
 def _run_power(doc, metric, samples, seed):
@@ -687,14 +688,10 @@ def _run_evidence(doc, metric, samples, seed):
     pf = _model_dist_from_section(_section(doc, "model"))
     if not isinstance(pf, dist.PushForward):
         raise ConfigError("config field $.model: evidence needs model_function + prior + grid")
-    res = bayesian_evidence(
-        pf.model,
-        pf.prior,
-        GaussianLikelihoodSpec(metric["sigma"], metric["data_y"], pf.grid),
-        k=samples,
-        seed=seed,
-    )
-    return res, {}
+    # data_y is checked first under a unit sigma, so a fault left is sigma's.
+    _metric_field("data_y", GaussianLikelihoodSpec, 1.0, metric["data_y"], pf.grid)
+    spec = _metric_field("sigma", GaussianLikelihoodSpec, metric["sigma"], metric["data_y"], pf.grid)
+    return bayesian_evidence(pf.model, pf.prior, spec, k=samples, seed=seed), {}
 
 
 def _run_area(doc, metric, samples, seed):
@@ -1074,6 +1071,11 @@ def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, 
         raise ConfigError("config field $.model: a sweep or a grid estimate needs model_function + prior + grid")
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep or a grid estimate needs a certain data path")
+    if np.size(data_dist.value) != model_dist.path_length:
+        raise ConfigError(
+            f"config field $.data: the data path has {np.size(data_dist.value)} points, "
+            f"but the model grid has {model_dist.path_length}"
+        )
     points = int(estimator.get("points_per_param", SweepTemplate.points_per_param))  # a schema integer may be 3.0
     if "points_per_param" in ESTIMATORS[estimator["method"]].properties:
         prior = model_dist.prior

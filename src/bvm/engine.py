@@ -352,9 +352,6 @@ def bvm_ratio(factor: RatioResult, prior_m: float, prior_m_other: float) -> Rati
 # Paths per block when sweep counts in-tolerance errors; small enough
 # that a block's errors and column positions stay in cache.
 SWEEP_BLOCK = 1024
-# (path, eps) cells that sweep counts at once: a block on a long eps
-# axis is counted a few rows at a time.
-_SWEEP_CELLS = SWEEP_BLOCK * 128
 
 
 @dataclass(frozen=True)
@@ -424,7 +421,8 @@ def discretize_distribution(dist: Distribution, n: int, span_sigmas: float):
 def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
     """``(n_paths, weights, blocks)`` of the model paths under an estimator.
 
-    ``weights`` holds one normalised weight per path, and ``blocks`` yields
+    ``weights`` holds one normalised weight per grid path; "mc" paths all
+    weigh 1/k, and their ``weights`` is None. ``blocks`` yields
     the paths in order, ``SWEEP_BLOCK`` rows at a time, so no more than one
     block of paths is held (plus, for "mc", the chunk it is sliced from).
     A grid block takes its rows of the parameter mesh by flat index and
@@ -464,7 +462,7 @@ def _path_blocks(template: SweepTemplate, estimator: str, k: int, seed: int):
                 for start in range(0, m, SWEEP_BLOCK):
                     yield paths[start : start + SWEEP_BLOCK]
 
-        return k, np.full(k, 1.0 / k), mc_blocks()
+        return k, None, mc_blocks()
     raise EstimationError(f"unknown sweep estimator '{estimator}'")
 
 
@@ -479,36 +477,25 @@ def sweep(
 ) -> SweepGrid:
     """P(agree) under the (gamma, eps) rule at every axis combination.
 
-    The model is evaluated one block of ``SWEEP_BLOCK`` parameter rows at
-    a time, and each block's paths are counted, added into the sums and
-    dropped before the next is evaluated. Only each path's r largest
-    absolute errors are counted, where ``r = n + 1 - min(needed)`` (at
-    least 1) and ``needed`` holds the fewest in-tolerance points of each
-    gamma: ``partition`` picks them, and the other ``n - r`` are counted
-    as in tolerance at every eps. Past r = n/2 the pick costs more than
-    it saves, and r is n. Each counted error is placed by
-    ``searchsorted`` into the sorted eps axis, which gives the first
-    column that tolerates it; a row-offset ``bincount`` and a ``cumsum``
-    along eps then turn those positions into each path's count at every
-    eps. A path whose largest error exceeds ``m * eps`` (or is NaN) is
-    sent to a spare bin at that eps, and ``np.add.at`` adds each path's
-    weight into one sum per (eps, count) cell. A block is counted in
-    sub-blocks of at most ``_SWEEP_CELLS`` (path, eps) cells, so a sweep
-    holds those sums, the path weights and one block of paths, whatever
-    the length of the eps axis; no path matrix, error matrix or
-    eps-by-path count matrix is ever held. The tails of the sums over
-    the count give every gamma's cell at once.
+    A path passes (gamma, eps, m) exactly when its ``need``-th smallest
+    absolute error is within eps and its largest is within ``m * eps``,
+    where ``need`` is the fewest in-tolerance points that gamma asks for.
+    So on the sorted eps axis each path has, for each distinct need, one
+    first passing column, and a cell is the weight of the paths whose
+    first column lies at or before it. The model is evaluated one block
+    of ``SWEEP_BLOCK`` paths at a time; each block's errors are sorted
+    along the path (NaN last, so a path with a NaN error never passes),
+    its first columns found by ``searchsorted`` and added into a (need,
+    eps) histogram by a weighted ``bincount``, and the block is dropped.
+    One ``cumsum`` along eps then gives every cell. Besides a grid's path
+    weights, a sweep holds one block and the histogram.
 
-    A count is exact from the smallest need up and clamped below it. A
-    path reaches that need at eps exactly when the smallest of its r
-    counted errors is within eps, and then its ``n - r`` smaller errors
-    are too; otherwise both its true and its counted number fall short
-    of every need, and no cell reads a bin below the smallest need. The
-    counts that are read are exact integers, and ``np.add.at`` adds in
-    index order, so each cell sums its paths' weights in path order,
-    from block to block: the cells are bit for bit those of a direct
-    per-eps count and weighted histogram, whatever the block size or the
-    order of the eps axis. A NaN on either axis raises
+    A grid cell sums its paths' weights per block in path order, block
+    after block, then along eps, so its bits depend on the constant
+    ``SWEEP_BLOCK`` and on nothing else: not on ``BVM_THREADS`` nor the
+    order of the eps axis. An "mc" sweep counts whole paths and divides
+    each cell once by k, so a cell that every path passes reads 1.0. A
+    gamma above 1 reads 0, and a NaN on either axis raises
     :class:`EstimationError`.
     """
     gammas = np.asarray(gammas, dtype=float)
@@ -526,55 +513,35 @@ def sweep(
     n_eps = epsilons.size
     order = np.argsort(epsilons, kind="stable")
     eps_sorted = epsilons[order]
+    m_eps = m * eps_sorted
 
     # Smallest in-tolerance count c with c/n >= gamma, matching the float
-    # comparison used by GammaEpsilon exactly.
+    # comparison used by GammaEpsilon exactly; n + 1 for a gamma above 1.
     fractions = np.arange(n + 1) / n
     needed = np.asarray([int(np.searchsorted(fractions >= g, True)) for g in gammas])
-    # Each path's r largest errors decide every count that a gamma reads.
-    # Selecting them costs about a third of placing all n errors, so the
-    # sweep selects only when that drops at least half of them.
-    r = max(1, n + 1 - int(needed.min()))
-    if 2 * r > n:
-        r = n
-
-    # sums[q * (n + 2) + c]: the weight of the paths with c of their n
-    # errors <= eps_sorted[q] (exact from min(needed) up, clamped to n - r
-    # below) whose largest error is <= m * eps_sorted[q]; c = n + 1 takes
-    # the rest. max_err <= m * eps_sorted[q] exactly when q >= gate_from.
-    sums = np.zeros(n_eps * (n + 2))
-    m_eps = m * eps_sorted
-    cell_base = np.arange(n_eps) * (n + 2)
-    sub_rows = max(1, _SWEEP_CELLS // n_eps)
+    needs, row_of = np.unique(needed, return_inverse=True)
+    # hist[i, q]: the weight (or count) of the paths whose first passing
+    # column for needs[i] is q; column n_eps takes the paths that never pass.
+    hist = np.zeros((needs.size, n_eps + 1), dtype=np.int64 if weights is None else float)
     start = 0
     for block in blocks:
-        block_err = np.abs(block - template.data_path)
-        if r < n:
-            block_err.partition(n - r, axis=1)  # NaN sorts last
-            block_err = block_err[:, n - r :]
-        for lo in range(0, len(block_err), sub_rows):
-            err = block_err[lo : lo + sub_rows]
-            rows = err.shape[0]
-            gate_from = np.searchsorted(m_eps, err.max(axis=1), side="left")  # NaN: n_eps
-            # A path's count reads n + 1 (the spare bin) below its gate, and
-            # n - r plus its placed errors from the gate on; an error placed
-            # below the gate is moved up to it, which changes no count read.
-            first_ok = np.maximum(np.searchsorted(eps_sorted, err, side="left"), gate_from[:, None])
-            row = np.arange(rows)
-            first_ok += row[:, None] * (n_eps + 1)
-            hist = np.bincount(first_ok.ravel(), minlength=rows * (n_eps + 1)).reshape(rows, n_eps + 1)
-            hist[:, 0] += n + 1
-            hist[row, gate_from] -= r + 1
-            counts = np.cumsum(hist[:, :n_eps], axis=1)
-            counts += cell_base
-            np.add.at(sums, counts.ravel(), np.repeat(weights[start : start + rows], n_eps))
-            start += rows
+        err = np.sort(np.abs(block - template.data_path), axis=1)
+        gate = np.searchsorted(m_eps, err[:, -1], side="left")  # NaN: n_eps
+        w = None if weights is None else weights[start : start + len(err)]
+        for i, need in enumerate(needs):
+            if need > n:
+                continue  # a gamma above 1: its cells read 0
+            first = gate
+            if need > 0:
+                first = np.maximum(np.searchsorted(eps_sorted, err[:, need - 1], side="left"), gate)
+            hist[i] += np.bincount(first, w, minlength=n_eps + 1)
+        start += len(err)
 
-    sums = sums.reshape(n_eps, n + 2)
-    sums[:, n + 1] = 0.0  # a gamma above 1 needs n + 1 points and reads 0
-    tails = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
+    cells = np.cumsum(hist[:, :n_eps], axis=1)
+    if weights is None:
+        cells = cells / n_paths
     values = np.empty((gammas.size, n_eps))
-    values[:, order] = tails[:, needed].T
+    values[:, order] = cells[row_of]
     return SweepGrid(gammas=gammas, epsilons=epsilons, values=values, n_paths=n_paths)
 
 

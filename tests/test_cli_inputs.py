@@ -8,13 +8,17 @@ the schema bounds ``estimator.seed`` and ``estimator.samples``. An
 integer field written as an integral float (``40.0``) runs as its
 integer does. An estimator section takes only its own method's fields,
 and a grid with more paths than numpy can index is refused before any
-point of it is made."""
+point of it is made. A certain data path of another length than the model
+grid, a NaN ``data_summary.std`` and an evidence ``data_y`` of another
+length than the grid are config errors naming their field; a grid too
+large to hold is an estimation error (exit 3), not a traceback."""
 
 import json
 
 import pytest
 
-from bvm.cli import EXIT_CONFIG, EXIT_OK, main
+from bvm.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
+from bvm.config import ESTIMATORS
 
 ABS_DIFF = {"type": "threshold", "fn": "abs_diff", "eps": 0.5}
 METRIC_SECTIONS = {
@@ -186,3 +190,57 @@ def test_the_grid_bound_leaves_an_mc_sweep_alone(tmp_path):
     doc["model"]["prior"]["components"] = [{"type": "normal", "mean": 0.0, "std": 0.01}] * 16
     doc["estimator"] = {"method": "mc", "samples": 50, "seed": 0}
     assert main(_argv(tmp_path, "sweep", doc)) == EXIT_OK
+
+
+def _short_data(estimator):
+    doc = json.loads(json.dumps({**POLY, "estimator": estimator}))
+    doc["data"]["generator"]["grid"]["num"] = 9
+    return doc
+
+
+SHORT_PATH = "the data path has 9 points, but the model grid has 10"
+FIELD_FAULTS = {
+    "grid-validate-data-length": ("validate", _short_data({"method": "grid", "seed": 0}), "$.data", SHORT_PATH),
+    "grid-sweep-data-length": ("sweep", _short_data({"method": "grid", "seed": 0}), "$.data", SHORT_PATH),
+    "mc-sweep-data-length": ("sweep", _short_data({"method": "mc", "samples": 50, "seed": 0}), "$.data", SHORT_PATH),
+    "frequentist-nan-std": (
+        "frequentist",
+        {"metric": {**METRIC_SECTIONS["frequentist"], "data_summary": {"mean": 5.0, "std": float("nan"), "n": 10}},
+         "agreement": SOFT},
+        "$.metric.data_summary",
+        "sample_std must be positive",
+    ),
+    "evidence-data-y-length": (
+        "evidence",
+        {"model": POLY["model"], "metric": {"name": "evidence", "sigma": 0.1, "data_y": [0.0] * 9}},
+        "$.metric.data_y",
+        "data_y length must match the grid",
+    ),
+    "evidence-sigma-overflow": (
+        "evidence",
+        {"model": POLY["model"], "metric": {"name": "evidence", "sigma": 1e200, "data_y": [0.0] * 10}},
+        "$.metric.sigma",
+        "sigma must be positive and finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_FAULTS)
+def test_an_input_fault_the_library_finds_is_a_config_error_naming_its_field(tmp_path, capsys, case):
+    command, doc, field, message = FIELD_FAULTS[case]
+    argv = _argv(tmp_path, command, doc) if command in ("validate", "sweep") else [command, "--config", write(tmp_path, doc)]
+    assert main([*argv, "--samples", "64"] if command == "evidence" else argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config field {field}: {message}")
+
+
+def test_a_grid_too_large_to_hold_is_an_estimation_error(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass when it cannot allocate an array.
+    def build(built, samples, seed):
+        raise MemoryError("Unable to allocate 64.0 TiB for an array with shape (8000000000000,) and data type float64")
+
+    monkeypatch.setitem(ESTIMATORS, "grid", ESTIMATORS["grid"]._replace(build=build))
+    doc = {**POLY, "estimator": {"method": "grid", "seed": 0}}
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_ESTIMATION
+    assert capsys.readouterr().err == (
+        "estimation error: Unable to allocate 64.0 TiB for an array with shape (8000000000000,) and data type float64\n"
+    )

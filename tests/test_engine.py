@@ -38,6 +38,7 @@ from bvm import (
     sweep,
 )
 from bvm.agreement import AgreementRule
+from bvm.config import build_sweep_template
 from bvm.distributions import PushForward
 from bvm.engine import (
     SWEEP_BLOCK,
@@ -49,6 +50,7 @@ from bvm.engine import (
 )
 from bvm.models import ModelFunction
 from bvm.rng import CHUNK_SIZE, DATA_STREAM, MODEL_STREAM
+from bvm.studies import _poly_config, sweep_axes
 
 
 def enumeration_oracle(model: Categorical, data: Categorical, rule) -> float:
@@ -435,19 +437,32 @@ def assert_matches_cellwise_grid(template, gammas, epsilons, m):
 
 def direct_count_sweep(paths, weights, data_path, gammas, epsilons, m):
     # Reference: count each path's in-tolerance errors at every eps by a
-    # full pass over the error matrix, then the same weighted histogram.
+    # full pass over the error matrix; a cell is the math.fsum of the
+    # weights of the paths that pass, or for "mc" paths (weights None)
+    # their number over k.
     err = np.abs(paths - data_path)
     n = err.shape[1]
     needed = [int(np.searchsorted(np.arange(n + 1) / n >= g, True)) for g in gammas]
     values = np.zeros((len(gammas), len(epsilons)))
     for j, eps in enumerate(epsilons):
-        w_ok = np.where(err.max(axis=1) <= m * eps, weights, 0.0)
-        tails = np.cumsum(np.bincount(np.sum(err <= eps, axis=1), weights=w_ok, minlength=n + 1)[::-1])[::-1]
+        counts = np.where(err.max(axis=1) <= m * eps, np.sum(err <= eps, axis=1), -1)
         for i, need in enumerate(needed):
-            values[i, j] = tails[need] if need <= n else 0.0
+            passing = counts >= need
+            values[i, j] = np.count_nonzero(passing) / len(paths) if weights is None else math.fsum(weights[passing])
     # SweepGrid clips its cells to [0, 1]; a sum of grid weights can round
     # to just above 1.
     return np.clip(values, 0.0, 1.0)
+
+
+def assert_equals_direct_count(grid, paths, weights, data_path, gammas, epsilons, m):
+    # The bound, stated before any run: an "mc" cell is a whole count over
+    # k, as the reference's is, so the two agree bit for bit. A grid cell
+    # adds at most N nonnegative weights that sum to about 1, in some order
+    # of float additions, so it lies within (N - 1) u of their exact sum
+    # (u = 2**-53), and so within N * eps = 2 N u of the fsum reference.
+    expected = direct_count_sweep(paths, weights, data_path, gammas, epsilons, m)
+    bound = 0.0 if weights is None else len(paths) * np.finfo(float).eps
+    assert np.max(np.abs(grid.values - expected)) <= bound
 
 
 def all_paths(template, estimator, k=0, seed=0):
@@ -456,7 +471,7 @@ def all_paths(template, estimator, k=0, seed=0):
     blocks = list(blocks)
     assert all(b.shape[0] == SWEEP_BLOCK for b in blocks[:-1]) and 0 < blocks[-1].shape[0] <= SWEEP_BLOCK
     paths = np.concatenate(blocks)
-    assert paths.shape[0] == n_paths == weights.size
+    assert paths.shape[0] == n_paths and (weights is None or weights.size == n_paths)
     return paths, weights
 
 
@@ -492,26 +507,24 @@ class TestSweep:
             paths, weights = all_paths(template, "mc", k, 9)
             reference = template.model_dist.sample(9, k, stream=MODEL_STREAM)
             assert np.array_equal(paths, reference)
-            assert np.array_equal(weights, np.full(k, 1.0 / k))
+            assert weights is None  # each path weighs 1/k
             # Every error of the last path is also an eps: an error equal to
             # eps is in tolerance.
             gammas = np.linspace(0.05, 1.0, 20)
             epsilons = np.concatenate([np.linspace(0.0, 0.6, 13), np.abs(paths[-1] - template.data_path)])
             grid = sweep(template, gammas, epsilons, m=3.0, estimator="mc", k=k, seed=9)
             assert grid.n_paths == k
-            expected = direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0)
-            assert np.array_equal(grid.values, expected), k
+            assert_equals_direct_count(grid, paths, weights, template.data_path, gammas, epsilons, 3.0)
 
-    def test_long_eps_axis_splits_blocks(self):
-        # 300 eps: a block of 1024 paths is counted 436 rows at a time,
-        # and the 1089-path mesh ends on a partial block.
+    def test_long_eps_axis(self):
+        # 300 shuffled eps over a 1089-path mesh, which ends on a partial
+        # block.
         template = small_template(points_per_param=33)
         gammas = np.linspace(0.5, 1.0, 11)
         epsilons = np.random.default_rng(3).permutation(np.linspace(-0.05, 1.0, 300))
         grid = sweep(template, gammas, epsilons, m=2.0)
         paths, weights = all_paths(template, "grid")
-        expected = direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 2.0)
-        assert np.array_equal(grid.values, expected)
+        assert_equals_direct_count(grid, paths, weights, template.data_path, gammas, epsilons, 2.0)
 
     def test_grid_mesh_with_ragged_tail(self):
         # A 33 x 33 mesh is one full block plus 65 rows.
@@ -532,7 +545,27 @@ class TestSweep:
         epsilons = np.concatenate([np.linspace(0.0, 0.6, 13), np.abs(paths[-1] - template.data_path)])
         grid = sweep(template, gammas, epsilons, m=3.0)
         assert grid.n_paths == n_paths
-        assert np.array_equal(grid.values, direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 3.0))
+        assert_equals_direct_count(grid, paths, weights, template.data_path, gammas, epsilons, 3.0)
+
+    def test_mc_cell_that_every_path_passes_reads_one(self):
+        # An "mc" cell is a whole count over k: k passing paths read 1.0, not
+        # k additions of 1/k (0.9999999999999225 here).
+        template = small_template(uncertain=False)
+        grid = sweep(template, [0.5], [5.0], m=3.0, estimator="mc", k=5_000, seed=0)
+        assert grid.values[0, 0] == 1.0
+
+    def test_ex53_cells_lie_within_2e_15_of_fsum(self):
+        # All 26 x 101 cells of the uncertain ex-5.3 model-1 sweep, against
+        # the fsum of their passing weights. The bound, 2e-15, is stated
+        # before the run; the general bound of assert_equals_direct_count
+        # would allow 8 000 paths about 1.8e-12.
+        template, _ = build_sweep_template(_poly_config(1, "uncertain", 0))
+        gammas, epsilons = sweep_axes()
+        grid = sweep(template, gammas, epsilons, m=5.0)
+        assert grid.values.shape == (26, 101)
+        paths, weights = all_paths(template, "grid")
+        expected = direct_count_sweep(paths, weights, template.data_path, gammas, epsilons, 5.0)
+        assert np.max(np.abs(grid.values - expected)) <= 2e-15
 
     def test_mc_sweep_of_a_certain_model_evaluates_it_no_more(self, monkeypatch):
         # The template's push-forward evaluated the certain model once, when

@@ -228,9 +228,9 @@ GOLDEN = {
     "evidence-oscillator-4097": "-0x1.9cf3765efd1d1p+6 0x1.df7b2cd2ff9b4p-5 0x1.107cd9eede893p+8 0x1.a2858a54b4631p-7",
     "sweep-ex53-deterministic-model1": "e80cfb8c5e3e780738c67b35eeebc89c5a29e4c5b166ac71318b859318a498fb",
     "sweep-ex53-deterministic-model2": "0b8c6f6faa8a7c677aaaf3407305eab37db9fbebe024f4b9c369e30a3ec35481",
-    "sweep-ex53-uncertain-model1": "36f20bb20164e8f323e7a4ff830bd8c3bed91c037dbf13befed8ac53b1dd27e6",
-    "sweep-ex53-uncertain-model2": "45274784e52264cbe1ccee84a245bdaac047fdd0cab050ecd432a2f1c40dfe86",
-    "sweep-mc-uncertain-model2": "ab2e9f995171ed2e16babaa3707c84337619585a9d8f39b9ad0fc1c839f55a25",
+    "sweep-ex53-uncertain-model1": "fad24edb26952795522f098abfbd59e5645ff4ffbcb9d9cbc3aea6e4566b74c4",
+    "sweep-ex53-uncertain-model2": "566fe498398531fc6d5f13d217e90df63145d10b5b6f0544504a2f85c7d97d7b",
+    "sweep-mc-uncertain-model2": "a7703c63df2796f2a4428278dcc92031d530b563cf97a15f44669ca8f61294f7",
     "certain-oscillator-draw-chunk": "624e2fc418675fd8913bdd68dc2116723804e6418571f21e6e778e2d5f689268",
     "certain-oscillator-draw-chunk-prefix": "79e662608fb27554fd05cd2d61909bc4159a4829d16528df24223a675ecfcc02",
     "certain-oscillator-sample-4097": "21a0b41abcc70f37f755446eb99ccfc5c73c49250abc115edabb9fca5dda1470",

@@ -53,14 +53,13 @@ when the scenario is built). ``GammaEpsilon.kernel_many`` on a
 was set before, when it formed the whole |yhat - y| (6.6 MB then, 0.4 MB
 now).
 
-A sweep adds each block's path weights straight into its (eps, count)
-sums, so it holds those sums, the path weights and one block of paths,
-with no eps-by-path count matrix and no histogram whose size grows with
-the eps axis past a fixed number of cells. Both bounds were set before
-that change: the uncertain ex-5.3 model-2 sweep (160 000 paths by 101
+A sweep adds each block's first passing columns into a (need, eps)
+histogram, so it holds that histogram, the path weights and one block of
+paths, with no eps-by-path count matrix. Both bounds were set before an
+earlier change: the uncertain ex-5.3 model-2 sweep (160 000 paths by 101
 eps) peaked at 21.75 MB, and a 10 001-eps sweep over the 8 000 model-1
-paths at 245 MB (now 4.8 and 15.6 MB). The first replaces a 32 MB
-bound on the same sweep.
+paths at 245 MB (now 3.0 and 7.2 MB). The first replaces a 32 MB bound
+on the same sweep.
 """
 
 import json

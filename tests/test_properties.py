@@ -94,7 +94,7 @@ from bvm.engine import _path_blocks
 from bvm.metrics import reliability
 from bvm.models import OSCILLATOR_TILE, damped_oscillator_model
 from bvm.rng import BAND_STREAM, CHUNK_SIZE
-from test_engine import direct_count_sweep
+from test_engine import assert_equals_direct_count
 
 
 def _settings(n):
@@ -436,8 +436,8 @@ def _assert_sweep_equals_a_count_of_every_error(data, seed):
         )
     )
     if data.draw(st.booleans()):
-        # Every gamma at or above a floor past one half, so that for most
-        # n the sweep counts at most half of each path's errors.
+        # Every gamma at or above a floor past one half, so that every need
+        # reads an error from the upper half of a sorted path.
         floor = data.draw(st.integers(n // 2 + 1, n + 1)) / n
         gammas = [g for g in gammas if g >= floor] + [floor]
     eps_values = st.one_of(st.floats(-0.5, 2.0), st.just(np.inf))
@@ -454,8 +454,7 @@ def _assert_sweep_equals_a_count_of_every_error(data, seed):
     grid = sweep(template, gammas, epsilons, m=m, estimator=estimator, k=k, seed=seed)
     _, weights, blocks = _path_blocks(template, estimator, k, seed)
     paths = np.concatenate(list(blocks))
-    expected = direct_count_sweep(paths, weights, data_path, gammas, epsilons, m)
-    assert np.array_equal(grid.values, expected)
+    assert_equals_direct_count(grid, paths, weights, data_path, gammas, epsilons, m)
 
 
 @_settings(150)
@@ -469,7 +468,6 @@ def test_sweep_equals_a_count_of_every_error(data, seed):
 def test_sweep_sums_carry_over_from_block_to_block(data, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "SWEEP_BLOCK", 3)
-        patch.setattr(engine, "_SWEEP_CELLS", 8)
         _assert_sweep_equals_a_count_of_every_error(data, seed)
 
 
