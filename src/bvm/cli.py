@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Commands: ``validate`` (run one configured scenario), ``ratio`` (compare
-two models under the same agreement rule), ``sweep`` (grids over the
-(gamma, eps) rule family plus ratio summaries), ``reproduce`` (run a
-bundled study against its recorded targets), and one subcommand per
-entry of the metric table ``config.METRICS``, all run by
-:func:`cmd_metric`. Every run emits a JSON run record embedding the
-resolved config and seed, so results can be reproduced bit for bit; a
-record's estimates hold the fields of the result dataclass
-(``BvmEstimate``, or ``EvidenceResult`` for ``evidence``) plus any
-metric-specific extras.
+Commands: ``validate`` (run one config: its ``metric`` section through
+its ``config.METRICS`` entry when it has one, else its scenario through
+its ``config.ESTIMATORS`` entry), ``ratio`` (compare two models under the
+same agreement rule), ``sweep`` (grids over the (gamma, eps) rule family
+plus ratio summaries) and ``reproduce`` (run a bundled study against its
+recorded targets). Every run emits a JSON run record embedding the
+resolved config, with any ``--seed`` and ``--samples`` written into its
+estimator section, so results can be reproduced bit for bit; a record's
+estimates hold the fields of the result dataclass (``BvmEstimate``, or
+``EvidenceResult`` for ``evidence``) plus any metric-specific extras.
 
 Exit codes: 0 success, 2 config/schema or flag error, 3 estimation error,
 4 the two ratio configs disagree on data/agreement sections,
@@ -36,11 +36,11 @@ from .config import (
     ESTIMATORS,
     METRICS,
     ConfigError,
-    _section,
     build_scenario,
     build_sweep_template,
     load_config,
     rule_to_config,
+    with_flags,
 )
 from .engine import EstimationError, RatioResult, averaged_boolean_ratio, bvm_factor, bvm_ratio, ratio_grid, sweep
 from .metrics import EvidenceResult
@@ -135,49 +135,55 @@ def _write_record(record: RunRecord, out: str | None, fmt: str = "json"):
         fh.write(record.to_json() + "\n")
 
 
-def _flag(args, name: str, least: int, default):
-    """``--<name>`` when given, else ``default``. A flag below ``least``
+def _flag(args, name: str, least: int):
+    """``--<name>``, or None when it is not given. A flag below ``least``
     is a config error, as the schema bounds its twin in the estimator
     section."""
     value = getattr(args, name)
     if value is not None and value < least:
         raise ConfigError(f"--{name} {value}: must be at least {least}")
-    return default if value is None else value
+    return value
 
 
-def _seed_and_samples(args, estimator: dict) -> tuple:
-    """``--seed`` and ``--samples`` when given, else the estimator
-    section's values, else seed 0 and ``DEFAULT_SAMPLES``; ints, as a
-    schema integer may be written ``3.0``."""
-    seed = _flag(args, "seed", 0, estimator.get("seed", 0))
-    samples = _flag(args, "samples", 1, estimator.get("samples", DEFAULT_SAMPLES))
-    return int(seed), int(samples)
+def _load(path: str, args) -> dict:
+    """The checked document at ``path`` with the given ``--seed`` and
+    ``--samples`` written into it (:func:`config.with_flags`)."""
+    flags = {name: v for name, least in (("seed", 0), ("samples", 1)) if (v := _flag(args, name, least)) is not None}
+    return with_flags(load_config(path), flags)
 
 
-def _run_configured_scenario(doc: dict, args):
+def _samples_and_seed(estimator: dict) -> tuple:
+    """An estimator section's sample count and seed, else ``DEFAULT_SAMPLES``
+    and seed 0; ints, as a schema integer may be written ``3.0``."""
+    return int(estimator.get("samples", DEFAULT_SAMPLES)), int(estimator.get("seed", 0))
+
+
+def _run_configured_scenario(doc: dict):
     """Build and estimate the scenario of a document ``load_config`` has
     already schema-checked."""
     built = build_scenario(doc, checked=True)
-    seed, samples = _seed_and_samples(args, built.estimator)
-    return built, ESTIMATORS[built.estimator["method"]].build(built, samples, seed)
+    return built, ESTIMATORS[built.estimator["method"]].build(built, *_samples_and_seed(built.estimator))
 
 
 def cmd_validate(args) -> int:
+    """Run a document: its ``metric`` section through its ``METRICS`` entry
+    when it has one, else its scenario through its ``ESTIMATORS`` entry."""
     t0 = time.perf_counter()
-    doc = load_config(args.config)
-    built, est = _run_configured_scenario(doc, args)
-    rule_doc = rule_to_config(built.scenario.rule)
-    record = RunRecord(
-        command="validate",
-        config=built.resolved,
-        agreement=rule_doc,
-        estimates=[asdict(est)],
-        wall_time_s=time.perf_counter() - t0,
-    )
-    fmt = args.format or built.output.get("format", "json")
-    _write_record(record, args.out or built.output.get("path"), fmt)
-    print(_result_line(est))
-    print(f"agreement: {json.dumps(rule_doc, sort_keys=True)}")
+    doc = _load(args.config, args)
+    if "metric" in doc:
+        name = doc["metric"]["name"]
+        result, extras = METRICS[name].build(doc, doc["metric"], *_samples_and_seed(doc.get("estimator", {})))
+        record = RunRecord(name, doc, doc.get("agreement"), [{**asdict(result), **extras}])
+        lines = [f"{key} = {value}" for key, value in extras.items()]
+    else:
+        built, result = _run_configured_scenario(doc)
+        rule_doc = rule_to_config(built.scenario.rule)
+        record = RunRecord("validate", built.resolved, rule_doc, [asdict(result)])
+        lines = [f"agreement: {json.dumps(rule_doc, sort_keys=True)}"]
+    record.wall_time_s = time.perf_counter() - t0
+    output = doc.get("output", {})
+    _write_record(record, args.out or output.get("path"), args.format or output.get("format", "json"))
+    print(_result_line(result), *lines, sep="\n")
     return EXIT_OK
 
 
@@ -190,14 +196,13 @@ def _shared_sections_match(doc_a: dict, doc_b: dict) -> bool:
 
 def cmd_ratio(args) -> int:
     t0 = time.perf_counter()
-    doc_m = load_config(args.config_m)
-    doc_m2 = load_config(args.config_m2)
+    doc_m, doc_m2 = _load(args.config_m, args), _load(args.config_m2, args)
     if not _shared_sections_match(doc_m, doc_m2):
         raise RuleMismatch("the two configs must share identical data and agreement sections")
     if not (0 < args.prior_m < math.inf and 0 < args.prior_m2 < math.inf):
         raise ConfigError("model priors must be positive and finite")
-    built_m, est_m = _run_configured_scenario(doc_m, args)
-    _, est_m2 = _run_configured_scenario(doc_m2, args)
+    _, est_m = _run_configured_scenario(doc_m)
+    _, est_m2 = _run_configured_scenario(doc_m2)
     factor = bvm_factor(est_m, est_m2)
     ratio = bvm_ratio(factor, args.prior_m, args.prior_m2)
     record = RunRecord(
@@ -209,8 +214,8 @@ def cmd_ratio(args) -> int:
         wall_time_s=time.perf_counter() - t0,
     )
     # The first config's output section decides; --out and --format win over it.
-    fmt = args.format or built_m.output.get("format", "json")
-    _write_record(record, args.out or built_m.output.get("path"), fmt)
+    output = doc_m.get("output", {})
+    _write_record(record, args.out or output.get("path"), args.format or output.get("format", "json"))
     for label, r in (("K", factor), ("R", ratio)):
         shown = _fmt(r.value) if r.status == "ok" else r.status
         logged = "" if r.log_value is None else f", log={_fmt(r.log_value)}"
@@ -266,9 +271,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--m {args.m!r}: the worst-point multiplier must be finite and at least 1")
     grids = []
     for path in args.configs:
-        doc = load_config(path)
-        template, estimator = build_sweep_template(doc, checked=True)
-        seed, samples = _seed_and_samples(args, estimator)
+        template, estimator = build_sweep_template(_load(path, args), checked=True)
+        samples, seed = _samples_and_seed(estimator)
         grid = sweep(template, gammas, epsilons, m=args.m, estimator=estimator["method"], k=samples, seed=seed)
         grids.append(grid)
         out_csv = f"{args.out_prefix}_model{len(grids)}.csv"
@@ -292,7 +296,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
-    report = run_study(args.example, seed=_flag(args, "seed", 0, 0))
+    report = run_study(args.example, seed=_flag(args, "seed", 0))
     for key in sorted(report.values):
         print(f"{key} = {report.values[key]}")
     for label, ok, detail in report.checks:
@@ -315,37 +319,6 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if report.passed else EXIT_TARGET_FAILURE
 
 
-# ---------------------------------------------------------------------------
-# Metric subcommands
-
-
-def cmd_metric(args) -> int:
-    t0 = time.perf_counter()
-    doc = load_config(args.config)
-    name = args.metric_name
-    section = _section(doc, "metric")
-    if section["name"] != name:
-        raise ConfigError(f"config field $.metric.name: expected '{name}', got '{section['name']}'")
-    seed, samples = _seed_and_samples(args, doc.get("estimator", {}))
-    result, extras = METRICS[name].build(doc, section, samples, seed)
-    record = RunRecord(
-        command=name,
-        config=doc,
-        agreement=doc.get("agreement"),
-        estimates=[{**asdict(result), **extras}],
-        wall_time_s=time.perf_counter() - t0,
-    )
-    output = doc.get("output", {})
-    _write_record(record, args.out or output.get("path"), output.get("format", "json"))
-    print(_result_line(result))
-    for key, value in extras.items():
-        print(f"{key} = {value}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvm",
@@ -353,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="run one configured scenario")
+    p = sub.add_parser("validate", help="run one config: the metric its metric section names, else its scenario")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -393,14 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_reproduce)
-
-    for name in METRICS:  # one subcommand per metric table entry, in table order
-        p = sub.add_parser(name, help=f"run the {name.replace('_', ' ')} metric from a config")
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_metric, metric_name=name)
 
     return parser
 

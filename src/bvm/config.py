@@ -58,6 +58,7 @@ __all__ = [
     "distribution_from_config",
     "rule_from_config",
     "rule_to_config",
+    "with_flags",
     "model_function_from_config",
     "grid_from_config",
     "SCENARIO_SCHEMA",
@@ -132,7 +133,9 @@ _NUM_ARRAY = {"type": "array", "items": _NUM, "minItems": 1}
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _SEED = {"type": "integer", "minimum": 0}
-_FN_NAME = {"type": "string"}
+# The comparison a threshold, interval or soft-exponential rule scores
+# through; only ``binned_prob_diff`` takes ``bins``.
+_FN = {"fn": {"type": "string"}, "bins": {"type": "integer", "minimum": 1}}
 _DISTRIBUTION = {"$ref": "#/$defs/distribution"}
 _RULE = {"$ref": "#/$defs/rule"}
 
@@ -206,9 +209,11 @@ DISTRIBUTIONS: dict[str, Form] = {
 
 
 def _fn_from_config(doc: dict) -> ComparisonFn:
-    if "bins" in doc:
-        return get_comparison_fn(doc["fn"], bins=doc["bins"])
-    return get_comparison_fn(doc["fn"])
+    if "bins" not in doc:
+        return get_comparison_fn(doc["fn"])
+    if doc["fn"] != "binned_prob_diff":
+        raise ValueError(f"comparison '{doc['fn']}' takes no bins")
+    return get_comparison_fn(doc["fn"], bins=doc["bins"])
 
 
 def _fn_to_config(fn: ComparisonFn) -> dict:
@@ -426,14 +431,14 @@ RULES: dict[str, Form] = {
     "always_true": Form({}, (), lambda doc, model_dist: ag.AlwaysTrue(), ag.AlwaysTrue, lambda rule: {}),
     "always_false": Form({}, (), lambda doc, model_dist: ag.AlwaysFalse(), ag.AlwaysFalse, lambda rule: {}),
     "threshold": Form(
-        {"fn": _FN_NAME, "eps": _NUM, "bins": {"type": "integer", "minimum": 1}},
+        {**_FN, "eps": _NUM},
         ("fn", "eps"),
         lambda doc, model_dist: ag.Threshold(_fn_from_config(doc), doc["eps"]),
         ag.Threshold,
         lambda rule: {**_fn_to_config(rule.fn), "eps": rule.eps},
     ),
     "interval": Form(
-        {"fn": _FN_NAME, "lo": _NUM, "hi": _NUM},
+        {**_FN, "lo": _NUM, "hi": _NUM},
         ("fn", "lo", "hi"),
         lambda doc, model_dist: ag.Interval(_fn_from_config(doc), doc["lo"], doc["hi"]),
         ag.Interval,
@@ -454,7 +459,7 @@ RULES: dict[str, Form] = {
         lambda rule: {"side": rule.side, "region": _region_to_config(rule.region)},
     ),
     "soft_exponential": Form(
-        {"fn": _FN_NAME, "eps_prime": _NUM, "rate": _POSITIVE},
+        {**_FN, "eps_prime": _NUM, "rate": _POSITIVE},
         ("fn", "eps_prime", "rate"),
         lambda doc, model_dist: ag.SoftExponential(_fn_from_config(doc), doc["eps_prime"], doc["rate"]),
         ag.SoftExponential,
@@ -589,12 +594,12 @@ _OUTPUT = {
 }
 
 # ---------------------------------------------------------------------------
-# Metric table: each metric subcommand is one entry
+# Metric table: the metric a document's ``$.metric.name`` runs is one entry
 
 
 def _section(doc: dict, name: str) -> dict:
     if not doc.get(name):
-        raise ConfigError(f"config field $.{name}: section is required for this command")
+        raise ConfigError(f"config field $.{name}: section is required for this metric")
     return doc[name]
 
 
@@ -704,7 +709,7 @@ def _run_area(doc, metric, samples, seed):
 def _run_binned_pdf(doc, metric, samples, seed):
     pdf = _binned_pdf(metric, "model_masses")
     _metric_field("data_counts", _dirichlet_alpha, pdf, metric["data_counts"])
-    return binned_pdf_metric(pdf, metric["data_counts"], _rule(doc), r=int(metric.get("draws", samples)), seed=seed), {}
+    return binned_pdf_metric(pdf, metric["data_counts"], _rule(doc), r=samples, seed=seed), {}
 
 
 def _run_divergence(doc, metric, samples, seed):
@@ -747,7 +752,7 @@ METRICS: dict[str, Form] = {
         _run_area,
     ),
     "binned_pdf": Form(
-        {"edges": _NUM_ARRAY, "model_masses": _NUM_ARRAY, "data_counts": _NUM_ARRAY, "draws": {"type": "integer", "minimum": 1}},
+        {"edges": _NUM_ARRAY, "model_masses": _NUM_ARRAY, "data_counts": _NUM_ARRAY},
         ("edges", "model_masses", "data_counts"),
         _run_binned_pdf,
     ),
@@ -1010,11 +1015,30 @@ def _data_dist_from_section(doc: dict) -> dist.Distribution:
     gen = doc["generator"]
     return _build(GENERATORS, "data generator", gen["type"], gen)
 
+
+def with_flags(doc: dict, flags: dict) -> dict:
+    """``doc`` with ``flags`` (a run's given ``seed`` and ``samples``)
+    written into its estimator section, so that a record of the run re-runs
+    as it ran; ``samples`` only where the method has a ``samples`` field. A
+    metric document with no estimator section gets one (``mc`` and seed 0,
+    as a metric reads an absent section) only when a flag is given; a
+    scenario or sweep document without one is left as it is, for its
+    builder to name or default. A metric draws ``samples`` whatever the
+    method, so a metric document whose method has no such field refuses it."""
+    if not flags or ("estimator" not in doc and "metric" not in doc):
+        return doc
+    estimator = doc.get("estimator", {"method": "mc", "seed": 0})
+    if "samples" not in ESTIMATORS[estimator["method"]].properties:
+        if "samples" in flags and "metric" in doc:
+            raise ConfigError(f"--samples {flags['samples']}: a '{estimator['method']}' estimator section has no samples field")
+        flags = {name: v for name, v in flags.items() if name != "samples"}
+    return {**doc, "estimator": {**estimator, **flags}}
+
+
 @dataclass(frozen=True)
 class BuiltScenario:
     scenario: Scenario
     estimator: dict
-    output: dict
     resolved: dict
 
 
@@ -1031,16 +1055,23 @@ def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
     model_dist = _model_dist_from_section(doc["model"])
     data_dist = _data_dist_from_section(doc["data"])
     rule = rule_from_config(doc["agreement"], model_dist)
+    n, n_data = model_dist.path_length, data_dist.path_length
+    if None not in (n, n_data) and n != n_data:
+        # One pair of zero paths: a rule that cannot score paths of two
+        # lengths (all but binned_prob_diff) raises here, not in a chunk.
+        try:
+            rule.kernel_many(np.zeros((1, n)), np.zeros((1, n_data)))
+        except ValueError:
+            raise ConfigError(_length_fault(n_data, n)) from None
     scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
     estimator = dict(doc["estimator"])
     if "samples" in ESTIMATORS[estimator["method"]].properties:
         estimator.setdefault("samples", DEFAULT_SAMPLES)
-    return BuiltScenario(
-        scenario=scenario,
-        estimator=estimator,
-        output=dict(doc.get("output", {})),
-        resolved={**doc, "estimator": estimator},
-    )
+    return BuiltScenario(scenario=scenario, estimator=estimator, resolved={**doc, "estimator": estimator})
+
+
+def _length_fault(n_data: int, n: int) -> str:
+    return f"config field $.data: the data path has {n_data} points, but the model grid has {n}"
 
 
 def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemplate, dict]:
@@ -1072,14 +1103,14 @@ def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, 
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep or a grid estimate needs a certain data path")
     if np.size(data_dist.value) != model_dist.path_length:
-        raise ConfigError(
-            f"config field $.data: the data path has {np.size(data_dist.value)} points, "
-            f"but the model grid has {model_dist.path_length}"
-        )
+        raise ConfigError(_length_fault(np.size(data_dist.value), model_dist.path_length))
     points = int(estimator.get("points_per_param", SweepTemplate.points_per_param))  # a schema integer may be 3.0
     if "points_per_param" in ESTIMATORS[estimator["method"]].properties:
         prior = model_dist.prior
         comps = prior.components if isinstance(prior, dist.IndependentProduct) else (prior,)
+        other = next((c for c in comps if not isinstance(c, (dist.Normal, dist.DiracDelta))), None)
+        if other is not None:
+            raise ConfigError(f"config field $.model.prior: no grid discretisation for {type(other).__name__}")
         n = sum(isinstance(c, dist.Normal) for c in comps)
         if points**n > np.iinfo(np.intp).max:
             raise ConfigError(

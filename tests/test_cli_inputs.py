@@ -8,10 +8,13 @@ the schema bounds ``estimator.seed`` and ``estimator.samples``. An
 integer field written as an integral float (``40.0``) runs as its
 integer does. An estimator section takes only its own method's fields,
 and a grid with more paths than numpy can index is refused before any
-point of it is made. A certain data path of another length than the model
-grid, a NaN ``data_summary.std`` and an evidence ``data_y`` of another
-length than the grid are config errors naming their field; a grid too
-large to hold is an estimation error (exit 3), not a traceback."""
+point of it is made. A data path of another length than the model's
+paths (unless the rule compares binned paths), a grid prior component
+the grid cannot discretise, ``bins`` on a comparison that takes none, a
+NaN ``data_summary.std`` and an evidence ``data_y`` of another length
+than the grid are config errors naming their field; a grid too large to
+hold is an estimation error (exit 3), not a traceback. A flagged run's
+record holds its ``--seed`` and ``--samples``, so it re-runs as it ran."""
 
 import json
 
@@ -24,7 +27,7 @@ ABS_DIFF = {"type": "threshold", "fn": "abs_diff", "eps": 0.5}
 METRIC_SECTIONS = {
     "area": {"name": "area", "samples_m": [0.0, 1.0, 2.0], "samples_d": [10.0, 11.0]},
     "binned_pdf": {"name": "binned_pdf", "edges": [0.0, 0.5, 1.0], "model_masses": [1.0, 0.0],
-                   "data_counts": [0, 5], "draws": 10},
+                   "data_counts": [0, 5]},
     "frequentist": {"name": "frequentist", "model_mean": 0.0, "data_summary": {"mean": 5.0, "std": 1.0, "n": 10}},
     "divergence": {"name": "divergence", "kind": "js", "edges": [0.0, 0.5, 1.0], "model_masses": [1.0, 0.0],
                    "data_masses": [0.0, 1.0]},
@@ -40,7 +43,7 @@ def write(tmp_path, doc, name="cfg.json"):
 @pytest.mark.parametrize("name", METRIC_SECTIONS)
 def test_single_value_metric_refuses_a_two_sided_rule(tmp_path, capsys, name):
     cfg = write(tmp_path, {"metric": METRIC_SECTIONS[name], "agreement": ABS_DIFF})
-    assert main([name, "--config", cfg]) == EXIT_CONFIG
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: config field $.agreement: Threshold compares through 'abs_diff'")
 
@@ -78,9 +81,10 @@ INTEGRAL_FIELDS = {
     "samples": ("validate", POLY, ("estimator", "samples")),
     "seed": ("validate", POLY, ("estimator", "seed")),
     "band-samples": ("validate", {**POLY, "agreement": BAND}, ("agreement", "band", "samples")),
-    "binned-pdf-draws": ("binned_pdf", {"metric": {**METRIC_SECTIONS["binned_pdf"], "draws": 40}, "agreement": SOFT},
-                         ("metric", "draws")),
-    "area-bootstrap": ("area", {"metric": {**METRIC_SECTIONS["area"], "bootstrap": 30}, "agreement": SOFT},
+    "binned-pdf-samples": ("validate", {"metric": METRIC_SECTIONS["binned_pdf"], "agreement": SOFT,
+                                        "estimator": {"method": "mc", "samples": 40, "seed": 0}},
+                           ("estimator", "samples")),
+    "area-bootstrap": ("validate", {"metric": {**METRIC_SECTIONS["area"], "bootstrap": 30}, "agreement": SOFT},
                        ("metric", "bootstrap")),
 }
 
@@ -119,7 +123,7 @@ BAD_BINS = {
 def test_a_bad_histogram_is_a_config_error_naming_its_field(tmp_path, capsys, case):
     name, change, field, message = BAD_BINS[case]
     cfg = write(tmp_path, {"metric": {**METRIC_SECTIONS[name], **change}, "agreement": SOFT})
-    assert main([name, "--config", cfg]) == EXIT_CONFIG
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: config field {field}: {message}")
 
 
@@ -147,7 +151,7 @@ def test_a_bad_seed_or_samples_flag_is_a_config_error_naming_the_flag(tmp_path, 
     elif command == "sweep":
         args = ["sweep", write(tmp_path, doc), "--out-prefix", str(tmp_path / "sweep")]
     else:
-        args = [command, "--config", write(tmp_path, doc)]
+        args = ["validate", "--config", write(tmp_path, doc)]
     assert main([*args, *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {flags[0]} {flags[1]}: must be at least ")
 
@@ -198,8 +202,18 @@ def _short_data(estimator):
     return doc
 
 
+def _t_prior(estimator):
+    doc = json.loads(json.dumps({**POLY, "estimator": estimator}))
+    doc["model"]["prior"]["components"][1] = {"type": "student_t", "location": -0.5, "dof": 4.0, "scale": 0.1}
+    return doc
+
+
 SHORT_PATH = "the data path has 9 points, but the model grid has 10"
+NO_GRID = "no grid discretisation for StudentT"
 FIELD_FAULTS = {
+    "mc-validate-data-length": ("validate", _short_data({"method": "mc", "samples": 50, "seed": 0}), "$.data", SHORT_PATH),
+    "grid-validate-student-t-prior": ("validate", _t_prior({"method": "grid", "seed": 0}), "$.model.prior", NO_GRID),
+    "grid-sweep-student-t-prior": ("sweep", _t_prior({"method": "grid", "seed": 0}), "$.model.prior", NO_GRID),
     "grid-validate-data-length": ("validate", _short_data({"method": "grid", "seed": 0}), "$.data", SHORT_PATH),
     "grid-sweep-data-length": ("sweep", _short_data({"method": "grid", "seed": 0}), "$.data", SHORT_PATH),
     "mc-sweep-data-length": ("sweep", _short_data({"method": "mc", "samples": 50, "seed": 0}), "$.data", SHORT_PATH),
@@ -228,9 +242,71 @@ FIELD_FAULTS = {
 @pytest.mark.parametrize("case", FIELD_FAULTS)
 def test_an_input_fault_the_library_finds_is_a_config_error_naming_its_field(tmp_path, capsys, case):
     command, doc, field, message = FIELD_FAULTS[case]
-    argv = _argv(tmp_path, command, doc) if command in ("validate", "sweep") else [command, "--config", write(tmp_path, doc)]
+    argv = _argv(tmp_path, command if command == "sweep" else "validate", doc)
     assert main([*argv, "--samples", "64"] if command == "evidence" else argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: config field {field}: {message}")
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_an_mc_run_takes_a_student_t_prior_component(tmp_path, command):
+    assert main(_argv(tmp_path, command, _t_prior({"method": "mc", "samples": 50, "seed": 0}))) == EXIT_OK
+
+
+def test_a_binned_comparison_scores_paths_of_two_lengths(tmp_path, capsys):
+    doc = {**_short_data({"method": "mc", "samples": 50, "seed": 0}),
+           "agreement": {"type": "threshold", "fn": "binned_prob_diff", "bins": 4, "eps": 1.0}}
+    assert main(_argv(tmp_path, "validate", doc)) == EXIT_OK
+    assert capsys.readouterr().out.startswith("P(agree) = ")
+
+
+@pytest.mark.parametrize("rule", ["threshold", "interval", "soft_exponential"])
+def test_bins_on_a_comparison_that_takes_none_is_a_config_error(tmp_path, capsys, rule):
+    fields = {"threshold": {"eps": 0.5}, "interval": {"lo": 0.0, "hi": 0.5}, "soft_exponential": {"eps_prime": 0.5, "rate": 2.0}}
+    doc = {**POLY, "agreement": {"type": rule, "fn": "mean_abs_error", "bins": 8, **fields[rule]}}
+    assert main(_argv(tmp_path, "validate", doc)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: bad agreement rule type '{rule}': comparison 'mean_abs_error' takes no bins\n"
+
+
+# A flagged run's record holds its flags in its estimator section, so its
+# config re-runs, with no flag, to the same estimate.
+RERUNS = {
+    "mc-validate": POLY,
+    "grid-validate": {**POLY, "estimator": {"method": "grid", "seed": 0, "points_per_param": 3}},
+    "metric-without-estimator": {"metric": {**METRIC_SECTIONS["area"], "bootstrap": 30}, "agreement": SOFT},
+    "binned-pdf": {"metric": METRIC_SECTIONS["binned_pdf"], "agreement": SOFT,
+                   "estimator": {"method": "mc", "samples": 40, "seed": 0}},
+}
+
+
+@pytest.mark.parametrize("case", RERUNS)
+def test_a_record_of_a_flagged_run_reruns_without_flags(tmp_path, case):
+    flagged, rerun = tmp_path / "flagged.json", tmp_path / "rerun.json"
+    argv = ["validate", "--config", write(tmp_path, RERUNS[case]), "--seed", "7", "--samples", "50", "--out", str(flagged)]
+    assert main(argv) == EXIT_OK
+    record = json.loads(flagged.read_text())
+    estimator = record["config"]["estimator"]
+    assert estimator["seed"] == 7
+    assert estimator.get("samples") == (None if case == "grid-validate" else 50)
+    assert main(["validate", "--config", write(tmp_path, record["config"], "rerun-cfg.json"), "--out", str(rerun)]) == EXIT_OK
+    assert json.loads(rerun.read_text())["estimates"] == record["estimates"]
+
+
+def test_a_samples_flag_a_metric_record_cannot_hold_is_a_config_error(tmp_path, capsys):
+    # A metric draws its sample count, and a grid section has no samples field.
+    doc = {"metric": METRIC_SECTIONS["area"], "agreement": SOFT, "estimator": {"method": "grid", "seed": 0}}
+    assert main(["validate", "--config", write(tmp_path, doc), "--samples", "50"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --samples 50: a 'grid' estimator section has no samples field\n"
+
+
+def test_a_ratio_record_holds_its_flags_in_both_configs(tmp_path):
+    out, rerun = tmp_path / "ratio.json", tmp_path / "rerun.json"
+    cfg = write(tmp_path, POLY)
+    assert main(["ratio", cfg, cfg, "--seed", "7", "--samples", "50", "--out", str(out)]) == EXIT_OK
+    record = json.loads(out.read_text())
+    for key in ("model", "model_other"):
+        assert record["config"][key]["estimator"] == {"method": "mc", "samples": 50, "seed": 7}
+    assert main(["validate", "--config", write(tmp_path, record["config"]["model"], "m.json"), "--out", str(rerun)]) == EXIT_OK
+    assert json.loads(rerun.read_text())["estimates"] == record["estimates"][:1]
 
 
 def test_a_grid_too_large_to_hold_is_an_estimation_error(tmp_path, capsys, monkeypatch):

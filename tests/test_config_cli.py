@@ -31,6 +31,8 @@ from bvm.config import (
     rule_to_config,
     validate_config,
 )
+from bvm.agreement import Interval, SoftExponential, Threshold
+from bvm.comparison import get_comparison_fn
 from bvm.engine import EstimationError, SweepGrid, ratio_grid
 from bvm.studies import builtin_configs, run_study
 
@@ -119,7 +121,7 @@ class TestSchema:
         from bvm.config import SCENARIO_SCHEMA
 
         digest = hashlib.sha256(json.dumps(SCENARIO_SCHEMA, sort_keys=True).encode()).hexdigest()
-        assert digest == "3f0bac66a1e5d848be2b698ec879802c09aa6549d50c98a04bc6cf92d06c493c"
+        assert digest == "2a6cfde994e3c0f18716c3ed55af4e55e371faefff406463199454948d9671cf"
 
     @pytest.mark.parametrize(
         "extra",
@@ -176,7 +178,12 @@ class TestRoundTrip:
             pytest.param({"type": "threshold", "fn": "binned_prob_diff", "bins": 8, "eps": 0.2}, id="threshold-binned"),
             {"type": "interval", "fn": "identity", "lo": -1.0, "hi": 1.0},
             pytest.param({"type": "interval", "fn": "binned_prob_diff", "lo": 0.0, "hi": 0.5}, id="interval-binned"),
+            pytest.param({"type": "interval", "fn": "binned_prob_diff", "bins": 8, "lo": 0.0, "hi": 0.5}, id="interval-binned-8"),
             {"type": "soft_exponential", "fn": "abs_diff", "eps_prime": 0.2, "rate": 3.0},
+            pytest.param(
+                {"type": "soft_exponential", "fn": "binned_prob_diff", "bins": 8, "eps_prime": 0.2, "rate": 3.0},
+                id="soft-exponential-binned-8",
+            ),
             {"type": "gamma_epsilon", "gamma": 0.9, "eps": 0.1, "m": 5.0},
             {"type": "set_membership", "synonyms": {"cat": ["cat", "feline"]}},
             {
@@ -208,6 +215,21 @@ class TestRoundTrip:
         twice = rule_to_config(rule_from_config(once))
         assert once == twice
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            Threshold(get_comparison_fn("binned_prob_diff", bins=8), 0.2),
+            Interval(get_comparison_fn("binned_prob_diff", bins=8), 0.0, 0.5),
+            SoftExponential(get_comparison_fn("binned_prob_diff", bins=8), 0.2, 3.0),
+        ],
+        ids=lambda r: type(r).__name__,
+    )
+    def test_a_rule_on_eight_bins_writes_a_config_the_schema_takes(self, rule):
+        doc = rule_to_config(rule)
+        validate_config({"agreement": doc})
+        assert doc["bins"] == 8
+        assert rule_from_config(doc).fn.name == "binned_prob_diff_8"
+
     def test_builtin_configs_reach_fixed_point(self):
         # Bands resolved from the model collapse to literal lo/hi arrays on
         # first serialisation; after that the form must be stable.
@@ -233,7 +255,7 @@ class TestRoundTrip:
     def test_resolved_config_is_itself_a_fixed_point(self):
         for name, doc in builtin_configs(seed=2).items():
             if "agreement" not in doc:
-                continue  # metric configs run through their own subcommands
+                continue  # metric configs build no scenario
             built = build_scenario(doc)
             validate_config(built.resolved)
             rebuilt = build_scenario(built.resolved)
@@ -479,6 +501,14 @@ class TestOneSchemaCheckPerDocument:
         assert main(["ratio", cfg, cfg]) == EXIT_OK
         assert len(checks) == 2
 
+    def test_validate_metric(self, tmp_config, checks):
+        doc = {
+            "metric": {"name": "area", "samples_m": [0.0, 1.0, 2.0], "samples_d": [0.5, 1.5]},
+            "agreement": {"type": "threshold", "fn": "identity", "eps": 0.5},
+        }
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
+        assert len(checks) == 1
+
 
 def test_grid_validate_builds_the_model_once(tmp_config, monkeypatch):
     calls = []
@@ -694,15 +724,12 @@ NORMAL = {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}
 
 
 class TestMetricCli:
-    def test_subcommands_match_schema_names(self):
+    def test_the_parser_offers_exactly_four_commands(self):
+        # A metric runs through validate: its config's $.metric.name picks it.
         from bvm.cli import build_parser
-        from bvm.config import SCENARIO_SCHEMA
 
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        commands = {name for name, p in sub.choices.items() if p.get_default("metric_name") == name}
-        names = {b["properties"]["name"]["const"] for b in SCENARIO_SCHEMA["properties"]["metric"]["oneOf"]}
-        assert len(names) == 9
-        assert commands == names
+        assert list(sub.choices) == ["validate", "ratio", "sweep", "reproduce"]
 
     def test_reliability_subcommand(self, tmp_config, capsys):
         doc = {
@@ -710,7 +737,7 @@ class TestMetricCli:
             "model": {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}},
             "data": {"distribution": {"type": "dirac", "value": 0.0}},
         }
-        assert main(["reliability", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "P(agree) = 0.95" in capsys.readouterr().out
 
     def test_classical_subcommand(self, tmp_config, capsys):
@@ -718,7 +745,7 @@ class TestMetricCli:
             "metric": {"name": "classical", "alpha": 0.05},
             "data": {"distribution": {"type": "student_t", "location": 0.0, "dof": 10.0, "scale": 1.75}},
         }
-        assert main(["classical", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "0.95" in capsys.readouterr().out
 
     def test_power_subcommand(self, tmp_config, capsys):
@@ -727,7 +754,7 @@ class TestMetricCli:
             "model": {"distribution": {"type": "normal", "mean": 0.0, "std": 2.0}},
             "data": {"distribution": dict({"type": "student_t", "location": 0.0, "dof": 10.0, "scale": 1.75})},
         }
-        assert main(["power", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "power_model_in_data" in out
 
@@ -739,7 +766,7 @@ class TestMetricCli:
             "model": {"distribution": {"type": "dirac", "value": 1.0}},
             "data": {"distribution": {"type": "dirac", "value": 1.0}},
         }
-        assert main(["power", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("P(agree) = 1.0 +/- 0.0 [closedForm, n=0, seed=0]\n")
 
     def test_evidence_subcommand(self, tmp_config, capsys):
@@ -752,7 +779,7 @@ class TestMetricCli:
             },
             "estimator": {"method": "mc", "samples": 20000, "seed": 0},
         }
-        assert main(["evidence", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "log evidence" in capsys.readouterr().out
 
     def test_evidence_reads_a_push_forward_model_section(self, tmp_config, tmp_path, capsys):
@@ -773,18 +800,22 @@ class TestMetricCli:
                 "estimator": {"method": "mc", "samples": 5000, "seed": 4},
             }
             out = tmp_path / f"{name}-record.json"
-            assert main(["evidence", "--config", tmp_config(doc, f"{name}.json"), "--out", str(out)]) == EXIT_OK
+            assert main(["validate", "--config", tmp_config(doc, f"{name}.json"), "--out", str(out)]) == EXIT_OK
             record = json.loads(out.read_text())
             runs.append((capsys.readouterr().out, record["estimates"], record["agreement"]))
         assert runs[0][0].startswith("log evidence = ")
         assert runs[0] == runs[1]
 
-    def test_metric_name_mismatch(self, tmp_config):
+    def test_a_document_with_a_scenario_and_a_metric_runs_its_metric(self, tmp_config, tmp_path, capsys):
         doc = {
-            "metric": {"name": "classical", "alpha": 0.05},
-            "data": {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}},
+            **scenario_doc(),
+            "metric": {"name": "area", "samples_m": [0.0, 1.0, 2.0], "samples_d": [0.0, 1.0, 2.0]},
+            "agreement": {"type": "threshold", "fn": "identity", "eps": 0.0},
         }
-        assert main(["reliability", "--config", tmp_config(doc)]) == EXIT_CONFIG
+        out = tmp_path / "rec.json"
+        assert main(["validate", "--config", tmp_config(doc), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "P(agree) = 1.0 +/- 0.0 [closedForm, n=0, seed=3]\n"
+        assert json.loads(out.read_text())["command"] == "area"
 
     @pytest.mark.parametrize("eps", [-0.1, math.nan])
     @pytest.mark.parametrize(
@@ -801,7 +832,7 @@ class TestMetricCli:
     )
     def test_nan_or_negative_tolerance_is_a_config_error(self, tmp_config, capsys, name, model, data, eps):
         doc = {"metric": {"name": name, "eps": eps}, "model": model, "data": data}
-        assert main([name, "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
         assert "$.metric.eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -818,7 +849,7 @@ class TestMetricCli:
         doc = {"metric": {"name": name, **metric}, "data": data}
         if model is not None:
             doc["model"] = model
-        assert main([name, "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"config field {field}: this metric needs" in err
 
@@ -831,7 +862,7 @@ class TestMetricCli:
             },
             "agreement": {"type": "threshold", "fn": "abs_value", "eps": 0.5},
         }
-        assert main(["frequentist", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "P(agree)" in capsys.readouterr().out
 
     def test_improved_reliability_subcommand(self, tmp_config, capsys):
@@ -845,7 +876,7 @@ class TestMetricCli:
             "data": {"distribution": {"type": "dirac", "value": [0.0, 0.0, 0.0, 0.0, 0.0]}},
             "estimator": {"method": "mc", "samples": 5000, "seed": 1},
         }
-        assert main(["improved_reliability", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "P(agree)" in capsys.readouterr().out
 
     def test_area_subcommand(self, tmp_config, capsys):
@@ -853,7 +884,7 @@ class TestMetricCli:
             "metric": {"name": "area", "samples_m": [0.0, 1.0, 2.0], "samples_d": [0.0, 1.0, 2.0]},
             "agreement": {"type": "threshold", "fn": "identity", "eps": 0.0},
         }
-        assert main(["area", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "P(agree) = 1.0" in capsys.readouterr().out
 
     def test_binned_pdf_subcommand(self, tmp_config, capsys):
@@ -863,11 +894,11 @@ class TestMetricCli:
                 "edges": [0.0, 0.5, 1.0],
                 "model_masses": [0.5, 0.5],
                 "data_counts": [5000, 5000],
-                "draws": 2000,
             },
             "agreement": {"type": "threshold", "fn": "identity", "eps": 0.1},
+            "estimator": {"method": "mc", "samples": 2000, "seed": 0},
         }
-        assert main(["binned_pdf", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "P(agree)" in capsys.readouterr().out
 
     def test_divergence_subcommand(self, tmp_config, capsys):
@@ -881,7 +912,7 @@ class TestMetricCli:
             },
             "agreement": {"type": "threshold", "fn": "identity", "eps": 0.0},
         }
-        assert main(["divergence", "--config", tmp_config(doc)]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_OK
         assert "P(agree) = 1.0" in capsys.readouterr().out
 
 
@@ -1032,26 +1063,33 @@ class TestOutputFormats:
 
     def test_metric_honours_output_section_csv(self, tmp_config, tmp_path):
         out = tmp_path / "rec.csv"
-        assert main(["classical", "--config", tmp_config(self._classical_doc(path=str(out), format="csv"))]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(self._classical_doc(path=str(out), format="csv"))]) == EXIT_OK
         header, values = list(csv.reader(open(out)))
         assert header == sorted(header) and "critical_interval" in header
         assert float(values[header.index("p_hat")]) == pytest.approx(0.95)
 
     def test_metric_honours_output_section_json(self, tmp_config, tmp_path):
         out = tmp_path / "rec.json"
-        assert main(["classical", "--config", tmp_config(self._classical_doc(path=str(out), format="json"))]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(self._classical_doc(path=str(out), format="json"))]) == EXIT_OK
         record = json.loads(out.read_text())
         assert record["command"] == "classical"
         assert record["estimates"][0]["p_hat"] == pytest.approx(0.95)
 
+    def test_metric_honours_the_format_flag(self, tmp_config, tmp_path):
+        out = tmp_path / "rec.json"
+        cfg = tmp_config(self._classical_doc(path=str(out), format="json"))
+        assert main(["validate", "--config", cfg, "--format", "csv"]) == EXIT_OK
+        header, values = list(csv.reader(open(out)))
+        assert float(values[header.index("p_hat")]) == pytest.approx(0.95)
+
     def test_metric_output_format_defaults_to_json(self, tmp_config, tmp_path):
         out = tmp_path / "rec.out"
-        assert main(["classical", "--config", tmp_config(self._classical_doc(path=str(out)))]) == EXIT_OK
+        assert main(["validate", "--config", tmp_config(self._classical_doc(path=str(out)))]) == EXIT_OK
         assert json.loads(out.read_text())["command"] == "classical"
 
     def test_metric_out_flag_overrides_output_path(self, tmp_config, tmp_path):
         configured, flagged = tmp_path / "configured.json", tmp_path / "flagged.json"
         cfg = tmp_config(self._classical_doc(path=str(configured), format="json"))
-        assert main(["classical", "--config", cfg, "--out", str(flagged)]) == EXIT_OK
+        assert main(["validate", "--config", cfg, "--out", str(flagged)]) == EXIT_OK
         assert json.loads(flagged.read_text())["command"] == "classical"
         assert not configured.exists()

@@ -1,9 +1,10 @@
-"""Golden CLI runs: one per metric subcommand, pinned to exact stdout and record.
+"""Golden CLI runs: one per metric, pinned to exact stdout and record.
 
-Each case runs ``bvm <metric> --config cfg.json --out record.json`` and
-checks the exit code, every byte printed to stdout, and the JSON run
-record with its ``wall_time_s`` and ``environment`` dropped; the
-environment (library versions and run settings) is checked on its own.
+Each case runs ``bvm validate --config cfg.json --out record.json`` on a
+config whose ``metric`` section names the metric, and checks the exit
+code, every byte printed to stdout, and the JSON run record with its
+``wall_time_s`` and ``environment`` dropped; the environment (library
+versions and run settings) is checked on its own.
 The inputs reach every branch of the metric front end: Monte Carlo
 reliability (Student-t data), a vector tolerance, a soft frequentist
 rule, highest-density-set power with alpha != alpha_hat, a two-point
@@ -201,10 +202,9 @@ CASES = {
                 "edges": [0.0, 0.25, 0.5, 0.75, 1.0],
                 "model_masses": [0.2, 0.3, 0.3, 0.2],
                 "data_counts": [18, 35, 27, 20],
-                "draws": 3000,
             },
             "agreement": {"type": "threshold", "fn": "identity", "eps": 0.15},
-            "estimator": {"method": "mc", "seed": 6},
+            "estimator": {"method": "mc", "samples": 3000, "seed": 6},
         },
         (
             "P(agree) = 0.4693333333333333 +/- 0.009111523025918984 [mc, n=3000, seed=6]\n"
@@ -253,7 +253,7 @@ def test_metric_subcommand_output_and_record(name, tmp_path, capsys, monkeypatch
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "record.json"
-    assert main([name, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == stdout
     record = json.loads(out.read_text())
     assert record.pop("wall_time_s") >= 0.0

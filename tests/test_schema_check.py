@@ -108,7 +108,8 @@ BASES = [
     {"metric": {"name": "classical", "alpha": 0.05}},
     {"metric": {"name": "evidence", "sigma": 0.5, "data_y": [1.0, 2.0]}},
     {"metric": {"name": "area", "samples_m": [0.0, 1.0], "samples_d": [0.5], "bootstrap": 10}},
-    {"metric": {"name": "binned_pdf", "edges": [0.0, 1.0], "model_masses": [1.0], "data_counts": [3.0], "draws": 10}},
+    {"metric": {"name": "binned_pdf", "edges": [0.0, 1.0], "model_masses": [1.0], "data_counts": [3.0]},
+     "estimator": {"method": "mc", "samples": 10, "seed": 0}},
     {"metric": {"name": "divergence", "kind": "js", "edges": [0.0, 1.0], "model_masses": [1.0], "data_masses": [1.0]}},
 ]
 
