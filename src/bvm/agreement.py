@@ -75,6 +75,8 @@ class AgreementRule:
         return w
 
     def kernel_many(self, zhat_batch, z_batch) -> np.ndarray:
+        """The weights as a fresh float array the caller owns: ``And`` and
+        ``Or`` combine their children's weights in place."""
         raise NotImplementedError
 
 
@@ -316,10 +318,10 @@ class Or(AgreementRule):
         best = np.zeros(len(zhat_batch))
         for c in self.children:
             w = c.kernel_many(zhat_batch, z_batch)
-            miss *= 1.0 - w
             np.maximum(best, w, out=best)
+            miss *= np.subtract(1.0, w, out=w)
         # 1 - (1 - w) can round below w; the union is never below a child.
-        return np.maximum(1.0 - miss, best)
+        return np.maximum(np.subtract(1.0, miss, out=miss), best, out=miss)
 
 
 @dataclass(frozen=True)

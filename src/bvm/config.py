@@ -569,6 +569,51 @@ _DATA_SECTION = {
 }
 
 
+# Comparisons that read the model side only, and comparisons of two
+# samples of any sizes, to which a scalar is a sample of one.
+_ONE_SIDED = {"identity", "abs_value"}
+_SAMPLE_COMPARISONS = {"area_metric", "binned_prob_diff"}
+
+
+def _rule_leaves(rule: ag.AgreementRule):
+    if isinstance(rule, (ag.And, ag.Or)):
+        for child in rule.children:
+            yield from _rule_leaves(child)
+    elif isinstance(rule, ag.Not):
+        yield from _rule_leaves(rule.child)
+    else:
+        yield rule
+
+
+def _check_value_kinds(rule: ag.AgreementRule, model_kind: str, data_kind: str):
+    """Refuse, from the two sides' value kinds and before any pair is drawn,
+    a rule that cannot score them: a label rule on paths, or a rule that
+    compares a scalar with a path point by point."""
+    for part in _rule_leaves(rule):
+        if isinstance(part, ag.SetMembership) and "path" in (model_kind, data_kind):
+            side = "model" if model_kind == "path" else "data"
+            raise ConfigError(f"config field $.agreement: set_membership compares labels, but the {side} values are paths")
+        if {model_kind, data_kind} != {"scalar", "path"}:
+            continue
+        fn = getattr(part, "fn", None)
+        if isinstance(part, (ag.GammaEpsilon, ag.EpsilonBeta)):
+            how = "compares paths point by point"
+        elif isinstance(fn, ComparisonFn) and _fn_to_config(fn)["fn"] not in _ONE_SIDED | _SAMPLE_COMPARISONS:
+            how = f"compares through '{fn.name}' value by value"
+        else:
+            continue
+        raise ConfigError(
+            f"config field $.data: the data values are {data_kind}s but the model values are {model_kind}s, "
+            f"and {type(part).__name__} {how}"
+        )
+
+
+def _mc_estimate_of(built, samples, seed):
+    scenario = built.scenario
+    _check_value_kinds(scenario.rule, scenario.model_dist.kind, scenario.data_dist.kind)
+    return estimate_bvm_mc(scenario, samples, seed)
+
+
 def _grid_estimate_of(built, samples, seed):
     template = sweep_template(built.scenario.model_dist, built.scenario.data_dist, built.estimator)
     return _grid_estimate(built.scenario.rule, _path_blocks(template, "grid", 0, 0), ([template.data_path], [1.0]))
@@ -578,7 +623,7 @@ ESTIMATORS: dict[str, Form] = {
     "mc": Form(
         {"samples": {"type": "integer", "minimum": 1}, "seed": _SEED},
         ("seed",),
-        lambda built, samples, seed: estimate_bvm_mc(built.scenario, samples, seed),
+        _mc_estimate_of,
     ),
     "grid": Form(
         {"seed": _SEED, "points_per_param": {"type": "integer", "minimum": 1}, "span_sigmas": _POSITIVE},

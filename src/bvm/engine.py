@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from .agreement import AgreementRule, _value_breakpoints
 from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
-from .rng import DATA_STREAM, MODEL_STREAM, _chunks, map_chunks
+from .rng import DATA_STREAM, MODEL_STREAM, _chunks, fold_chunks, map_chunks
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -131,35 +132,45 @@ class BvmEstimate:
 
 def _mc_estimate(weights_of_chunk, k: int, seed: int, soft: bool) -> BvmEstimate:
     """Mean of k kernel weights; ``weights_of_chunk(c, m)`` gives the m
-    weights of chunk c, and the chunks run on :func:`map_chunks`.
+    weights of chunk c, and the chunks run on :func:`fold_chunks`.
 
-    Each chunk is scored and reduced to ``(m, sum w, M2)`` by the worker
-    that owns it, so no more than a chunk of weights per worker is ever
-    held. Chunk sums are added in index order, so the result is
-    deterministic for fixed (seed, k) regardless of BVM_THREADS; the
-    soft-rule variance merges the chunks' sums of squared deviations from
-    their means (Chan, Golub & LeVeque), which does not cancel the way
-    ``E[w^2] - p^2`` does when the weights barely vary. A hard rule's
-    chunk sums are exact integers, and its estimate is binomial.
+    Each chunk is scored and reduced by the worker that owns it, to its
+    weight sum for a hard rule and to ``(m, sum w, M2)`` for a soft one,
+    and folded in chunk order as soon as every earlier chunk is, so an
+    estimate holds a chunk of weights per worker and a few chunk results,
+    whatever k. The sum of weights runs in chunk order from the int 0, so
+    the result is deterministic for fixed (seed, k) regardless of
+    BVM_THREADS. A soft rule folds ``(sum w, n, mean, M2)``: its variance
+    merges the chunks' sums of squared deviations from their means (Chan,
+    Golub & LeVeque), which does not cancel the way ``E[w^2] - p^2`` does
+    when the weights barely vary. A hard rule's chunk sums are exact
+    integers, and its estimate is binomial.
     """
 
-    def chunk_stats(c: int, m: int):
+    def chunk_weights(c: int, m: int) -> np.ndarray:
         w = np.asarray(weights_of_chunk(c, m), dtype=float)
         if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
             raise EstimationError("kernel weight escaped [0, 1]")
-        total = float(np.sum(w))
-        return m, total, float(np.sum(np.square(w - total / m))) if soft else 0.0
+        return w
 
-    stats = map_chunks(chunk_stats, k)
-    p = sum(total for _, total, _ in stats) / k
     if not soft:
-        return BvmEstimate.binomial(p, k, seed)
-    n, mean, m2 = 0, 0.0, 0.0
-    for m_c, total, m2_c in stats:
+        total = fold_chunks(lambda c, m: float(np.sum(chunk_weights(c, m))), k, operator.add, 0)
+        return BvmEstimate.binomial(total / k, k, seed)
+
+    def chunk_stats(c: int, m: int):
+        w = chunk_weights(c, m)
+        total = float(np.sum(w))
+        return m, total, float(np.sum(np.square(w - total / m)))
+
+    def merge(acc, stats):
+        p, n, mean, m2 = acc
+        m_c, total, m2_c = stats
         delta = total / m_c - mean
         n += m_c
-        mean += delta * m_c / n
-        m2 += m2_c + delta * delta * (n - m_c) * m_c / n
+        return p + total, n, mean + delta * m_c / n, m2 + (m2_c + delta * delta * (n - m_c) * m_c / n)
+
+    total, _, _, m2 = fold_chunks(chunk_stats, k, merge, (0, 0, 0.0, 0.0))
+    p = total / k
     se = math.sqrt(m2 / k / k)
     return BvmEstimate(p_hat=p, std_error=se, n_samples=k, seed=seed, method="mc")
 

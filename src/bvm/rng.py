@@ -1,4 +1,4 @@
-"""Deterministic, splittable random streams and the chunk map over them.
+"""Deterministic, splittable random streams and the chunk fold over them.
 
 Every random draw in this package flows through fixed-size chunks of a
 counter-based Philox generator keyed by ``(seed, stream, chunk index)``.
@@ -7,18 +7,21 @@ draws of a request never depend on how many draws were requested in
 total, and any chunk can be drawn on its own, anywhere, with the same
 bits.
 
-:func:`map_chunks` is the one chunk loop: the Monte Carlo estimator,
+:func:`fold_chunks` is the one chunk loop: the Monte Carlo estimator,
 the comparison density, the metrics' resampling loops (binned pdf, area
 bootstrap, divergence sampler) and the model evidence's prior draws all
-run on it. Each worker draws, scores and reduces whole chunks of its
-own, and the results come back in chunk order, so work spread over any
-number of threads reproduces the single-threaded result bit for bit.
+run on it; the comparison density and the evidence, which need every
+value, through :func:`map_chunks`, which folds into a list. Each worker
+draws, scores and reduces whole chunks of its own, and the results are
+folded in chunk order, so work spread over any number of threads
+reproduces the single-threaded result bit for bit.
 ``BVM_THREADS`` (default 1) sets the number of workers; it parallelises
 sampling as well as kernels, so any user code a chunk calls (such as a
 divergence ``sampler`` or an evidence model function) must be a pure
-function of its arguments. An estimate holds one chunk per worker, and
-each chunk's result until the results are returned in chunk order:
-O(CHUNK_SIZE x path length x workers + k / CHUNK_SIZE) memory.
+function of its arguments. A fold holds one chunk per worker and at most
+two results per worker that wait for an earlier chunk: its memory does
+not grow with the number of chunks, O(CHUNK_SIZE x path length x
+workers) for an estimate.
 
 A chunk's Philox key is the one ``np.random.SeedSequence(entropy=seed,
 spawn_key=(stream, chunk)).generate_state(2, np.uint64)`` gives, but no
@@ -203,9 +206,14 @@ def num_chunks(n: int) -> int:
     return -(-int(n) // CHUNK_SIZE)
 
 
-def _chunks(n: int) -> list:
-    """(chunk index, draw count) of every chunk of an n-draw request."""
-    return [(c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)) for c in range(num_chunks(n))]
+def _chunk_draws(n: int, c: int) -> int:
+    """Draws in chunk c of an n-draw request."""
+    return min(CHUNK_SIZE, n - c * CHUNK_SIZE)
+
+
+def _chunks(n: int):
+    """(chunk index, draw count) of every chunk of an n-draw request, lazily."""
+    return ((c, _chunk_draws(n, c)) for c in range(num_chunks(n)))
 
 
 def _max_workers() -> int:
@@ -215,35 +223,84 @@ def _max_workers() -> int:
         return 1
 
 
-def map_chunks(fn, n: int) -> list:
-    """``[fn(c, m) for each chunk c of an n-draw request]``, in chunk order.
+def fold_chunks(fn, n: int, fold, acc):
+    """``acc = fold(acc, fn(c, m))`` for each chunk c of an n-draw request,
+    in chunk order; returns the final ``acc``.
 
     ``m`` is the chunk's draw count. ``fn`` must be a pure function of its
-    arguments; it then gives the same results under any scheduling. Up to
-    ``BVM_THREADS`` threads run it, and thread i owns the chunks
-    c = i (mod threads), so there is no per-chunk task overhead. When
-    chunks raise, the exception of the lowest-numbered one propagates.
+    arguments; it then gives the same results under any scheduling, and
+    the fold sees them in the same order. Up to ``BVM_THREADS`` threads run
+    ``fn``, and thread i owns the chunks c = i (mod threads), so there is
+    no per-chunk task overhead. The thread that stores chunk c's result
+    also folds it and every further result that is ready in order, under
+    one lock, so no thread waits to fold. A thread that gets 2 x threads
+    chunks ahead of the fold waits for it, so at most that many results are
+    held. When chunks raise, the exception of the lowest-numbered one
+    propagates: chunks above a failed one are skipped, lower ones still run.
     """
-    chunks = _chunks(n)
-    workers = min(_max_workers(), len(chunks))
+    nc = num_chunks(n)
+    workers = min(_max_workers(), nc)
     if workers <= 1:
-        return [fn(c, m) for c, m in chunks]
-    results = [None] * len(chunks)
-    failures = []  # (chunk, exception): each worker stops at its first
+        for c in range(nc):
+            acc = fold(acc, fn(c, _chunk_draws(n, c)))
+        return acc
+    window = 2 * workers
+    lock = threading.Lock()
+    room = threading.Condition(lock)  # a worker too far ahead of the fold waits here
+    pending = {}  # chunk -> result, stored but not yet folded
+    folded, failed, error, waiting = 0, nc, None, 0  # failed: the lowest failing chunk
+
+    def fail(c, exc):  # under the lock
+        nonlocal failed, error
+        if c < failed:
+            failed, error = c, exc
+        if waiting:
+            room.notify_all()
 
     def own(i):
-        for c, m in chunks[i::workers]:
+        nonlocal acc, folded, waiting
+        for c in range(i, nc, workers):
+            with lock:
+                while folded + window <= c < failed:
+                    waiting += 1
+                    room.wait()
+                    waiting -= 1
+                if c > failed:
+                    return
             try:
-                results[c] = fn(c, m)
-            except Exception as exc:
-                failures.append((c, exc))
+                result = fn(c, _chunk_draws(n, c))
+            except BaseException as exc:  # raised by the caller; a worker that died silently would stall the others
+                with lock:
+                    fail(c, exc)
                 return
+            with lock:
+                pending[c] = result  # the fold never passes a failed chunk
+                del result
+                try:
+                    while folded in pending:
+                        acc = fold(acc, pending.pop(folded))
+                        folded += 1
+                except BaseException as exc:
+                    fail(folded, exc)
+                if waiting:
+                    room.notify_all()
 
     threads = [threading.Thread(target=own, args=(i,), daemon=True) for i in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    if error is not None:
+        raise error
+    return acc
+
+
+def _append(results: list, result) -> list:
+    results.append(result)
     return results
+
+
+def map_chunks(fn, n: int) -> list:
+    """``[fn(c, m) for each chunk c of an n-draw request]``, in chunk order:
+    :func:`fold_chunks` into a list, for callers that need every result."""
+    return fold_chunks(fn, n, _append, [])

@@ -12,7 +12,10 @@ point of it is made. A data path of another length than the model's
 paths (unless the rule compares binned paths), a grid prior component
 the grid cannot discretise, ``bins`` on a comparison that takes none, a
 NaN ``data_summary.std`` and an evidence ``data_y`` of another length
-than the grid are config errors naming their field; a grid too large to
+than the grid are config errors naming their field, and so are a
+``set_membership`` rule on path values (``$.agreement``) and a rule that
+compares a scalar side with a path side value by value (``$.data``),
+decided from the two sides' value kinds; a grid too large to
 hold is an estimation error (exit 3), not a traceback. A flagged run's
 record holds its ``--seed`` and ``--samples``, so it re-runs as it ran."""
 
@@ -320,3 +323,42 @@ def test_a_grid_too_large_to_hold_is_an_estimation_error(tmp_path, capsys, monke
     assert capsys.readouterr().err == (
         "estimation error: Unable to allocate 64.0 TiB for an array with shape (8000000000000,) and data type float64\n"
     )
+
+
+SCALAR = {"type": "normal", "mean": 0.0, "std": 1.0}
+PATH = {"type": "dirac", "value": [1.0, 2.0, 3.0]}
+
+
+def kinds_doc(model, data, agreement):
+    return {"model": {"distribution": model}, "data": {"distribution": data}, "agreement": agreement,
+            "estimator": {"method": "mc", "samples": 50, "seed": 0}}
+
+
+@pytest.mark.parametrize("model, data, side", [(PATH, {"type": "dirac", "value": [1.0, 2.0, 5.0]}, "model"),
+                                               (SCALAR, PATH, "data")])
+def test_set_membership_on_path_values_is_a_config_error(tmp_path, capsys, model, data, side):
+    doc = kinds_doc(model, data, {"type": "set_membership", "synonyms": {"a": ["b"]}})
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: config field $.agreement: set_membership compares labels, but the {side} values are paths\n"
+    )
+
+
+@pytest.mark.parametrize("agreement", [ABS_DIFF, {"type": "gamma_epsilon", "gamma": 0.5, "eps": 1.0, "m": 5},
+                                       {"type": "or", "children": [{"type": "threshold", "fn": "identity", "eps": 1.0},
+                                                                   {"type": "threshold", "fn": "kl", "eps": 1.0}]}])
+@pytest.mark.parametrize("model, data", [(SCALAR, PATH), (PATH, SCALAR)])
+def test_a_scalar_compared_with_a_path_is_a_config_error(tmp_path, capsys, agreement, model, data):
+    # A one-row probe would broadcast (1,) against (1, 3) and pass: the kinds decide.
+    assert main(["validate", "--config", write(tmp_path, kinds_doc(model, data, agreement))]) == EXIT_CONFIG
+    kinds = ("paths", "scalars") if data is PATH else ("scalars", "paths")
+    assert capsys.readouterr().err.startswith(
+        "config error: config field $.data: the data values are %s but the model values are %s, and " % kinds
+    )
+
+
+@pytest.mark.parametrize("agreement", [{"type": "threshold", "fn": "identity", "eps": 1.0},
+                                       {"type": "threshold", "fn": "area_metric", "eps": 1.0},
+                                       {"type": "threshold", "fn": "binned_prob_diff", "bins": 4, "eps": 1.0}])
+def test_a_scalar_may_meet_a_path_in_a_one_sided_or_sample_comparison(tmp_path, agreement):
+    assert main(["validate", "--config", write(tmp_path, kinds_doc(SCALAR, PATH, agreement))]) == EXIT_OK

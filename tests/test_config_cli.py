@@ -12,7 +12,6 @@ import pytest
 import bvm
 from bvm.cli import (
     EXIT_CONFIG,
-    EXIT_ESTIMATION,
     EXIT_OK,
     EXIT_RULE_MISMATCH,
     _parse_axis,
@@ -409,12 +408,13 @@ class TestCli:
     def test_missing_file_exit_code(self):
         assert main(["validate", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
-    def test_estimation_error_exit_code(self, tmp_config):
-        # Path comparison against scalar values cannot be evaluated.
+    def test_path_comparison_on_scalar_data_exit_code(self, tmp_config, capsys):
+        # Path comparison against scalar values cannot be evaluated: an input fault.
         doc = scenario_doc(agreement={"type": "threshold", "fn": "mean_abs_error", "eps": 1.0})
         doc["model"] = {"distribution": {"type": "dirac", "value": [1.0, 2.0]}}
         code = main(["validate", "--config", tmp_config(doc)])
-        assert code == EXIT_ESTIMATION
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: config field $.data: the data values are scalars")
 
     def test_ratio_identical_configs(self, tmp_config, capsys):
         cfg = tmp_config(scenario_doc())

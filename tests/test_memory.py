@@ -53,6 +53,14 @@ when the scenario is built). ``GammaEpsilon.kernel_many`` on a
 was set before, when it formed the whole |yhat - y| (6.6 MB then, 0.4 MB
 now).
 
+A scalar Monte Carlo estimate folds each chunk's result in chunk order as
+soon as every earlier chunk is folded, so it holds a chunk per worker and
+a few chunk results whatever k: its peak at about 4e6 pairs stays within
+5 % of its peak at about 1e5, at one and two threads. The bound was set
+before the first run. While every chunk's result was kept until the
+estimate returned, the two read 0.139 and 0.274 MB at one thread, and
+0.287 and 0.358 MB at two.
+
 A sweep adds each block's first passing columns into a (need, eps)
 histogram, so it holds that histogram, the path weights and one block of
 paths, with no eps-by-path count matrix. Both bounds were set before an
@@ -63,14 +71,16 @@ on the same sweep.
 """
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from bvm import EpsilonBeta, GammaEpsilon, IndependentProduct, Normal, mean_abs_error
+from bvm import AgreementRule, EpsilonBeta, GammaEpsilon, IndependentProduct, Normal, mean_abs_error
 from bvm.cli import EXIT_OK, main
 from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
-from bvm.engine import estimate_bvm_mc, sweep
+from bvm.engine import Scenario, estimate_bvm_mc, sweep
 from bvm.rng import CHUNK_SIZE
 from bvm.studies import _poly_config, builtin_configs, sweep_axes
 
@@ -110,6 +120,35 @@ def test_uncertain_compound_mc_peak(monkeypatch):
     scenario = build_scenario(builtin_configs(0)["oscillator-uncertain-compound"]).scenario
     estimate_bvm_mc(scenario, 100, 0)
     assert _peak_mb(lambda: estimate_bvm_mc(scenario, 100_000, 0)) <= 7.1
+
+
+class _InStep(AgreementRule):
+    """An ``abs_diff`` threshold whose workers meet at a barrier holding
+    their whole chunk working set, so that every pair of chunks peaks
+    together. Left to the scheduler, two workers' peaks coincide in some
+    short runs and not in others, and the peak of a 1e5-pair run reads
+    0.219 or 0.288 MB."""
+
+    def __init__(self, eps, workers):
+        self.eps, self.barrier = eps, threading.Barrier(workers, timeout=60)
+
+    def kernel_many(self, zhat_batch, z_batch):
+        f = np.abs(np.subtract(zhat_batch, z_batch))
+        inside = f <= self.eps
+        w = inside.astype(float)
+        self.barrier.wait()
+        return w
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scalar_mc_peak_does_not_grow_with_k(threads, monkeypatch):
+    monkeypatch.setenv("BVM_THREADS", threads)
+    scenario = Scenario(Normal(0.1, 1.0), Normal(-0.2, 0.8), _InStep(0.9, int(threads)))
+    estimate_bvm_mc(scenario, 2 * CHUNK_SIZE, 0)
+    # Whole pairs of chunks, so that no worker waits alone at the barrier.
+    small = _peak_mb(lambda: estimate_bvm_mc(scenario, 24 * CHUNK_SIZE, 0))  # about 1e5
+    large = _peak_mb(lambda: estimate_bvm_mc(scenario, 976 * CHUNK_SIZE, 0))  # about 4e6
+    assert large <= 1.05 * small, (small, large)
 
 
 def test_certain_oscillator_band_peak():

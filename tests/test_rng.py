@@ -7,6 +7,8 @@ every key and every draw must reproduce.
 
 import ast
 import sys
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 
 from bvm import rng
 from bvm.distributions import Categorical, Distribution, Empirical, Normal, StudentT
-from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, _draw_chunk, map_chunks
+from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, _draw_chunk, fold_chunks, map_chunks
 
 STREAMS = sorted(v for name, v in vars(rng).items() if name.endswith("_STREAM"))
 
@@ -105,6 +107,118 @@ def test_map_chunks_raises_lowest_failing_chunk(threads, monkeypatch):
 
     with pytest.raises(ValueError, match="chunk 2"):
         map_chunks(fn, 6 * CHUNK_SIZE)
+
+
+class _FastSwitching:
+    """Switch threads as often as possible while the block runs."""
+
+    def __enter__(self):
+        self.interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+    def __exit__(self, *exc):
+        sys.setswitchinterval(self.interval)
+
+
+FOLD_THREADS = ["1", "2", "3", "8"]
+
+
+def _in_time(fn, seconds=60.0):
+    """``fn()`` on a thread joined with a timeout, so that a fold that
+    deadlocks fails its test instead of hanging the suite."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the fold did not finish in {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("threads", FOLD_THREADS)
+def test_fold_chunks_folds_in_chunk_order_within_the_window(threads, monkeypatch):
+    monkeypatch.setenv("BVM_THREADS", threads)
+    window = 2 * int(threads)
+    n = 40 * CHUNK_SIZE + 1
+    folded = []
+    ahead = []  # how far past the fold each chunk started
+
+    def fn(c, m):
+        ahead.append(c - len(folded))
+        return c, m
+
+    def fold(acc, result):
+        folded.append(result)
+        return acc + result[1]
+
+    with _FastSwitching():
+        assert _in_time(lambda: fold_chunks(fn, n, fold, 0)) == n
+    assert folded == [(c, CHUNK_SIZE) for c in range(40)] + [(40, 1)]
+    assert max(ahead) < window
+
+
+@pytest.mark.parametrize("threads", FOLD_THREADS)
+def test_fold_chunks_raises_lowest_failing_chunk(threads, monkeypatch):
+    monkeypatch.setenv("BVM_THREADS", threads)
+
+    def fn(c, m):
+        if c in (2, 5):
+            raise ValueError(f"chunk {c}")
+        return c
+
+    with _FastSwitching(), pytest.raises(ValueError, match="chunk 2"):
+        _in_time(lambda: fold_chunks(fn, 6 * CHUNK_SIZE, lambda acc, c: acc + [c], []))
+
+    def fold(acc, c):  # a failing fold counts as a failure of the chunk it folds
+        if c == 1:
+            raise ValueError("fold 1")
+        return acc
+
+    with _FastSwitching(), pytest.raises(ValueError, match="fold 1"):
+        _in_time(lambda: fold_chunks(fn, 6 * CHUNK_SIZE, fold, None))
+
+
+@pytest.mark.parametrize("threads", FOLD_THREADS)
+def test_fold_chunks_runs_no_chunk_past_the_window_of_a_failure(threads, monkeypatch):
+    monkeypatch.setenv("BVM_THREADS", threads)
+    window = 2 * int(threads)
+    calls = []
+
+    def fn(c, m):
+        calls.append(c)
+        if c == 3:
+            time.sleep(0.02)  # the other workers run ahead while chunk 3 fails
+            raise ValueError("chunk 3")
+        return c
+
+    with _FastSwitching(), pytest.raises(ValueError, match="chunk 3"):
+        _in_time(lambda: fold_chunks(fn, 200 * CHUNK_SIZE, lambda acc, c: acc, None))
+    assert sorted(calls) == sorted(set(calls))
+    assert set(range(4)) <= set(calls)
+    assert max(calls) < 3 + window
+
+
+@pytest.mark.parametrize("threads", FOLD_THREADS)
+def test_fold_chunks_leaves_no_thread_behind_a_failure(threads, monkeypatch):
+    monkeypatch.setenv("BVM_THREADS", threads)
+    before = threading.active_count()
+
+    def fn(c, m):
+        if c % 7 == 4:
+            raise ValueError(f"chunk {c}")
+        return c
+
+    with _FastSwitching(), pytest.raises(ValueError, match="chunk 4"):
+        _in_time(lambda: fold_chunks(fn, 50 * CHUNK_SIZE, lambda acc, c: acc, None))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
