@@ -350,26 +350,35 @@ def compose(op: str, children: Sequence[AgreementRule]) -> AgreementRule:
     raise ValueError(f"unknown composition '{op}'")
 
 
+def _leaves(rule: AgreementRule):
+    """The rules under every And, Or and Not of *rule*, in order."""
+    if isinstance(rule, (And, Or, Not)):
+        for child in (rule.child,) if isinstance(rule, Not) else rule.children:
+            yield from _leaves(child)
+    else:
+        yield rule
+
+
 def _value_breakpoints(rule: AgreementRule):
     """Where a single-value rule can change its weight, on the value axis.
 
     A single-value metric scores one value v as ``kernel(v, v)``, so every
-    comparison in the tree must read one side only ('identity' or
-    'abs_value'), and no part may be a path or label rule: ValueError
-    otherwise. A comparison of the two sides, such as 'abs_diff', would
-    compare v with itself and always accept. Every child of an And/Or is
+    comparison in the tree must read the model side only (``reads ==
+    "model"``: 'identity' or 'abs_value'), and no part may be a path or
+    label rule: ValueError otherwise. A comparison of the two sides, such as
+    'abs_diff', would compare v with itself and always accept. Every leaf is
     checked. Returns the set of breakpoints, or None when the tree holds a
     rule whose breakpoints are unknown; callers then integrate blind.
     """
-    if isinstance(rule, (And, Or)):
-        children = [_value_breakpoints(child) for child in rule.children]
-        return None if None in children else set().union(*children)
-    if isinstance(rule, Not):
-        return _value_breakpoints(rule.child)
+    leaves = [_leaf_breakpoints(leaf) for leaf in _leaves(rule)]
+    return None if None in leaves else set().union(*leaves)
+
+
+def _leaf_breakpoints(rule: AgreementRule):
     if isinstance(rule, (GammaEpsilon, EpsilonBeta, SetMembership)):
         raise ValueError(f"{type(rule).__name__} does not score a single value; use a value rule")
     fn = getattr(rule, "fn", None)
-    if isinstance(fn, ComparisonFn) and fn.name not in ("identity", "abs_value"):
+    if isinstance(fn, ComparisonFn) and fn.reads != "model":
         raise ValueError(
             f"{type(rule).__name__} compares through '{fn.name}', but a single-value metric reads its "
             "value on both sides; use 'identity' or 'abs_value'"

@@ -2,8 +2,11 @@
 
 Each registered function maps a (model value, data value) pair to the
 quantitative measure an agreement rule thresholds. Each has one
-implementation, over pairs stacked along axis 0 or over a single pair; path
-errors and binned-pdf distances reduce along the last axis.
+implementation, its batch over pairs stacked along axis 0, and says once how
+it reads the two sides (:attr:`ComparisonFn.reads`): value by value, the
+model side only, or as two samples of any sizes, to which a scalar is a
+sample of one. Path errors and binned-pdf distances reduce along the last
+axis.
 """
 
 from __future__ import annotations
@@ -328,14 +331,26 @@ def identity_statistic(zhat, z=None):
 
 @dataclass(frozen=True)
 class ComparisonFn:
-    """Named comparison function: ``batch`` maps (model, data) values stacked
-    along axis 0 to one value per pair; ``pair`` computes the same on one pair."""
+    """Named comparison function. ``batch``, its one implementation, maps
+    (model, data) values stacked along axis 0 to one value per pair.
+    ``reads`` says how it reads the two sides: ``"values"``, value by value
+    (both sides of one kind, paths of one length); ``"model"``, the model
+    side only; or ``"samples"``, as two samples of any sizes, where
+    :meth:`on_batch` reads a 1-D side as one sample of one value per row.
+    ``pair(zhat, z)`` is the value of one pair, a batch of one."""
 
     name: str
-    pair: Callable
     batch: Callable
+    reads: str = "values"
+
+    def __post_init__(self):
+        if self.reads not in ("values", "model", "samples"):
+            raise ValueError(f"comparison '{self.name}' reads 'values', 'model' or 'samples', not {self.reads!r}")
+        object.__setattr__(self, "pair", lambda zhat, z: self.on_batch([zhat], [z])[0])
 
     def on_batch(self, zhat_batch, z_batch) -> np.ndarray:
+        if self.reads == "samples":
+            zhat_batch, z_batch = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (zhat_batch, z_batch))
         return np.asarray(self.batch(zhat_batch, z_batch), dtype=float)
 
 
@@ -348,45 +363,34 @@ def _register(fn: ComparisonFn, *aliases: str):
         _REGISTRY[alias] = fn
 
 
-def _abs_value(zh, z=None):
-    return np.abs(np.asarray(zh, dtype=float))
-
-
-_register(ComparisonFn("abs_diff", abs_diff, abs_diff))
-_register(ComparisonFn("sq_diff", sq_diff, sq_diff))
-_register(ComparisonFn("mean_abs_error", mean_abs_error, mean_abs_error))
-_register(ComparisonFn("max_abs_error", max_abs_error, max_abs_error))
-_register(ComparisonFn("per_point_abs_error", per_point_abs_error, per_point_abs_error))
-_register(ComparisonFn("area_metric", area_metric, area_metric_many))
+for _fn in (abs_diff, sq_diff, mean_abs_error, max_abs_error, per_point_abs_error):
+    _register(ComparisonFn(_fn.__name__, _fn))
+_register(ComparisonFn("area_metric", area_metric_many, "samples"))
 for _name, _fn in _DIVERGENCES.items():  # each also under its function's name
-    _register(ComparisonFn(_name, _fn, _fn), *{_fn.__name__} - {_name})
-_register(ComparisonFn("identity", identity_statistic, identity_statistic))
-_register(ComparisonFn("abs_value", _abs_value, _abs_value))
+    _register(ComparisonFn(_name, _fn), *{_fn.__name__} - {_name})
+_register(ComparisonFn("identity", identity_statistic, "model"))
+_register(ComparisonFn("abs_value", lambda zh, z=None: np.abs(identity_statistic(zh)), "model"))
 
 
 def make_binned_prob_diff_fn(bins: int) -> ComparisonFn:
-    """Comparison on raw sample paths: bin both over their pooled range, then
-    sum the absolute mass differences; a batch does this row pair by row pair."""
+    """Comparison of two samples: bin both over their pooled range, then sum
+    the absolute mass differences; a batch does this row pair by row pair."""
     if bins < 1:
         raise ValueError(f"binned_prob_diff needs at least one bin, not {bins}")
 
-    def pair(zh, zv):
-        zh = np.asarray(zh, dtype=float)
-        zv = np.asarray(zv, dtype=float)
-        pooled = np.concatenate([zh.ravel(), zv.ravel()])
+    def row(zh, zv):
+        pooled = np.concatenate([zh, zv])
         span = pooled.max() - pooled.min()
         pad = 0.01 * span if span > 0 else 1e-9
         lo, hi = pooled.min() - pad, pooled.max() + pad
-        p = BinnedPdf.from_samples(zh, bins, lo, hi)
-        q = BinnedPdf.from_samples(zv, bins, lo, hi)
-        return binned_prob_diff(p, q)
+        return binned_prob_diff(BinnedPdf.from_samples(zh, bins, lo, hi), BinnedPdf.from_samples(zv, bins, lo, hi))
 
     def batch(zh, zv):
         if len(zh) != len(zv):
             raise ValueError(f"batch row counts differ: {len(zh)} vs {len(zv)}")
-        return np.array([pair(a, b) for a, b in zip(zh, zv)], dtype=float)
+        return np.array([row(a, b) for a, b in zip(zh, zv)], dtype=float)
 
-    return ComparisonFn(f"binned_prob_diff_{bins}", pair, batch)
+    return ComparisonFn(f"binned_prob_diff_{bins}", batch, "samples")
 
 
 def get_comparison_fn(name: str, **params) -> ComparisonFn:

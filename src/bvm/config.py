@@ -569,53 +569,46 @@ _DATA_SECTION = {
 }
 
 
-# Comparisons that read the model side only, and comparisons of two
-# samples of any sizes, to which a scalar is a sample of one.
-_ONE_SIDED = {"identity", "abs_value"}
-_SAMPLE_COMPARISONS = {"area_metric", "binned_prob_diff"}
-
-
-def _rule_leaves(rule: ag.AgreementRule):
-    if isinstance(rule, (ag.And, ag.Or)):
-        for child in rule.children:
-            yield from _rule_leaves(child)
-    elif isinstance(rule, ag.Not):
-        yield from _rule_leaves(rule.child)
-    else:
-        yield rule
-
-
-def _check_value_kinds(rule: ag.AgreementRule, model_kind: str, data_kind: str):
-    """Refuse, from the two sides' value kinds and before any pair is drawn,
-    a rule that cannot score them: a label rule on paths, or a rule that
-    compares a scalar with a path point by point."""
-    for part in _rule_leaves(rule):
-        if isinstance(part, ag.SetMembership) and "path" in (model_kind, data_kind):
-            side = "model" if model_kind == "path" else "data"
+def _check_value_kinds(rule: ag.AgreementRule, model_dist: dist.Distribution, data_dist: dist.Distribution):
+    """Refuse, before any pair is drawn, a rule that cannot score the two
+    sides' values: a label rule on paths, a region rule on the side it reads
+    when that side holds paths, or a leaf that reads the sides point by
+    point (``GammaEpsilon``, ``EpsilonBeta``, a comparison that ``reads``
+    ``"values"``) on a scalar and a path or on paths of two lengths. A
+    comparison that reads the model side or two samples takes any kinds."""
+    kinds = {"model": model_dist.kind, "data": data_dist.kind}
+    n, n_data = model_dist.path_length, data_dist.path_length
+    for part in ag._leaves(rule):
+        if isinstance(part, ag.SetMembership) and "path" in kinds.values():
+            side = "model" if kinds["model"] == "path" else "data"
             raise ConfigError(f"config field $.agreement: set_membership compares labels, but the {side} values are paths")
-        if {model_kind, data_kind} != {"scalar", "path"}:
-            continue
+        if isinstance(part, ag.InRegion) and kinds[part.side] == "path":
+            raise ConfigError(f"config field $.agreement: in_region reads the {part.side} values, but they are paths")
         fn = getattr(part, "fn", None)
         if isinstance(part, (ag.GammaEpsilon, ag.EpsilonBeta)):
             how = "compares paths point by point"
-        elif isinstance(fn, ComparisonFn) and _fn_to_config(fn)["fn"] not in _ONE_SIDED | _SAMPLE_COMPARISONS:
+        elif isinstance(fn, ComparisonFn) and fn.reads == "values":
             how = f"compares through '{fn.name}' value by value"
         else:
             continue
-        raise ConfigError(
-            f"config field $.data: the data values are {data_kind}s but the model values are {model_kind}s, "
-            f"and {type(part).__name__} {how}"
-        )
+        if set(kinds.values()) == {"scalar", "path"}:
+            raise ConfigError(
+                f"config field $.data: the data values are {kinds['data']}s but the model values are "
+                f"{kinds['model']}s, and {type(part).__name__} {how}"
+            )
+        if None not in (n, n_data) and n != n_data:
+            raise ConfigError(_length_fault(n_data, n))
 
 
 def _mc_estimate_of(built, samples, seed):
     scenario = built.scenario
-    _check_value_kinds(scenario.rule, scenario.model_dist.kind, scenario.data_dist.kind)
+    _check_value_kinds(scenario.rule, scenario.model_dist, scenario.data_dist)
     return estimate_bvm_mc(scenario, samples, seed)
 
 
 def _grid_estimate_of(built, samples, seed):
     template = sweep_template(built.scenario.model_dist, built.scenario.data_dist, built.estimator)
+    _check_value_kinds(built.scenario.rule, built.scenario.model_dist, built.scenario.data_dist)
     return _grid_estimate(built.scenario.rule, _path_blocks(template, "grid", 0, 0), ([template.data_path], [1.0]))
 
 
@@ -1100,14 +1093,6 @@ def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
     model_dist = _model_dist_from_section(doc["model"])
     data_dist = _data_dist_from_section(doc["data"])
     rule = rule_from_config(doc["agreement"], model_dist)
-    n, n_data = model_dist.path_length, data_dist.path_length
-    if None not in (n, n_data) and n != n_data:
-        # One pair of zero paths: a rule that cannot score paths of two
-        # lengths (all but binned_prob_diff) raises here, not in a chunk.
-        try:
-            rule.kernel_many(np.zeros((1, n)), np.zeros((1, n_data)))
-        except ValueError:
-            raise ConfigError(_length_fault(n_data, n)) from None
     scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
     estimator = dict(doc["estimator"])
     if "samples" in ESTIMATORS[estimator["method"]].properties:

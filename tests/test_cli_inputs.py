@@ -9,13 +9,15 @@ integer field written as an integral float (``40.0``) runs as its
 integer does. An estimator section takes only its own method's fields,
 and a grid with more paths than numpy can index is refused before any
 point of it is made. A data path of another length than the model's
-paths (unless the rule compares binned paths), a grid prior component
+paths (unless the rule compares them as samples), a grid prior component
 the grid cannot discretise, ``bins`` on a comparison that takes none, a
 NaN ``data_summary.std`` and an evidence ``data_y`` of another length
 than the grid are config errors naming their field, and so are a
 ``set_membership`` rule on path values (``$.agreement``) and a rule that
 compares a scalar side with a path side value by value (``$.data``),
-decided from the two sides' value kinds; a grid too large to
+decided from the two sides' value kinds, and an ``in_region`` rule on the
+side it reads when that side holds paths (``$.agreement``). A comparison
+of two samples takes a scalar as a sample of one. A grid too large to
 hold is an estimation error (exit 3), not a traceback. A flagged run's
 record holds its ``--seed`` and ``--samples``, so it re-runs as it ran."""
 
@@ -360,5 +362,35 @@ def test_a_scalar_compared_with_a_path_is_a_config_error(tmp_path, capsys, agree
 @pytest.mark.parametrize("agreement", [{"type": "threshold", "fn": "identity", "eps": 1.0},
                                        {"type": "threshold", "fn": "area_metric", "eps": 1.0},
                                        {"type": "threshold", "fn": "binned_prob_diff", "bins": 4, "eps": 1.0}])
-def test_a_scalar_may_meet_a_path_in_a_one_sided_or_sample_comparison(tmp_path, agreement):
-    assert main(["validate", "--config", write(tmp_path, kinds_doc(SCALAR, PATH, agreement))]) == EXIT_OK
+@pytest.mark.parametrize("model, data", [(SCALAR, PATH), (PATH, SCALAR), (SCALAR, SCALAR)])
+def test_a_scalar_may_meet_a_path_in_a_one_sided_or_sample_comparison(tmp_path, agreement, model, data):
+    assert main(["validate", "--config", write(tmp_path, kinds_doc(model, data, agreement))]) == EXIT_OK
+
+
+def _five_points(estimator, agreement):
+    doc = json.loads(json.dumps({**POLY, "estimator": estimator, "agreement": agreement}))
+    doc["model"]["grid"]["num"] = doc["data"]["generator"]["grid"]["num"] = 5
+    return doc
+
+
+IN_REGION = {"type": "in_region", "side": "model", "region": {"kind": "interval", "level": 0.9, "intervals": [[-1.0, 1.0]]}}
+ON_A_PATH_SIDE = {
+    "in-region-model": (IN_REGION, "in_region reads the model values, but they are paths"),
+    "in-region-data": ({**IN_REGION, "side": "data"}, "in_region reads the data values, but they are paths"),
+    "set-membership": ({"type": "set_membership", "synonyms": {"a": ["b"]}},
+                       "set_membership compares labels, but the model values are paths"),
+}
+
+
+@pytest.mark.parametrize("estimator", [{"method": "mc", "samples": 50, "seed": 0},
+                                       {"method": "grid", "seed": 0, "points_per_param": 3}], ids=["mc", "grid"])
+@pytest.mark.parametrize("case", ON_A_PATH_SIDE)
+def test_a_label_or_region_rule_on_a_path_side_is_a_config_error(tmp_path, capsys, case, estimator):
+    agreement, message = ON_A_PATH_SIDE[case]
+    assert main(_argv(tmp_path, "validate", _five_points(estimator, agreement))) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field $.agreement: {message}\n"
+
+
+def test_a_region_rule_may_read_the_scalar_side_of_a_path_scenario(tmp_path):
+    doc = kinds_doc(SCALAR, PATH, {**IN_REGION, "side": "model"})
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_OK

@@ -10,6 +10,8 @@ from scipy import stats
 from bvm.comparison import (
     _REGISTRY,
     BinnedPdf,
+    ComparisonFn,
+    abs_diff,
     area_metric,
     area_metric_many,
     binned_prob_diff,
@@ -280,17 +282,27 @@ def _registry_inputs(rng, name):
     if name in ("mean_abs_error", "max_abs_error", "per_point_abs_error"):
         return [(rng.normal(size=(m, 7)), rng.normal(size=(m, 7)))]
     if name == "area_metric":
-        return [(rng.normal(size=(m, a)), rng.normal(0.3, 1.2, size=(m, b))) for a, b in ((9, 9), (5, 13))]
+        samples = [(rng.normal(size=(m, a)), rng.normal(0.3, 1.2, size=(m, b))) for a, b in ((9, 9), (5, 13))]
+        return samples + _scalar_sides(rng, m)
     if name.startswith("binned_prob_diff_"):
         zh = rng.normal(size=(m, 40))
         zh[0] = 2.5  # a constant row: all its mass in one bin
-        return [(zh, rng.normal(0.4, 1.3, size=(m, 25)))]
+        return [(zh, rng.normal(0.4, 1.3, size=(m, 25)))] + _scalar_sides(rng, m)
     # Divergences: fewer than 8 bins, and enough for a pairwise sum.
     return [_mass_rows(rng, m, bins) for bins in (3, 8, 12)]
 
 
+def _scalar_sides(rng, m):
+    """Batches of a sample comparison with a 1-D side: one value per row,
+    a sample of one."""
+    return [(rng.normal(size=m), rng.normal(size=(m, 6))), (rng.normal(size=(m, 6)), rng.normal(size=m)),
+            (rng.normal(size=m), rng.normal(size=m))]
+
+
 def _binned_reference(a, b, bins):
-    # Per-row np.histogram over the pooled range padded 1%.
+    # Per-row np.histogram over the pooled range padded 1%; a scalar is a
+    # sample of one.
+    a, b = np.atleast_1d(a, b)
     pooled = np.concatenate([a, b])
     span = pooled.max() - pooled.min()
     pad = 0.01 * span if span > 0 else 1e-9
@@ -337,6 +349,17 @@ class TestRegistry:
         for name in ("abs_diff", "sq_diff", "mean_abs_error", "max_abs_error", "area_metric"):
             fn = get_comparison_fn(name)
             assert np.allclose(np.asarray(fn.pair(a, b)), np.asarray(fn.pair(b, a)))
+
+    def test_every_entry_says_how_it_reads_the_two_sides(self):
+        reads = {name: fn.reads for name, fn in _REGISTRY.items()}
+        assert set(reads.values()) == {"values", "model", "samples"}
+        assert {name for name, r in reads.items() if r != "values"} == {"identity", "abs_value", "area_metric"}
+        assert get_comparison_fn("binned_prob_diff", bins=4).reads == "samples"
+
+    def test_the_old_positional_form_raises(self):
+        # ComparisonFn(name, pair, batch) would take the batch for `reads`.
+        with pytest.raises(ValueError, match="reads 'values', 'model' or 'samples'"):
+            ComparisonFn("abs_diff", abs_diff, abs_diff)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from bvm import (
     sweep,
 )
 from bvm.agreement import AgreementRule
+from bvm.comparison import area_metric
 from bvm.config import build_sweep_template
 from bvm.distributions import PushForward
 from bvm.engine import (
@@ -180,6 +181,23 @@ class TestMonteCarlo:
         half = 1.96 * est.std_error
         assert est.ci_lo < est.p_hat < est.ci_hi
         assert est.ci_hi - est.ci_lo == pytest.approx(2 * half, rel=0.01)
+
+    @pytest.mark.parametrize("k", [1, 100, 5_000])
+    @pytest.mark.parametrize("model, eps", [(Normal(1, 1), 0.5), (Normal(1, 0.3), 0.6)])
+    def test_each_scalar_draw_is_a_sample_of_one_in_the_area_metric(self, k, model, eps):
+        # Pair i scores the area between {zhat_i} and the data path, which
+        # is 0.5 or more everywhere and at most 0.6 on [0.7, 1.3].
+        data = DiracDelta(np.array([1.0, 2.0, 0.5]))
+        zhat = model.sample(0, k, stream=MODEL_STREAM)
+        expected = np.mean([area_metric([v], data.value) <= eps for v in zhat])
+        est = estimate_bvm_mc(Scenario(model, data, Threshold("area_metric", eps)), k, 0)
+        assert est.p_hat == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_two_scalars_meet_in_the_area_metric_as_in_abs_diff(self):
+        # The area between two one-point ECDFs is |zhat - z|.
+        p_hat = [estimate_bvm_mc(Scenario(Normal(0, 1), Normal(0, 1), Threshold(fn, 0.5)), 10_000, 0).p_hat
+                 for fn in ("area_metric", "abs_diff")]
+        assert p_hat[0] == p_hat[1]
 
     def test_chunk_error_propagates_from_threads(self, monkeypatch):
         class Escapes(Threshold):

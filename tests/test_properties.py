@@ -198,9 +198,11 @@ def test_batch_equals_its_one_row_batches(data):
         zh, z = (data.draw(hnp.arrays(float, (m,), elements=FINITE)) for _ in range(2))
     elif name in MASS_FNS:
         zh, z = _masses(data.draw, m, n), _masses(data.draw, m, n)
-    else:  # paths, or two samples of sizes n and b for the area metric
-        zh = data.draw(hnp.arrays(float, (m, n), elements=FINITE))
-        z = data.draw(hnp.arrays(float, (m, b if name in SAMPLE_FNS else n), elements=FINITE))
+    elif name in PATH_FNS:
+        zh, z = (data.draw(hnp.arrays(float, (m, n), elements=FINITE)) for _ in range(2))
+    else:  # two samples of sizes n and b; a 1-D side is a sample of one per row
+        shapes = data.draw(st.sampled_from([((m, n), (m, b)), ((m,), (m, b)), ((m, n), (m,)), ((m,), (m,))]))
+        zh, z = (data.draw(hnp.arrays(float, shape, elements=FINITE)) for shape in shapes)
     rows = np.concatenate([fn.on_batch(zh[i : i + 1], z[i : i + 1]) for i in range(m)])
     np.testing.assert_array_equal(fn.on_batch(zh, z), rows)
 
