@@ -66,6 +66,7 @@ from .engine import (
     Scenario,
     SweepGrid,
     SweepTemplate,
+    ValueKindError,
     averaged_boolean_ratio,
     bvm_factor,
     bvm_from_density,

@@ -62,10 +62,14 @@ def _nonnegative_eps(eps) -> np.ndarray:
 
 class AgreementRule:
     """Base class. Subclasses implement ``kernel_many`` only: the weights
-    of a batch of (model value, data value) pairs, one per pair.
+    of a batch of (model value, data value) pairs, one per pair. ``reads``,
+    what a leaf reads (:func:`bvm.engine.check_reads`), is its comparison's
+    ``fn.reads``, ``"paths"``, ``"labels"``, one side's number or label
+    (``"model value"``, ``"data label"``, ...), or None: any values.
     """
 
     is_soft = False
+    reads = property(lambda self: getattr(getattr(self, "fn", None), "reads", None))
 
     def kernel(self, zhat, z) -> float:
         """Agreement-kernel weight in [0, 1] for one value pair: a batch of one."""
@@ -145,6 +149,7 @@ class SetMembership(AgreementRule):
     """
 
     synonyms: Mapping
+    reads = "labels"
 
     def _agrees(self, zhat, z) -> bool:
         agreeing = self.synonyms.get(z, (z,))
@@ -163,6 +168,7 @@ class InRegion(AgreementRule):
 
     region: ConfidenceRegion
     side: str = "model"
+    reads = property(lambda self: f"{self.side} {'label' if self.region.labels else 'value'}")
 
     def __post_init__(self):
         if self.side not in ("model", "data"):
@@ -216,6 +222,7 @@ class GammaEpsilon(AgreementRule):
     gamma: float
     eps: float | np.ndarray
     m: float = 5.0
+    reads = "paths"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -249,6 +256,7 @@ class EpsilonBeta(AgreementRule):
     band: tuple
     coverage_lo: float = 0.91
     coverage_hi: float = 0.99
+    reads = "paths"
 
     def __init__(self, mean_tol, band, coverage_lo=0.91, coverage_hi=0.99):
         if not 0.0 <= coverage_lo <= coverage_hi <= 1.0:
@@ -362,27 +370,26 @@ def _leaves(rule: AgreementRule):
 def _value_breakpoints(rule: AgreementRule):
     """Where a single-value rule can change its weight, on the value axis.
 
-    A single-value metric scores one value v as ``kernel(v, v)``, so every
-    comparison in the tree must read the model side only (``reads ==
-    "model"``: 'identity' or 'abs_value'), and no part may be a path or
-    label rule: ValueError otherwise. A comparison of the two sides, such as
-    'abs_diff', would compare v with itself and always accept. Every leaf is
-    checked. Returns the set of breakpoints, or None when the tree holds a
-    rule whose breakpoints are unknown; callers then integrate blind.
+    A single-value metric scores one value v as ``kernel(v, v)``, so no
+    leaf may read (``reads``) two sides, paths or labels: ValueError
+    otherwise. A comparison of the two sides, such as 'abs_diff', would
+    compare v with itself and always accept. Returns the set of
+    breakpoints, or None when the tree holds a rule whose breakpoints are
+    unknown; callers then integrate blind.
     """
     leaves = [_leaf_breakpoints(leaf) for leaf in _leaves(rule)]
     return None if None in leaves else set().union(*leaves)
 
 
 def _leaf_breakpoints(rule: AgreementRule):
-    if isinstance(rule, (GammaEpsilon, EpsilonBeta, SetMembership)):
-        raise ValueError(f"{type(rule).__name__} does not score a single value; use a value rule")
     fn = getattr(rule, "fn", None)
-    if isinstance(fn, ComparisonFn) and fn.reads != "model":
+    if fn is not None and rule.reads in ("values", "paths", "samples"):
         raise ValueError(
             f"{type(rule).__name__} compares through '{fn.name}', but a single-value metric reads its "
             "value on both sides; use 'identity' or 'abs_value'"
         )
+    if rule.reads in ("paths", "labels"):
+        raise ValueError(f"{type(rule).__name__} does not score a single value; use a value rule")
     if isinstance(rule, (AlwaysTrue, AlwaysFalse)):
         return set()
     if isinstance(rule, InRegion) and not rule.region.labels:

@@ -3,10 +3,10 @@
 Each registered function maps a (model value, data value) pair to the
 quantitative measure an agreement rule thresholds. Each has one
 implementation, its batch over pairs stacked along axis 0, and says once how
-it reads the two sides (:attr:`ComparisonFn.reads`): value by value, the
-model side only, or as two samples of any sizes, to which a scalar is a
-sample of one. Path errors and binned-pdf distances reduce along the last
-axis.
+it reads the two sides (:attr:`ComparisonFn.reads`): value by value, two
+paths point by point, the model side only, or as two samples of any sizes,
+to which a scalar is a sample of one. Path errors and binned-pdf distances
+reduce along the last axis.
 """
 
 from __future__ import annotations
@@ -334,9 +334,11 @@ class ComparisonFn:
     """Named comparison function. ``batch``, its one implementation, maps
     (model, data) values stacked along axis 0 to one value per pair.
     ``reads`` says how it reads the two sides: ``"values"``, value by value
-    (both sides of one kind, paths of one length); ``"model"``, the model
-    side only; or ``"samples"``, as two samples of any sizes, where
-    :meth:`on_batch` reads a 1-D side as one sample of one value per row.
+    (both sides of one kind, paths of one length); ``"paths"``, two paths
+    (or mass vectors) of one length, reduced point by point to one value;
+    ``"model"``, the model side only; or ``"samples"``, as two samples of
+    any sizes, where :meth:`on_batch` reads a 1-D side as one sample of one
+    value per row.
     ``pair(zhat, z)`` is the value of one pair, a batch of one."""
 
     name: str
@@ -344,8 +346,8 @@ class ComparisonFn:
     reads: str = "values"
 
     def __post_init__(self):
-        if self.reads not in ("values", "model", "samples"):
-            raise ValueError(f"comparison '{self.name}' reads 'values', 'model' or 'samples', not {self.reads!r}")
+        if self.reads not in ("values", "paths", "model", "samples"):
+            raise ValueError(f"comparison '{self.name}' reads 'values', 'paths', 'model' or 'samples', not {self.reads!r}")
         object.__setattr__(self, "pair", lambda zhat, z: self.on_batch([zhat], [z])[0])
 
     def on_batch(self, zhat_batch, z_batch) -> np.ndarray:
@@ -363,11 +365,13 @@ def _register(fn: ComparisonFn, *aliases: str):
         _REGISTRY[alias] = fn
 
 
-for _fn in (abs_diff, sq_diff, mean_abs_error, max_abs_error, per_point_abs_error):
+for _fn in (abs_diff, sq_diff, per_point_abs_error):
     _register(ComparisonFn(_fn.__name__, _fn))
+for _fn in (mean_abs_error, max_abs_error):
+    _register(ComparisonFn(_fn.__name__, _fn, "paths"))
 _register(ComparisonFn("area_metric", area_metric_many, "samples"))
 for _name, _fn in _DIVERGENCES.items():  # each also under its function's name
-    _register(ComparisonFn(_name, _fn), *{_fn.__name__} - {_name})
+    _register(ComparisonFn(_name, _fn, "paths"), *{_fn.__name__} - {_name})
 _register(ComparisonFn("identity", identity_statistic, "model"))
 _register(ComparisonFn("abs_value", lambda zh, z=None: np.abs(identity_statistic(zh)), "model"))
 

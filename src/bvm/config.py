@@ -30,7 +30,8 @@ import numpy as np
 from . import agreement as ag
 from . import distributions as dist
 from .comparison import _DIVERGENCES, BinnedPdf, ComparisonFn, get_comparison_fn
-from .engine import DEFAULT_SAMPLES, Scenario, SweepTemplate, _grid_estimate, _path_blocks, estimate_bvm_mc
+from .engine import (DEFAULT_SAMPLES, Scenario, SweepTemplate, ValueKindError, _grid_estimate,
+                     _LENGTH_FAULT, _path_blocks, estimate_bvm_mc)
 from .metrics import (
     DataSummary,
     GaussianLikelihoodSpec,
@@ -213,6 +214,8 @@ def _fn_from_config(doc: dict) -> ComparisonFn:
         return get_comparison_fn(doc["fn"])
     if doc["fn"] != "binned_prob_diff":
         raise ValueError(f"comparison '{doc['fn']}' takes no bins")
+    if (int(doc["bins"]) + 1) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"config field $.agreement.bins: {_short(doc['bins'])} bins make too many bin edges to index")
     return get_comparison_fn(doc["fn"], bins=doc["bins"])
 
 
@@ -379,12 +382,18 @@ def _keep_extremes(rows: np.ndarray, n_lo: int, n_hi: int) -> int:
     return n_lo + n_hi
 
 
-def _check_band(lo: np.ndarray, hi: np.ndarray, model_dist: dist.Distribution | None):
+def _per_point(field: str, values, model_dist: dist.Distribution | None):
+    """*values*; a vector of other than one value per point of the model's paths is a config error."""
     n = model_dist.path_length if model_dist is not None else None
+    if np.ndim(values) == 1 and n is not None and len(values) != n:
+        raise ConfigError(f"config field $.{field}: {len(values)} points, but the model's paths have {n}")
+    return values
+
+
+def _check_band(lo: np.ndarray, hi: np.ndarray, model_dist: dist.Distribution | None):
     if lo.shape != hi.shape:
         raise ConfigError(f"band: lo has {lo.size} points and hi {hi.size}")
-    if n is not None and lo.size != n:
-        raise ConfigError(f"band: {lo.size} points, but the model's paths have {n}")
+    _per_point("agreement.band", lo, model_dist)
     for name, edge in (("lo", lo), ("hi", hi)):
         if np.isnan(edge).any():
             raise ConfigError(f"band: {name} is NaN at point {int(np.argmax(np.isnan(edge)))}")
@@ -468,7 +477,7 @@ RULES: dict[str, Form] = {
     "gamma_epsilon": Form(
         {"gamma": _UNIT, "eps": {"oneOf": [_NUM, _NUM_ARRAY]}, "m": {"type": "number", "minimum": 1}},
         ("gamma", "eps", "m"),
-        lambda doc, model_dist: ag.GammaEpsilon(gamma=doc["gamma"], eps=doc["eps"], m=doc["m"]),
+        lambda doc, model_dist: ag.GammaEpsilon(doc["gamma"], _per_point("agreement.eps", doc["eps"], model_dist), doc["m"]),
         ag.GammaEpsilon,
         lambda rule: {
             "gamma": rule.gamma,
@@ -569,46 +578,8 @@ _DATA_SECTION = {
 }
 
 
-def _check_value_kinds(rule: ag.AgreementRule, model_dist: dist.Distribution, data_dist: dist.Distribution):
-    """Refuse, before any pair is drawn, a rule that cannot score the two
-    sides' values: a label rule on paths, a region rule on the side it reads
-    when that side holds paths, or a leaf that reads the sides point by
-    point (``GammaEpsilon``, ``EpsilonBeta``, a comparison that ``reads``
-    ``"values"``) on a scalar and a path or on paths of two lengths. A
-    comparison that reads the model side or two samples takes any kinds."""
-    kinds = {"model": model_dist.kind, "data": data_dist.kind}
-    n, n_data = model_dist.path_length, data_dist.path_length
-    for part in ag._leaves(rule):
-        if isinstance(part, ag.SetMembership) and "path" in kinds.values():
-            side = "model" if kinds["model"] == "path" else "data"
-            raise ConfigError(f"config field $.agreement: set_membership compares labels, but the {side} values are paths")
-        if isinstance(part, ag.InRegion) and kinds[part.side] == "path":
-            raise ConfigError(f"config field $.agreement: in_region reads the {part.side} values, but they are paths")
-        fn = getattr(part, "fn", None)
-        if isinstance(part, (ag.GammaEpsilon, ag.EpsilonBeta)):
-            how = "compares paths point by point"
-        elif isinstance(fn, ComparisonFn) and fn.reads == "values":
-            how = f"compares through '{fn.name}' value by value"
-        else:
-            continue
-        if set(kinds.values()) == {"scalar", "path"}:
-            raise ConfigError(
-                f"config field $.data: the data values are {kinds['data']}s but the model values are "
-                f"{kinds['model']}s, and {type(part).__name__} {how}"
-            )
-        if None not in (n, n_data) and n != n_data:
-            raise ConfigError(_length_fault(n_data, n))
-
-
-def _mc_estimate_of(built, samples, seed):
-    scenario = built.scenario
-    _check_value_kinds(scenario.rule, scenario.model_dist, scenario.data_dist)
-    return estimate_bvm_mc(scenario, samples, seed)
-
-
 def _grid_estimate_of(built, samples, seed):
     template = sweep_template(built.scenario.model_dist, built.scenario.data_dist, built.estimator)
-    _check_value_kinds(built.scenario.rule, built.scenario.model_dist, built.scenario.data_dist)
     return _grid_estimate(built.scenario.rule, _path_blocks(template, "grid", 0, 0), ([template.data_path], [1.0]))
 
 
@@ -616,7 +587,7 @@ ESTIMATORS: dict[str, Form] = {
     "mc": Form(
         {"samples": {"type": "integer", "minimum": 1}, "seed": _SEED},
         ("seed",),
-        _mc_estimate_of,
+        lambda built, samples, seed: estimate_bvm_mc(built.scenario, samples, seed),
     ),
     "grid": Form(
         {"seed": _SEED, "points_per_param": {"type": "integer", "minimum": 1}, "span_sigmas": _POSITIVE},
@@ -666,11 +637,11 @@ def _rule(doc: dict) -> ag.AgreementRule:
     return rule
 
 
-def _metric_field(name: str, build: Callable, *args):
-    """``build(*args)``, run before the metric; a ValueError it raises is a
-    config error naming ``$.metric.<name>``."""
+def _metric_field(name: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, run before the metric; a ValueError it
+    raises is a config error naming ``$.metric.<name>``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config field $.metric.{name}: {exc}") from None
 
@@ -697,7 +668,10 @@ def _run_reliability(doc, metric, samples, seed):
 
 def _run_improved_reliability(doc, metric, samples, seed):
     model, data = _model_dist(doc, "path"), _data_dist(doc, "path")
-    return improved_reliability(model, data, eps=_metric_eps(metric), k=samples, seed=seed), {}
+    if data.path_length != model.path_length:
+        raise ConfigError("config field $.data: " + _LENGTH_FAULT.format(data.path_length, model.path_length))
+    eps = _per_point("metric.eps", _metric_eps(metric), model)
+    return improved_reliability(model, data, eps=eps, k=samples, seed=seed), {}
 
 
 def _run_frequentist(doc, metric, samples, seed):
@@ -707,12 +681,11 @@ def _run_frequentist(doc, metric, samples, seed):
 
 
 def _run_power(doc, metric, samples, seed):
+    model, data = _model_dist(doc, "scalar"), _data_dist(doc, "scalar")
+    for name in ("alpha", "alpha_hat"):  # NaN passes every schema bound
+        _metric_field(name, ag._reject_nan, **{name: metric[name]})
     res = statistical_power_bvm(
-        _model_dist(doc, "scalar"),
-        _data_dist(doc, "scalar"),
-        alpha=metric["alpha"],
-        alpha_hat=metric["alpha_hat"],
-        region_kind=metric.get("region", "interval"),
+        model, data, alpha=metric["alpha"], alpha_hat=metric["alpha_hat"], region_kind=metric.get("region", "interval")
     )
     extras = {
         "power_model_in_data": res.power_model_in_data,
@@ -1093,15 +1066,14 @@ def build_scenario(doc: dict, *, checked: bool = False) -> BuiltScenario:
     model_dist = _model_dist_from_section(doc["model"])
     data_dist = _data_dist_from_section(doc["data"])
     rule = rule_from_config(doc["agreement"], model_dist)
-    scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
+    try:
+        scenario = Scenario(model_dist=model_dist, data_dist=data_dist, rule=rule)
+    except ValueKindError as exc:
+        raise ConfigError(f"config field $.{exc.section}: {exc.says(_RULE_TYPES[type(exc.leaf)])}") from None
     estimator = dict(doc["estimator"])
     if "samples" in ESTIMATORS[estimator["method"]].properties:
         estimator.setdefault("samples", DEFAULT_SAMPLES)
     return BuiltScenario(scenario=scenario, estimator=estimator, resolved={**doc, "estimator": estimator})
-
-
-def _length_fault(n_data: int, n: int) -> str:
-    return f"config field $.data: the data path has {n_data} points, but the model grid has {n}"
 
 
 def build_sweep_template(doc: dict, *, checked: bool = False) -> tuple[SweepTemplate, dict]:
@@ -1133,7 +1105,7 @@ def sweep_template(model_dist: dist.Distribution, data_dist: dist.Distribution, 
     if not isinstance(data_dist, dist.DiracDelta) or np.ndim(data_dist.value) != 1:
         raise ConfigError("config field $.data: a sweep or a grid estimate needs a certain data path")
     if np.size(data_dist.value) != model_dist.path_length:
-        raise ConfigError(_length_fault(np.size(data_dist.value), model_dist.path_length))
+        raise ConfigError("config field $.data: " + _LENGTH_FAULT.format(np.size(data_dist.value), model_dist.path_length))
     points = int(estimator.get("points_per_param", SweepTemplate.points_per_param))  # a schema integer may be 3.0
     if "points_per_param" in ESTIMATORS[estimator["method"]].properties:
         prior = model_dist.prior

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agreement import AgreementRule, _value_breakpoints
+from .agreement import AgreementRule, _leaves, _value_breakpoints
 from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
 from .rng import DATA_STREAM, MODEL_STREAM, _chunks, fold_chunks, map_chunks
@@ -28,6 +28,8 @@ from .rng import DATA_STREAM, MODEL_STREAM, _chunks, fold_chunks, map_chunks
 __all__ = [
     "DEFAULT_SAMPLES",
     "EstimationError",
+    "ValueKindError",
+    "check_reads",
     "Scenario",
     "BvmEstimate",
     "SweepGrid",
@@ -54,6 +56,47 @@ class EstimationError(Exception):
     """An estimator could not run on its inputs."""
 
 
+class ValueKindError(ValueError):
+    """A rule leaf cannot read a scenario's values. ``section`` (``"agreement"`` or ``"data"``) is at
+    fault, and ``says(name)`` is the message with the leaf called *name*."""
+
+    def __init__(self, section: str, leaf: AgreementRule, says):
+        super().__init__(says(type(leaf).__name__))
+        self.section, self.leaf, self.says = section, leaf, says
+
+
+_LENGTH_FAULT = "the data path has {} points, but the model grid has {}"
+
+
+def check_reads(rule: AgreementRule, model_dist: Distribution, data_dist: Distribution):
+    """Raise :class:`ValueKindError` for a leaf whose ``reads`` cannot take the sides: labels or a region on a path
+    side, numbers on a label side, point by point on a scalar and a path or two path lengths, "paths" on two scalars."""
+    kinds = {"model": model_dist.kind, "data": data_dist.kind}
+    n, n_data = model_dist.path_length, data_dist.path_length
+    for leaf in _leaves(rule):
+        reads = leaf.reads
+        if reads in ("model value", "data value", "model label", "data label"):
+            side, what = reads.split()
+            if kinds[side] == "path" or (kinds[side], what) == ("label", "value"):
+                raise ValueKindError("agreement", leaf, lambda r: f"{r} reads the {side} values, but they are {kinds[side]}s")
+        elif reads is not None:
+            bad = "path" if reads == "labels" else "label"
+            how = f"compares through '{leaf.fn.name}'" if hasattr(leaf, "fn") else f"compares {reads}"
+            how += {"values": " value by value", "paths": " point by point"}.get(reads, "")
+            side = next((s for s in (("model",) if reads == "model" else kinds) if kinds[s] == bad), None)
+            pointwise = reads in ("values", "paths")
+            if side:
+                raise ValueKindError("agreement", leaf, lambda r: f"{r} {how}, but the {side} values are {bad}s")
+            if pointwise and set(kinds.values()) == {"scalar", "path"}:
+                raise ValueKindError("data", leaf, lambda r: (
+                    f"the data values are {kinds['data']}s but the model values are {kinds['model']}s, and {r} {how}"
+                ))
+            if reads == "paths" and n is None:  # two scalars
+                raise ValueKindError("agreement", leaf, lambda r: f"{r} {how}, but the model and data values are scalars")
+            if pointwise and None not in (n, n_data) and n != n_data:
+                raise ValueKindError("data", leaf, lambda r: _LENGTH_FAULT.format(n_data, n))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """The four inputs bundled: model and data value distributions, the
@@ -62,6 +105,9 @@ class Scenario:
     model_dist: Distribution
     data_dist: Distribution
     rule: AgreementRule
+
+    def __post_init__(self):
+        check_reads(self.rule, self.model_dist, self.data_dist)
 
     def draw_pairs(self, seed: int, n: int):
         """All n (model, data) value pairs at once, from the streams the
@@ -148,7 +194,7 @@ def _mc_estimate(weights_of_chunk, k: int, seed: int, soft: bool) -> BvmEstimate
     """
 
     def chunk_weights(c: int, m: int) -> np.ndarray:
-        w = np.asarray(weights_of_chunk(c, m), dtype=float)
+        w = _one_weight_per_pair(weights_of_chunk(c, m), m)
         if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
             raise EstimationError("kernel weight escaped [0, 1]")
         return w
@@ -182,6 +228,13 @@ def estimate_bvm_mc(scenario: Scenario, k: int, seed: int) -> BvmEstimate:
         raise EstimationError("sample count must be at least 1")
     rule = scenario.rule
     return _mc_estimate(lambda c, m: rule.kernel_many(*scenario.draw_chunk(seed, c, m)), k, seed, rule.is_soft)
+
+
+def _one_weight_per_pair(weights, m: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (m,):
+        raise EstimationError(f"the rule gave kernel weights of shape {w.shape} for {m} pairs")
+    return w
 
 
 def _check_weights(weights, label: str) -> np.ndarray:
@@ -218,7 +271,7 @@ def _grid_estimate(rule: AgreementRule, model_blocks, data_grid) -> BvmEstimate:
     for block in blocks:
         rows = len(block)
         for row, (zv, _) in zip(w, live):
-            row[start : start + rows] = rule.kernel_many(block, _broadcast_value(zv, rows))
+            row[start : start + rows] = _one_weight_per_pair(rule.kernel_many(block, _broadcast_value(zv, rows)), rows)
         start += rows
     total = 0.0
     for row, (_, wz) in zip(w, live):
@@ -270,7 +323,7 @@ def bvm_from_density(density: BinnedPdf, rule: AgreementRule) -> float:
     """Accumulate bin mass through a rule read at the bin midpoints.
 
     The rule scores the comparison value itself, as a single-value metric
-    does: a rule that compares two sides, or reads paths or labels,
+    does: a rule with a leaf that ``reads`` two sides, paths or labels
     raises ValueError (see :func:`bvm.agreement._value_breakpoints`).
     """
     _value_breakpoints(rule)

@@ -101,8 +101,8 @@ def _resampled_estimate(rule: AgreementRule, values_of_chunk, n: int, seed: int)
 
     ``values_of_chunk(rng, m)`` returns the m comparison values of one
     chunk, drawn from that chunk's RESAMPLE_STREAM generator, which it
-    must not keep (see :func:`bvm.rng._draw_chunk`). The rule
-    reads each value on both of its sides, so its callers check it with
+    must not keep (see :func:`bvm.rng._draw_chunk`). The rule reads each
+    value on both sides, so its callers check every leaf's ``reads`` with
     :func:`bvm.agreement._value_breakpoints`. The chunks are reduced
     as :func:`estimate_bvm_mc` reduces its own: the standard error is
     binomial (with a Wilson interval) for a hard rule, and std(weights) /
@@ -181,10 +181,8 @@ def improved_reliability(
 ) -> BvmEstimate:
     """Conjunction of per-point tolerance checks over whole output paths.
 
-    ``eps`` may be one tolerance or a per-point vector.
+    ``eps`` may be one tolerance or a per-point vector, over two paths of one length.
     """
-    if model_path_dist.kind != "path" or data_path_dist.kind != "path":
-        raise ValueError("improved reliability compares full output paths")
     rule = GammaEpsilon(gamma=1.0, eps=eps, m=1.0)
     return estimate_bvm_mc(Scenario(model_path_dist, data_path_dist, rule), k, seed)
 

@@ -17,7 +17,12 @@ than the grid are config errors naming their field, and so are a
 compares a scalar side with a path side value by value (``$.data``),
 decided from the two sides' value kinds, and an ``in_region`` rule on the
 side it reads when that side holds paths (``$.agreement``). A comparison
-of two samples takes a scalar as a sample of one. A grid too large to
+of two samples takes a scalar as a sample of one. A rule that reads paths
+point by point refuses two scalars, and a rule that reads numbers refuses
+a side of labels (``$.agreement``); a ``gamma_epsilon`` tolerance vector
+of another length than the model's paths names ``$.agreement.eps``, a
+``bins`` whose edges numpy cannot index names ``$.agreement.bins``, and a
+NaN ``power`` level names its field. A grid too large to
 hold is an estimation error (exit 3), not a traceback. A flagged run's
 record holds its ``--seed`` and ``--samples``, so it re-runs as it ran."""
 
@@ -394,3 +399,86 @@ def test_a_label_or_region_rule_on_a_path_side_is_a_config_error(tmp_path, capsy
 def test_a_region_rule_may_read_the_scalar_side_of_a_path_scenario(tmp_path):
     doc = kinds_doc(SCALAR, PATH, {**IN_REGION, "side": "model"})
     assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_OK
+
+
+LABELS = {"type": "categorical", "values": ["a", "b"], "probs": [0.5, 0.5]}
+READ_FAULTS = {
+    # Each read a chunk of scalars as one path and printed 0.0 at exit 0.
+    "gamma-epsilon-on-two-scalars": (
+        SCALAR, SCALAR, {"type": "gamma_epsilon", "gamma": 0.5, "eps": 0.5, "m": 5},
+        "$.agreement: gamma_epsilon compares paths point by point, but the model and data values are scalars",
+    ),
+    "mean-abs-error-on-two-scalars": (
+        SCALAR, SCALAR, {"type": "threshold", "fn": "mean_abs_error", "eps": 0.5},
+        "$.agreement: threshold compares through 'mean_abs_error' point by point, but the model and data values are scalars",
+    ),
+    # An exit 3: "could not convert string to float: 'b'".
+    "abs-diff-on-labels": (
+        LABELS, {"type": "categorical", "values": ["a"], "probs": [1.0]}, ABS_DIFF,
+        "$.agreement: threshold compares through 'abs_diff' value by value, but the model values are labels",
+    ),
+    "area-on-a-label-data-side": (
+        SCALAR, LABELS, {"type": "threshold", "fn": "area_metric", "eps": 0.5},
+        "$.agreement: threshold compares through 'area_metric', but the data values are labels",
+    ),
+    "interval-region-on-labels": (
+        SCALAR, LABELS, {**IN_REGION, "side": "data"},
+        "$.agreement: in_region reads the data values, but they are labels",
+    ),
+    # An exit 3: numpy's "shape mismatch".
+    "eps-of-another-length": (
+        PATH, PATH, {"type": "gamma_epsilon", "gamma": 0.5, "eps": [0.5, 0.5], "m": 5},
+        "$.agreement.eps: 2 points, but the model's paths have 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", [{"method": "mc", "samples": 50, "seed": 0}, {"method": "grid", "seed": 0}],
+                         ids=["mc", "grid"])
+@pytest.mark.parametrize("case", READ_FAULTS)
+def test_a_rule_that_cannot_read_the_values_is_a_config_error(tmp_path, capsys, case, estimator):
+    # Refused where the scenario is built, before either estimator runs.
+    model, data, agreement, message = READ_FAULTS[case]
+    doc = {**kinds_doc(model, data, agreement), "estimator": estimator}
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field {message}\n"
+
+
+@pytest.mark.parametrize("model, data, agreement", [
+    (SCALAR, LABELS, {"type": "threshold", "fn": "identity", "eps": 1.0}),
+    (LABELS, LABELS, {"type": "set_membership", "synonyms": {"a": ["b"]}}),
+    (SCALAR, LABELS, {"type": "in_region", "side": "data", "region": {"kind": "set", "level": 0.9, "labels": ["a"]}}),
+], ids=["model-comparison", "set-membership", "label-region"])
+def test_a_label_side_is_read_only_by_what_reads_labels_or_reads_the_other_side(tmp_path, model, data, agreement):
+    assert main(["validate", "--config", write(tmp_path, kinds_doc(model, data, agreement))]) == EXIT_OK
+
+
+@pytest.mark.parametrize("bins", [1e300, 2**62], ids=["1e300", "2**62"])
+def test_bins_whose_edges_numpy_cannot_index_are_a_config_error(tmp_path, capsys, bins):
+    # 1e300 exited 3 with "Maximum allowed size exceeded", 2**62 with "array is too big".
+    doc = kinds_doc(SCALAR, SCALAR, {"type": "threshold", "fn": "binned_prob_diff", "bins": bins, "eps": 0.5})
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: config field $.agreement.bins: {bins!r} bins make too many bin edges to index\n"
+    )
+
+
+@pytest.mark.parametrize("field", ["alpha", "alpha_hat"])
+def test_a_nan_power_level_is_a_config_error_naming_it(tmp_path, capsys, field):
+    # NaN fails no schema bound; it exited 3 with "alpha and alpha_hat must lie in [0, 1)".
+    metric = {"name": "power", "alpha": 0.05, "alpha_hat": 0.05, field: float("nan")}
+    doc = {"model": {"distribution": SCALAR}, "data": {"distribution": SCALAR}, "metric": metric}
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field $.metric.{field}: {field} is NaN\n"
+
+
+@pytest.mark.parametrize("data, eps, message", [
+    ([1.0, 2.0], 0.5, "$.data: the data path has 2 points, but the model grid has 3"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5], "$.metric.eps: 2 points, but the model's paths have 3"),
+], ids=["data-length", "eps-length"])
+def test_improved_reliability_names_a_length_fault(tmp_path, capsys, data, eps, message):
+    # Both exited 3: "path length mismatch: 3 vs 2" and numpy's "shape mismatch".
+    doc = {"model": {"distribution": PATH}, "data": {"distribution": {"type": "dirac", "value": data}},
+           "metric": {"name": "improved_reliability", "eps": eps}}
+    assert main(["validate", "--config", write(tmp_path, doc), "--samples", "64"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config field {message}\n"

@@ -285,9 +285,15 @@ def _registry_inputs(rng, name):
         samples = [(rng.normal(size=(m, a)), rng.normal(0.3, 1.2, size=(m, b))) for a, b in ((9, 9), (5, 13))]
         return samples + _scalar_sides(rng, m)
     if name.startswith("binned_prob_diff_"):
-        zh = rng.normal(size=(m, 40))
+        zh, z = rng.normal(size=(m, 40)), rng.normal(0.4, 1.3, size=(m, 25))
         zh[0] = 2.5  # a constant row: all its mass in one bin
-        return [(zh, rng.normal(0.4, 1.3, size=(m, 25)))] + _scalar_sides(rng, m)
+        zh[1], z[1] = -0.75, -0.75  # one value on both sides: a range of zero span, padded 1e-9
+        # Values on the bin edges of the pooled range [0, 1], padded 1% to [-0.01, 1.01].
+        edges = np.linspace(-0.01, 1.01, int(name.rpartition("_")[2]) + 1)
+        on_edges = np.concatenate([[0.0, 1.0], edges[(edges >= 0.0) & (edges <= 1.0)]])
+        zh[2], z[2] = np.resize(on_edges, 40), np.resize(on_edges[::-1], 25)
+        one_value = rng.normal(size=m)
+        return [(zh, z), (one_value, one_value.copy())] + _scalar_sides(rng, m)
     # Divergences: fewer than 8 bins, and enough for a pairwise sum.
     return [_mass_rows(rng, m, bins) for bins in (3, 8, 12)]
 
@@ -314,10 +320,12 @@ def _binned_reference(a, b, bins):
 
 class TestRegistry:
     def test_batch_matches_pairwise(self):
-        # Every registry entry, plus binned_prob_diff at 1, 8 and 16 bins:
-        # each batch row is bit-equal to the pair computation on that row.
+        # Every registry entry, plus binned_prob_diff at 1, 8, 16 and 33 bins:
+        # each batch row is bit-equal to the pair computation on that row,
+        # and a binned row to a per-row np.histogram, on constant rows,
+        # values on bin edges and 1-D sides (a scalar is a sample of one).
         fns = {name: (get_comparison_fn(name), None) for name in _REGISTRY}
-        for bins in (1, 8, 16):
+        for bins in (1, 8, 16, 33):
             fns[f"binned_prob_diff_{bins}"] = (get_comparison_fn("binned_prob_diff", bins=bins), bins)
         rng = np.random.default_rng(10)
         for name, (fn, bins) in fns.items():
@@ -352,13 +360,18 @@ class TestRegistry:
 
     def test_every_entry_says_how_it_reads_the_two_sides(self):
         reads = {name: fn.reads for name, fn in _REGISTRY.items()}
-        assert set(reads.values()) == {"values", "model", "samples"}
-        assert {name for name, r in reads.items() if r != "values"} == {"identity", "abs_value", "area_metric"}
+        assert set(reads.values()) == {"values", "paths", "model", "samples"}
+        assert {name for name, r in reads.items() if r not in ("values", "paths")} == {"identity", "abs_value", "area_metric"}
+        # The path errors and the divergences reduce two paths (or mass vectors) to one value.
+        assert {name for name, r in reads.items() if r == "paths"} == {
+            "mean_abs_error", "max_abs_error", "kl", "kl_divergence", "sym_kl", "symmetrized_kl", "js", "js_divergence",
+            "hellinger",
+        }
         assert get_comparison_fn("binned_prob_diff", bins=4).reads == "samples"
 
     def test_the_old_positional_form_raises(self):
         # ComparisonFn(name, pair, batch) would take the batch for `reads`.
-        with pytest.raises(ValueError, match="reads 'values', 'model' or 'samples'"):
+        with pytest.raises(ValueError, match="reads 'values', 'paths', 'model' or 'samples'"):
             ComparisonFn("abs_diff", abs_diff, abs_diff)
 
     def test_unknown_name(self):

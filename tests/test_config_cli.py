@@ -565,10 +565,18 @@ class TestGridValidateNeeds:
         assert "a sweep or a grid estimate needs model_function + prior + grid" in capsys.readouterr().err
 
     def test_a_certain_data_path(self, tmp_config, capsys):
+        # Path data of the grid's length, but not certain: two sample paths.
+        doc = sweep_doc([0], [{"type": "normal", "mean": 1.0, "std": 0.2}])
+        doc["data"] = {"distribution": {"type": "empirical", "samples": [[0.0] * 10, [1.0] * 10]}}
+        assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
+        assert "a sweep or a grid estimate needs a certain data path" in capsys.readouterr().err
+
+    def test_scalar_data_under_a_path_rule_is_named_first(self, tmp_config, capsys):
+        # The rule cannot read scalar data, which is also not a certain path.
         doc = sweep_doc([0], [{"type": "normal", "mean": 1.0, "std": 0.2}])
         doc["data"] = {"distribution": {"type": "normal", "mean": 0.0, "std": 1.0}}
         assert main(["validate", "--config", tmp_config(doc)]) == EXIT_CONFIG
-        assert "a sweep or a grid estimate needs a certain data path" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: config field $.data: the data values are scalars")
 
 
 def test_a_certain_vector_prior_estimates_as_its_product_of_diracs(tmp_config, tmp_path):

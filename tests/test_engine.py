@@ -16,6 +16,7 @@ from bvm import (
     GammaEpsilon,
     IndependentProduct,
     InputGrid,
+    InRegion,
     Interval,
     Normal,
     Or,
@@ -40,11 +41,13 @@ from bvm import (
 from bvm.agreement import AgreementRule
 from bvm.comparison import area_metric
 from bvm.config import build_sweep_template
-from bvm.distributions import PushForward
+from bvm.distributions import ConfidenceRegion, PushForward
+from bvm.metrics import improved_reliability
 from bvm.engine import (
     SWEEP_BLOCK,
     EstimationError,
     RatioResult,
+    ValueKindError,
     _grid_estimate,
     _path_blocks,
     discretize_distribution,
@@ -219,6 +222,66 @@ class TestMonteCarlo:
         assert estimate_bvm_mc(sc, 100, 0).p_hat == (99 * 0.5 + edge) / 100
         with pytest.raises(EstimationError, match="escaped"):
             estimate_bvm_mc(Scenario(Normal(0, 1), Normal(0, 1), OneWeight(np.nextafter(edge, outward))), 100, 0)
+
+
+@dataclass(frozen=True)
+class OneForAll(AgreementRule):
+    """One weight for a whole batch of pairs, as a rule that reduces over
+    the batch would give."""
+
+    def kernel_many(self, zhat_batch, z_batch):
+        return np.ones(1)
+
+
+class TestWhatARuleReads:
+    """A rule leaf declares what it reads; ``Scenario`` refuses, through
+    ``check_reads``, sides it cannot read, on every route, and every
+    estimate takes exactly one weight per pair."""
+
+    def test_a_path_rule_on_two_scalars_is_refused_when_the_scenario_is_built(self):
+        # It would score a chunk of m scalars as one path of m points: one
+        # weight per chunk, and P(agree) read 0.0 at any k, where the
+        # per-pair answer is about 0.28.
+        with pytest.raises(ValueKindError) as info:
+            Scenario(Normal(0, 1), Normal(0, 1), GammaEpsilon(0.5, 0.5, 5.0))
+        assert isinstance(info.value, ValueError)
+        assert (info.value.section, type(info.value.leaf)) == ("agreement", GammaEpsilon)
+        assert str(info.value) == "GammaEpsilon compares paths point by point, but the model and data values are scalars"
+
+    @pytest.mark.parametrize("fn", ["mean_abs_error", "max_abs_error", "kl", "sym_kl", "js", "hellinger"])
+    def test_a_comparison_that_reduces_paths_is_refused_on_two_scalars(self, fn):
+        # Each read a chunk of scalars as one path (or mass vector) and gave 0.0.
+        with pytest.raises(ValueKindError, match=f"Threshold compares through '{fn}' point by point, but the model"):
+            Scenario(Normal(0, 1), Normal(0, 1), Threshold(fn, 0.5))
+
+    def test_the_library_metrics_are_checked_too(self):
+        with pytest.raises(ValueKindError, match="GammaEpsilon compares paths point by point"):
+            improved_reliability(Normal(0, 1), Normal(0, 1), 0.5)
+        with pytest.raises(ValueKindError, match="the data path has 2 points, but the model grid has 3"):
+            improved_reliability(DiracDelta([1.0, 2.0, 3.0]), DiracDelta([1.0, 2.0]), 0.5)
+
+    def test_a_region_reads_a_number_or_a_label_of_its_side(self):
+        labels = Categorical(["a", "b"], [0.5, 0.5])
+        interval = InRegion(ConfidenceRegion("interval", 0.9, intervals=((0.0, 1.0),)), "data")
+        label_set = InRegion(ConfidenceRegion("set", 0.9, labels=("a",)), "data")
+        assert (interval.reads, label_set.reads) == ("data value", "data label")
+        with pytest.raises(ValueKindError, match="InRegion reads the data values, but they are labels"):
+            Scenario(Normal(0, 1), labels, interval)
+        assert estimate_bvm_mc(Scenario(Normal(0, 1), labels, label_set), 2_000, 0).p_hat == pytest.approx(0.5, abs=0.05)
+
+    def test_a_rule_that_declares_nothing_is_taken_on_any_values(self):
+        assert OneForAll().reads is None
+        for model, data in [(Normal(0, 1), DiracDelta([1.0, 2.0])), (Categorical(["a"], [1.0]), Normal(0, 1))]:
+            Scenario(model, data, OneForAll())
+
+    def test_one_weight_for_a_batch_of_pairs_is_an_estimation_error(self):
+        # Before, the mean took the one weight as the batch's sum, and a
+        # grid row broadcast it over every model value.
+        sc = Scenario(Normal(0, 1), Normal(0, 1), OneForAll())
+        with pytest.raises(EstimationError, match=r"kernel weights of shape \(1,\) for 100 pairs"):
+            estimate_bvm_mc(sc, 100, 0)
+        with pytest.raises(EstimationError, match=r"kernel weights of shape \(1,\) for 3 pairs"):
+            estimate_bvm_grid(sc, ([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]), ([0.0], [1.0]))
 
 
 class TestGridEstimator:

@@ -37,6 +37,9 @@ seconds. The bounds were written down before the first run:
   column is compared with ``==``.
 - Oscillator tiles: the tiled oscillator equals the one-pass expression
   byte for byte, at row counts around the tile size.
+- What a rule reads: every rule type, over every comparison, gives k
+  weights (shape ``(k,)``) for a chunk of k pairs on every pair of sides
+  (scalar, a path of 1 to 4 points, or labels) that ``check_reads`` takes.
 - Path-error tiles: ``mean_abs_error``, ``max_abs_error`` and
   ``fraction_within`` equal their one-pass expressions byte for byte, at
   the same row counts, on paths with NaN and +-inf points, for a batch
@@ -74,6 +77,7 @@ from bvm import (
     Or,
     PushForward,
     Scenario,
+    SetMembership,
     ShiftedExponential,
     SoftExponential,
     StudentT,
@@ -280,6 +284,82 @@ def test_hard_rules_are_monotone_in_their_tolerance(fn, a, b, widen, zh, data):
     for narrow, wide in pairs:
         assert np.all(narrow.kernel_many(zh, z) <= wide.kernel_many(zh, z)), (narrow, wide)
     assert np.all(tight.kernel_many(paths, data_paths) <= loose.kernel_many(paths, data_paths)), (tight, loose)
+
+
+# ---------------------------------------------------------------------------
+# What a rule reads: one weight per pair on every pair of sides it takes
+
+
+def _side(draw, kind, n):
+    """A distribution of value kind *kind*, its paths of n points."""
+    if kind == "label":
+        return Categorical(["a", "b", "c"], [0.5, 0.25, 0.25])
+    if kind == "scalar":
+        return draw(st.sampled_from([Normal(0.0, 1.0), DiracDelta(0.5), Categorical([0.0, 1.0], [0.5, 0.5])]))
+    return draw(st.sampled_from([
+        DiracDelta(np.linspace(0.0, 1.0, n)),
+        IndependentProduct([Normal(0.0, 1.0)] * n),
+        Empirical(np.arange(3.0 * n).reshape(3, n) / n),
+    ]))
+
+
+RULE_TYPES = ["always_true", "always_false", "threshold", "interval", "soft", "set_membership", "in_region",
+              "gamma_epsilon", "epsilon_beta", "and", "or", "not"]
+
+
+@st.composite
+def read_rules(draw, n, kind=None, depth=0):
+    """A rule of type *kind* (drawn when None) over any comparison; a
+    per-point tolerance or band has n points."""
+    kind = kind or draw(st.sampled_from(RULE_TYPES[: -3 if depth else None]))
+    name = draw(st.sampled_from([*sorted(_REGISTRY), "binned_prob_diff"]))
+    fn = get_comparison_fn(name, bins=draw(st.integers(1, 8))) if name == "binned_prob_diff" else name
+    if kind in ("and", "or"):
+        children = draw(st.lists(read_rules(n, depth=depth + 1), min_size=1, max_size=3))
+        return And(children) if kind == "and" else Or(children)
+    if kind == "not":
+        return Not(draw(read_rules(n, depth=depth + 1).filter(lambda r: not r.is_soft)))
+    if kind in ("always_true", "always_false"):
+        return AlwaysTrue() if kind == "always_true" else AlwaysFalse()
+    if kind == "threshold":
+        return Threshold(fn, 0.5)
+    if kind == "interval":
+        return Interval(fn, 0.1, 0.9)
+    if kind == "soft":
+        return SoftExponential(fn, 0.5, 2.0)
+    if kind == "set_membership":
+        return SetMembership({"a": ("b",), 0.0: (1.0,)})
+    if kind == "in_region":
+        region = draw(st.sampled_from([ConfidenceRegion("interval", 0.9, intervals=((0.0, 1.0),)),
+                                       ConfidenceRegion("set", 0.9, labels=("a", 1.0))]))
+        return InRegion(region, draw(st.sampled_from(["model", "data"])))
+    if kind == "gamma_epsilon":
+        return GammaEpsilon(0.5, draw(st.sampled_from([0.5, np.full(n, 0.5)])), 2.0)
+    return EpsilonBeta(1.0, (np.full(n, -1.0), np.full(n, 2.0)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rule_type", RULE_TYPES)
+@_settings(60)
+@given(data=st.data(), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_a_rule_gives_one_weight_per_pair_wherever_check_reads_takes_the_sides(rule_type, data, k, seed):
+    # Half the examples give both sides one kind and paths one length, which
+    # point-by-point rules need.
+    kinds = st.sampled_from(["scalar", "path", "label"])
+    n_model = data.draw(st.integers(1, 4))
+    kind = data.draw(kinds)
+    if data.draw(st.booleans()):
+        n_data, data_kind = n_model, kind
+    else:
+        n_data, data_kind = data.draw(st.integers(1, 4)), data.draw(kinds)
+    model, dist = _side(data.draw, kind, n_model), _side(data.draw, data_kind, n_data)
+    rule = data.draw(read_rules(n_model, rule_type))
+    try:
+        scenario = Scenario(model, dist, rule)
+    except engine.ValueKindError:
+        return  # refused: no estimate reads these sides
+    with np.errstate(all="ignore"):  # a divergence of path values that are not masses is NaN
+        w = rule.kernel_many(*scenario.draw_chunk(seed, 0, k))
+    assert np.shape(w) == (k,), (rule, model, dist)
 
 
 # ---------------------------------------------------------------------------
