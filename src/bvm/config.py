@@ -505,7 +505,8 @@ RULES: dict[str, Form] = {
 
 _RULE_TYPES = {form.cls: tag for tag, form in RULES.items()}
 
-_GRID_FUNCTIONS = {"cos": np.cos, "sin": np.sin}
+_QUIET = np.errstate(invalid="ignore")  # a grid point at +-inf gives NaN, which DiracDelta names
+_GRID_FUNCTIONS = {"cos": _QUIET(np.cos), "sin": _QUIET(np.sin)}
 
 
 def _function_instance(gen: dict) -> dist.Distribution:

@@ -23,7 +23,7 @@ import numpy as np
 from .agreement import AgreementRule, _leaves, _value_breakpoints
 from .comparison import BinnedPdf, ComparisonFn, get_comparison_fn
 from .distributions import DiracDelta, Distribution, IndependentProduct, Normal, PushForward
-from .rng import DATA_STREAM, MODEL_STREAM, _chunks, fold_chunks, map_chunks
+from .rng import DATA_STREAM, MODEL_STREAM, _chunks, fold_chunks
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -176,26 +176,33 @@ class BvmEstimate:
         )
 
 
+def _merge_moments(a, b):
+    """``(count, mean, M2)`` of two samples pooled (Chan, Golub & LeVeque):
+    M2 sums squared deviations from the mean, so it does not cancel."""
+    n, mean, m2 = a
+    m, mean_b, m2_b = b
+    delta = mean_b - mean
+    n += m
+    return n, mean + delta * m / n, m2 + (m2_b + delta * delta * (n - m) * m / n)
+
+
 def _mc_estimate(weights_of_chunk, k: int, seed: int, soft: bool) -> BvmEstimate:
     """Mean of k kernel weights; ``weights_of_chunk(c, m)`` gives the m
     weights of chunk c, and the chunks run on :func:`fold_chunks`.
 
     Each chunk is scored and reduced by the worker that owns it, to its
-    weight sum for a hard rule and to ``(m, sum w, M2)`` for a soft one,
-    and folded in chunk order as soon as every earlier chunk is, so an
-    estimate holds a chunk of weights per worker and a few chunk results,
-    whatever k. The sum of weights runs in chunk order from the int 0, so
-    the result is deterministic for fixed (seed, k) regardless of
-    BVM_THREADS. A soft rule folds ``(sum w, n, mean, M2)``: its variance
-    merges the chunks' sums of squared deviations from their means (Chan,
-    Golub & LeVeque), which does not cancel the way ``E[w^2] - p^2`` does
-    when the weights barely vary. A hard rule's chunk sums are exact
-    integers, and its estimate is binomial.
+    weight sum (and for a soft rule its ``(m, mean, M2)``), and folded in
+    chunk order as soon as every earlier chunk is, so an estimate holds a
+    chunk of weights per worker and a few chunk results, whatever k. The
+    sum of weights runs in chunk order from the int 0, so the result is
+    deterministic for fixed (seed, k) regardless of BVM_THREADS. A soft
+    rule's variance merges the chunks' moments (:func:`_merge_moments`). A
+    hard rule's chunk sums are exact integers, and its estimate is binomial.
     """
 
     def chunk_weights(c: int, m: int) -> np.ndarray:
         w = _one_weight_per_pair(weights_of_chunk(c, m), m)
-        if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
+        if not (w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12):  # a NaN weight fails too
             raise EstimationError("kernel weight escaped [0, 1]")
         return w
 
@@ -206,16 +213,12 @@ def _mc_estimate(weights_of_chunk, k: int, seed: int, soft: bool) -> BvmEstimate
     def chunk_stats(c: int, m: int):
         w = chunk_weights(c, m)
         total = float(np.sum(w))
-        return m, total, float(np.sum(np.square(w - total / m)))
+        return total, (m, total / m, float(np.sum(np.square(w - total / m))))
 
     def merge(acc, stats):
-        p, n, mean, m2 = acc
-        m_c, total, m2_c = stats
-        delta = total / m_c - mean
-        n += m_c
-        return p + total, n, mean + delta * m_c / n, m2 + (m2_c + delta * delta * (n - m_c) * m_c / n)
+        return acc[0] + stats[0], _merge_moments(acc[1], stats[1])
 
-    total, _, _, m2 = fold_chunks(chunk_stats, k, merge, (0, 0, 0.0, 0.0))
+    total, (_, _, m2) = fold_chunks(chunk_stats, k, merge, (0, (0, 0.0, 0.0)))
     p = total / k
     se = math.sqrt(m2 / k / k)
     return BvmEstimate(p_hat=p, std_error=se, n_samples=k, seed=seed, method="mc")
@@ -297,7 +300,10 @@ def comparison_density(
     """Histogram of f(model value, data value) over k sampled pairs, on
     ``bins`` equal bins from the least value to the largest. A spread too
     narrow (or too wide) for that many distinct finite edges raises
-    :class:`EstimationError`."""
+    :class:`EstimationError`. Two folds run over the same chunks, one for
+    the least and largest value and one adding integer bin counts, so one
+    chunk per worker is held and the masses keep their bits at any
+    ``BVM_THREADS``."""
     if k < bins:
         raise EstimationError("need at least as many samples as bins")
     fn = fn if isinstance(fn, ComparisonFn) else get_comparison_fn(fn)
@@ -305,8 +311,14 @@ def comparison_density(
     def chunk_values(c: int, m: int):
         return np.asarray(fn.on_batch(*scenario.draw_chunk(seed, c, m)), dtype=float).ravel()
 
-    f = np.concatenate(map_chunks(chunk_values, k))
-    lo, hi = float(f.min()), float(f.max())
+    def chunk_range(c: int, m: int):
+        f = chunk_values(c, m)
+        return f.min(), f.max()
+
+    def widen(acc, span):  # np.minimum and np.maximum keep a NaN
+        return np.minimum(acc[0], span[0]), np.maximum(acc[1], span[1])
+
+    lo, hi = map(float, fold_chunks(chunk_range, k, widen, (math.inf, -math.inf)))
     if not hi > lo:
         # Degenerate spread: a single bin pinned around the observed value.
         pad = max(1e-12, abs(lo) * 1e-12)
@@ -315,7 +327,7 @@ def comparison_density(
         edges = np.linspace(lo, hi, bins + 1)
     if not np.all(np.diff(edges) > 0):
         raise EstimationError(f"comparison values span [{lo!r}, {hi!r}]: no {bins} distinct finite bins cover it")
-    counts, edges = np.histogram(f, bins=edges)
+    counts = fold_chunks(lambda c, m: np.histogram(chunk_values(c, m), bins=edges)[0], k, operator.add, 0)
     return BinnedPdf(edges, counts / k)
 
 

@@ -31,9 +31,9 @@ from .distributions import (
     confidence_set,
     probability_in_region,
 )
-from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, _mc_estimate, estimate_bvm_mc
+from .engine import BvmEstimate, EstimationError, RatioResult, Scenario, _mc_estimate, _merge_moments, estimate_bvm_mc
 from .models import InputGrid, ModelFunction
-from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, _draw_chunk, map_chunks
+from .rng import CHUNK_SIZE, MODEL_STREAM, RESAMPLE_STREAM, _draw_chunk, fold_chunks
 
 __all__ = [
     "DataSummary",
@@ -478,13 +478,15 @@ def bayesian_evidence(
 
     The likelihood of a parameter draw theta is
     ``(2 pi sigma^2)^(-N/2) exp(-sum_i (M(x_i; theta) - y_i)^2 / (2 sigma^2))``.
-    The draws are evaluated chunk by chunk on :func:`bvm.rng.map_chunks`,
-    so the estimate holds the k log-likelihoods, not the k paths, and has
-    the same bits at any ``BVM_THREADS``; ``model`` must then be a pure
-    function of its arguments. A NaN log-likelihood raises
-    :class:`EstimationError`. Warns (``RuntimeWarning``) when the effective
-    sample size of the likelihood weights is below 1 % of k; when every
-    likelihood underflows to zero, the evidence is zero and ess is 0.
+    Each chunk of draws is reduced to its peak log-likelihood and the
+    ``(m, mean, M2)`` of its weights ``exp(log L - peak)``, and
+    :func:`bvm.rng.fold_chunks` merges them rescaled to the higher peak, so
+    the estimate holds no k values and has the same bits at any
+    ``BVM_THREADS``; ``model`` must be a pure function of its arguments. A
+    NaN log-likelihood raises :class:`EstimationError`. Warns
+    (``RuntimeWarning``) when the effective sample size of the likelihood
+    weights is below 1 % of k; when every likelihood underflows to zero,
+    the evidence is zero and ess is 0.
     """
     if k < 1:
         raise EstimationError("sample count must be at least 1")
@@ -498,20 +500,26 @@ def bayesian_evidence(
         log_l = const - sq / (2.0 * lik.sigma**2)
         if np.isnan(log_l).any():
             raise EstimationError(f"model '{model.name}' gives a NaN log-likelihood for a prior draw")
-        return log_l
+        peak = float(np.max(log_l))
+        w = np.exp(log_l - peak) if peak > -math.inf else np.zeros(m)
+        mean = float(np.sum(w)) / m
+        return peak, (m, mean, float(np.sum(np.square(w - mean))))
 
-    log_l = np.concatenate(map_chunks(chunk_log_likelihoods, k))
-    peak = float(np.max(log_l))
+    def merge(acc, chunk):  # each side's weights rescaled to the higher peak
+        peak = max(acc[0], chunk[0])
+        return peak, _merge_moments(*(
+            (n, mean * math.exp(p - peak), m2 * math.exp(2 * (p - peak))) if p < peak else (n, mean, m2)
+            for p, (n, mean, m2) in (acc, chunk)
+        ))
+
+    peak, (_, mean_w, m2) = fold_chunks(chunk_log_likelihoods, k, merge, (-math.inf, (0, 0.0, 0.0)))
     if peak == -math.inf:
         log_ev, se_log, ess, share = -math.inf, math.inf, 0.0, math.nan
     else:
-        w = np.exp(log_l - peak)
-        mean_w = float(np.mean(w))
         log_ev = peak + math.log(mean_w)
-        se_log = float(np.std(w) / (mean_w * math.sqrt(k)))
-        total = float(np.sum(w))
-        ess = total * total / float(w @ w)
-        share = float(np.max(w)) / total
+        se_log = math.sqrt(m2 / k) / (mean_w * math.sqrt(k))
+        ess = (k * mean_w) ** 2 / (m2 + k * mean_w**2)
+        share = 1.0 / (k * mean_w)  # the largest weight is e^0
     if ess < 0.01 * k:
         warnings.warn(
             f"evidence rests on few prior draws: effective sample size {ess:.1f} of k={k}, "

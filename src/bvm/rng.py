@@ -8,13 +8,12 @@ total, and any chunk can be drawn on its own, anywhere, with the same
 bits.
 
 :func:`fold_chunks` is the one chunk loop: the Monte Carlo estimator,
-the comparison density, the metrics' resampling loops (binned pdf, area
-bootstrap, divergence sampler) and the model evidence's prior draws all
-run on it; the comparison density and the evidence, which need every
-value, through :func:`map_chunks`, which folds into a list. Each worker
-draws, scores and reduces whole chunks of its own, and the results are
-folded in chunk order, so work spread over any number of threads
-reproduces the single-threaded result bit for bit.
+the comparison density (its range, then its counts), the metrics'
+resampling loops (binned pdf, area bootstrap, divergence sampler) and
+the model evidence's prior draws all run on it. Each worker draws,
+scores and reduces whole chunks of its own, and the results are folded
+in chunk order, so work spread over any number of threads reproduces
+the single-threaded result bit for bit.
 ``BVM_THREADS`` (default 1) sets the number of workers; it parallelises
 sampling as well as kernels, so any user code a chunk calls (such as a
 divergence ``sampler`` or an evidence model function) must be a pure
@@ -293,14 +292,3 @@ def fold_chunks(fn, n: int, fold, acc):
     if error is not None:
         raise error
     return acc
-
-
-def _append(results: list, result) -> list:
-    results.append(result)
-    return results
-
-
-def map_chunks(fn, n: int) -> list:
-    """``[fn(c, m) for each chunk c of an n-draw request]``, in chunk order:
-    :func:`fold_chunks` into a list, for callers that need every result."""
-    return fold_chunks(fn, n, _append, [])

@@ -23,10 +23,18 @@ a side of labels (``$.agreement``); a ``gamma_epsilon`` tolerance vector
 of another length than the model's paths names ``$.agreement.eps``, a
 ``bins`` whose edges numpy cannot index names ``$.agreement.bins``, and a
 NaN ``power`` level names its field. A grid too large to
-hold is an estimation error (exit 3), not a traceback. A flagged run's
-record holds its ``--seed`` and ``--samples``, so it re-runs as it ran."""
+hold is an estimation error (exit 3), not a traceback, and so are NaN
+kernel weights, named as weights that escaped [0, 1]. A generated data
+path that is NaN at an infinite grid point writes only its config error
+to stderr. A flagged run's record holds its ``--seed`` and
+``--samples``, so it re-runs as it ran."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -482,3 +490,27 @@ def test_improved_reliability_names_a_length_fault(tmp_path, capsys, data, eps, 
            "metric": {"name": "improved_reliability", "eps": eps}}
     assert main(["validate", "--config", write(tmp_path, doc), "--samples", "64"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: config field {message}\n"
+
+
+def test_nan_kernel_weights_are_named_as_escaped_weights(tmp_path, capsys):
+    # kl of two paths of normal draws (no mass vectors) is NaN, and so are the
+    # soft kernel's weights; a NaN passed the weight guard, and the run exited 3
+    # with the estimate's "estimate escaped [0, 1]".
+    product = {"type": "product", "components": [SCALAR] * 3}
+    doc = kinds_doc(product, product, {"type": "soft_exponential", "fn": "kl", "eps_prime": 0.5, "rate": 2.0})
+    assert main(["validate", "--config", write(tmp_path, doc)]) == EXIT_ESTIMATION
+    assert capsys.readouterr().err == "estimation error: kernel weight escaped [0, 1]\n"
+
+
+def test_a_grid_function_on_an_infinite_point_writes_only_the_config_error(tmp_path):
+    # A new interpreter, as pytest would catch the warning: cos(-inf) wrote
+    # numpy's "RuntimeWarning: invalid value encountered in cos" to stderr first.
+    doc = {"model": {"distribution": PATH}, "agreement": {"type": "threshold", "fn": "mean_abs_error", "eps": 0.5},
+           "data": {"generator": {"type": "grid_function", "name": "cos", "grid": {"points": [-math.inf, 0.5, 1.0]}}},
+           "estimator": {"method": "mc", "samples": 50, "seed": 0}}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "bvm.cli", "validate", "--config", write(tmp_path, doc)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == "config error: bad data generator 'grid_function': DiracDelta value must not be NaN\n"

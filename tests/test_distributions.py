@@ -30,7 +30,7 @@ from bvm import (
     probability_in_region,
     push_forward,
 )
-from bvm.rng import CHUNK_SIZE, map_chunks
+from bvm.rng import CHUNK_SIZE, fold_chunks
 from bvm.studies import _OSC_PARAMS, _TAYLOR
 
 
@@ -244,7 +244,7 @@ class TestPushForward:
             push_forward(DiracDelta([1.0, 2.0]), polynomial_model([0]), InputGrid.linspace(0, 1, 3))
 
     def test_certain_model_is_evaluated_once_from_two_workers(self, monkeypatch):
-        # Once, on its one parameter row, when it is built; two map_chunks
+        # Once, on its one parameter row, when it is built; two fold_chunks
         # workers then draw from that path and never call the slow model.
         calls = []
 
@@ -260,7 +260,7 @@ class TestPushForward:
         )
         assert calls == [(1, 2)]
         monkeypatch.setenv("BVM_THREADS", "2")
-        chunks = map_chunks(lambda c, m: pf.draw_chunk(3, 0, c, m), 4 * CHUNK_SIZE)
+        chunks = fold_chunks(lambda c, m: pf.draw_chunk(3, 0, c, m), 4 * CHUNK_SIZE, lambda acc, x: acc + [x], [])
         assert calls == [(1, 2)]
         assert all(np.array_equal(c, chunks[0]) for c in chunks)
         assert np.allclose(chunks[0], 1.0 - 0.5 * pf.grid.points**2, rtol=0, atol=1e-15)

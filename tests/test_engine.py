@@ -39,7 +39,7 @@ from bvm import (
     sweep,
 )
 from bvm.agreement import AgreementRule
-from bvm.comparison import area_metric
+from bvm.comparison import ComparisonFn, area_metric
 from bvm.config import build_sweep_template
 from bvm.distributions import ConfidenceRegion, PushForward
 from bvm.metrics import improved_reliability
@@ -409,6 +409,16 @@ class TestComparisonDensity:
         sc = Scenario(Uniform(1.0, 1.0 + 4 * np.spacing(1.0)), DiracDelta(0.0), AlwaysTrue())
         with pytest.raises(EstimationError, match=r"span \[1\.0, 1\.00000000000000.*no 16 distinct"):
             comparison_density(sc, "identity", 1000, 16, 0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_nan_value_is_refused(self, threads, monkeypatch):
+        # The chunks' ranges are folded with NaN-keeping minima and maxima;
+        # a NaN dropped there would leave masses summing to less than 1.
+        monkeypatch.setenv("BVM_THREADS", threads)
+        fn = ComparisonFn("nan_past_3", lambda zhat, z: np.where(zhat > 3.0, np.nan, zhat))
+        sc = Scenario(Normal(0, 1), DiracDelta(0.0), AlwaysTrue())
+        with pytest.raises(EstimationError, match=r"span \[nan, nan\]"):
+            comparison_density(sc, fn, 5 * CHUNK_SIZE, 16, 0)
 
 
 class TestBvmFromDensity:

@@ -11,6 +11,10 @@ outputs and has to say so.
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,9 +227,9 @@ GOLDEN = {
     "binned-pdf-soft-std-error": "0x1.54344851b756cp-9",
     "area-bootstrap": "0x1.b15b573eab368p-3",
     "divergence-sampler": "0x1.309546c510281p-1",
-    "evidence-poly3-1e5": "-0x1.1622b330b5b3dp+3 0x1.8442f3d45cadap-9 0x1.a01eb9c8a5737p+15 0x1.44328d15ac0a0p-15",
-    "evidence-scalar-prior": "-0x1.62846bf7ade17p+3 0x1.0e64eb4257725p-7 0x1.341be66fc69b5p+13 0x1.29982057574b6p-13",
-    "evidence-oscillator-4097": "-0x1.9cf3765efd1d1p+6 0x1.df7b2cd2ff9b4p-5 0x1.107cd9eede893p+8 0x1.a2858a54b4631p-7",
+    "evidence-poly3-1e5": "-0x1.1622b330b5b3dp+3 0x1.8442f3d45cad9p-9 0x1.a01eb9c8a5739p+15 0x1.44328d15ac09fp-15",
+    "evidence-scalar-prior": "-0x1.62846bf7ade17p+3 0x1.0e64eb4257724p-7 0x1.341be66fc69b8p+13 0x1.29982057574b5p-13",
+    "evidence-oscillator-4097": "-0x1.9cf3765efd1d1p+6 0x1.df7b2cd2ff9b7p-5 0x1.107cd9eede890p+8 0x1.a2858a54b4632p-7",
     "sweep-ex53-deterministic-model1": "e80cfb8c5e3e780738c67b35eeebc89c5a29e4c5b166ac71318b859318a498fb",
     "sweep-ex53-deterministic-model2": "0b8c6f6faa8a7c677aaaf3407305eab37db9fbebe024f4b9c369e30a3ec35481",
     "sweep-ex53-uncertain-model1": "fad24edb26952795522f098abfbd59e5645ff4ffbcb9d9cbc3aea6e4566b74c4",
@@ -253,6 +257,24 @@ GOLDEN = {
 def test_golden_bits(case, threads, monkeypatch):
     monkeypatch.setenv("BVM_THREADS", threads)
     assert CASES[case]() == GOLDEN[case]
+
+
+EVIDENCE_CASES = sorted(case for case in CASES if case.startswith("evidence-"))
+
+
+def test_evidence_bits_do_not_depend_on_blas_threads():
+    """The evidence pins, recomputed in a new interpreter that OpenBLAS
+    starts with one thread. OpenBLAS reads its thread count once, when
+    numpy loads, so only a new process can set it. Each evidence sum runs
+    chunk by chunk in numpy's own loops; a BLAS product such as ``w @ w``
+    rounds by its thread count's blocking."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+    code = f"import json, test_golden as g; print(json.dumps({{c: g.CASES[c]() for c in {EVIDENCE_CASES!r}}}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {case: GOLDEN[case] for case in EVIDENCE_CASES}
 
 
 # Output bytes of the band, sampling and oscillator code. ``sample`` and

@@ -61,6 +61,14 @@ before the first run. While every chunk's result was kept until the
 estimate returned, the two read 0.139 and 0.274 MB at one thread, and
 0.287 and 0.358 MB at two.
 
+The model evidence and the comparison density run on the same fold: the
+evidence folds each chunk's peak log-likelihood and weight moments, and
+the density folds the least and largest value, then the bin counts. Each
+peak at k = 1e6 stays within 1.5 times its peak at k = 1e5. The bounds
+were set before the change, when both held all k values: the evidence
+(a cubic on 50 points) read 4.2 and 24 MB, the density (64 bins) 1.6 and
+16 MB (now 3.5 and 0.14 MB at either k).
+
 A sweep adds each block's first passing columns into a (need, eps)
 histogram, so it holds that histogram, the path weights and one block of
 paths, with no eps-by-path count matrix. Both bounds were set before an
@@ -77,10 +85,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvm import AgreementRule, EpsilonBeta, GammaEpsilon, IndependentProduct, Normal, mean_abs_error
+from bvm import (
+    AgreementRule,
+    AlwaysTrue,
+    EpsilonBeta,
+    GammaEpsilon,
+    IndependentProduct,
+    InputGrid,
+    Normal,
+    mean_abs_error,
+    polynomial_model,
+)
 from bvm.cli import EXIT_OK, main
 from bvm.config import build_scenario, build_sweep_template, distribution_from_config, rule_from_config
-from bvm.engine import Scenario, estimate_bvm_mc, sweep
+from bvm.engine import Scenario, comparison_density, estimate_bvm_mc, sweep
+from bvm.metrics import GaussianLikelihoodSpec, bayesian_evidence
 from bvm.rng import CHUNK_SIZE
 from bvm.studies import _poly_config, builtin_configs, sweep_axes
 
@@ -149,6 +168,26 @@ def test_scalar_mc_peak_does_not_grow_with_k(threads, monkeypatch):
     small = _peak_mb(lambda: estimate_bvm_mc(scenario, 24 * CHUNK_SIZE, 0))  # about 1e5
     large = _peak_mb(lambda: estimate_bvm_mc(scenario, 976 * CHUNK_SIZE, 0))  # about 4e6
     assert large <= 1.05 * small, (small, large)
+
+
+def test_evidence_peak_does_not_grow_with_k(monkeypatch):
+    monkeypatch.delenv("BVM_THREADS", raising=False)  # one chunk in flight
+    x = np.linspace(0.0, 1.0, 50)
+    lik = GaussianLikelihoodSpec(0.3, 0.3 + 0.5 * x - 0.2 * x**3, InputGrid(x))
+    model, prior = polynomial_model([0, 1, 2, 3]), IndependentProduct([Normal(m, 0.2) for m in (0.3, 0.5, 0.0, -0.2)])
+    bayesian_evidence(model, prior, lik, k=2 * CHUNK_SIZE, seed=1)
+    small = _peak_mb(lambda: bayesian_evidence(model, prior, lik, k=100_000, seed=1))
+    large = _peak_mb(lambda: bayesian_evidence(model, prior, lik, k=1_000_000, seed=1))
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_comparison_density_peak_does_not_grow_with_k(monkeypatch):
+    monkeypatch.delenv("BVM_THREADS", raising=False)  # one chunk in flight
+    scenario = Scenario(Normal(0.1, 1.0), Normal(-0.2, 0.8), AlwaysTrue())
+    comparison_density(scenario, "abs_diff", 2 * CHUNK_SIZE, 64, 2)
+    small = _peak_mb(lambda: comparison_density(scenario, "abs_diff", 100_000, 64, 2))
+    large = _peak_mb(lambda: comparison_density(scenario, "abs_diff", 1_000_000, 64, 2))
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_certain_oscillator_band_peak():

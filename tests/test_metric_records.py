@@ -160,15 +160,15 @@ CASES = {
             "estimator": {"method": "mc", "samples": 20000, "seed": 5},
         },
         (
-            "log evidence = -2.0634254372656127 +/- 0.010293307640180807 [n=20000, seed=5, ess=6412.221913479012, max weight share=0.00025057533251168583]\n"
+            "log evidence = -2.0634254372656127 +/- 0.010293307640180804 [n=20000, seed=5, ess=6412.221913479013, max weight share=0.00025057533251168583]\n"
         ),
         {
-            "ess": 6412.221913479012,
+            "ess": 6412.221913479013,
             "log_evidence": -2.0634254372656127,
             "max_weight_share": 0.00025057533251168583,
             "n_samples": 20000,
             "seed": 5,
-            "std_error_log": 0.010293307640180807,
+            "std_error_log": 0.010293307640180804,
         },
     ),
     "area": (

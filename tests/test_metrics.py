@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ from bvm.metrics import (
     reliability,
     statistical_power_bvm,
 )
-from bvm.rng import CHUNK_SIZE
+from bvm.distributions import Distribution
+from bvm.rng import CHUNK_SIZE, MODEL_STREAM
 
 
 class TestReliability:
@@ -703,6 +705,20 @@ def _evidence(log_evidence):
     return EvidenceResult(log_evidence, 0.01, 1000, 0, ess=1000.0, max_weight_share=0.001)
 
 
+@dataclass(frozen=True)
+class _ChunkShifted(Distribution):
+    """N(0, 1) draws shifted by a constant per chunk: chunk c's draws plus
+    ``shifts[c]``."""
+
+    shifts: tuple
+
+    def _draw(self, rng, m):
+        return rng.normal(size=m)
+
+    def draw_chunk(self, seed, stream, c, m):
+        return super().draw_chunk(seed, stream, c, m) + self.shifts[c]
+
+
 class TestEvidence:
     def test_certain_prior_is_exact_likelihood(self):
         grid = InputGrid(np.array([0.0, 1.0]))
@@ -802,6 +818,30 @@ class TestEvidence:
         assert res.std_error_log == math.inf
         assert res.ess == 0.0
         assert math.isnan(res.max_weight_share)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_fold_matches_an_fsum_over_every_weight(self, threads, monkeypatch):
+        # Chunk peaks start at -inf, then rise, fall and rise again, so the
+        # fold rescales the running side and the chunk side both. Each weight
+        # takes at most a few roundings more than exp(log L - peak) does, and
+        # each sum a pairwise sum per chunk plus one merge per chunk, so the
+        # bound is a relative 1e-13, about 450 ulps.
+        prior = _ChunkShifted((math.inf, 3.0, 0.0, 2.0, 0.5))
+        k, y, sigma = 4 * CHUNK_SIZE + 77, 0.2, 0.5
+        lik = GaussianLikelihoodSpec(sigma, np.array([y]), InputGrid(np.array([0.0])))
+        monkeypatch.setenv("BVM_THREADS", threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bayesian_evidence(polynomial_model([0]), prior, lik, k=k, seed=3)
+        theta = np.concatenate([prior.draw_chunk(3, MODEL_STREAM, c, min(CHUNK_SIZE, k - c * CHUNK_SIZE)) for c in range(5)])
+        log_l = -0.5 * math.log(2 * math.pi * sigma**2) - (theta - y) ** 2 / (2 * sigma**2)
+        peak = float(log_l.max())
+        w = np.exp(log_l - peak)
+        total, mean = math.fsum(w), math.fsum(w) / k
+        m2 = math.fsum((w - mean) ** 2)
+        want = (peak + math.log(mean), math.sqrt(m2 / k) / (mean * math.sqrt(k)), total**2 / math.fsum(w * w), 1 / total)
+        got = (res.log_evidence, res.std_error_log, res.ess, res.max_weight_share)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_paths_are_evaluated_one_chunk_at_a_time(self, threads, monkeypatch):

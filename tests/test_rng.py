@@ -1,4 +1,4 @@
-"""Chunked streams: stream ids, chunk keys, chunk draws, and the chunk map.
+"""Chunked streams: stream ids, chunk keys, chunk draws, and the chunk fold.
 
 The package derives chunk keys without ``np.random.SeedSequence``;
 :func:`fresh_rng` keeps the ``SeedSequence`` formula as the oracle that
@@ -17,7 +17,7 @@ import pytest
 
 from bvm import rng
 from bvm.distributions import Categorical, Distribution, Empirical, Normal, StudentT
-from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, _draw_chunk, fold_chunks, map_chunks
+from bvm.rng import CHUNK_SIZE, _KEY_BLOCK, _draw_chunk, fold_chunks
 
 STREAMS = sorted(v for name, v in vars(rng).items() if name.endswith("_STREAM"))
 
@@ -81,32 +81,6 @@ def test_draw_chunk_is_a_slice_of_sample(dist):
     for c in range(3):
         m = min(CHUNK_SIZE, n - c * CHUNK_SIZE)
         assert np.array_equal(dist.draw_chunk(4, 5, c, m), whole[c * CHUNK_SIZE : c * CHUNK_SIZE + m])
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
-def test_map_chunks_returns_chunk_order(threads, monkeypatch):
-    monkeypatch.setenv("BVM_THREADS", threads)
-    n = 40 * CHUNK_SIZE + 1
-    expected = [(c, CHUNK_SIZE) for c in range(40)] + [(40, 1)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        assert map_chunks(lambda c, m: (c, m), n) == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "3"])
-def test_map_chunks_raises_lowest_failing_chunk(threads, monkeypatch):
-    monkeypatch.setenv("BVM_THREADS", threads)
-
-    def fn(c, m):
-        if c in (2, 5):
-            raise ValueError(f"chunk {c}")
-        return c
-
-    with pytest.raises(ValueError, match="chunk 2"):
-        map_chunks(fn, 6 * CHUNK_SIZE)
 
 
 class _FastSwitching:
@@ -303,17 +277,18 @@ def test_sample_bits_do_not_depend_on_threads(threads, monkeypatch):
     model, data = Normal(0.2, 1.0), StudentT(0.0, 4.0, 0.5)
 
     def chunk(c, m):  # one chunk of a stream, and a whole sample, on each worker
-        return model.draw_chunk(9, 0, c, m), data.sample(9 + c, 100, stream=1)
+        return c, model.draw_chunk(9, 0, c, m), data.sample(9 + c, 100, stream=1)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        got = map_chunks(chunk, (_KEY_BLOCK + 5) * CHUNK_SIZE - 7)  # crosses a key block; ends part-way
-    finally:
-        sys.setswitchinterval(interval)
-    for c, (draws, sample) in enumerate(got):
+    def check(seen, result):  # in chunk order, as each chunk is folded
+        c, draws, sample = result
+        assert c == seen
         assert np.array_equal(draws, fresh_chunk(model, 9, 0, c, draws.size)), c
         assert np.array_equal(sample, fresh_chunk(data, 9 + c, 1, 0, 100)), c
+        return seen + 1
+
+    with _FastSwitching():
+        n = (_KEY_BLOCK + 5) * CHUNK_SIZE - 7  # crosses a key block; ends part-way
+        assert _in_time(lambda: fold_chunks(chunk, n, check, 0)) == _KEY_BLOCK + 5
 
 
 def test_a_thread_drawing_from_many_streams_keeps_few_key_blocks():
